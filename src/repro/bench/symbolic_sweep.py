@@ -1,9 +1,11 @@
 """The ``symbolic-sweep`` suite: batch sweeps against per-point recompiles.
 
-The symbolic plan layer (:mod:`repro.plan.symbolic`) exists so a batch
-sweep costs one traced compile plus cheap specializations instead of one
-full compile per point.  This suite measures that claim and guards its
-preconditions:
+The symbolic plan layer (:mod:`repro.plan.symbolic`) was built so a
+batch sweep costs one traced compile plus cheap specializations instead
+of one full compile per point.  Sessions now answer with the memoized
+concrete compiler, which measured faster; the layer is an off-path
+library until it is deleted.  This suite measures the layer's claim and
+guards its preconditions:
 
 - **measured** (wall-clock, excluded from the trajectory digest): the
   median time of a cold 7-point sweep (trace + 7 specializations), a warm

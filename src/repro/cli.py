@@ -315,11 +315,13 @@ def _cmd_plan(args) -> int:
     kwargs = {"gpu": gpu} if gpu else {}
     session = TrainingSession(args.model, args.framework, **kwargs)
     if getattr(args, "symbolic", False):
-        from repro.plan.symbolic import TraceEscape
+        from repro.plan.symbolic import SymbolicPlanSet, TraceEscape
 
+        sset = SymbolicPlanSet(session.spec, session.framework, session.gpu)
+        batch = args.batch if args.batch is not None else session.spec.reference_batch
         try:
-            session.compile(args.batch)  # trace + specialize the region
-            print(session._symbolic_set().describe())
+            sset.specialize(batch)  # trace + specialize the region
+            print(sset.describe())
         except TraceEscape as exc:
             print(
                 f"{args.model} on {args.framework} escapes the symbolic "

@@ -552,25 +552,45 @@ def _symbolic_concrete_agreement(ev: PointEvidence) -> list:
 @_register(
     "analytic-oom-agreement",
     "point",
-    "the analytic max_batch_size (traced allocation expressions, zero "
-    "compiles) equals the searched boundary (compile every candidate, "
-    "catch OOM) over the model's batch ladder",
+    "three max-batch answers agree over the model's batch ladder: the "
+    "session's bisection over concrete compiles, the linear probe "
+    "(compile every candidate until the first OOM), and the symbolic "
+    "library's traced allocation expressions",
 )
 def _analytic_oom_agreement(ev: PointEvidence) -> list:
-    from repro.training.session import TrainingSession
+    # Imported here like the symbolic dependency above.
+    from repro.plan.symbolic import TraceEscape, shared_plan_set
+    from repro.training import session as session_module
 
-    analytic = TrainingSession(
-        ev.model, ev.framework, gpu=ev.gpu
-    ).max_batch_size()
-    searched = TrainingSession(
-        ev.model, ev.framework, gpu=ev.gpu, symbolic=False
-    ).max_batch_size(search=True)
+    session = session_module.TrainingSession(ev.model, ev.framework, gpu=ev.gpu)
+    # The linear probe first: bisection then replays cached plans, so the
+    # second answer costs no compiles.
+    searched = session.max_batch_size(search=True)
+    bisected = session.max_batch_size()
+    out = []
+    if bisected != searched:
+        out.append(
+            f"bisected max_batch_size {bisected} != searched OOM boundary "
+            f"{searched}"
+        )
+    try:
+        analytic = shared_plan_set(
+            session.spec,
+            session.framework,
+            ev.gpu,
+            constants=(
+                session_module.GRADIENT_MAP_FACTOR,
+                session_module._INPUT_STAGING_BUFFERS,
+            ),
+        ).max_batch_size(session.spec.batch_sizes, ev.gpu.memory_bytes)
+    except TraceEscape:
+        return out  # untraceable models have no analytic answer
     if analytic != searched:
-        return [
+        out.append(
             f"analytic max_batch_size {analytic} != searched OOM boundary "
             f"{searched}"
-        ]
-    return []
+        )
+    return out
 
 
 def _schedule_probes(batch_size: int) -> tuple:

@@ -117,14 +117,12 @@ def _compute_payload(
     cpu: CPUSpec,
     check_memory: bool,
     sessions: dict | None = None,
-    symbolic: bool = True,
 ) -> dict:
     """Simulate one grid point and return its wire-format payload.
 
     ``sessions`` lets a chunk reuse one :class:`TrainingSession` per
-    (model, framework) across its batch sizes — with ``symbolic`` (the
-    default) that session compiles symbolically once per guard region and
-    every batch in the sweep is a cheap specialization.
+    (model, framework) across its batch sizes, so the session's roofline
+    times each distinct kernel once for the whole sweep.
     """
     if spec.faults:
         return _compute_faulted_payload(spec)
@@ -137,7 +135,6 @@ def _compute_payload(
             gpu=gpu,
             cpu=cpu,
             check_memory=check_memory,
-            symbolic=symbolic,
         )
         if sessions is not None:
             sessions[key] = session
@@ -166,10 +163,8 @@ def _compute_payload(
 def _compute_transformed_payload(spec: PointSpec, session: TrainingSession) -> dict:
     """Simulate one grid point under its transform pipeline.
 
-    The session compiles (symbolically when possible) and the pipeline
-    rewrites the specialized plan — trace once, specialize per batch,
-    rewrite per pipeline, with every prefix memoized in the session's
-    plan cache.  Memory is checked against the *transformed* plan: that
+    The session compiles the base plan and the pipeline rewrites it,
+    with every prefix memoized in the session's plan cache.  Memory is checked against the *transformed* plan: that
     is the whole point of the memory transforms (an offloaded point may
     fit where the baseline OOMs, and a deepened one may OOM where the
     baseline fits).
@@ -203,11 +198,10 @@ def _compute_scheduled_payload(
     """Simulate one grid point under an adaptive batch schedule.
 
     The schedule's segments come from the closed-form curve integrator;
-    each *distinct* batch size costs one ``run_iteration`` — a cheap
-    symbolic ``specialize(batch)`` after the session's one trace — and
-    the point's metrics are the time-weighted aggregate over segments
-    (throughput = total samples / total time, utilizations weighted by
-    segment wall-clock).  ``batch_size`` stays the spec's base batch: it
+    each *distinct* batch size costs one ``run_iteration`` (one compile,
+    memoized in the session's plan cache) and the point's metrics are
+    the time-weighted aggregate over segments (throughput = total
+    samples / total time, utilizations weighted by segment wall-clock).  ``batch_size`` stays the spec's base batch: it
     is the grid coordinate, not the (growing) realized batch.  Any
     segment whose batch no longer fits the GPU makes the whole point OOM,
     exactly like a fixed point at that batch.
@@ -291,14 +285,12 @@ def _compute_faulted_payload(spec: PointSpec) -> dict:
     )
 
 
-def _pool_worker(
-    chunk, gpu: GPUSpec, cpu: CPUSpec, check_memory: bool, symbolic: bool = True
-) -> list:
+def _pool_worker(chunk, gpu: GPUSpec, cpu: CPUSpec, check_memory: bool) -> list:
     """Execute one ``[(grid_index, PointSpec), ...]`` chunk in a worker
     process; returns ``[(grid_index, payload), ...]``."""
     sessions: dict = {}
     return [
-        (index, _compute_payload(spec, gpu, cpu, check_memory, sessions, symbolic))
+        (index, _compute_payload(spec, gpu, cpu, check_memory, sessions))
         for index, spec in chunk
     ]
 
@@ -321,11 +313,6 @@ class SweepEngine:
             nothing can OOM (and the cache key is unaffected — memory
             checking changes *whether* a result exists, not its value,
             so cached metrics stay valid either way).
-        symbolic: forwarded to :class:`TrainingSession`; the default
-            compiles each (model, framework) symbolically once and
-            specializes per batch.  Results are bit-identical either way
-            (the differential harness proves it), so the cache key is
-            unaffected.
     """
 
     def __init__(
@@ -335,7 +322,6 @@ class SweepEngine:
         gpu: GPUSpec = QUADRO_P4000,
         cpu: CPUSpec = XEON_E5_2680,
         check_memory: bool = True,
-        symbolic: bool = True,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -344,7 +330,6 @@ class SweepEngine:
         self.gpu = gpu
         self.cpu = cpu
         self.check_memory = check_memory
-        self.symbolic = symbolic
         self._stats = EngineStats()
 
     @property
@@ -574,7 +559,6 @@ class SweepEngine:
                     self.gpu,
                     self.cpu,
                     self.check_memory,
-                    self.symbolic,
                 ): chunk
                 for chunk in chunks
             }
@@ -624,7 +608,6 @@ class SweepEngine:
                             self.cpu,
                             self.check_memory,
                             sessions,
-                            self.symbolic,
                         ),
                     )
                 )

@@ -151,7 +151,7 @@ def sweep_ramp_exponent(values=(0.25, 0.5, 0.75, 1.0)) -> SensitivityResult:
     for exponent in values:
 
         def patched_init(self, device, _exp=exponent):
-            self.device = device
+            original_init(self, device)
             self._ramp_s = roofline_module.RooflineModel._BASE_OCCUPANCY_RAMP_S * (
                 device.peak_fp32_flops / roofline_module.RooflineModel._BASE_PEAK_FLOPS
             ) ** _exp

@@ -103,5 +103,15 @@ class Framework:
         )
 
     def specialize_kernels(self, kernels) -> list:
-        """Vectorised :meth:`specialize_kernel`."""
-        return [self.specialize_kernel(k) for k in kernels]
+        """:meth:`specialize_kernel` over a kernel stream, once per
+        distinct kernel value in the stream (the per-timestep kernels of a
+        recurrent layer repeat).  Kernels must be hashable (concrete);
+        specialize symbolic ones one by one with :meth:`specialize_kernel`."""
+        memo: dict = {}
+        specialized = []
+        for kernel in kernels:
+            out = memo.get(kernel)
+            if out is None:
+                out = memo[kernel] = self.specialize_kernel(kernel)
+            specialized.append(out)
+        return specialized

@@ -78,6 +78,9 @@ class RooflineModel:
         self._ramp_s = self._BASE_OCCUPANCY_RAMP_S * (
             device.peak_fp32_flops / self._BASE_PEAK_FLOPS
         ) ** 0.5
+        #: :meth:`time_kernels` memo, keyed by kernel value (kernels are
+        #: frozen, and a recurrent model repeats each timestep's kernels).
+        self._timings: dict = {}
 
     def time_kernel(self, kernel: Kernel) -> KernelTiming:
         """Resolve one kernel's execution time on this device."""
@@ -107,8 +110,18 @@ class RooflineModel:
         )
 
     def time_kernels(self, kernels) -> list:
-        """Vectorised convenience: time a sequence of kernels."""
-        return [self.time_kernel(k) for k in kernels]
+        """Time a sequence of kernels, each distinct kernel value once per
+        model instance: equal kernels get the same :class:`KernelTiming`.
+        Kernels must be hashable (concrete); time symbolic ones one by one
+        with :meth:`time_kernel`."""
+        memo = self._timings
+        timings = []
+        for kernel in kernels:
+            timing = memo.get(kernel)
+            if timing is None:
+                timing = memo[kernel] = self.time_kernel(kernel)
+            timings.append(timing)
+        return timings
 
     def arithmetic_intensity_breakeven(self) -> float:
         """FLOP/byte ratio above which kernels are compute bound on this

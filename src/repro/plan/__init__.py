@@ -20,6 +20,15 @@ an XLA-style compile-then-execute split:
 - :mod:`repro.plan.symbolic` compiles once per (model, framework, GPU)
   with a symbolic batch and specializes per batch — bit-identical to
   :func:`~repro.plan.compiler.compile_graph` inside each guard region.
+  It is an off-path library: every answer the toolchain gives (sweeps,
+  tuning, OOM probes) comes from ``compile_graph``, which memoizes
+  kernel specialization and roofline timing by kernel value and is
+  several times faster than tracing plus specializing.  Only the
+  ``analytic-oom-agreement`` and ``symbolic-concrete-agreement``
+  invariants, ``tbd plan show --symbolic`` and the ``symbolic-sweep``
+  bench suite still use it.  It stays in the tree until the host
+  wall-clock benchmark (``benchmarks/wall/layers.py``) stops importing
+  it; it is then deleted.
 """
 
 from repro.plan.cache import PlanCache, PlanCacheStats

@@ -36,17 +36,23 @@ def _memory_model_constants() -> tuple:
     return session_module.GRADIENT_MAP_FACTOR, session_module._INPUT_STAGING_BUFFERS
 
 
-def lower_kernels(graph: LayerGraph, framework: Framework) -> list:
-    """The full kernel stream of one iteration: input copy, forward, loss,
-    backward, and one optimizer-update kernel per weighted layer
-    (frameworks launch per-tensor updates), specialized to the framework's
-    kernel-efficiency personality."""
+def iteration_stream(graph: LayerGraph) -> list:
+    """The full kernel stream of one iteration, before framework
+    specialization: input copy, forward, loss, backward, and one
+    optimizer-update kernel per weighted layer (frameworks launch
+    per-tensor updates)."""
     kernels = [misc.memcpy_h2d(graph.input_bytes)]
     kernels.extend(graph.iteration_kernels())
     for layer in graph.layers:
         if layer.weight_elements > 0:
             kernels.append(misc.sgd_update(layer.weight_elements, momentum=True))
-    return framework.specialize_kernels(kernels)
+    return kernels
+
+
+def lower_kernels(graph: LayerGraph, framework: Framework) -> list:
+    """The iteration's kernel stream specialized to the framework's
+    kernel-efficiency personality."""
+    return framework.specialize_kernels(iteration_stream(graph))
 
 
 def _backward_spans(graph: LayerGraph) -> tuple:

@@ -170,8 +170,13 @@ def compile_symbolic(spec, framework, gpu, roofline=None, hint=None) -> "Symboli
         batch = tracer.value()
         model = roofline if roofline is not None else RooflineModel(gpu)
         graph = spec.build(batch)
-        kernels = plan_compiler.lower_kernels(graph, framework)
-        timings = model.time_kernels(kernels)
+        # Kernel by kernel: the memoized stream helpers hash kernels, and
+        # hashing a symbolic value escapes the trace.
+        kernels = [
+            framework.specialize_kernel(kernel)
+            for kernel in plan_compiler.iteration_stream(graph)
+        ]
+        timings = [model.time_kernel(kernel) for kernel in kernels]
         allocations = plan_compiler.record_allocations(graph, framework)
         backward_spans = plan_compiler._backward_spans(graph)
         span.set_attributes(guards=len(tracer.guards), kernels=len(kernels))

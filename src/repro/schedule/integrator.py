@@ -215,8 +215,8 @@ class ScheduleIntegration:
 
     @property
     def batch_sizes(self) -> tuple:
-        """Distinct batch sizes, in first-use order (one session
-        specialization each, thanks to symbolic plans)."""
+        """Distinct batch sizes, in first-use order (one session plan
+        compile each, memoized in the session's plan cache)."""
         seen = []
         for segment in self.segments:
             if segment.batch_size not in seen:

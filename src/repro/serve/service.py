@@ -130,7 +130,6 @@ class BenchmarkServer:
         workers: concurrent worker coroutines executing jobs.
         admission: queue bounds; defaults to
             :class:`~repro.serve.admission.AdmissionConfig` defaults.
-        symbolic: forwarded to every engine the server builds.
         event_log: optional JSONL path appended with every event.
 
     Usage::
@@ -148,7 +147,6 @@ class BenchmarkServer:
         byte_budget: int | None = None,
         workers: int = 2,
         admission: AdmissionConfig | None = None,
-        symbolic: bool = True,
         event_log: str | None = None,
     ):
         if workers < 1:
@@ -159,7 +157,6 @@ class BenchmarkServer:
             else None
         )
         self.workers = workers
-        self.symbolic = symbolic
         self.event_log = event_log
         self.scheduler = FairScheduler(admission or AdmissionConfig())
         self._engines: dict = {}
@@ -309,7 +306,6 @@ class BenchmarkServer:
                 jobs=1,
                 cache=self.cache,
                 gpu=get_gpu(gpu_name),
-                symbolic=self.symbolic,
             )
         return self._engines[gpu_name]
 

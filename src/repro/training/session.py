@@ -34,6 +34,7 @@ from repro.frameworks.base import Framework
 from repro.frameworks.registry import get_framework
 from repro.graph.layer import LayerGraph
 from repro.hardware.devices import CPUSpec, GPUSpec, QUADRO_P4000, XEON_E5_2680
+from repro.hardware.memory import OutOfMemoryError
 from repro.hardware.roofline import RooflineModel
 from repro.models.registry import ModelSpec, get_model
 from repro.observability.metrics import get_metrics
@@ -41,7 +42,6 @@ from repro.observability.tracer import trace_span
 from repro.plan import compiler as plan_compiler
 from repro.plan.cache import PlanCache
 from repro.plan.compiled import CompiledPlan
-from repro.plan.symbolic import SymbolicPlanSet, TraceEscape, shared_plan_set
 
 #: Live activation-gradient working set, as a fraction of the stashed
 #: forward feature maps (gradient maps are produced and consumed during the
@@ -117,7 +117,6 @@ class TrainingSession:
         gpu: GPUSpec = QUADRO_P4000,
         cpu: CPUSpec = XEON_E5_2680,
         check_memory: bool = True,
-        symbolic: bool = True,
     ):
         self.spec: ModelSpec = get_model(model) if isinstance(model, str) else model
         self.framework: Framework = get_framework(framework)
@@ -129,13 +128,10 @@ class TrainingSession:
         self.gpu = gpu
         self.cpu = cpu
         self.check_memory = check_memory
-        self.symbolic = symbolic
         self._roofline = RooflineModel(gpu)
         self._dataset = get_dataset(self.spec.dataset)
         self._pipeline = DataPipelineModel(self._dataset)
         self._plans = PlanCache()
-        self._symbolic_sets: dict = {}
-        self._symbolic_broken = False
 
     # ------------------------------------------------------------------
     # compilation
@@ -153,13 +149,7 @@ class TrainingSession:
 
         The memory-model constants are compile inputs (the allocation
         trace bakes them in), so they join the cache key — ablations that
-        patch them get fresh plans instead of stale traces.
-
-        With ``symbolic`` (the default) the plan comes from the session's
-        :class:`~repro.plan.symbolic.SymbolicPlanSet`: one traced compile
-        per guard region, bit-identical cheap specializations for every
-        batch inside it.  Models the tracer cannot keep exact fall back to
-        the concrete compiler transparently."""
+        patch them get fresh plans instead of stale traces."""
         batch = batch_size if batch_size is not None else self.spec.reference_batch
         return self._plans.get(
             (int(batch), GRADIENT_MAP_FACTOR, _INPUT_STAGING_BUFFERS),
@@ -174,8 +164,7 @@ class TrainingSession:
         every *prefix* of the pipeline memoizes its plan in the session's
         :class:`~repro.plan.cache.PlanCache` — so candidate pipelines that
         share a prefix (the autotuner enumerates many) share the expensive
-        graph-rewrite recompiles, and the symbolic trace is reused: trace
-        once, specialize per batch, then rewrite.  Bit-identical to
+        graph-rewrite recompiles and the base plan.  Bit-identical to
         ``pipeline.apply(self.compile(batch))`` (same stage sequence), and
         the pipeline's composition-wide contracts are enforced on the
         final plan either way."""
@@ -201,50 +190,16 @@ class TrainingSession:
         return plan
 
     def _build_plan(self, batch) -> CompiledPlan:
-        """Plan-cache factory: symbolic specialize when possible, the
-        concrete compiler otherwise (and for models that escape the
-        tracer)."""
-        if self.symbolic and not self._symbolic_broken:
-            try:
-                return self._symbolic_set().specialize(int(batch))
-            except TraceEscape:
-                plan = self._concrete_plan(batch)
-                # The concrete pipeline handled what the tracer could not:
-                # this model genuinely escapes (an error path would have
-                # raised above), so stop re-trying the symbolic path.
-                self._symbolic_broken = True
-                metrics = get_metrics()
-                if metrics.enabled:
-                    metrics.counter(
-                        "plan_symbolic_fallbacks_total", {"model": self.spec.key}
-                    ).inc()
-                return plan
-        return self._concrete_plan(batch)
-
-    def _concrete_plan(self, batch) -> CompiledPlan:
+        """Plan-cache factory: build the graph at ``batch`` and lower it
+        through the concrete compiler with the session's roofline (whose
+        per-kernel timing memo then serves every batch the session
+        compiles)."""
         return plan_compiler.compile_graph(
             self.spec.build(batch),
             self.framework,
             self.gpu,
             roofline=self._roofline,
         )
-
-    def _symbolic_set(self) -> SymbolicPlanSet:
-        """The session's symbolic plans, keyed by the same memory-model
-        constants as the plan cache (they are baked into traced
-        allocation expressions too)."""
-        key = (GRADIENT_MAP_FACTOR, _INPUT_STAGING_BUFFERS)
-        sset = self._symbolic_sets.get(key)
-        if sset is None:
-            sset = shared_plan_set(
-                self.spec,
-                self.framework,
-                self.gpu,
-                roofline=self._roofline,
-                constants=key,
-            )
-            self._symbolic_sets[key] = sset
-        return sset
 
     def _iteration_kernels(self, graph: LayerGraph) -> list:
         """The specialized kernel stream of one iteration (delegates to
@@ -412,27 +367,34 @@ class TrainingSession:
     def max_batch_size(self, candidates=None, *, search: bool = False) -> int:
         """Largest sweep batch size that fits in GPU memory.
 
-        The default path is analytic: the traced allocation expressions of
-        the session's symbolic plan are evaluated per candidate and
-        replayed through the memory allocator — no plan compiles at all.
-        ``search=True`` forces the old probe loop (compile each candidate,
-        catch OOM), kept as the differential oracle the conformance
-        invariant checks the analytic answer against."""
-        sizes = candidates if candidates is not None else self.spec.batch_sizes
-        if not search and self.symbolic and not self._symbolic_broken:
-            try:
-                return self._symbolic_set().max_batch_size(
-                    sizes, self.gpu.memory_bytes
-                )
-            except TraceEscape:
-                pass  # fall through to the searched loop
-        from repro.hardware.memory import OutOfMemoryError
+        The default path bisects the sorted candidates with
+        :meth:`profile_memory`: memory footprints are nondecreasing in
+        batch (a registered conformance invariant), so at most
+        ``ceil(log2 n) + 1`` candidates compile, and their plans stay in
+        the session's plan cache for later consumers.  ``search=True``
+        probes every candidate in order until the first OOM instead —
+        the linear oracle the conformance invariant checks bisection
+        against."""
+        sizes = sorted(candidates if candidates is not None else self.spec.batch_sizes)
+        if search:
+            best = 0
+            for batch in sizes:
+                if not self._fits(batch):
+                    break
+                best = batch
+            return best
+        lo, hi = -1, len(sizes)  # sizes[lo] fits (or none); sizes[hi] does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._fits(sizes[mid]):
+                lo = mid
+            else:
+                hi = mid
+        return sizes[lo] if lo >= 0 else 0
 
-        best = 0
-        for batch in sorted(sizes):
-            try:
-                self.profile_memory(batch)
-            except OutOfMemoryError:
-                break
-            best = batch
-        return best
+    def _fits(self, batch) -> bool:
+        try:
+            self.profile_memory(batch)
+        except OutOfMemoryError:
+            return False
+        return True

@@ -12,7 +12,7 @@ nearly free:
    sense on a residual network.
 2. **Cost-model.**  Each candidate pipeline compiles through
    :meth:`~repro.training.session.TrainingSession.compile_transformed`
-   (symbolic trace once, specialize per batch, rewrite per pipeline,
+   (one concrete compile of the base plan, rewrite per pipeline,
    shared-prefix plans memoized), and is scored by the compiled plan's
    makespan with its allocation-replay peak as the tie-break.  Candidates
    whose transformed plan exceeds GPU memory are pruned — the same

@@ -18,7 +18,10 @@ from repro.bench.symbolic_sweep import (
     gate_doc_for,
     run_symbolic_sweep,
 )
-from repro.plan.symbolic import shared_plan_sets_clear
+from repro.frameworks import get_framework
+from repro.hardware.devices import QUADRO_P4000
+from repro.models.registry import get_model
+from repro.plan.symbolic import shared_plan_set, shared_plan_sets_clear
 from repro.training.session import TrainingSession
 
 
@@ -35,25 +38,31 @@ class TestSweepGuards:
         gate = gate_doc_for(results)
         assert gate == {"passed": True, "failures": []}
 
-    def test_session_sweep_traces_once_and_rides_warm_cache(self):
-        """The engine-facing version of the guard: a 7-point sweep through
-        a TrainingSession costs one traced compile, and a second session
-        in the same process costs zero (the shared trace cache)."""
+    def test_shared_sweep_traces_once_and_rides_warm_cache(self):
+        """A 7-point sweep through the process-wide shared plan set costs
+        one traced compile, a second lookup of the same configuration
+        costs zero, and a session sweep over the same batches (concrete
+        compiles only) leaves the shared trace untouched."""
         shared_plan_sets_clear()
         model, framework, batches = SWEEP_CASES[0]
-        session = TrainingSession(model, framework)
+        spec, fw = get_model(model), get_framework(framework)
+        sset = shared_plan_set(spec, fw, QUADRO_P4000)
         for batch in batches:
-            session.compile(batch)
-        sset = session._symbolic_set()
+            sset.specialize(batch)
         assert sset.compile_count == 1
         assert sset.specialize_count == len(batches)
 
-        warm_session = TrainingSession(model, framework)
+        warm_set = shared_plan_set(spec, fw, QUADRO_P4000)
         for batch in batches:
-            warm_session.compile(batch)
-        warm_set = warm_session._symbolic_set()
+            warm_set.specialize(batch)
         assert warm_set is sset  # process-wide shared trace
         assert warm_set.compile_count == 1  # zero new symbolic compiles
+
+        session = TrainingSession(model, framework)
+        for batch in batches:
+            session.compile(batch)
+        assert sset.compile_count == 1
+        assert sset.specialize_count == 2 * len(batches)
 
     def test_gate_reports_guard_failures_by_name(self):
         results = run_symbolic_sweep(repeats=1, cases=SWEEP_CASES[:1])

@@ -118,10 +118,10 @@ class TestWorkerFailures:
         parent_pid = os.getpid()
         original = executor_module._compute_payload
 
-        def fails_in_workers(spec, gpu, cpu, check_memory, sessions=None, symbolic=True):
+        def fails_in_workers(spec, gpu, cpu, check_memory, sessions=None):
             if os.getpid() != parent_pid:
                 raise RuntimeError("injected worker fault")
-            return original(spec, gpu, cpu, check_memory, sessions, symbolic)
+            return original(spec, gpu, cpu, check_memory, sessions)
 
         monkeypatch.setattr(executor_module, "_compute_payload", fails_in_workers)
         engine = SweepEngine(jobs=2, cache=None)
@@ -151,10 +151,10 @@ class TestWorkerFailures:
         parent_pid = os.getpid()
         original = executor_module._compute_payload
 
-        def fails_in_workers(spec, gpu, cpu, check_memory, sessions=None, symbolic=True):
+        def fails_in_workers(spec, gpu, cpu, check_memory, sessions=None):
             if os.getpid() != parent_pid:
                 raise RuntimeError("injected worker fault")
-            return original(spec, gpu, cpu, check_memory, sessions, symbolic)
+            return original(spec, gpu, cpu, check_memory, sessions)
 
         monkeypatch.setattr(executor_module, "_compute_payload", fails_in_workers)
         engine = SweepEngine(jobs=2, cache=cache_root)

@@ -8,6 +8,7 @@ observability contract — the instrumentation lint must keep covering the
 engine's entry points.
 """
 
+import math
 import os
 import sys
 
@@ -16,6 +17,7 @@ import pytest
 from repro.engine import PointSpec, SweepEngine, grid_for
 from repro.experiments.common import SWEEP_PANELS, run_sweeps
 import repro.plan.compiler as plan_compiler
+import repro.plan.symbolic as plan_symbolic
 from repro.training.session import TrainingSession
 
 sys.path.insert(
@@ -114,7 +116,7 @@ def counted_compiles(monkeypatch):
 
 @pytest.fixture
 def counted_builds(monkeypatch):
-    """Counts every plan-cache factory call (symbolic specialize or
+    """Counts every plan-cache factory call (one graph build plus one
     concrete compile) — the unit of per-point plan work."""
     calls = []
     original = TrainingSession._build_plan
@@ -135,19 +137,39 @@ class TestOneCompilePerPoint:
         from repro.profiling import timeline_for
 
         session = TrainingSession("resnet-50", "mxnet")
+        ladder = session.spec.batch_sizes
         best = session.max_batch_size()
-        assert counted_builds == [], (
-            "the analytic OOM probe evaluates traced expressions, it "
-            "builds no plans"
+        probes = len(counted_builds)
+        assert 0 < probes <= math.ceil(math.log2(len(ladder))) + 1, (
+            "the OOM probe bisects the ladder: at most ceil(log2 n) + 1 "
+            "plan builds"
         )
+        assert len(set(counted_builds)) == probes, "one build per probed batch"
+        assert ("resnet-50", "mxnet", best) in counted_builds
         session.run_iteration(best)
         session.profile_memory(best)
         timeline_for(session, best)
         session.run_iteration(best)
-        assert len(counted_builds) == 1, (
-            "warm consumers must add zero plan builds"
+        assert len(counted_builds) == probes, (
+            "the bisection's plans stay cached: warm consumers must add "
+            "zero plan builds"
         )
-        assert session.plan_cache.stats.compile_count == 1
+        assert session.plan_cache.stats.compile_count == probes
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 64])
+    def test_bisected_oom_probe_builds_logarithmically_many_plans(
+        self, counted_builds, count
+    ):
+        # sockeye/mxnet runs out of P4000 memory at batch 123, so every
+        # ladder but the shortest straddles the boundary.
+        session = TrainingSession("sockeye", "mxnet")
+        candidates = [160 * (index + 1) // count for index in range(count)]
+        bisected = session.max_batch_size(candidates)
+        assert len(counted_builds) <= math.ceil(math.log2(count)) + 1
+        assert len(set(counted_builds)) == len(counted_builds)
+        searched = session.max_batch_size(candidates, search=True)
+        assert bisected == searched
+        assert bisected == max((b for b in candidates if b <= 122), default=0)
 
     def test_searched_oom_probe_still_compiles_once_per_batch(
         self, counted_builds
@@ -170,16 +192,29 @@ class TestOneCompilePerPoint:
         assert len(counted_builds) == len(points)
         assert len(set(counted_builds)) == len(counted_builds)
 
-    def test_symbolic_sweep_never_concrete_compiles(
-        self, counted_builds, counted_compiles
+    def test_no_question_reaches_compile_symbolic(
+        self, monkeypatch, tmp_path, counted_builds, counted_compiles
     ):
+        """Sweeps, tuning and OOM probes all answer with the concrete
+        compiler; the symbolic library is off the answer path."""
         from repro.core.suite import standard_suite
+        from repro.tune.search import Autotuner
 
+        traced = []
+        original = plan_symbolic.compile_symbolic
+
+        def counting(*args, **kwargs):
+            traced.append(args[0].key)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(plan_symbolic, "compile_symbolic", counting)
         standard_suite().sweep("resnet-50", "mxnet")
+        SweepEngine(jobs=1, cache=str(tmp_path / "cache")).sweep("nmt", "tensorflow")
+        TrainingSession("deep-speech-2", "mxnet").max_batch_size()
+        Autotuner("a3c", "mxnet").tune(cache=None, confirm=True)
+        assert traced == [], "no question may reach compile_symbolic"
         assert len(counted_builds) > 0
-        assert counted_compiles == [], (
-            "a symbolic sweep must not fall back to the concrete compiler"
-        )
+        assert len(counted_compiles) >= len(counted_builds)
 
     def test_optimization_whatifs_reuse_the_session_plan(self, counted_builds):
         from repro.optimizations.offload import FeatureMapOffload

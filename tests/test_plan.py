@@ -5,7 +5,7 @@ import pytest
 
 from repro.hardware.memory import AllocationTag, OutOfMemoryError
 from repro.observability.runner import telemetry
-from repro.plan import PlanCache, compile_graph, shared_plan_sets_clear
+from repro.plan import PlanCache, compile_graph
 from repro.plan.executor import replay
 from repro.profiling import timeline_for
 from repro.training.session import TrainingSession
@@ -119,28 +119,18 @@ class TestPlanCache:
         assert snap["plan_cache_misses_total"] == 1
 
     def test_compile_span_nests_under_miss_lookup(self):
-        shared_plan_sets_clear()  # force a cold trace so the compile span appears
         with telemetry() as run:
             TrainingSession("resnet-50", "mxnet").compile(16)
-        lookup = run.tracer.roots[0]
-        assert lookup.name == "plan.cache.lookup"
-        assert lookup.attributes["outcome"] == "miss"
-        specialize_span = lookup.find("plan.symbolic.specialize")
-        assert specialize_span is not None
-        assert specialize_span.attributes["batch_size"] == 16
-        # The first specialize traces the symbolic variant inside the span.
-        assert specialize_span.find("plan.symbolic.compile") is not None
-        assert run.metrics.snapshot()["plan_cache_misses_total"] == 1
-
-    def test_concrete_session_compile_span_nests_under_miss_lookup(self):
-        with telemetry() as run:
-            TrainingSession("resnet-50", "mxnet", symbolic=False).compile(16)
         lookup = run.tracer.roots[0]
         assert lookup.name == "plan.cache.lookup"
         assert lookup.attributes["outcome"] == "miss"
         compile_span = lookup.find("plan.compile")
         assert compile_span is not None
         assert compile_span.attributes["batch_size"] == 16
+        # Sessions answer with the concrete compiler only: no symbolic
+        # trace or specialization hides under the lookup.
+        assert lookup.find("plan.symbolic.specialize") is None
+        assert lookup.find("plan.symbolic.compile") is None
         assert run.metrics.snapshot()["plan_cache_misses_total"] == 1
 
 

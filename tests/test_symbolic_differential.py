@@ -8,12 +8,16 @@ harness that proves it:
 
 - every (model, framework, batch) point of the paper grid,
 - ≥50 seeded fuzzed specs across both GPUs and random batch sizes,
-- the analytic OOM boundary against the searched boundary for every
-  paper-grid configuration,
-- byte-identical engine JSONL exports with symbolic on/off and with a
+- the analytic OOM boundary against the session's bisected and the
+  linearly searched boundaries for every paper-grid configuration,
+- byte-identical engine JSONL exports whether the session's plans come
+  from the concrete compiler or from symbolic specialization, and with a
   cold/warm result cache,
-- exact fallback semantics for the one model whose builder escapes the
+- exact error semantics for the one model whose builder escapes the
   trace (faster-rcnn formats a symbolic value into an error message).
+
+The symbolic layer is off the answer path (sessions compile concretely);
+this harness keeps it honest for as long as it stays in the tree.
 """
 
 from __future__ import annotations
@@ -86,8 +90,9 @@ class TestPaperGridBitIdentity:
     def test_escaping_model_raises_and_falls_back_identically(self):
         """faster-rcnn traces at its only valid batch (1); any other batch
         makes the builder format the symbolic batch into an error message,
-        which escapes the trace — and the session's fallback must surface
-        the *concrete* compiler's error, byte for byte."""
+        which escapes the trace — and the session (which compiles
+        concretely) must surface the concrete compiler's error, byte for
+        byte."""
         spec = get_model("faster-rcnn")
         framework_key = spec.frameworks[0]
         fw = get_framework(framework_key)
@@ -132,10 +137,15 @@ class TestSeededFuzzBitIdentity:
 class TestAnalyticOOMBoundary:
     @pytest.mark.parametrize("model,framework", PAPER_PAIRS)
     def test_analytic_max_batch_equals_searched(self, model, framework):
-        analytic = TrainingSession(model, framework).max_batch_size()
-        searched = TrainingSession(model, framework, symbolic=False).max_batch_size(
-            search=True
-        )
+        session = TrainingSession(model, framework)
+        searched = session.max_batch_size(search=True)
+        bisected = TrainingSession(model, framework).max_batch_size()
+        assert bisected == searched
+        if model in ESCAPING_MODELS:
+            return
+        analytic = shared_plan_set(
+            session.spec, session.framework, session.gpu
+        ).max_batch_size(session.spec.batch_sizes, session.gpu.memory_bytes)
         assert analytic == searched
 
     @pytest.mark.parametrize("gpu", [QUADRO_P4000, TITAN_XP], ids=lambda g: g.name)
@@ -154,23 +164,32 @@ class TestAnalyticOOMBoundary:
 class TestExportByteIdentity:
     PANELS = (("resnet-50", ("mxnet",)), ("nmt", ("tensorflow",)))
 
-    def _export(self, path, cache, symbolic: bool) -> None:
+    def _export(self, path, cache) -> None:
         grid = grid_for(self.PANELS, batch_sizes=(4, 8, 16))
-        engine = SweepEngine(jobs=1, cache=cache, symbolic=symbolic)
+        engine = SweepEngine(jobs=1, cache=cache)
         points = engine.run_grid(grid)
         write_grid_jsonl(str(path), grid, points)
 
-    def test_symbolic_and_concrete_exports_are_byte_identical(self, tmp_path):
-        self._export(tmp_path / "symbolic.jsonl", cache=None, symbolic=True)
-        self._export(tmp_path / "concrete.jsonl", cache=None, symbolic=False)
+    def test_symbolic_and_concrete_exports_are_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        self._export(tmp_path / "concrete.jsonl", cache=None)
+
+        def specialized_plan(session, batch):
+            return shared_plan_set(
+                session.spec, session.framework, session.gpu
+            ).specialize(batch)
+
+        monkeypatch.setattr(TrainingSession, "_build_plan", specialized_plan)
+        self._export(tmp_path / "symbolic.jsonl", cache=None)
         assert filecmp.cmp(
             tmp_path / "symbolic.jsonl", tmp_path / "concrete.jsonl", shallow=False
         )
 
     def test_cold_and_warm_cache_exports_are_byte_identical(self, tmp_path):
         cache_root = str(tmp_path / "cache")
-        self._export(tmp_path / "cold.jsonl", cache=cache_root, symbolic=True)
-        warm_engine = SweepEngine(jobs=1, cache=cache_root, symbolic=True)
+        self._export(tmp_path / "cold.jsonl", cache=cache_root)
+        warm_engine = SweepEngine(jobs=1, cache=cache_root)
         grid = grid_for(self.PANELS, batch_sizes=(4, 8, 16))
         warm_points = warm_engine.run_grid(grid)
         write_grid_jsonl(str(tmp_path / "warm.jsonl"), grid, warm_points)

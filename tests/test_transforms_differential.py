@@ -35,7 +35,7 @@ from repro.engine.keys import (
 )
 from repro.models.registry import get_model
 from repro.plan.pipeline import parse_transform_spec
-from repro.plan.symbolic import plan_difference
+from repro.plan.symbolic import SymbolicPlanSet, plan_difference
 from repro.training.session import TrainingSession
 
 #: A reduced paper grid used for the no-perturbation check.
@@ -174,11 +174,13 @@ class TestSymbolicConcreteTransformAgreement:
         self, model, framework, batch, spec
     ):
         pipeline = parse_transform_spec(spec)
-        symbolic = TrainingSession(model, framework, symbolic=True)
-        concrete = TrainingSession(model, framework, symbolic=False)
+        session = TrainingSession(model, framework)
+        specialized = SymbolicPlanSet(
+            session.spec, session.framework, session.gpu
+        ).specialize(batch)
         difference = plan_difference(
-            symbolic.compile_transformed(batch, pipeline),
-            pipeline.apply(concrete.compile(batch)),
+            pipeline.apply(specialized),
+            session.compile_transformed(batch, pipeline),
         )
         assert difference is None
 
