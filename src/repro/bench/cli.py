@@ -14,7 +14,7 @@ semantics and runner construction live in one place.
 
 from __future__ import annotations
 
-from repro.bench import schedule_suite, serve_suite, symbolic_sweep
+from repro.bench import schedule_suite, symbolic_sweep
 from repro.bench.gate import evaluate_gate
 from repro.bench.noise import NoiseModel
 from repro.bench.runner import InterleavedRunner
@@ -25,6 +25,12 @@ from repro.bench.suites import get_suite, run_suite, suite_catalog
 
 def register_bench_command(subparsers) -> None:
     """Add ``tbd bench run|compare|history|gate`` to the subparser set."""
+    # The suites ``run`` and ``gate`` accept: the catalog A/B suites plus
+    # the derived and self-gating ones.
+    suites = sorted(
+        [suite.name for suite in suite_catalog()]
+        + ["tune", symbolic_sweep.SUITE_NAME, schedule_suite.SUITE_NAME]
+    )
     bench = subparsers.add_parser(
         "bench",
         help="statistical differential benchmarking: noise-modeled "
@@ -73,7 +79,9 @@ def register_bench_command(subparsers) -> None:
     run = sub.add_parser(
         "run", help="run one suite and append its trajectory record"
     )
-    run.add_argument("suite", help="suite name (see 'tbd bench history --list')")
+    run.add_argument(
+        "suite", choices=suites, help="suite name (see 'tbd bench history --list')"
+    )
     add_run_arguments(run, with_store=True)
 
     compare = sub.add_parser(
@@ -104,7 +112,7 @@ def register_bench_command(subparsers) -> None:
         "gate",
         help="run one suite, record it, and fail on significant regressions",
     )
-    gate.add_argument("suite")
+    gate.add_argument("suite", choices=suites)
     add_run_arguments(gate, with_store=True)
 
     bench.set_defaults(func=cmd_bench)
@@ -122,19 +130,6 @@ def _run_symbolic_sweep(args) -> bool:
     print(f"trajectory: {path}")
     if not gate_doc["passed"]:
         print("guard failures: " + ", ".join(gate_doc["failures"]))
-    return gate_doc["passed"]
-
-
-def _run_serve_suite(args) -> bool:
-    """Run the serve load-test suite; returns the gate verdict (all its
-    gated numbers are simulated/deterministic, so like the symbolic
-    sweep it bypasses the noise-model A/B machinery)."""
-    results, gate_doc, path = serve_suite.run_and_record(args.dir)
-    for result in results:
-        print(result.format_row())
-    print(f"trajectory: {path}")
-    if not gate_doc["passed"]:
-        print("SLO/guard failures: " + ", ".join(gate_doc["failures"]))
     return gate_doc["passed"]
 
 
@@ -180,9 +175,6 @@ def _cmd_run(args) -> int:
     if args.suite == symbolic_sweep.SUITE_NAME:
         _run_symbolic_sweep(args)
         return 0
-    if args.suite == serve_suite.SUITE_NAME:
-        _run_serve_suite(args)
-        return 0
     if args.suite == schedule_suite.SUITE_NAME:
         _run_schedule_suite(args)
         return 0
@@ -193,8 +185,6 @@ def _cmd_run(args) -> int:
 def _cmd_gate(args) -> int:
     if args.suite == symbolic_sweep.SUITE_NAME:
         return 0 if _run_symbolic_sweep(args) else 1
-    if args.suite == serve_suite.SUITE_NAME:
-        return 0 if _run_serve_suite(args) else 1
     if args.suite == schedule_suite.SUITE_NAME:
         return 0 if _run_schedule_suite(args) else 1
     report = _run_and_record(args, record=True)
@@ -236,11 +226,6 @@ def _cmd_history(args) -> int:
             "verify as an improvement"
         )
         print(
-            f"  {serve_suite.SUITE_NAME:<12} deterministic loadgen "
-            "scenarios against the serve scheduler: p99 latency SLO, "
-            "fairness floor, zero starvation"
-        )
-        print(
             f"  {schedule_suite.SUITE_NAME:<12} adaptive batch schedule "
             "vs fixed b32 on P4000 and Titan Xp, with and without a "
             "fault plan; conservation + fixed-equivalence guards"
@@ -261,17 +246,6 @@ def _cmd_history(args) -> int:
             f"code={record['environment']['code'][:12]} gate={status}"
         )
         for result in record["results"]:
-            if "latency_p99_s" in result:
-                p99 = result["latency_p99_s"]
-                print(
-                    f"  {result['name']:<40} "
-                    f"completed={result['completed']} "
-                    f"p99 i/s/b {p99['interactive']:.0f}/"
-                    f"{p99['standard']:.0f}/{p99['batch']:.0f}s "
-                    f"fair={result['fairness_index']:.3f} "
-                    f"starved={result['starvation_events']}"
-                )
-                continue
             if "adaptive_s" in result:
                 print(
                     f"  {result['name']:<40} "

@@ -30,10 +30,6 @@ Subcommands:
   benchmarking: interleaved A/B runs under a seeded noise model, the
   ``BENCH_<suite>.json`` trajectory store, and the CI regression gate
   that fails only on statistically significant slowdowns.
-- ``tbd serve run|submit|status|loadgen`` — sweep-as-a-service: the
-  multi-tenant async benchmark server (bounded fair queue, sharded
-  LRU result cache, streaming per-point events) and its deterministic
-  load generator with a p50/p99 latency SLO gate.
 - ``tbd analyze MODEL [-f FW] [-b BATCH]`` — the full Fig. 3 pipeline
   report, plus the optimization advisor's recommendations.
 - ``tbd exhibit NAME [...]`` — regenerate tables/figures (``all`` = paper
@@ -71,7 +67,6 @@ from repro.engine.cli import (
     register_cache_command,
 )
 from repro.schedule.cli import register_schedule_command
-from repro.serve.cli import register_serve_command
 from repro.tune.cli import register_tune_command
 from repro.frameworks.registry import framework_catalog
 from repro.hardware.devices import get_gpu
@@ -489,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     register_conformance_command(sub)
     register_bench_command(sub)
     register_tune_command(sub)
-    register_serve_command(sub)
     register_schedule_command(sub)
 
     analyze = sub.add_parser("analyze", help="full analysis pipeline + advice")

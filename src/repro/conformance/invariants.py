@@ -99,32 +99,12 @@ class ScalingEvidence:
     gradient_bytes: float = 0.0
 
 
-@dataclass
-class ServeEvidence:
-    """The serve layer's queue, cache-budget, and identity probes.
-
-    ``loadgen`` is one deterministic :class:`~repro.serve.loadgen.
-    LoadGenReport` document; the cache fields come from a budgeted
-    :class:`~repro.serve.shardcache.ShardedResultCache` exercise
-    (``tracked_bytes`` is the in-memory ledger, ``disk_bytes`` the
-    ground truth under the root); ``identity_pairs`` each carry the
-    canonical-JSON bytes of one grid served through the server and the
-    same grid run directly through the engine."""
-
-    loadgen: dict = field(default_factory=dict)
-    byte_budget: int | None = None
-    peak_bytes: int = 0
-    tracked_bytes: int = 0
-    disk_bytes: int = 0
-    identity_pairs: list = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class Invariant:
     """One named physical law over one scope of evidence."""
 
     name: str
-    scope: str  # "point" | "sweep" | "scaling" | "serve"
+    scope: str  # "point" | "sweep" | "scaling"
     description: str
     check: object  # evidence -> list[str]
 
@@ -857,73 +837,3 @@ def _allreduce_bandwidth_floor(ev: ScalingEvidence) -> list:
             f"{cost.total_s:.6e}s beats the wire floor {floor:.6e}s"
         ]
     return []
-
-
-# ----------------------------------------------------------------------
-# serve scope
-
-
-@_register(
-    "serve-no-starvation",
-    "serve",
-    "under the fair scheduler no priority class starves: zero waits "
-    "above the starvation threshold, and every class that submitted "
-    "work completed some of it",
-)
-def _serve_no_starvation(ev: ServeEvidence) -> list:
-    out = []
-    report = ev.loadgen
-    if not report:
-        return out
-    starved = report.get("starvation_events", 0)
-    if starved:
-        out.append(
-            f"{starved} job(s) waited past the starvation threshold "
-            f"({report['config']['starvation_wait_s']}s simulated)"
-        )
-    for name, stats in sorted(report.get("classes", {}).items()):
-        if stats["submitted"] > 0 and stats["completed"] == 0:
-            out.append(
-                f"class {name!r} submitted {stats['submitted']} job(s) "
-                f"and completed none"
-            )
-    return out
-
-
-@_register(
-    "serve-cache-budget",
-    "serve",
-    "the sharded result cache never exceeds its byte budget (peak "
-    "included) and its in-memory ledger matches the bytes on disk "
-    "exactly",
-)
-def _serve_cache_budget(ev: ServeEvidence) -> list:
-    out = []
-    if ev.byte_budget is not None and ev.peak_bytes > ev.byte_budget:
-        out.append(
-            f"cache peaked at {ev.peak_bytes} bytes over its budget "
-            f"of {ev.byte_budget}"
-        )
-    if ev.tracked_bytes != ev.disk_bytes:
-        out.append(
-            f"byte ledger drifted from disk: tracked {ev.tracked_bytes}, "
-            f"on disk {ev.disk_bytes}"
-        )
-    return out
-
-
-@_register(
-    "serve-byte-identity",
-    "serve",
-    "a grid served through the benchmark server is byte-identical to "
-    "the same grid run directly through the sweep engine",
-)
-def _serve_byte_identity(ev: ServeEvidence) -> list:
-    out = []
-    for pair in ev.identity_pairs:
-        if pair["served"] != pair["direct"]:
-            out.append(
-                f"served records for {pair['name']} differ from the "
-                f"direct engine run"
-            )
-    return out

@@ -28,7 +28,6 @@ from repro.conformance.generator import FuzzCase, generate_cases, shrink
 from repro.conformance.invariants import (
     PointEvidence,
     ScalingEvidence,
-    ServeEvidence,
     SweepEvidence,
     Violation,
     get_invariant,
@@ -62,7 +61,7 @@ DEFAULT_SCALING_PROBES = (
     ("sockeye", "mxnet"),
 )
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 
 @dataclass
@@ -75,7 +74,6 @@ class ConformanceReport:
     grid_points: int = 0
     deep_points: int = 0
     scaling_probes: int = 0
-    serve_probes: int = 0
     fuzz_cases: int = 0
     checks: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
@@ -97,7 +95,6 @@ class ConformanceReport:
             "grid_points": self.grid_points,
             "deep_points": self.deep_points,
             "scaling_probes": self.scaling_probes,
-            "serve_probes": self.serve_probes,
             "fuzz_cases": self.fuzz_cases,
             "checks": {name: dict(self.checks[name]) for name in sorted(self.checks)},
             "violations": [v.to_doc() for v in self.violations],
@@ -115,8 +112,7 @@ class ConformanceReport:
         lines = [
             f"conformance: seed {self.seed}, fuzz budget {self.budget}",
             f"  grid points {self.grid_points}, deep points {self.deep_points}, "
-            f"scaling probes {self.scaling_probes}, serve probes "
-            f"{self.serve_probes}, fuzz cases {self.fuzz_cases}",
+            f"scaling probes {self.scaling_probes}, fuzz cases {self.fuzz_cases}",
             "",
             f"  {'check':<34} {'checked':>8} {'violations':>11}",
         ]
@@ -305,11 +301,6 @@ class ConformanceRunner:
         for inv in invariant_registry(scope="scaling"):
             self._record(inv.name, subject, inv.check(evidence))
 
-    def _check_serve(self, evidence: ServeEvidence) -> None:
-        subject = {"phase": "serve", "gpu": DEFAULT_GPU}
-        for inv in invariant_registry(scope="serve"):
-            self._record(inv.name, subject, inv.check(evidence))
-
     # ------------------------------------------------------------------
     # phases
 
@@ -366,96 +357,6 @@ class ConformanceRunner:
                 self._check_scaling(evidence, label)
                 count += 1
         return count
-
-    def _run_serve_phase(self) -> int:
-        """Check the serve-scope invariants on three probes.
-
-        1. A small deterministic loadgen scenario seeded from the runner
-           seed drives the real admission controller (starvation law).
-        2. A tightly-budgeted sharded cache absorbs more synthetic
-           entries than it can hold (budget/ledger law).
-        3. Two grids go through a fresh :class:`~repro.serve.service.
-           BenchmarkServer` and directly through an engine; their
-           canonical-JSON bytes must match (identity law).
-
-        Everything runs in fresh temp directories (removed before
-        returning) and no message carries a path, so the report stays
-        byte-deterministic across cache temperatures.
-        """
-        import asyncio
-        import hashlib
-        import tempfile
-
-        from repro.engine.keys import canonical_json as to_canonical
-        from repro.engine.merge import grid_record
-        from repro.serve.jobs import JobRequest
-        from repro.serve.loadgen import LoadGenConfig, run_loadgen
-        from repro.serve.service import BenchmarkServer
-        from repro.serve.shardcache import ShardedResultCache
-
-        report = run_loadgen(
-            LoadGenConfig(clients=32, tenants=4, workers=4, seed=self.seed)
-        ).to_doc()
-
-        with tempfile.TemporaryDirectory(prefix="tbd-serve-conf-") as root:
-            cache = ShardedResultCache(root, shards=2, byte_budget=2048)
-            for index in range(24):
-                key = hashlib.sha256(
-                    f"serve-probe-{self.seed}-{index}".encode()
-                ).hexdigest()
-                cache.store(
-                    key,
-                    {"version": 1, "batch_size": index, "oom": False,
-                     "metrics": None},
-                )
-                if index % 3 == 0:
-                    cache.load(key)
-            budget_probe = {
-                "byte_budget": cache.byte_budget,
-                "peak_bytes": cache.peak_bytes,
-                "tracked_bytes": cache.total_bytes(),
-                "disk_bytes": cache.disk_bytes(),
-            }
-
-        requests = (
-            JobRequest("sweep", "resnet-50", "mxnet", batch_sizes=(4, 8)),
-            JobRequest("sweep", "alexnet", "mxnet", batch_sizes=(32,)),
-        )
-
-        async def serve_all() -> list:
-            docs = []
-            with tempfile.TemporaryDirectory(prefix="tbd-serve-id-") as root:
-                async with BenchmarkServer(cache_dir=root, workers=1) as server:
-                    for request in requests:
-                        handle = await server.submit(request, tenant="conf")
-                        result = await handle.result()
-                        docs.append(result["records"])
-            return docs
-
-        served_docs = asyncio.run(serve_all())
-        identity_pairs = []
-        for request, served in zip(requests, served_docs):
-            specs = request.point_specs()
-            engine = self._engine(DEFAULT_GPU, jobs=1)
-            direct = engine.run_grid(specs)
-            identity_pairs.append(
-                {
-                    "name": f"{request.model}/{request.framework}",
-                    "served": to_canonical(served),
-                    "direct": to_canonical(
-                        [grid_record(s, p) for s, p in zip(specs, direct)]
-                    ),
-                }
-            )
-
-        self._check_serve(
-            ServeEvidence(
-                loadgen=report,
-                identity_pairs=identity_pairs,
-                **budget_probe,
-            )
-        )
-        return 1 + 1 + len(identity_pairs)
 
     def _run_fuzz_phase(self) -> int:
         cases = generate_cases(self.seed, self.budget)
@@ -527,11 +428,6 @@ class ConformanceRunner:
         except KeyError:
             inv = None
         if inv is not None:
-            if inv.scope == "serve":
-                # Serve-scope laws hold over a service run, not a point
-                # spec; they are re-checked by re-running the serve
-                # phase, never by spec perturbation.
-                return False
             if inv.scope == "point":
                 evidence = self._gather_point(
                     spec.model, spec.framework, spec.batch_size, gpu_key
@@ -581,9 +477,6 @@ class ConformanceRunner:
         """Minimize one violation's subject; returns it annotated with the
         smallest reproducing spec the search found."""
         subject = violation.subject
-        if "model" not in subject:
-            # Serve-scope subjects carry no spec coordinates to shrink.
-            return violation
         spec = PointSpec(
             subject["model"],
             subject["framework"],
@@ -647,8 +540,6 @@ class ConformanceRunner:
                     report.deep_points = self._run_deep_phase()
                 with trace_span("conformance.scaling"):
                     report.scaling_probes = self._run_scaling_phase()
-                with trace_span("conformance.serve"):
-                    report.serve_probes = self._run_serve_phase()
             if self.budget > 0:
                 with trace_span("conformance.fuzz"):
                     report.fuzz_cases = self._run_fuzz_phase()

@@ -135,22 +135,6 @@ class ResultCache:
                         pass
         return path
 
-    def remove(self, key: str) -> int:
-        """Silently drop one entry (eviction, not corruption) and return
-        the bytes freed — 0 when the entry was already gone.
-
-        Unlike :meth:`discard` this neither warns nor counts toward
-        ``corrupt_entries``: eviction is the cache-budget policy of the
-        serve layer doing its job, not damage.
-        """
-        path = self.path_for(key)
-        try:
-            size = os.path.getsize(path)
-            os.remove(path)
-        except OSError:
-            return 0
-        return size
-
     def discard(self, key: str, reason: str) -> None:
         """Drop one entry that decoded but failed deeper validation (the
         engine's payload check); counted and warned like any corruption."""

@@ -116,7 +116,7 @@ def _compute_payload(
     gpu: GPUSpec,
     cpu: CPUSpec,
     check_memory: bool,
-    sessions: dict | None = None,
+    sessions: dict,
 ) -> dict:
     """Simulate one grid point and return its wire-format payload.
 
@@ -127,7 +127,7 @@ def _compute_payload(
     if spec.faults:
         return _compute_faulted_payload(spec)
     key = (spec.model, spec.framework)
-    session = sessions.get(key) if sessions is not None else None
+    session = sessions.get(key)
     if session is None:
         session = TrainingSession(
             spec.model,
@@ -136,8 +136,7 @@ def _compute_payload(
             cpu=cpu,
             check_memory=check_memory,
         )
-        if sessions is not None:
-            sessions[key] = session
+        sessions[key] = session
     if getattr(spec, "transforms", ""):
         return _compute_transformed_payload(spec, session)
     if getattr(spec, "schedule", ""):
@@ -487,53 +486,6 @@ class SweepEngine:
             )
         return [payload_to_point(payload) for payload in merge_ordered(len(specs), results)]
 
-    def iter_grid(self, specs):
-        """Lazily execute a grid, yielding ``(index, spec, SweepPoint)``
-        in grid order as each point completes.
-
-        This is the streaming path of the serve layer: a consumer sees
-        partial results the moment each point lands instead of waiting
-        for the whole grid.  Points compute inline in this process (no
-        pool — a streaming consumer wants the first result early, not
-        batch throughput), reuse one session dict across the grid like a
-        pool worker chunk does, and read/write the same content-addressed
-        cache as :meth:`run_grid`, so interleaving the two paths is
-        byte-identical to running either alone.
-        """
-        specs = list(specs)
-        with trace_span(
-            "engine.iter_grid", points=len(specs)
-        ) as grid_span:
-            self._validate_specs(specs)
-            sessions: dict = {}
-            computed = 0
-            for index, spec in enumerate(specs):
-                payload = None
-                key = None
-                if self.cache is not None:
-                    key = self._key_for(spec)
-                    payload = self._load_cached(key)
-                if payload is not None:
-                    self._stats.cache_hits += 1
-                    get_metrics().counter("engine_cache_hits_total").inc()
-                    self._record_point_span(spec, "cache")
-                else:
-                    if self.cache is not None:
-                        self._stats.cache_misses += 1
-                        get_metrics().counter("engine_cache_misses_total").inc()
-                    ((_, payload),) = self._compute_inline(
-                        [(index, spec)], sessions=sessions
-                    )
-                    computed += 1
-                    if self.cache is not None:
-                        self.cache.store(
-                            key, payload, config=self._config_for(spec)
-                        )
-                grid_span.set_attributes(
-                    cache_hits=index + 1 - computed, computed=computed
-                )
-                yield index, spec, payload_to_point(payload)
-
     def _execute(self, missing) -> list:
         """Compute every missing ``(index, spec)`` pair; any-order output."""
         if not missing:
@@ -581,15 +533,9 @@ class SweepEngine:
                 results.extend(chunk_results)
         return results
 
-    def _compute_inline(self, items, sessions=None) -> list:
-        """Serial fallback/primary path, executed in this process.
-
-        ``sessions`` lets a streaming caller (:meth:`iter_grid`) reuse
-        compiled sessions across single-point calls, matching the
-        session reuse a batch chunk gets for free.
-        """
-        if sessions is None:
-            sessions = {}
+    def _compute_inline(self, items) -> list:
+        """Serial fallback/primary path, executed in this process."""
+        sessions: dict = {}
         results = []
         for index, spec in items:
             with trace_span(

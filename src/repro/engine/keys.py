@@ -99,12 +99,8 @@ SCHEDULE_CODE = ("schedule", "training/convergence.py")
 #: different seeds must hit the same cache entry.  Adding one of these to
 #: the key document is a bug (it would shard the cache by measurement
 #: configuration); the bench trajectory records them separately in each
-#: ``BENCH_*.json`` record instead.  ``tenant`` and ``priority`` are
-#: service-layer state (who asked, how urgently) — the serve job queue
-#: tracks them, but the result of a point is identical whoever asked for
-#: it, so the shared cache stays content-addressed across tenants and
-#: concurrent duplicate submissions coalesce onto one entry.
-NON_KEY_RUN_DIMENSIONS = ("noise_seed", "tenant", "priority")
+#: ``BENCH_*.json`` record instead.
+NON_KEY_RUN_DIMENSIONS = ("noise_seed",)
 
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

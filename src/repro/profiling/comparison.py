@@ -101,7 +101,6 @@ def ab_compare(
     framework_b: str,
     batch: int,
     samples: int | None = None,
-    iterations: int | None = None,
     relative_precision: float = _DEFAULT_PRECISION,
 ) -> ABReport:
     """Compare two frameworks on one model with sampled iterations.
@@ -109,13 +108,9 @@ def ab_compare(
     By default the sample count adapts to the observed variance: a pilot
     window per side feeds :func:`required_sample_count` at
     ``relative_precision``, so noisy configurations sample more and quiet
-    ones stop early.  Pass an explicit ``samples=`` (or the legacy
-    ``iterations=`` alias) to pin the caller-fixed count instead.
+    ones stop early.  Pass an explicit ``samples=`` to pin the
+    caller-fixed count instead.
     """
-    if samples is not None and iterations is not None:
-        raise ValueError("pass samples= or the legacy iterations= alias, not both")
-    if samples is None:
-        samples = iterations
     if samples is None:
         samples = _auto_sample_count(
             model, framework_a, framework_b, batch, relative_precision

@@ -7,14 +7,12 @@ once and shared across test modules.
 
 from __future__ import annotations
 
-import asyncio
 import os
 import random
 
 import pytest
 
 from repro.core.suite import standard_suite
-from repro.serve.service import BenchmarkServer
 from repro.training.session import TrainingSession
 
 
@@ -48,61 +46,6 @@ def _isolated_cache_dir(tmp_path, monkeypatch):
     """Point the sweep engine's default cache at a per-test temp dir so no
     test (CLI tests especially) writes ``.tbd-cache`` into the repo."""
     monkeypatch.setenv("TBD_CACHE_DIR", str(tmp_path / "tbd-cache"))
-
-
-class ServeRuntime:
-    """A private event loop plus server bookkeeping for serve tests.
-
-    Async servers leak two ways in a sync test suite: a worker task left
-    running when an assertion throws, and an event loop that survives the
-    test.  The runtime owns one loop, tracks every server it built, and
-    its ``close()`` (called by the fixture's teardown, even on failure)
-    force-stops stragglers before closing the loop.
-    """
-
-    def __init__(self, tmp_path):
-        self.loop = asyncio.new_event_loop()
-        self.cache_root = tmp_path / "serve-cache"
-        self._servers: list[BenchmarkServer] = []
-
-    def server(self, **kwargs) -> BenchmarkServer:
-        """Build (but do not start) a tracked server with a temp cache."""
-        kwargs.setdefault(
-            "cache_dir", str(self.cache_root / f"srv-{len(self._servers)}")
-        )
-        server = BenchmarkServer(**kwargs)
-        self._servers.append(server)
-        return server
-
-    def run(self, coro):
-        """Drive a coroutine to completion on the runtime's loop."""
-        return self.loop.run_until_complete(coro)
-
-    def close(self) -> None:
-        try:
-            for server in self._servers:
-                if server._tasks:
-                    self.loop.run_until_complete(server.stop(drain=False))
-            pending = asyncio.all_tasks(self.loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                self.loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-        finally:
-            self.loop.close()
-
-
-@pytest.fixture
-def serve_runtime(tmp_path):
-    """A :class:`ServeRuntime` whose loop and servers are always torn
-    down, even when the test body raises."""
-    runtime = ServeRuntime(tmp_path)
-    try:
-        yield runtime
-    finally:
-        runtime.close()
 
 
 @pytest.fixture(scope="session")

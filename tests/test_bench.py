@@ -19,6 +19,7 @@ from repro.bench import (
 from repro.bench.noise import median_convergence_tolerance
 from repro.bench.store import build_record, environment_fingerprint
 from repro.bench.subjects import PlanSubject
+from repro.cli import main
 from repro.engine.keys import NON_KEY_RUN_DIMENSIONS, point_key
 from repro.observability.exporters import bench_records_to_jsonl
 from repro.plan.executor import makespan_under_noise, plan_arrays, replay
@@ -247,6 +248,57 @@ class TestSuitesAndGate:
         assert not report.passed
         assert len(report.mismatches) == len(results)
         assert "FAIL" in report.format_summary()
+
+    def test_unknown_suite_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "gate", "serve"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "schedule" in err
+        assert "symbolic-sweep" in err
+
+
+#: Every suite ``tbd bench run|gate`` accepts: the catalog A/B suites
+#: plus the derived and self-gating ones.
+RUNNABLE_SUITES = [suite.name for suite in suite_catalog()] + [
+    "tune",
+    "symbolic-sweep",
+    "schedule",
+]
+
+
+class TestSuiteNames:
+    @pytest.mark.parametrize("verb", ["run", "gate"])
+    @pytest.mark.parametrize("suite", RUNNABLE_SUITES)
+    def test_every_runnable_suite_passes_the_parser(self, capsys, verb, suite):
+        # ``--help`` after the positional exits 0 only once ``suite`` has
+        # cleared its ``choices`` check; nothing runs.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", verb, suite, "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", RUNNABLE_SUITES)
+    def test_history_list_advertises_every_runnable_suite(
+        self, capsys, tmp_path, suite
+    ):
+        assert main(["bench", "history", "--list", "--dir", str(tmp_path)]) == 0
+        listed = [
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")
+        ]
+        assert suite in listed
+
+    def test_run_rejects_an_unknown_suite(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "run", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_history_keeps_free_form_names(self, capsys, tmp_path):
+        assert main(["bench", "history", "retired", "--dir", str(tmp_path)]) == 0
+        assert "no trajectory for suite 'retired'" in capsys.readouterr().out
 
 
 class TestStore:

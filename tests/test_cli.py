@@ -1,5 +1,7 @@
 """Tests for the ``tbd`` command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -107,6 +109,31 @@ class TestCommands:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+def _command_names() -> list:
+    (subparsers,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return sorted(subparsers.choices)
+
+
+class TestCommandSurface:
+    @pytest.mark.parametrize("command", _command_names())
+    def test_every_command_renders_its_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: tbd {command}")
+
+    def test_serve_is_not_a_command(self, capsys):
+        assert "serve" not in _command_names()
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "run"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
 
 
 class TestTraceAndRuns:

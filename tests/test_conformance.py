@@ -57,12 +57,7 @@ class TestRegistries:
         registry = invariant_registry()
         assert len(registry) >= 15
         assert len({inv.name for inv in registry}) == len(registry)
-        assert {inv.scope for inv in registry} == {
-            "point",
-            "sweep",
-            "scaling",
-            "serve",
-        }
+        assert {inv.scope for inv in registry} == {"point", "sweep", "scaling"}
 
     def test_every_invariant_documented_and_resolvable(self):
         for inv in invariant_registry():
@@ -135,7 +130,7 @@ class TestFullHarness:
     def test_report_json_round_trips(self, conformance_run):
         report, _ = conformance_run
         doc = json.loads(report.to_json())
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["violations"] == []
         assert doc["checks"]["roofline-kernel-floor"]["violations"] == 0
 

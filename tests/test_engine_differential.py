@@ -19,8 +19,10 @@ import dataclasses
 import pytest
 
 from repro.core.metrics import IterationMetrics
-from repro.engine import SweepEngine, grid_for, write_grid_jsonl
+from repro.engine import PointSpec, SweepEngine, grid_for, write_grid_jsonl
+from repro.engine.executor import _compute_payload
 from repro.experiments.common import run_sweeps
+from repro.hardware.devices import QUADRO_P4000, XEON_E5_2680
 from repro.training.session import TrainingSession
 
 #: The reduced Figs. 4-6 grid: every panel family, trimmed for test time.
@@ -205,3 +207,32 @@ class TestEngineSuiteParity:
         engine = suite.engine()
         with pytest.raises(ValueError, match="no cntk implementation"):
             engine.run("nmt", "cntk")
+
+
+class TestSessionReuse:
+    def test_one_session_per_model_framework_across_batches(self):
+        """A chunk's ``sessions`` dict holds one session per (model,
+        framework) and reusing it never changes a payload."""
+        sessions: dict = {}
+        shared = [
+            _compute_payload(
+                PointSpec("a3c", "mxnet", batch),
+                QUADRO_P4000,
+                XEON_E5_2680,
+                True,
+                sessions,
+            )
+            for batch in (16, 32, 64)
+        ]
+        assert list(sessions) == [("a3c", "mxnet")]
+        fresh = [
+            _compute_payload(
+                PointSpec("a3c", "mxnet", batch),
+                QUADRO_P4000,
+                XEON_E5_2680,
+                True,
+                {},
+            )
+            for batch in (16, 32, 64)
+        ]
+        assert shared == fresh

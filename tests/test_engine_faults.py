@@ -118,7 +118,7 @@ class TestWorkerFailures:
         parent_pid = os.getpid()
         original = executor_module._compute_payload
 
-        def fails_in_workers(spec, gpu, cpu, check_memory, sessions=None):
+        def fails_in_workers(spec, gpu, cpu, check_memory, sessions):
             if os.getpid() != parent_pid:
                 raise RuntimeError("injected worker fault")
             return original(spec, gpu, cpu, check_memory, sessions)
@@ -151,7 +151,7 @@ class TestWorkerFailures:
         parent_pid = os.getpid()
         original = executor_module._compute_payload
 
-        def fails_in_workers(spec, gpu, cpu, check_memory, sessions=None):
+        def fails_in_workers(spec, gpu, cpu, check_memory, sessions):
             if os.getpid() != parent_pid:
                 raise RuntimeError("injected worker fault")
             return original(spec, gpu, cpu, check_memory, sessions)

@@ -35,7 +35,6 @@ _EXAMPLES = (
     ("fault_sweep.py", "fault injection on the simulated cluster"),
     ("conformance_check.py", "byte-identical report"),
     ("bench_compare.py", "identical across same-seed runs"),
-    ("serve_clients.py", "sweep-as-a-service demo"),
     ("schedule_sweep.py", "adaptive batch schedules as a sweep dimension"),
 )
 

@@ -62,26 +62,28 @@ class TestCompression:
 
 class TestABComparison:
     def test_clear_difference_detected(self):
-        report = ab_compare("resnet-50", "mxnet", "tensorflow", 32, iterations=150)
+        report = ab_compare("resnet-50", "mxnet", "tensorflow", 32, samples=150)
         assert report.result.significant
         assert report.result.faster == "mxnet"
         assert "faster" in report.verdict
 
     def test_same_configuration_indistinguishable(self):
-        report = ab_compare("wgan", "tensorflow", "tensorflow", 16, iterations=100)
+        report = ab_compare("wgan", "tensorflow", "tensorflow", 16, samples=100)
         assert not report.result.significant
         assert "indistinguishable" in report.verdict
 
     def test_means_match_point_estimates(self, suite):
-        report = ab_compare("resnet-50", "mxnet", "tensorflow", 32, iterations=150)
+        report = ab_compare("resnet-50", "mxnet", "tensorflow", 32, samples=150)
         point = suite.run("resnet-50", "mxnet", 32).throughput
         assert report.mean_a == pytest.approx(point, rel=0.05)
 
     def test_explicit_samples_override(self):
         report = ab_compare("resnet-50", "mxnet", "tensorflow", 32, samples=80)
         assert report.samples == 80
-        with pytest.raises(ValueError):
-            ab_compare("resnet-50", "mxnet", "tensorflow", 32, samples=80, iterations=90)
+
+    def test_sample_count_is_spelled_samples(self):
+        with pytest.raises(TypeError, match="iterations"):
+            ab_compare("resnet-50", "mxnet", "tensorflow", 32, iterations=80)
 
     def test_adaptive_sizing_reports_its_sample_count(self):
         report = ab_compare("resnet-50", "mxnet", "tensorflow", 32)

@@ -46,9 +46,6 @@ REQUIRED = [
     ("repro/plan/pipeline.py", "TransformPipeline", "apply"),
     ("repro/tune/search.py", "Autotuner", "rank"),
     ("repro/tune/search.py", "Autotuner", "_score"),
-    ("repro/engine/executor.py", "SweepEngine", "iter_grid"),
-    ("repro/serve/service.py", "BenchmarkServer", "_run_job"),
-    ("repro/serve/loadgen.py", None, "run_loadgen"),
     ("repro/schedule/integrator.py", None, "integrate_schedule"),
     ("repro/schedule/accuracy.py", None, "scheduled_time_to_accuracy"),
 ]
@@ -62,9 +59,6 @@ REQUIRED_METRICS = [
     ("repro/plan/symbolic.py", None, "compile_symbolic"),
     ("repro/plan/symbolic.py", "SymbolicPlanSet", "specialize"),
     ("repro/tune/search.py", "Autotuner", "rank"),
-    ("repro/serve/shardcache.py", "ShardedResultCache", "load"),
-    ("repro/serve/shardcache.py", "ShardedResultCache", "store"),
-    ("repro/serve/loadgen.py", None, "run_loadgen"),
     ("repro/schedule/integrator.py", None, "integrate_schedule"),
     ("repro/schedule/accuracy.py", None, "scheduled_time_to_accuracy"),
 ]
