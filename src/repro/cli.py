@@ -10,7 +10,8 @@ Subcommands:
   the content-addressed result cache; ``--faults`` runs every point
   under a fault scenario, ``--transforms`` under an optimization
   pipeline, and ``--schedule`` under an adaptive batch schedule (each
-  its own cache dimension).
+  its own cache dimension; transforms and a schedule compose, faults
+  combine with neither, and a bad spec exits 2).
 - ``tbd schedule show|compare`` — adaptive batch schedules: print a
   spec's canonical form and segment tiling, or race it against the
   fixed baseline on a cluster (optionally under a fault scenario).
@@ -70,7 +71,7 @@ from repro.schedule.cli import register_schedule_command
 from repro.tune.cli import register_tune_command
 from repro.frameworks.registry import framework_catalog
 from repro.hardware.devices import get_gpu
-from repro.models.registry import extension_catalog, model_catalog
+from repro.models.registry import extension_catalog, get_model, model_catalog
 
 
 def _suite(args) -> TBDSuite:
@@ -87,17 +88,20 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.engine.cli import engine_from_args, format_engine_summary
+    from repro.engine.scenario import ScenarioError, parse_scenario
+    from repro.faults.spec import FaultSpecError
+    from repro.plan.pipeline import TransformSpecError
+    from repro.schedule.spec import ScheduleSpecError
 
+    try:
+        parse_scenario(args.faults, args.transforms, args.schedule).validate(
+            get_model(args.model).key
+        )
+    except (FaultSpecError, TransformSpecError, ScheduleSpecError, ScenarioError) as exc:
+        print(f"tbd sweep: error: {exc}", file=sys.stderr)
+        return 2
     suite = _suite(args)
     engine = engine_from_args(args, gpu=suite.gpu)
-    if args.schedule:
-        from repro.schedule.spec import ScheduleSpecError, parse_schedule_spec
-
-        try:
-            parse_schedule_spec(args.schedule)
-        except ScheduleSpecError as exc:
-            print(f"bad schedule spec: {exc}")
-            return 2
     if args.faults or args.transforms or args.schedule:
         points = engine.sweep(
             args.model,

@@ -37,6 +37,7 @@ from repro.engine.merge import (
     payload_to_point,
     point_to_payload,
 )
+from repro.engine.scenario import Scenario, parse_scenario
 from repro.hardware.devices import CPUSpec, GPUSpec, QUADRO_P4000, XEON_E5_2680
 from repro.hardware.memory import OutOfMemoryError
 from repro.models.registry import get_model
@@ -61,13 +62,9 @@ class PointSpec:
     batch-schedule string (:func:`repro.schedule.spec.parse_schedule_spec`
     syntax, e.g. ``"gns:ceiling=256"``), growing the batch from
     ``batch_size`` over the simulated run.  For all three, the empty
-    string — the default — is the plain point, and its cache keys,
-    payloads and exported records are byte-identical to what they were
-    before the dimension existed; ``schedule="fixed"`` normalizes to the
-    empty string and shares the plain point's bytes too.  A point cannot
-    combine the dimensions: the fault trainer replays the untransformed
-    plan, and a scheduled point's segment aggregation assumes the
-    unmodified single-GPU session.
+    string — the default — is the plain point, and ``schedule="fixed"``
+    means the same.  Together they are the point's
+    :class:`~repro.engine.scenario.Scenario`.
     """
 
     model: str
@@ -76,6 +73,11 @@ class PointSpec:
     faults: str = ""
     transforms: str = ""
     schedule: str = ""
+
+    @property
+    def scenario(self) -> Scenario:
+        """The parsed (memoized) scenario of this point."""
+        return parse_scenario(self.faults, self.transforms, self.schedule)
 
 
 @dataclass
@@ -122,98 +124,63 @@ def _compute_payload(
 
     ``sessions`` lets a chunk reuse one :class:`TrainingSession` per
     (model, framework) across its batch sizes, so the session's roofline
-    times each distinct kernel once for the whole sweep.
+    times each distinct kernel once for the whole sweep.  Every fault-free
+    point takes one path: ``session.run_iteration(batch, pipeline)``
+    profiles the (possibly transformed) plan, memory-checked against the
+    plan it runs — once at the point's batch, or once per distinct
+    segment batch of its schedule.  A point whose plan does not fit
+    records OOM.
     """
-    if spec.faults:
-        return _compute_faulted_payload(spec)
-    key = (spec.model, spec.framework)
-    session = sessions.get(key)
-    if session is None:
-        session = TrainingSession(
-            spec.model,
-            spec.framework,
-            gpu=gpu,
-            cpu=cpu,
-            check_memory=check_memory,
-        )
-        sessions[key] = session
-    if getattr(spec, "transforms", ""):
-        return _compute_transformed_payload(spec, session)
-    if getattr(spec, "schedule", ""):
-        from repro.schedule.spec import normalized_schedule
-
-        schedule = normalized_schedule(spec.schedule)
-        if schedule:
-            return _compute_scheduled_payload(spec, session, schedule)
+    scenario = spec.scenario
     try:
-        profile = session.run_iteration(spec.batch_size)
+        if scenario.faults is not None:
+            metrics = _faulted_metrics(spec, scenario)
+        else:
+            key = (spec.model, spec.framework)
+            session = sessions.get(key)
+            if session is None:
+                session = TrainingSession(
+                    spec.model,
+                    spec.framework,
+                    gpu=gpu,
+                    cpu=cpu,
+                    check_memory=check_memory,
+                )
+                sessions[key] = session
+            if scenario.schedule is None:
+                metrics = IterationMetrics.from_profile(
+                    session.run_iteration(spec.batch_size, scenario.pipeline),
+                    throughput_unit=session.spec.throughput_unit,
+                )
+            else:
+                metrics = _scheduled_metrics(spec, session, scenario)
     except OutOfMemoryError:
         return point_to_payload(SweepPoint(batch_size=spec.batch_size, oom=True))
-    return point_to_payload(
-        SweepPoint(
-            batch_size=spec.batch_size,
-            metrics=IterationMetrics.from_profile(
-                profile, throughput_unit=session.spec.throughput_unit
-            ),
-        )
-    )
+    return point_to_payload(SweepPoint(batch_size=spec.batch_size, metrics=metrics))
 
 
-def _compute_transformed_payload(spec: PointSpec, session: TrainingSession) -> dict:
-    """Simulate one grid point under its transform pipeline.
-
-    The session compiles the base plan and the pipeline rewrites it,
-    with every prefix memoized in the session's plan cache.  Memory is checked against the *transformed* plan: that
-    is the whole point of the memory transforms (an offloaded point may
-    fit where the baseline OOMs, and a deepened one may OOM where the
-    baseline fits).
-    """
-    from repro.plan.pipeline import parse_transform_spec
-
-    pipeline = parse_transform_spec(spec.transforms)
-    try:
-        plan = session.compile_transformed(spec.batch_size, pipeline)
-        memory = None
-        if session.check_memory:
-            memory = plan.check_memory(session.gpu.memory_bytes)
-    except OutOfMemoryError:
-        return point_to_payload(SweepPoint(batch_size=spec.batch_size, oom=True))
-    profile = session.execute_plan(
-        plan, memory=memory, display_name=session.spec.display_name
-    )
-    return point_to_payload(
-        SweepPoint(
-            batch_size=spec.batch_size,
-            metrics=IterationMetrics.from_profile(
-                profile, throughput_unit=session.spec.throughput_unit
-            ),
-        )
-    )
-
-
-def _compute_scheduled_payload(
-    spec: PointSpec, session: TrainingSession, schedule: str
-) -> dict:
-    """Simulate one grid point under an adaptive batch schedule.
+def _scheduled_metrics(
+    spec: PointSpec, session: TrainingSession, scenario: Scenario
+) -> IterationMetrics:
+    """A point's metrics under an adaptive batch schedule.
 
     The schedule's segments come from the closed-form curve integrator;
-    each *distinct* batch size costs one ``run_iteration`` (one compile,
-    memoized in the session's plan cache) and the point's metrics are
-    the time-weighted aggregate over segments (throughput = total
-    samples / total time, utilizations weighted by segment wall-clock).  ``batch_size`` stays the spec's base batch: it
-    is the grid coordinate, not the (growing) realized batch.  Any
-    segment whose batch no longer fits the GPU makes the whole point OOM,
+    each *distinct* batch size costs one profile (one compile, memoized
+    in the session's plan cache) and the point's metrics are the
+    time-weighted aggregate over segments (throughput = total samples /
+    total time, utilizations weighted by segment wall-clock).
+    ``batch_size`` stays the spec's base batch: it is the grid
+    coordinate, not the (growing) realized batch.  Any segment whose
+    batch no longer fits the GPU raises, making the whole point OOM,
     exactly like a fixed point at that batch.
     """
     from repro.schedule.integrator import integrate_schedule
 
-    integration = integrate_schedule(spec.model, schedule, spec.batch_size)
-    profiles = {}
-    try:
-        for batch in integration.batch_sizes:
-            profiles[batch] = session.run_iteration(batch)
-    except OutOfMemoryError:
-        return point_to_payload(SweepPoint(batch_size=spec.batch_size, oom=True))
+    integration = integrate_schedule(spec.model, scenario.schedule, spec.batch_size)
+    profiles = {
+        batch: session.run_iteration(batch, scenario.pipeline)
+        for batch in integration.batch_sizes
+    }
     total_time = 0.0
     total_steps = 0.0
     weighted = {"gpu": 0.0, "fp32": 0.0, "cpu": 0.0}
@@ -229,31 +196,27 @@ def _compute_scheduled_payload(
         weighted["cpu"] += profile.cpu_utilization * segment_time
     reference = profiles[integration.segments[0].batch_size]
     if total_time <= 0.0:
-        metrics = IterationMetrics.from_profile(
+        return IterationMetrics.from_profile(
             reference, throughput_unit=session.spec.throughput_unit
         )
-    else:
-        metrics = IterationMetrics(
-            model=reference.model,
-            framework=reference.framework,
-            device=reference.device,
-            batch_size=spec.batch_size,
-            throughput=integration.total_samples / total_time,
-            throughput_unit=session.spec.throughput_unit,
-            gpu_utilization=weighted["gpu"] / total_time,
-            fp32_utilization=weighted["fp32"] / total_time,
-            cpu_utilization=weighted["cpu"] / total_time,
-            iteration_time_s=total_time / total_steps,
-        )
-    return point_to_payload(
-        SweepPoint(batch_size=spec.batch_size, metrics=metrics)
+    return IterationMetrics(
+        model=reference.model,
+        framework=reference.framework,
+        device=reference.device,
+        batch_size=spec.batch_size,
+        throughput=integration.total_samples / total_time,
+        throughput_unit=session.spec.throughput_unit,
+        gpu_utilization=weighted["gpu"] / total_time,
+        fp32_utilization=weighted["fp32"] / total_time,
+        cpu_utilization=weighted["cpu"] / total_time,
+        iteration_time_s=total_time / total_steps,
     )
 
 
-def _compute_faulted_payload(spec: PointSpec) -> dict:
-    """Simulate one grid point under its fault scenario.
+def _faulted_metrics(spec: PointSpec, scenario: Scenario) -> IterationMetrics:
+    """A point's metrics under its fault scenario.
 
-    The scenario string supplies the cluster and run length; the run goes
+    The scenario supplies the cluster and run length; the run goes
     through :class:`~repro.faults.trainer.FaultTolerantTrainer` and the
     realized (degraded) averages become the point's metrics.  A scenario
     the recovery policies cannot survive raises
@@ -261,27 +224,17 @@ def _compute_faulted_payload(spec: PointSpec) -> dict:
     grid is allowed to fail loudly, never to hang or cache a wrong
     number.
     """
-    from repro.faults.spec import parse_fault_spec
     from repro.faults.trainer import FaultTolerantTrainer
 
-    scenario = parse_fault_spec(spec.faults)
-    try:
-        trainer = FaultTolerantTrainer(
-            spec.model,
-            spec.framework,
-            scenario.cluster,
-            spec.batch_size,
-            plan=scenario.plan,
-        )
-    except OutOfMemoryError:
-        return point_to_payload(SweepPoint(batch_size=spec.batch_size, oom=True))
-    result = trainer.run(steps=scenario.steps)
-    return point_to_payload(
-        SweepPoint(
-            batch_size=spec.batch_size,
-            metrics=trainer.iteration_metrics(result),
-        )
+    faults = scenario.faults
+    trainer = FaultTolerantTrainer(
+        spec.model,
+        spec.framework,
+        faults.cluster,
+        spec.batch_size,
+        plan=faults.plan,
     )
+    return trainer.iteration_metrics(trainer.run(steps=faults.steps))
 
 
 def _pool_worker(chunk, gpu: GPUSpec, cpu: CPUSpec, check_memory: bool) -> list:
@@ -352,57 +305,10 @@ class SweepEngine:
                     f"the paper has no {spec.framework} implementation of "
                     f"{model.display_name} (available: {model.frameworks})"
                 )
-            if spec.faults:
-                from repro.faults.spec import parse_fault_spec
-
-                parse_fault_spec(spec.faults)
-            transforms = getattr(spec, "transforms", "")
-            if transforms:
-                if spec.faults:
-                    raise ValueError(
-                        f"a point cannot combine faults and transforms "
-                        f"(got faults={spec.faults!r}, "
-                        f"transforms={transforms!r}): the fault trainer "
-                        f"replays the untransformed plan"
-                    )
-                from repro.plan.pipeline import parse_transform_spec
-
-                parse_transform_spec(transforms)
-            schedule = getattr(spec, "schedule", "")
-            if schedule:
-                from repro.schedule.spec import normalized_schedule
-                from repro.training.convergence import FIG2_MODELS
-
-                if normalized_schedule(schedule):
-                    if spec.faults:
-                        raise ValueError(
-                            f"a point cannot combine faults and an adaptive "
-                            f"schedule (got faults={spec.faults!r}, "
-                            f"schedule={schedule!r}): compose them through "
-                            f"scheduled_time_to_accuracy instead"
-                        )
-                    if transforms:
-                        raise ValueError(
-                            f"a point cannot combine transforms and an "
-                            f"adaptive schedule (got "
-                            f"transforms={transforms!r}, "
-                            f"schedule={schedule!r})"
-                        )
-                    if spec.model not in FIG2_MODELS:
-                        known = ", ".join(sorted(FIG2_MODELS))
-                        raise ValueError(
-                            f"adaptive schedules integrate against a "
-                            f"convergence curve, and {spec.model!r} has "
-                            f"none (models with curves: {known})"
-                        )
+            spec.scenario.validate(model.key)
 
     def _key_for(self, spec: PointSpec) -> str:
         """Content-address of one point under this engine's devices."""
-        schedule = getattr(spec, "schedule", "")
-        if schedule:
-            from repro.schedule.spec import normalized_schedule
-
-            schedule = normalized_schedule(schedule)
         return point_key(
             spec.model,
             spec.framework,
@@ -410,30 +316,20 @@ class SweepEngine:
             gpu=self.gpu,
             cpu=self.cpu,
             faults=spec.faults,
-            transforms=getattr(spec, "transforms", ""),
-            schedule=schedule,
+            transforms=spec.transforms,
+            schedule=spec.schedule,
         )
 
     def _config_for(self, spec: PointSpec) -> dict:
         """Human-readable entry metadata stored alongside a payload."""
-        config = {
+        return {
             "model": spec.model,
             "framework": spec.framework,
             "batch_size": spec.batch_size,
             "gpu": self.gpu.name,
             "cpu": self.cpu.name,
+            **spec.scenario.used,
         }
-        if spec.faults:
-            config["faults"] = spec.faults
-        if getattr(spec, "transforms", ""):
-            config["transforms"] = spec.transforms
-        if getattr(spec, "schedule", ""):
-            from repro.schedule.spec import normalized_schedule
-
-            schedule = normalized_schedule(spec.schedule)
-            if schedule:
-                config["schedule"] = schedule
-        return config
 
     def _load_cached(self, key: str) -> dict | None:
         """Cache probe for one key; a decoded-but-invalid payload is
@@ -606,13 +502,9 @@ class SweepEngine:
     ) -> list:
         """Engine-backed equivalent of :meth:`TBDSuite.sweep`.
 
-        ``faults`` runs every point of the sweep under one fault
-        scenario; ``transforms`` runs every point under one transform
-        pipeline; ``schedule`` grows each point's batch from its grid
-        ``batch_size`` over the simulated run (each cached as its own
-        grid dimension, mutually exclusive).  The default empty strings
-        are the plain sweep, byte-identical to before any dimension
-        existed.
+        ``faults``, ``transforms`` and ``schedule`` run every point of
+        the sweep under one :class:`~repro.engine.scenario.Scenario`; the
+        default empty strings are the plain sweep.
         """
         spec = get_model(model)
         sizes = batch_sizes if batch_sizes is not None else spec.batch_sizes

@@ -7,7 +7,9 @@ A sweep point's result is a pure function of
 - the framework personality (dispatch costs, allocator behaviour,
   kernel-efficiency table),
 - the device pair (GPU roofline inputs, host CPU),
-- the mini-batch size and the model's reference hyper-parameters, and
+- the mini-batch size and the model's reference hyper-parameters,
+- the scenario it runs under (faults, transforms, batch schedule), each
+  as canonical text, and
 - the timing-model *code* itself (roofline, kernel library, and the
   plan compiler/executor that lowers and replays the kernel stream).
 
@@ -29,6 +31,7 @@ import hashlib
 import json
 import os
 
+from repro.engine.scenario import parse_scenario
 from repro.hardware.devices import CPUSpec, GPUSpec, QUADRO_P4000, XEON_E5_2680
 from repro.frameworks.base import Framework
 from repro.frameworks.registry import get_framework
@@ -36,23 +39,10 @@ from repro.models.registry import ModelSpec, get_model
 from repro.training.hyperparams import MODEL_DEFAULTS, Hyperparameters
 
 #: Schema version of the key document; bump to invalidate every entry.
-#: v2: the document gained a ``faults`` dimension (empty string when the
-#: point is fault-free).
-#: v3: the document gained a ``transforms`` dimension — but only for
-#: transformed points.  Untransformed documents keep the v2 shape (no
-#: ``transforms`` field, ``schema: 2``) so every pre-v3 cache entry and
-#: JSONL export stays byte-identical, exactly how ``faults`` landed.
-#: v4: the document gained a ``schedule`` dimension — again only for
-#: points with an *adaptive* batch schedule.  Unscheduled (and
-#: ``fixed``-scheduled, which normalizes to empty) documents keep their
-#: v2/v3 shapes, so the whole pre-v4 grid stays byte-identical.
-KEY_SCHEMA = 4
-
-#: The schema untransformed documents declare (and are byte-identical to).
-_UNTRANSFORMED_SCHEMA = 2
-
-#: The schema transformed-but-unscheduled documents declare (the v3 shape).
-_TRANSFORMED_SCHEMA = 3
+#: v5: one document shape for every point — ``faults``, ``transforms``
+#: and ``schedule`` always present, each the dimension's canonical text
+#: (empty when unused), so two spellings of one scenario share a key.
+KEY_SCHEMA = 5
 
 #: Timing-model modules every sweep point depends on, relative to the
 #: ``repro`` package root.  Directories mean "every .py file inside".
@@ -68,30 +58,26 @@ CORE_CODE = (
     "data",
 )
 
-#: Extra modules a *faulted* point's result additionally depends on:
-#: the fault/recovery simulator and the distributed cost models it
-#: perturbs.  Fault-free points deliberately exclude these, so editing
-#: the fault layer never invalidates the plain paper grid.
-FAULT_CODE = (
-    "faults",
-    "distributed",
-    "hardware/cluster.py",
-    "hardware/interconnect.py",
-)
-
-#: Extra modules a *transformed* point's result additionally depends on:
-#: the optimization rewrites a pipeline composes.  (``plan/`` — including
-#: the pipeline parser and the transform contracts — is already in
-#: :data:`CORE_CODE`.)  Untransformed points deliberately exclude these,
-#: so editing an optimization never invalidates the plain paper grid.
-TRANSFORM_CODE = ("optimizations",)
-
-#: Extra modules a *scheduled* point's result additionally depends on:
-#: the schedule family/integrator and the convergence curves that drive
-#: its segment boundaries.  Unscheduled points deliberately exclude
-#: these, so editing the schedule layer never invalidates the plain
-#: paper grid.
-SCHEDULE_CODE = ("schedule", "training/convergence.py")
+#: Extra modules a point's result depends on per scenario dimension it
+#: uses (:attr:`repro.engine.scenario.Scenario.dimensions`).  Plain
+#: points exclude them all, so editing one dimension's layer never
+#: invalidates the plain paper grid.  (``plan/``, home of the transform
+#: parser and contracts, is already in :data:`CORE_CODE`.)
+DIMENSION_CODE = {
+    # The fault/recovery simulator and the distributed cost models it
+    # perturbs.
+    "faults": (
+        "faults",
+        "distributed",
+        "hardware/cluster.py",
+        "hardware/interconnect.py",
+    ),
+    # The optimization rewrites a pipeline composes.
+    "transforms": ("optimizations",),
+    # The schedule family/integrator and the convergence curves that
+    # drive its segment boundaries.
+    "schedule": ("schedule", "training/convergence.py"),
+}
 
 #: Run dimensions that deliberately do NOT participate in the cache key.
 #: The bench noise seed is measurement-layer state: it perturbs *observed*
@@ -209,36 +195,24 @@ def _module_relpath(module_name: str) -> str | None:
     return relative if os.path.isfile(os.path.join(_PACKAGE_ROOT, relative)) else None
 
 
-def code_fingerprint(
-    model_module: str | None = None,
-    with_faults: bool = False,
-    with_transforms: bool = False,
-    with_schedule: bool = False,
-) -> str:
+def code_fingerprint(model_module: str | None = None, dimensions: tuple = ()) -> str:
     """Fingerprint of the timing-model source a point's result depends on.
 
     ``model_module`` is the model builder's module name; only that model's
-    entries move when it changes.  ``with_faults`` widens the dependency
-    set by :data:`FAULT_CODE` for points running under a fault scenario;
-    ``with_transforms`` widens it by :data:`TRANSFORM_CODE` for points
-    running under a transform pipeline; ``with_schedule`` widens it by
-    :data:`SCHEDULE_CODE` for points running an adaptive batch schedule.
-    The composite digest hashes the sorted ``(relative path, file
-    sha256)`` list so renames count as changes.
+    entries move when it changes.  ``dimensions`` names the scenario
+    dimensions the point uses, each widening the dependency set by its
+    :data:`DIMENSION_CODE` entry.  The composite digest hashes the sorted
+    ``(relative path, file sha256)`` list so renames count as changes.
     """
-    cache_key = (model_module, with_faults, with_transforms, with_schedule)
+    cache_key = (model_module, dimensions)
     cached = _CODE_FINGERPRINTS.get(cache_key)
     if cached is not None:
         return cached
     entries = []
     seen = set()
     sources = list(CORE_CODE)
-    if with_faults:
-        sources.extend(FAULT_CODE)
-    if with_transforms:
-        sources.extend(TRANSFORM_CODE)
-    if with_schedule:
-        sources.extend(SCHEDULE_CODE)
+    for dimension in dimensions:
+        sources.extend(DIMENSION_CODE[dimension])
     if model_module is not None:
         relative = _module_relpath(model_module)
         if relative is not None:
@@ -302,20 +276,13 @@ def key_document(
     """The full canonical document a point key hashes.
 
     ``model``/``framework`` accept registry keys or resolved spec objects;
-    ``hyperparams`` defaults to the model's registered reference set;
-    ``code`` defaults to :func:`code_fingerprint` of the timing model plus
-    the model's builder module (widened by :data:`FAULT_CODE` when the
-    point carries a ``faults`` scenario, by :data:`TRANSFORM_CODE` when
-    it carries a ``transforms`` pipeline, and by :data:`SCHEDULE_CODE`
-    when it carries an adaptive ``schedule``); ``faults``, ``transforms``
-    and ``schedule`` are the raw scenario/pipeline/schedule strings —
-    hashed as text because the text *is* the deterministic input (same
-    text + same code = same result).  ``schedule`` must already be
-    normalized (``fixed`` collapses to the empty string — the executor
-    does this via :func:`repro.schedule.spec.normalized_schedule`).  An
-    unscheduled document omits the ``schedule`` field and declares the
-    v2/v3 schema its other dimensions imply, keeping every pre-v4 key
-    byte-identical.
+    ``hyperparams`` defaults to the model's registered reference set.
+    ``faults``, ``transforms`` and ``schedule`` are spec texts in any
+    spelling; the document carries each dimension's canonical text (see
+    :class:`~repro.engine.scenario.Scenario`), because the canonical text
+    *is* the deterministic input (same scenario + same code = same
+    result).  ``code`` defaults to :func:`code_fingerprint` of the timing
+    model, the model's builder module and the dimensions in use.
     """
     spec = get_model(model) if isinstance(model, str) else model
     personality = (
@@ -323,21 +290,11 @@ def key_document(
     )
     if hyperparams is None:
         hyperparams = MODEL_DEFAULTS.get(spec.key)
+    scenario = parse_scenario(faults, transforms, schedule)
     if code is None:
-        code = code_fingerprint(
-            spec.build.__module__,
-            with_faults=bool(faults),
-            with_transforms=bool(transforms),
-            with_schedule=bool(schedule),
-        )
-    if schedule:
-        schema = KEY_SCHEMA
-    elif transforms:
-        schema = _TRANSFORMED_SCHEMA
-    else:
-        schema = _UNTRANSFORMED_SCHEMA
-    document = {
-        "schema": schema,
+        code = code_fingerprint(spec.build.__module__, scenario.dimensions)
+    return {
+        "schema": KEY_SCHEMA,
         "model": fingerprint_model(spec),
         "framework": fingerprint_framework(personality),
         "gpu": fingerprint_gpu(gpu),
@@ -345,13 +302,8 @@ def key_document(
         "batch_size": int(batch_size),
         "hyperparameters": fingerprint_hyperparameters(hyperparams),
         "code": code,
-        "faults": faults,
+        **scenario.canonical,
     }
-    if transforms:
-        document["transforms"] = transforms
-    if schedule:
-        document["schedule"] = schedule
-    return document
 
 
 def point_key(

@@ -79,33 +79,18 @@ def merge_ordered(total: int, indexed_payloads) -> list:
 def grid_record(spec, point: SweepPoint) -> dict:
     """One exportable record: the grid coordinates plus the point payload.
 
-    The ``faults``, ``transforms`` and ``schedule`` coordinates appear
-    only when the spec carries one, so plain exports stay byte-identical
-    to the format that predates each dimension (``schedule="fixed"``
-    normalizes away entirely, like no schedule at all).
+    Each scenario dimension the spec uses appears as its canonical text;
+    unused ones (``schedule="fixed"`` included) are left out.
     """
     payload = point_to_payload(point)
-    record = {
+    return {
         "model": spec.model,
         "framework": spec.framework,
         "batch_size": point.batch_size,
         "oom": payload["oom"],
         "metrics": payload["metrics"],
+        **spec.scenario.used,
     }
-    faults = getattr(spec, "faults", "")
-    if faults:
-        record["faults"] = faults
-    transforms = getattr(spec, "transforms", "")
-    if transforms:
-        record["transforms"] = transforms
-    schedule = getattr(spec, "schedule", "")
-    if schedule:
-        from repro.schedule.spec import normalized_schedule
-
-        schedule = normalized_schedule(schedule)
-        if schedule:
-            record["schedule"] = schedule
-    return record
 
 
 def write_grid_jsonl(path: str, specs, points) -> int:

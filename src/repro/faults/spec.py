@@ -1,8 +1,7 @@
 """The ``--faults`` spec mini-language.
 
 A fault scenario is one compact, semicolon-separated string — the form a
-CLI flag or a sweep-grid dimension can carry, and exactly what the result
-cache hashes:
+CLI flag or a sweep-grid dimension can carry:
 
 ``cluster=2M1G:1gbe; steps=60; seed=3; straggler=0x1.5@10:40;``
 ``degrade=bw0.5+loss0.1@20:50; crash=1@30; timeout=2x0.5@15``
@@ -19,6 +18,10 @@ Fields (any order, whitespace ignored, keys repeatable where sensible):
   degradation window; ``loss1.0`` is a full outage.
 - ``crash=<machines>@<step>`` — machine crash.
 - ``timeout=<failures>x<seconds>@<step>`` — transient allreduce timeout.
+
+:attr:`FaultScenario.canonical` re-renders a parsed scenario with its
+fields in a fixed order and every default explicit; that text, not the
+spelling it was parsed from, is what the result cache hashes.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.faults.plan import (
     WorkerCrash,
 )
 from repro.hardware.cluster import ClusterSpec, parse_configuration
+from repro.plan.pipeline import spec_number
 
 #: Default scheduled run length when the spec does not say.
 DEFAULT_STEPS = 50
@@ -52,12 +56,24 @@ class FaultSpecError(ValueError):
 @dataclass(frozen=True)
 class FaultScenario:
     """A parsed ``--faults`` spec: the cluster it runs on, the scheduled
-    run length, the plan itself, and the raw text (the cache dimension)."""
+    run length, and the plan itself."""
 
     cluster: ClusterSpec
     steps: int
     plan: FaultPlan
-    text: str
+
+    @property
+    def canonical(self) -> str:
+        """The spec text with fields in a fixed order (cluster, steps,
+        seed, then the events as given: link faults compose in that
+        order), defaults explicit and windows in one spelling — the cache
+        dimension.  ``parse_fault_spec(s.canonical) == s``."""
+        cluster = f"{self.cluster.machine_count}M{self.cluster.machine.gpu_count}G"
+        if self.cluster.is_distributed:
+            cluster += f":{self.cluster.inter_link.name.lower()}"
+        fields = [f"cluster={cluster}", f"steps={self.steps}", f"seed={self.plan.seed}"]
+        fields.extend(_render_event(event) for event in self.plan.events)
+        return "; ".join(fields)
 
     def describe(self) -> str:
         """Multi-line human rendering of the scenario."""
@@ -65,6 +81,28 @@ class FaultScenario:
             f"scenario: {self.cluster.name}, {self.steps} step(s)\n"
             f"{self.plan.describe()}"
         )
+
+
+def _render_window(event) -> str:
+    end = "" if event.end_step is None else f":{event.end_step}"
+    return f"{event.start_step}{end}"
+
+
+def _render_event(event) -> str:
+    if isinstance(event, StragglerFault):
+        return (
+            f"straggler={event.worker}x{spec_number(event.factor)}"
+            f"@{_render_window(event)}"
+        )
+    if isinstance(event, LinkFault):
+        return (
+            f"degrade=bw{spec_number(event.bandwidth_factor)}"
+            f"+loss{spec_number(event.packet_loss)}"
+            f"+lat{spec_number(event.extra_latency_s)}@{_render_window(event)}"
+        )
+    if isinstance(event, WorkerCrash):
+        return f"crash={event.machines}@{event.step}"
+    return f"timeout={event.failures}x{spec_number(event.timeout_s)}@{event.step}"
 
 
 def _parse_window(text: str, field: str) -> tuple:
@@ -193,5 +231,4 @@ def parse_fault_spec(text: str) -> FaultScenario:
         cluster=cluster,
         steps=steps,
         plan=FaultPlan(events=tuple(events), seed=seed),
-        text=text,
     )

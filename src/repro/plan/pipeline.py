@@ -56,6 +56,20 @@ class TransformSpecError(ValueError):
     """A ``--transforms`` string that does not parse."""
 
 
+def spec_number(value: float) -> str:
+    """The canonical spelling of a numeric spec argument: ``{:g}`` when
+    that parses back to exactly ``value``, otherwise every digit in
+    positional notation (no exponent, so each spec grammar accepts it).
+    Canonical texts are cache keys, so two different values must never
+    share one."""
+    text = f"{value:g}"
+    if "e" in text or float(text) != value:
+        import decimal
+
+        text = format(decimal.Decimal(repr(float(value))), "f")
+    return text
+
+
 @dataclass(frozen=True)
 class TransformEntry:
     """One registry row: how a spec token becomes a plan transform.
@@ -93,7 +107,7 @@ class TransformEntry:
             raise TransformSpecError(f"bad transform {self.name!r}: {exc}") from exc
         token = self.name
         if self.arg_name is not None:
-            token = f"{self.name}:{arg:g}" if self.arg_type is float else f"{self.name}:{arg}"
+            token = f"{self.name}:{spec_number(arg) if self.arg_type is float else arg}"
         return transform, token
 
 
@@ -178,19 +192,17 @@ def transform_catalog() -> list:
 class TransformPipeline:
     """A normalized, contract-checked composition of plan transforms.
 
-    Instances are immutable once built; ``text`` preserves the raw spec
-    the pipeline was parsed from and ``canonical`` is the normalized
+    Instances are immutable once built; ``canonical`` is the normalized
     spelling (the cache dimension).
     """
 
-    def __init__(self, stages=(), text: str = ""):
+    def __init__(self, stages=()):
         self._stages = tuple(
             sorted(stages, key=lambda stage: (stage.rank, stage.token, stage.order))
         )
-        self.text = text
 
     @classmethod
-    def from_transforms(cls, transforms, text: str = "") -> "TransformPipeline":
+    def from_transforms(cls, transforms) -> "TransformPipeline":
         """Wrap already-constructed transforms (including ones outside the
         registry) into a normalized pipeline."""
         stages = []
@@ -206,7 +218,7 @@ class TransformPipeline:
                     transform=transform,
                 )
             )
-        return cls(stages, text=text)
+        return cls(stages)
 
     # ------------------------------------------------------------------
     # identity
@@ -340,7 +352,7 @@ def parse_transform_spec(text: str) -> TransformPipeline:
             piece named, never a bare traceback from a constructor).
     """
     if not text.strip():
-        return TransformPipeline((), text=text)
+        return TransformPipeline()
     stages = []
     seen = set()
     for order, raw_token in enumerate(text.split("+")):
@@ -376,7 +388,7 @@ def parse_transform_spec(text: str) -> TransformPipeline:
                 transform=transform,
             )
         )
-    return TransformPipeline(stages, text=text)
+    return TransformPipeline(stages)
 
 
 def canonical_transform_spec(text: str) -> str:

@@ -28,7 +28,6 @@ from repro.schedule.spec import (
     PlateauSchedule,
     ScheduleSpecError,
     canonical_schedule_spec,
-    normalized_schedule,
     parse_schedule_spec,
     schedule_names,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "build_segments",
     "canonical_schedule_spec",
     "integrate_schedule",
-    "normalized_schedule",
     "parse_schedule_spec",
     "schedule_names",
     "scheduled_time_to_accuracy",

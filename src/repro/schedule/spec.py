@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.plan.pipeline import spec_number
+
 
 class ScheduleSpecError(ValueError):
     """A schedule spec string failed to parse or validate."""
@@ -49,7 +51,8 @@ class BatchSchedule:
 
     Subclasses are frozen dataclasses whose fields are exactly the
     mini-language arguments; ``canonical`` renders them back in a fixed
-    order with floats formatted ``{:g}`` (matching the transform
+    order with floats formatted by
+    :func:`~repro.plan.pipeline.spec_number` (matching the transform
     pipeline's canonical tokens).
     """
 
@@ -112,7 +115,7 @@ class GeometricSchedule(BatchSchedule):
     @property
     def canonical(self) -> str:
         return (
-            f"geometric:factor={self.factor:g},every={self.every},"
+            f"geometric:factor={spec_number(self.factor)},every={self.every},"
             f"ceiling={self.ceiling}"
         )
 
@@ -146,7 +149,7 @@ class PlateauSchedule(BatchSchedule):
     @property
     def canonical(self) -> str:
         return (
-            f"plateau:factor={self.factor:g},patience={self.patience},"
+            f"plateau:factor={spec_number(self.factor)},patience={self.patience},"
             f"ceiling={self.ceiling}"
         )
 
@@ -279,18 +282,7 @@ def parse_schedule_spec(text: str | None):
 
 
 def canonical_schedule_spec(text: str | None) -> str:
-    """Canonical form of a spec: defaults explicit, floats ``{:g}``; the
+    """Canonical form of a spec: defaults explicit, floats compact; the
     empty spec stays empty."""
     schedule = parse_schedule_spec(text)
     return "" if schedule is None else schedule.canonical
-
-
-def normalized_schedule(text: str | None) -> str:
-    """The cache-dimension form: ``fixed`` (and every alias/argument
-    spelling of it) collapses to the empty string, so a fixed schedule is
-    byte-identical to no schedule in keys, payloads, and exports; every
-    adaptive schedule canonicalizes."""
-    schedule = parse_schedule_spec(text)
-    if schedule is None or schedule.is_fixed:
-        return ""
-    return schedule.canonical

@@ -264,11 +264,16 @@ class TrainingSession:
     # the headline entry points
     # ------------------------------------------------------------------
 
-    def run_iteration(self, batch_size: int | None = None) -> IterationProfile:
-        """Simulate one stable-phase training iteration.
+    def run_iteration(
+        self, batch_size: int | None = None, pipeline=()
+    ) -> IterationProfile:
+        """Simulate one stable-phase training iteration, under a
+        :class:`~repro.plan.pipeline.TransformPipeline` when one is given
+        (memory is then checked against the transformed plan: an offloaded
+        point may fit where the baseline OOMs).
 
         Raises:
-            OutOfMemoryError: if ``check_memory`` and the model does not fit.
+            OutOfMemoryError: if ``check_memory`` and the plan does not fit.
         """
         batch = batch_size if batch_size is not None else self.spec.reference_batch
         with trace_span(
@@ -278,7 +283,7 @@ class TrainingSession:
             device=self.gpu.name,
             batch_size=batch,
         ):
-            plan = self.compile(batch)
+            plan = self.compile_transformed(batch, pipeline)
             memory = None
             if self.check_memory:
                 memory = plan.check_memory(self.gpu.memory_bytes)

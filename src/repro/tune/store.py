@@ -60,7 +60,7 @@ def tuned_key(
             "hyperparameters": fingerprint_hyperparameters(
                 MODEL_DEFAULTS.get(spec.key)
             ),
-            "code": code_fingerprint(spec.build.__module__, with_transforms=True),
+            "code": code_fingerprint(spec.build.__module__, ("transforms",)),
         }
     )
 

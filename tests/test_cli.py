@@ -273,6 +273,33 @@ class TestEngineCli:
         assert "entries: 5" in out and "env-cache" in out
 
 
+class TestSweepScenarioBoundary:
+    """A bad ``--faults``/``--transforms``/``--schedule`` input, or a
+    combination the engine rejects, is a usage error: exit 2 with one
+    line on stderr, never a traceback, and nothing computed."""
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--transforms", "bogus"), "unknown transform 'bogus'"),
+            (("--faults", "crash=x"), "bad crash 'x'"),
+            (("--schedule", "nope"), "unknown schedule 'nope'"),
+            (
+                ("--faults", "steps=5", "--transforms", "fp16"),
+                "faults cannot combine with transforms",
+            ),
+        ],
+    )
+    def test_bad_scenario_exits_2_on_stderr(self, capsys, flags, message):
+        code = main(["sweep", "nmt", "-f", "tensorflow", "--no-cache", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("tbd sweep: error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestBenchCommand:
     def test_compare_prints_verdict(self, capsys):
         code, out = run_cli(

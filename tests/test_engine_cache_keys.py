@@ -14,6 +14,9 @@ The three properties the cache's correctness rests on:
 3. **Collision-free in practice**: the full paper grid (every model ×
    framework × batch size × both evaluation GPUs) produces all-distinct
    keys.
+
+Plus the document's one shape (schema 5): every point, plain or not,
+carries the same fields, with each scenario dimension's canonical text.
 """
 
 import dataclasses
@@ -22,6 +25,8 @@ import random
 import pytest
 
 from repro.engine.keys import (
+    DIMENSION_CODE,
+    KEY_SCHEMA,
     canonical_json,
     code_fingerprint,
     digest,
@@ -238,3 +243,47 @@ class TestCollisionFreedom:
             for gpu in (QUADRO_P4000, TITAN_XP, GTX_580)
         }
         assert len(keys) == 3
+
+
+class TestOneDocumentShape:
+    SCENARIOS = (
+        {},
+        {"faults": "steps=12; crash=1@5"},
+        {"transforms": "fused_rnn+fp16"},
+        {"schedule": "gns:ceiling=64"},
+        {"transforms": "fused_rnn", "schedule": "gns:ceiling=256"},
+    )
+
+    def test_every_document_has_the_same_fields_and_schema(self):
+        documents = [
+            key_document("nmt", "tensorflow", 16, **scenario)
+            for scenario in self.SCENARIOS
+        ]
+        assert {frozenset(document) for document in documents} == {
+            frozenset(documents[0])
+        }
+        assert {document["schema"] for document in documents} == {KEY_SCHEMA}
+        assert KEY_SCHEMA == 5
+
+    def test_dimension_fields_carry_canonical_text(self):
+        document = key_document(
+            "nmt", "tensorflow", 16, transforms="FP16+fused-rnn", schedule="fixed"
+        )
+        assert document["faults"] == ""
+        assert document["transforms"] == "fused_rnn+fp16"
+        assert document["schedule"] == ""
+
+    def test_each_dimension_widens_the_code_fingerprint(self):
+        plain = code_fingerprint("repro.models.seq2seq")
+        widened = {
+            code_fingerprint("repro.models.seq2seq", (dimension,))
+            for dimension in DIMENSION_CODE
+        }
+        assert plain not in widened
+        assert len(widened) == len(DIMENSION_CODE)
+
+    def test_used_dimensions_pick_the_code_fingerprint(self):
+        document = key_document("nmt", "tensorflow", 16, schedule="gns:ceiling=64")
+        assert document["code"] == code_fingerprint("repro.models.seq2seq", ("schedule",))
+        plain = key_document("nmt", "tensorflow", 16, schedule="fixed")
+        assert plain["code"] == code_fingerprint("repro.models.seq2seq")

@@ -36,9 +36,9 @@ def counted_iterations(monkeypatch):
     calls = []
     original = TrainingSession.run_iteration
 
-    def counting(self, batch_size=None):
+    def counting(self, batch_size=None, pipeline=()):
         calls.append((self.spec.key, self.framework.key, batch_size))
-        return original(self, batch_size)
+        return original(self, batch_size, pipeline)
 
     monkeypatch.setattr(TrainingSession, "run_iteration", counting)
     return calls

@@ -5,11 +5,12 @@ Two byte-identity guarantees:
 - adding the dimension changed **nothing** for the paper grid — a
   fault-free grid run through the engine exports byte-identical JSONL to
   the plain serial suite path, and empty-``faults`` cache keys are the
-  keys the pre-fault engine produced (no "faults" field in records);
+  keys of points that never mention faults (no "faults" field in
+  records);
 - the faulted grid is itself deterministic — the same specs produce
   byte-identical JSONL across ``jobs=1/2/4`` and across a warm re-run
-  from cache, and the cache key moves if (and only if) the fault
-  scenario text moves.
+  from cache, and the cache key moves if (and only if) the canonical
+  fault scenario text moves.
 """
 
 import json
@@ -23,6 +24,7 @@ from repro.engine import (
     point_key,
     write_grid_jsonl,
 )
+from repro.faults.spec import parse_fault_spec
 from repro.models.registry import get_model
 
 #: A reduced paper grid (fault-free) used for the no-perturbation check.
@@ -33,6 +35,10 @@ FAULT_SPECS = (
     "cluster=2M1G:infiniband; steps=12; straggler=0x1.5@2:8",
     "cluster=2M1G:infiniband; steps=12; degrade=bw0.5+loss0.05@3:9; crash=1@5",
 )
+
+
+#: What grid records and cache keys carry for each of FAULT_SPECS.
+CANONICAL_SPECS = tuple(parse_fault_spec(text).canonical for text in FAULT_SPECS)
 
 
 def _faulted_grid():
@@ -75,7 +81,20 @@ class TestFaultFreeGridUnperturbed:
         spec = PointSpec("resnet-50", "mxnet", 16, FAULT_SPECS[0])
         [point] = SweepEngine(jobs=1, cache=None).run_grid([spec])
         record = grid_record(spec, point)
-        assert record["faults"] == FAULT_SPECS[0]
+        assert record["faults"] == CANONICAL_SPECS[0]
+
+    def test_field_order_and_defaults_do_not_move_the_key(self):
+        spec = get_model("resnet-50")
+        keys = {
+            point_key(spec, "mxnet", 16, faults=text)
+            for text in (
+                "crash=1@30;steps=60",
+                "steps=60; crash=1@30",
+                "cluster=2M1G; seed=0; steps=60; crash=1@30",
+                "cluster=2m1g:ib; crash=1@30; steps=60",
+            )
+        }
+        assert len(keys) == 1
 
     def test_fault_text_moves_the_cache_key(self):
         spec = get_model("resnet-50")
@@ -127,7 +146,7 @@ class TestFaultedGridDeterministic:
         ]
         assert len(rows) == len(_faulted_grid())
         for row in rows:
-            assert row["faults"] in FAULT_SPECS
+            assert row["faults"] in CANONICAL_SPECS
             assert row["oom"] is False
             assert row["metrics"]["throughput"] > 0
 

@@ -4,13 +4,14 @@ The same guarantees faults and transforms shipped with:
 
 - ``schedule="fixed"`` (and every spelling of it) is bitwise invisible:
   cache keys, key documents, grid records, and JSONL exports are exactly
-  what the pre-schedule engine produced — schema 2/3, no ``schedule``
-  field anywhere;
+  those of the unscheduled point — an empty ``schedule`` key field, no
+  ``schedule`` field in any record;
 - the adaptive grid is deterministic — byte-identical JSONL across job
   counts and across a warm cache re-run, with the canonical spec text
   carried in every record and moving every cache key;
-- invalid combinations (adaptive + faults, adaptive + transforms, a
-  model with no convergence curve) are rejected before any computation.
+- invalid combinations (adaptive + faults, a model with no convergence
+  curve) are rejected before any computation; adaptive + transforms
+  composes.
 """
 
 from __future__ import annotations
@@ -26,12 +27,8 @@ from repro.engine import (
     point_key,
     write_grid_jsonl,
 )
-from repro.engine.keys import (
-    KEY_SCHEMA,
-    _TRANSFORMED_SCHEMA,
-    _UNTRANSFORMED_SCHEMA,
-    key_document,
-)
+from repro.engine.keys import KEY_SCHEMA, key_document
+from repro.engine.scenario import ScenarioError
 from repro.models.registry import get_model
 
 ADAPTIVE = "gns:ceiling=64,every=50"
@@ -71,20 +68,23 @@ class TestFixedSpellingInvisible:
     def test_every_fixed_spelling_keeps_the_pre_schedule_key(self):
         spec = get_model("resnet-50")
         legacy = point_key(spec, "mxnet", 16)
-        for spelling in ("",):
+        for spelling in FIXED_SPELLINGS:
             assert point_key(spec, "mxnet", 16, schedule=spelling) == legacy
 
-    def test_unscheduled_documents_keep_their_v2_v3_schema(self):
+    def test_unscheduled_documents_carry_an_empty_schedule_field(self):
         plain = key_document("resnet-50", "mxnet", 16)
-        assert plain["schema"] == _UNTRANSFORMED_SCHEMA == 2
-        assert "schedule" not in plain
+        assert plain["schema"] == KEY_SCHEMA == 5
+        assert plain["schedule"] == ""
         transformed = key_document("nmt", "tensorflow", 64, transforms="fp16")
-        assert transformed["schema"] == _TRANSFORMED_SCHEMA == 3
-        assert "schedule" not in transformed
+        assert transformed["schema"] == KEY_SCHEMA
+        assert transformed["schedule"] == ""
+        for spelling in FIXED_SPELLINGS:
+            fixed = key_document("resnet-50", "mxnet", 16, schedule=spelling)
+            assert fixed == plain
 
-    def test_scheduled_documents_carry_schema_4_and_the_spec(self):
-        document = key_document("resnet-50", "mxnet", 16, schedule=ADAPTIVE)
-        assert document["schema"] == KEY_SCHEMA == 4
+    def test_scheduled_documents_carry_schema_5_and_the_spec(self):
+        document = key_document("resnet-50", "mxnet", 16, schedule="noise:ceiling=64")
+        assert document["schema"] == KEY_SCHEMA == 5
         assert document["schedule"] == ADAPTIVE
 
     def test_engine_normalizes_fixed_spellings_onto_one_key(self):
@@ -216,18 +216,23 @@ class TestScheduleValidation:
             "cluster=2M1G:infiniband; steps=12; crash=1@5",
             schedule=ADAPTIVE,
         )
-        with pytest.raises(ValueError, match="faults and an adaptive"):
+        with pytest.raises(ScenarioError, match="faults cannot combine with schedule"):
             engine.run_grid([both])
         assert engine.stats.points_computed == 0
 
-    def test_transforms_and_adaptive_schedule_are_mutually_exclusive(self):
+    def test_transforms_and_adaptive_schedule_compose(self):
         engine = SweepEngine(jobs=1, cache=None)
         both = PointSpec(
             "resnet-50", "mxnet", 16, "", "fp16", schedule=ADAPTIVE
         )
-        with pytest.raises(ValueError, match="transforms and an"):
-            engine.run_grid([both])
-        assert engine.stats.points_computed == 0
+        [point] = engine.run_grid([both])
+        [scheduled] = engine.run_grid(
+            [PointSpec("resnet-50", "mxnet", 16, schedule=ADAPTIVE)]
+        )
+        assert point.oom is False
+        # fp16 rewrites memory only, so the composed point keeps the
+        # scheduled point's timing.
+        assert point.metrics == scheduled.metrics
 
     def test_fixed_schedule_composes_with_faults_and_transforms(self):
         # "fixed" normalizes away, so it must NOT trip the exclusivity

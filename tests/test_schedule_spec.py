@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.engine.scenario import parse_scenario
 from repro.schedule.spec import (
     FixedSchedule,
     GeometricSchedule,
@@ -19,10 +20,14 @@ from repro.schedule.spec import (
     PlateauSchedule,
     ScheduleSpecError,
     canonical_schedule_spec,
-    normalized_schedule,
     parse_schedule_spec,
     schedule_names,
 )
+
+
+def normalized_schedule(text):
+    """The schedule's cache-dimension text: every fixed spelling is ""."""
+    return parse_scenario(schedule=text or "").canonical["schedule"]
 
 
 class TestParsing:

@@ -3,12 +3,14 @@
 The same guarantees the faults dimension shipped with, plus the symbolic
 one the pipeline leans on:
 
-- ``transforms=""`` is bitwise invisible: the plain grid's JSONL and
-  cache keys are exactly what the pre-transform engine produced (schema
-  2, no ``transforms`` field anywhere);
+- ``transforms=""`` is bitwise invisible: the plain grid's JSONL is
+  exactly what the suite produces, with no ``transforms`` field in any
+  record, and its key is the key of a point that never mentions
+  transforms;
 - the transformed grid is deterministic — byte-identical JSONL across
-  job counts and across a warm cache re-run, with the spec text carried
-  in every record and in the cache key;
+  job counts and across a warm cache re-run, with the canonical spec
+  text carried in every record and in the cache key, so two spellings of
+  one pipeline share one key and one cache entry;
 - symbolic specialize-then-rewrite is bit-identical to concrete
   compile-then-rewrite for every pipeline over the traceable paper
   pairs, and ``compile_transformed`` (the prefix-memoized path) is
@@ -28,11 +30,8 @@ from repro.engine import (
     point_key,
     write_grid_jsonl,
 )
-from repro.engine.keys import (
-    _TRANSFORMED_SCHEMA,
-    _UNTRANSFORMED_SCHEMA,
-    key_document,
-)
+from repro.engine.keys import KEY_SCHEMA, key_document
+from repro.engine.scenario import ScenarioError
 from repro.models.registry import get_model
 from repro.plan.pipeline import parse_transform_spec
 from repro.plan.symbolic import SymbolicPlanSet, plan_difference
@@ -84,14 +83,14 @@ class TestUntransformedGridUnperturbed:
         without_dimension = point_key(spec, "mxnet", 16)
         assert with_dimension == without_dimension
 
-    def test_untransformed_documents_keep_schema_2(self):
+    def test_untransformed_documents_carry_an_empty_transforms_field(self):
         document = key_document("resnet-50", "mxnet", 16)
-        assert document["schema"] == _UNTRANSFORMED_SCHEMA == 2
-        assert "transforms" not in document
+        assert document["schema"] == KEY_SCHEMA == 5
+        assert document["transforms"] == ""
 
-    def test_transformed_documents_carry_schema_3_and_the_spec(self):
-        document = key_document("nmt", "tensorflow", 64, transforms="fp16")
-        assert document["schema"] == _TRANSFORMED_SCHEMA == 3
+    def test_transformed_documents_carry_schema_5_and_the_canonical_spec(self):
+        document = key_document("nmt", "tensorflow", 64, transforms="FP16")
+        assert document["schema"] == KEY_SCHEMA == 5
         assert document["transforms"] == "fp16"
 
     def test_plain_records_carry_no_transforms_field(self):
@@ -99,6 +98,29 @@ class TestUntransformedGridUnperturbed:
         [point] = SweepEngine(jobs=1, cache=None).run_grid([spec])
         record = grid_record(spec, point)
         assert "transforms" not in record
+
+    def test_spellings_of_one_pipeline_share_a_key(self):
+        spec = get_model("nmt")
+        for spellings in (
+            ("fp16", "FP16", "fp16_storage", " fp16-storage "),
+            ("fp16+fused_rnn", "fused_rnn+fp16", "FusedRNN+fp16"),
+        ):
+            keys = {
+                point_key(spec, "tensorflow", 64, transforms=text)
+                for text in spellings
+            }
+            assert len(keys) == 1, spellings
+
+    def test_two_spellings_share_one_cache_entry(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        first = PointSpec("nmt", "tensorflow", 16, transforms="fp16+fused_rnn")
+        second = PointSpec("nmt", "tensorflow", 16, transforms="fused_rnn+FP16")
+        SweepEngine(jobs=1, cache=cache).run_grid([first])
+        warm = SweepEngine(jobs=1, cache=cache)
+        [point] = warm.run_grid([second])
+        assert warm.stats.cache_hits == 1
+        assert warm.stats.points_computed == 0
+        assert grid_record(second, point)["transforms"] == "fused_rnn+fp16"
 
     def test_transform_text_moves_the_cache_key(self):
         spec = get_model("nmt")
@@ -231,7 +253,7 @@ class TestTransformValidation:
             "cluster=2M1G:infiniband; steps=12; crash=1@5",
             "fp16",
         )
-        with pytest.raises(ValueError, match="cannot combine faults and transforms"):
+        with pytest.raises(ScenarioError, match="faults cannot combine with transforms"):
             engine.run_grid([both])
         assert engine.stats.points_computed == 0
 
