@@ -4,9 +4,8 @@ and the optimization what-ifs, with their shapes asserted."""
 from conftest import run_once
 
 from repro.distributed.time_to_accuracy import scaling_study
-from repro.optimizations.depth import depth_for_batch_tradeoff
-from repro.optimizations.fusion import evaluate_fusion
-from repro.optimizations.offload import FeatureMapOffload
+from repro.plan.pipeline import parse_transform_spec
+from repro.plan.transform import deepest_fitting_depth
 from repro.training.session import TrainingSession
 
 
@@ -28,44 +27,61 @@ def test_time_to_accuracy_scaling(benchmark):
 
 
 def test_fused_rnn_whatif(benchmark):
-    result = run_once(
-        benchmark, evaluate_fusion, TrainingSession("nmt", "tensorflow"), 128
-    )
+    session = TrainingSession("nmt", "tensorflow")
+
+    def study():
+        return (
+            session.run_iteration(128),
+            session.run_iteration(128, parse_transform_spec("fused_rnn")),
+        )
+
+    baseline, fused = run_once(benchmark, study)
+    speedup = fused.throughput / baseline.throughput
     print(
-        f"\n  NMT b=128 fused-RNN: {result.speedup:.2f}x, kernels "
-        f"{result.baseline_kernel_count} -> {result.fused_kernel_count}"
+        f"\n  NMT b=128 fused-RNN: {speedup:.2f}x, kernels "
+        f"{len(baseline.kernel_timings)} -> {len(fused.kernel_timings)}"
     )
-    benchmark.extra_info["speedup"] = round(result.speedup, 2)
-    assert result.speedup > 1.3
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    assert speedup > 1.3
 
 
 def test_offload_whatif(benchmark):
-    offload = FeatureMapOffload(TrainingSession("sockeye", "mxnet"))
+    session = TrainingSession("sockeye", "mxnet")
+    offload = parse_transform_spec("offload:0.6")
 
     def study():
-        plan = offload.plan(64, 0.6)
-        new_max = offload.max_batch_with_offload((64, 128, 256), 0.6)
-        return plan, new_max
+        baseline = session.run_iteration(64)
+        offloaded = session.run_iteration(64, offload)
+        new_max = session.max_batch_size((64, 128, 256), pipeline=offload)
+        return baseline, offloaded, new_max
 
-    plan, new_max = run_once(benchmark, study)
+    baseline, offloaded, new_max = run_once(benchmark, study)
+    saved = baseline.memory.peak_total - offloaded.memory.peak_total
+    cost = 1.0 - offloaded.throughput / baseline.throughput
     print(
-        f"\n  Sockeye offload 60%: frees {plan.memory_saved_gib:.1f} GiB for "
-        f"{plan.throughput_cost_fraction * 100:.1f}% throughput; max batch "
-        f"64 -> {new_max}"
+        f"\n  Sockeye offload 60%: frees {saved / 2**30:.1f} GiB for "
+        f"{cost * 100:.1f}% throughput; max batch 64 -> {new_max}"
     )
     benchmark.extra_info["new_max_batch"] = new_max
     assert new_max > 64
-    assert plan.throughput_cost_fraction < 0.25
+    assert cost < 0.25
 
 
 def test_depth_for_batch_tradeoff(benchmark):
-    plans = run_once(benchmark, depth_for_batch_tradeoff, "mxnet", (8, 16, 32))
+    session = TrainingSession("resnet-50", "mxnet")
+    batches = (8, 16, 32)
+    depths = run_once(
+        benchmark,
+        lambda: [deepest_fitting_depth(session, batch) for batch in batches],
+    )
     print()
-    for plan in plans:
-        print(
-            f"  b={plan.batch_size:<4d} deepest fit: {plan.name} "
-            f"({plan.layer_count} layers, {plan.total_gib:.1f} GiB)"
+    for batch, blocks in zip(batches, depths):
+        plan = session.compile_transformed(
+            batch, parse_transform_spec(f"depth:{blocks}")
         )
-    depths = [plan.conv4_blocks for plan in plans]
+        print(
+            f"  b={batch:<4d} deepest fit: {plan.graph.model_name} "
+            f"({plan.memory.peak_total / 2**30:.1f} GiB)"
+        )
     assert depths == sorted(depths, reverse=True)
-    assert plans[-1].conv4_blocks >= 23  # >= ResNet-101 at batch 32
+    assert depths[-1] >= 23  # >= ResNet-101 at batch 32

@@ -2,21 +2,19 @@
 
 For each of three representative workloads this example (1) runs the full
 analysis pipeline, (2) prints the advisor's ranked recommendations, and
-(3) *quantifies* the recommended fixes with the what-if models:
+(3) *quantifies* the recommended fixes with the plan transforms (the same
+ones ``tbd sweep --transforms`` and ``tbd tune`` apply):
 
-- NMT: fuse RNN cells (repro.optimizations.fusion);
+- NMT: fuse RNN cells (``fused_rnn``);
 - Sockeye: offload feature maps to stretch the batch axis
-  (repro.optimizations.offload) and store maps in FP16
-  (repro.optimizations.precision);
-- ResNet-50: reinvest freed memory in depth (repro.optimizations.depth).
+  (``offload:<fraction>``) and store maps in FP16 (``fp16``);
+- ResNet-50: reinvest freed memory in depth (``depth:<conv4 blocks>``).
 """
 
 from repro.core.analysis import AnalysisPipeline
 from repro.core.recommendations import advise
-from repro.optimizations.depth import depth_for_batch_tradeoff
-from repro.optimizations.fusion import evaluate_fusion
-from repro.optimizations.offload import FeatureMapOffload
-from repro.optimizations.precision import HalfPrecisionStorage
+from repro.plan.pipeline import parse_transform_spec
+from repro.plan.transform import deepest_fitting_depth
 from repro.training.session import TrainingSession
 
 
@@ -39,42 +37,57 @@ def diagnose(model: str, framework: str, batch: int):
 def main() -> None:
     # 1. NMT: the advisor says "fuse RNN cells"; how much does it buy?
     diagnose("nmt", "tensorflow", 128)
-    fusion = evaluate_fusion(TrainingSession("nmt", "tensorflow"), 128)
+    session = TrainingSession("nmt", "tensorflow")
+    baseline = session.run_iteration(128)
+    fused = session.run_iteration(128, parse_transform_spec("fused_rnn"))
     print(
-        f"=> applying the fused-RNN rewrite: {fusion.baseline_throughput:.0f} "
-        f"-> {fusion.fused_throughput:.0f} sentences/s ({fusion.speedup:.2f}x), "
-        f"{fusion.baseline_kernel_count} -> {fusion.fused_kernel_count} kernels, "
-        f"GPU util {fusion.baseline_gpu_utilization * 100:.0f}% -> "
-        f"{fusion.fused_gpu_utilization * 100:.0f}%\n"
+        f"=> applying the fused-RNN rewrite: {baseline.throughput:.0f} "
+        f"-> {fused.throughput:.0f} sentences/s "
+        f"({fused.throughput / baseline.throughput:.2f}x), "
+        f"{len(baseline.kernel_timings)} -> {len(fused.kernel_timings)} kernels, "
+        f"GPU util {baseline.gpu_utilization * 100:.0f}% -> "
+        f"{fused.gpu_utilization * 100:.0f}%\n"
     )
 
     # 2. Sockeye: memory-bound at batch 64; stretch the axis two ways.
     diagnose("sockeye", "mxnet", 64)
     session = TrainingSession("sockeye", "mxnet")
-    offload = FeatureMapOffload(session)
-    plan = offload.plan(64, 0.6)
-    new_max = offload.max_batch_with_offload((64, 128, 256), 0.6)
-    print(
-        f"=> offloading 60% of feature maps: frees {plan.memory_saved_gib:.1f} GiB "
-        f"for {plan.throughput_cost_fraction * 100:.1f}% throughput; max batch "
-        f"64 -> {new_max}"
+    fp32 = session.compile(64)
+    candidates = (64, 128, 256)
+    offload = parse_transform_spec("offload:0.6")
+    offloaded = session.compile_transformed(64, offload)
+    cost = 1.0 - (
+        session.run_iteration(64, offload).throughput
+        / session.run_iteration(64).throughput
     )
-    half = HalfPrecisionStorage(session)
+    print(
+        f"=> offloading 60% of feature maps: footprint "
+        f"{fp32.memory.peak_total / 2**30:.1f} -> "
+        f"{offloaded.memory.peak_total / 2**30:.1f} GiB for {cost * 100:.1f}% "
+        f"throughput; max batch 64 -> "
+        f"{session.max_batch_size(candidates, pipeline=offload)}"
+    )
+    fp16 = parse_transform_spec("fp16")
+    halved = session.compile_transformed(64, fp16)
     print(
         f"=> FP16 map storage: footprint "
-        f"{half.plan(64).fp32_total_bytes / 2**30:.1f} -> "
-        f"{half.plan(64).fp16_total_bytes / 2**30:.1f} GiB; max batch "
-        f"64 -> {half.max_batch((64, 128, 256))}\n"
+        f"{fp32.memory.peak_total / 2**30:.1f} -> "
+        f"{halved.memory.peak_total / 2**30:.1f} GiB; max batch "
+        f"64 -> {session.max_batch_size(candidates, pipeline=fp16)}\n"
     )
 
     # 3. ResNet-50: throughput saturates at batch 32; spend memory on depth.
     diagnose("resnet-50", "mxnet", 32)
     print("=> Obs. 12 reinvestment: deepest residual net that fits per batch")
-    for plan in depth_for_batch_tradeoff(batches=(8, 16, 32, 64)):
+    session = TrainingSession("resnet-50", "mxnet")
+    for batch in (8, 16, 32, 64):
+        depth = parse_transform_spec(f"depth:{deepest_fitting_depth(session, batch)}")
+        plan = session.compile_transformed(batch, depth)
+        profile = session.run_iteration(batch, depth)
         print(
-            f"   b={plan.batch_size:<4d} {plan.name:12s} "
-            f"({plan.layer_count} layers, {plan.total_gib:.1f} GiB, "
-            f"{plan.throughput:.0f} img/s)"
+            f"   b={batch:<4d} {plan.graph.model_name:12s} "
+            f"({plan.memory.peak_total / 2**30:.1f} GiB, "
+            f"{profile.throughput:.0f} img/s)"
         )
 
 

@@ -40,9 +40,10 @@ class Subject:
 
 class PlanSubject(Subject):
     """One compiled plan measured through the noisy dispatch/execute
-    recurrence.  ``kernel_bias`` layers a deterministic slowdown on top of
-    whatever bias the noise model itself carries (their product is what
-    the executor sees) — the injected-regression probe."""
+    recurrence, plus the plan's offload stall (host-link traffic) on the
+    interconnect channel.  ``kernel_bias`` layers a deterministic slowdown
+    on top of whatever bias the noise model itself carries (their product
+    is what the executor sees) — the injected-regression probe."""
 
     def __init__(self, label: str, plan: CompiledPlan, kernel_bias: float = 1.0):
         super().__init__(label)
@@ -60,9 +61,13 @@ class PlanSubject(Subject):
         return self.plan.makespan_s * self.kernel_bias
 
     def measure(self, stream) -> float:
-        return makespan_under_noise(
+        makespan = makespan_under_noise(
             self._durations, self._host_syncs, self.plan.framework, stream
         )
+        stall = self.plan.execution.offload_stall_s
+        if stall:
+            makespan += stall * stream.interconnect_factor()
+        return makespan
 
     def describe(self) -> dict:
         doc = super().describe()

@@ -29,7 +29,10 @@ from repro.core.metrics import IterationMetrics
 from repro.hardware.memory import AllocationTag
 from repro.hardware.roofline import speed_of_light_time
 from repro.models.registry import get_model
-from repro.plan.transform import HalfPrecisionStorageTransform
+from repro.plan.transform import (
+    FeatureMapOffloadTransform,
+    HalfPrecisionStorageTransform,
+)
 
 #: Relative tolerance for comparisons that may reassociate float sums.
 REL_TOL = 1e-9
@@ -367,18 +370,24 @@ def _feature_maps_monotone_in_batch(ev: PointEvidence) -> list:
     return []
 
 
+#: Offload fractions the transform-conservation law walks, ascending.
+_OFFLOAD_LADDER = (0.0, 0.25, 0.5, 1.0)
+
+
 @_register(
     "transform-conservation",
     "point",
     "the FP16-storage transform preserves FLOPs and weight bytes while "
-    "never growing the feature-map peak",
+    "never growing the feature-map peak; offload at fraction 0 keeps the "
+    "baseline makespan, and a larger fraction never shortens the makespan "
+    "or grows the feature-map peak",
 )
 def _transform_conservation(ev: PointEvidence) -> list:
-    out = []
+    out = _offload_monotonicity(ev)
     try:
         rewritten = HalfPrecisionStorageTransform().apply(ev.plan)
     except Exception as exc:  # TransformContractError and friends
-        return [f"fp16-storage transform violated its contract: {exc}"]
+        return out + [f"fp16-storage transform violated its contract: {exc}"]
     if abs(rewritten.total_flops - ev.plan.total_flops) > REL_TOL * max(
         ev.plan.total_flops, 1.0
     ):
@@ -393,6 +402,38 @@ def _transform_conservation(ev: PointEvidence) -> list:
         out.append(
             f"fp16 storage grew the feature-map peak {before:.6e}B -> {after:.6e}B"
         )
+    return out
+
+
+def _offload_monotonicity(ev: PointEvidence) -> list:
+    try:
+        plans = [
+            FeatureMapOffloadTransform(fraction).apply(ev.plan)
+            for fraction in _OFFLOAD_LADDER
+        ]
+    except Exception as exc:  # TransformContractError and friends
+        return [f"feature-map-offload transform violated its contract: {exc}"]
+    out = []
+    if plans[0].makespan_s != ev.plan.makespan_s:
+        out.append(
+            f"offload:0 moved the makespan {ev.plan.makespan_s:.6e}s -> "
+            f"{plans[0].makespan_s:.6e}s"
+        )
+    tag = AllocationTag.FEATURE_MAPS
+    steps = list(zip(_OFFLOAD_LADDER, plans))
+    for (low, lighter), (high, heavier) in zip(steps, steps[1:]):
+        if heavier.makespan_s < lighter.makespan_s:
+            out.append(
+                f"offload makespan fell from {lighter.makespan_s:.6e}s at "
+                f"f={low:g} to {heavier.makespan_s:.6e}s at f={high:g}"
+            )
+        before = lighter.memory.peak_by_tag.get(tag, 0.0)
+        after = heavier.memory.peak_by_tag.get(tag, 0.0)
+        if after > before * (1.0 + REL_TOL) + BYTE_TOL:
+            out.append(
+                f"offload grew the feature-map peak from {before:.6e}B at "
+                f"f={low:g} to {after:.6e}B at f={high:g}"
+            )
     return out
 
 

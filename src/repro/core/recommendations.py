@@ -60,8 +60,8 @@ def _gpu_idle_rules(report) -> list:
                 priority=1,
                 rule="launch-bound recurrence",
                 advice="fuse RNN cells (cuDNN fused path) to eliminate "
-                "per-timestep host synchronization; see "
-                "repro.optimizations.fusion",
+                "per-timestep host synchronization; try "
+                "`tbd sweep --transforms fused_rnn` or `tbd tune`",
                 evidence=f"GPU idle {idle * 100:.0f}% with "
                 f"{sample.sync_s * 1e3:.0f} ms/iteration of host syncs",
             )
@@ -125,9 +125,11 @@ def _memory_rules(report) -> list:
                 priority=4,
                 rule="feature-map-dominated footprint",
                 advice="reduce training memory via feature-map offloading "
-                "(repro.optimizations.offload), recomputation, or FP16 "
-                "storage (repro.optimizations.precision) — weights-focused "
-                "compression will not help training",
+                "(`--transforms offload:<f>`), recomputation, or FP16 "
+                "storage (`--transforms fp16`), and reinvest what they free "
+                "in depth (`depth:<n>`); `tbd tune` searches the "
+                "combinations — weights-focused compression will not help "
+                "training",
                 evidence=f"feature maps hold {fraction * 100:.0f}% of the "
                 f"{report.memory.total_gib:.1f} GiB footprint",
             )

@@ -72,8 +72,9 @@ DIMENSION_CODE = {
         "hardware/cluster.py",
         "hardware/interconnect.py",
     ),
-    # The optimization rewrites a pipeline composes.
-    "transforms": ("optimizations",),
+    # The host link offload prices its transfers on (the rewrites
+    # themselves live in ``plan/``).
+    "transforms": ("hardware/interconnect.py",),
     # The schedule family/integrator and the convergence curves that
     # drive its segment boundaries.
     "schedule": ("schedule", "training/convergence.py"),
@@ -172,17 +173,27 @@ def _file_digest(path: str) -> str:
     return cached
 
 
-def _iter_code_files(entry: str):
-    """Yield package-relative paths of every source file under ``entry``."""
+def _iter_code_files(entry: str) -> list:
+    """Package-relative paths of every source file under ``entry``.
+
+    Raises:
+        FileNotFoundError: if ``entry`` names no source file — a stale
+            dependency entry would otherwise hash nothing and stop the
+            keys from tracking the code it was meant to cover.
+    """
     absolute = os.path.join(_PACKAGE_ROOT, entry)
     if os.path.isfile(absolute):
-        yield entry
-        return
-    if not os.path.isdir(absolute):
-        return
-    for name in sorted(os.listdir(absolute)):
-        if name.endswith(".py"):
-            yield f"{entry}/{name}"
+        return [entry]
+    files = []
+    if os.path.isdir(absolute):
+        files = [
+            f"{entry}/{name}"
+            for name in sorted(os.listdir(absolute))
+            if name.endswith(".py")
+        ]
+    if not files:
+        raise FileNotFoundError(f"code dependency {entry!r} names no source file")
+    return files
 
 
 def _module_relpath(module_name: str) -> str | None:

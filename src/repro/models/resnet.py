@@ -1,9 +1,10 @@
 """ResNet (He et al., 2016) — bottleneck residual networks.
 
-``build_resnet50`` is the TBD image-classification benchmark;
-``resnet_conv_stack`` exposes the convolution trunk so Faster R-CNN can
-reuse ResNet-101's stack as its shared feature extractor (paper Table 2,
-footnote a).
+``build_resnet50`` is the TBD image-classification benchmark, one depth
+of ``build_resnet_with_depth`` (the ``depth:<n>`` plan transform's
+builder); ``resnet_conv_stack`` exposes the convolution trunk so Faster
+R-CNN can reuse ResNet-101's stack as its shared feature extractor (paper
+Table 2, footnote a).
 """
 
 from __future__ import annotations
@@ -126,14 +127,26 @@ def resnet_conv_stack(
     return channels, h, w
 
 
-def build_resnet50(batch_size: int) -> LayerGraph:
-    """ResNet-50 on ImageNet-1K (224x224 inputs, 1000-way softmax)."""
+#: conv4 block count -> conventional name.
+_NAMED_DEPTHS = {6: "ResNet-50", 23: "ResNet-101", 36: "ResNet-152"}
+
+
+def build_resnet_with_depth(batch_size: int, conv4_blocks: int) -> LayerGraph:
+    """A bottleneck ImageNet classifier with a variable conv4 stage — the
+    axis along which ResNet-50 (6 blocks), ResNet-101 (23) and ResNet-152
+    (36) differ, and the one Observation 12 spends freed memory on."""
+    if conv4_blocks < 1:
+        raise ValueError("need at least one conv4 block")
+    # Weighted layers: 3 per bottleneck block, plus the stem conv and fc.
+    layer_count = 3 * (3 + 4 + conv4_blocks + 3) + 2
     graph = LayerGraph(
-        model_name="ResNet-50",
+        model_name=_NAMED_DEPTHS.get(conv4_blocks, f"ResNet-{layer_count}"),
         batch_size=batch_size,
         input_bytes=batch_size * _INPUT_ELEMENTS_PER_SAMPLE * 4,
     )
-    channels, h, w = resnet_conv_stack(graph, batch_size, 224, 224, RESNET_50_STAGES)
+    channels, h, w = resnet_conv_stack(
+        graph, batch_size, 224, 224, (3, 4, conv4_blocks, 3)
+    )
     graph.add(
         pool_layer(
             "global_avgpool",
@@ -145,24 +158,13 @@ def build_resnet50(batch_size: int) -> LayerGraph:
     graph.add(dense_layer("fc1000", batch_size, channels, _IMAGENET_CLASSES))
     graph.extra_kernels = softmax_cross_entropy_kernels(batch_size, _IMAGENET_CLASSES)
     return graph
+
+
+def build_resnet50(batch_size: int) -> LayerGraph:
+    """ResNet-50 on ImageNet-1K (224x224 inputs, 1000-way softmax)."""
+    return build_resnet_with_depth(batch_size, RESNET_50_STAGES[2])
 
 
 def build_resnet101(batch_size: int) -> LayerGraph:
     """ResNet-101 classifier (used standalone in the what-if examples)."""
-    graph = LayerGraph(
-        model_name="ResNet-101",
-        batch_size=batch_size,
-        input_bytes=batch_size * _INPUT_ELEMENTS_PER_SAMPLE * 4,
-    )
-    channels, h, w = resnet_conv_stack(graph, batch_size, 224, 224, RESNET_101_STAGES)
-    graph.add(
-        pool_layer(
-            "global_avgpool",
-            batch_size * channels * h * w,
-            batch_size * channels,
-            window=h * w,
-        )
-    )
-    graph.add(dense_layer("fc1000", batch_size, channels, _IMAGENET_CLASSES))
-    graph.extra_kernels = softmax_cross_entropy_kernels(batch_size, _IMAGENET_CLASSES)
-    return graph
+    return build_resnet_with_depth(batch_size, RESNET_101_STAGES[2])

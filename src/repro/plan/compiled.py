@@ -160,16 +160,18 @@ class CompiledPlan:
         """The unconstrained footprint snapshot (capacity-independent)."""
         return self.check_memory(float("inf"))
 
-    def with_allocations(self, allocations) -> "CompiledPlan":
-        """A sibling plan with a rewritten allocation trace (same kernel
-        stream and timeline) — how memory-only transforms derive plans."""
+    def with_allocations(self, allocations, execution=None) -> "CompiledPlan":
+        """A sibling plan with a rewritten allocation trace and the same
+        kernel stream — how memory transforms derive plans.  ``execution``
+        replaces the timeline when the rewrite also stalls the device
+        (offload's exposed transfers); by default it is kept."""
         return CompiledPlan(
             graph=self.graph,
             framework=self.framework,
             gpu=self.gpu,
             kernels=self.kernels,
             timings=self.timings,
-            execution=self.execution,
+            execution=self.execution if execution is None else execution,
             allocations=list(allocations),
             backward_spans=self.backward_spans,
         )

@@ -58,7 +58,7 @@ class Gap:
 
     start_s: float
     end_s: float
-    cause: str  # "dispatch" | "host sync" | "frontend"
+    cause: str  # "dispatch" | "host sync" | "frontend" | "offload"
 
     @property
     def duration_s(self) -> float:
@@ -111,12 +111,44 @@ class Timeline:
 
 @dataclass(frozen=True)
 class ExecutionReplay:
-    """One kernel stream's resolved execution on the simulated device."""
+    """One kernel stream's resolved execution on the simulated device.
+
+    ``offload_stall_s`` is GPU idle time waiting on offloaded feature maps
+    (see :func:`with_offload_stall`); it is already inside
+    ``makespan_s``."""
 
     timeline: Timeline
     makespan_s: float
     gpu_busy_s: float
     dispatch_cpu_s: float
+    offload_stall_s: float = 0.0
+
+
+def with_offload_stall(execution: ExecutionReplay, seconds: float) -> ExecutionReplay:
+    """``execution`` followed by ``seconds`` of GPU idle (cause
+    ``"offload"``): the host-link traffic of offloaded feature maps that
+    compute does not hide.  It adds no kernels, so the events, busy time
+    and dispatch CPU seconds carry over and no second replay is needed; a
+    zero stall returns ``execution`` itself."""
+    if seconds == 0.0:
+        return execution
+    timeline = execution.timeline
+    stall = Gap(
+        start_s=timeline.makespan_s,
+        end_s=timeline.makespan_s + seconds,
+        cause="offload",
+    )
+    return ExecutionReplay(
+        timeline=Timeline(
+            events=timeline.events,
+            gaps=[*timeline.gaps, stall],
+            makespan_s=timeline.makespan_s + seconds,
+        ),
+        makespan_s=execution.makespan_s + seconds,
+        gpu_busy_s=execution.gpu_busy_s,
+        dispatch_cpu_s=execution.dispatch_cpu_s,
+        offload_stall_s=execution.offload_stall_s + seconds,
+    )
 
 
 def replay(timings, framework: Framework, noise=None) -> ExecutionReplay:

@@ -137,7 +137,7 @@ _REGISTRY = {
         name="offload",
         rank=20,
         summary="vDNN-style feature-map offload of a stash <fraction> "
-        "(default 0.5) to host memory; timings untouched",
+        "(default 0.5) to host memory; pays its exposed PCIe transfers",
         arg_name="fraction",
         arg_type=float,
         arg_default=0.5,

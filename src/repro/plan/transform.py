@@ -3,7 +3,9 @@ rewrites with centrally-checked conservation contracts.
 
 Every optimization the paper's Section 4 discusses — fused RNN kernels,
 FP16 storage, deeper models in the freed memory, vDNN-style feature-map
-offloading — is a rewrite of a compiled plan.  Expressing them as
+offloading — is a rewrite of a compiled plan, and each transform here is
+the only model of its what-if: sweeps, the session, the autotuner and the
+A/B harness all read the same rewritten plan.  Expressing them as
 :class:`PlanTransform` subclasses buys two things: transforms compose
 (apply one transform's output to the next), and each one *declares*
 whether it preserves total FLOPs and total weight bytes, which
@@ -14,14 +16,21 @@ bug; :class:`TransformContractError` turns it into a loud one.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import replace
 
+from repro.graph.layer import LayerGraph
+from repro.hardware.interconnect import PCIE_3_X16
 from repro.hardware.memory import AllocationTag
+from repro.kernels.gemm import gemm
+import repro.kernels.rnn as rnn_kernels
+from repro.models.resnet import build_resnet_with_depth
 from repro.observability.tracer import trace_span
 
 from repro.plan import compiler
 from repro.plan.compiled import CompiledPlan
+from repro.plan.executor import with_offload_stall
 
 
 class TransformContractError(RuntimeError):
@@ -83,6 +92,93 @@ class PlanTransform:
             )
 
 
+#: Layer kinds the fused-RNN rewrite acts on.
+RECURRENT_KINDS = ("lstm", "gru", "rnn")
+_POINTWISE = {
+    "lstm": rnn_kernels.lstm_cell_pointwise,
+    "gru": rnn_kernels.gru_cell_pointwise,
+    "rnn": rnn_kernels.vanilla_rnn_pointwise,
+}
+
+
+def fuse_recurrent_layers(graph: LayerGraph) -> LayerGraph:
+    """Return a deep copy of ``graph`` with every recurrent layer fused.
+
+    cuDNN's fused RNN path, read from each recurrent layer's geometry
+    ``attributes``: the per-step ``gemm(b, g*h, input+h)`` GEMMs become one
+    ``gemm(b*T*D, g*h, input)`` input projection plus ``T*D`` recurrent
+    ``gemm(b, g*h, h)`` GEMMs, the per-step pointwise kernels merge into
+    one fused kernel per pass, and every ``host_sync`` flag disappears.
+    Total FLOPs are preserved; only launch granularity and synchronization
+    change.
+
+    Raises:
+        ValueError: if a recurrent layer lacks geometry attributes.
+    """
+    fused = copy.deepcopy(graph)
+    for layer in fused.layers:
+        if layer.kind not in RECURRENT_KINDS:
+            continue
+        geometry = layer.attributes
+        required = ("batch", "seq_len", "input_size", "hidden", "gates", "directions")
+        missing = [key for key in required if key not in geometry]
+        if missing:
+            raise ValueError(
+                f"recurrent layer {layer.name!r} lacks geometry {missing}"
+            )
+        batch = geometry["batch"]
+        steps = geometry["seq_len"] * geometry["directions"]
+        input_size = geometry["input_size"]
+        hidden = geometry["hidden"]
+        gh = geometry["gates"] * hidden
+        pointwise = _POINTWISE[layer.kind]
+
+        forward = [
+            # One big input projection across all timesteps and directions…
+            gemm(batch * steps, gh, input_size, name="cudnn_rnn_fused_input_sgemm"),
+        ]
+        # …then back-to-back recurrent GEMMs with no host round trips…
+        forward.extend(
+            gemm(batch, gh, hidden, name="cudnn_rnn_fused_recurrent_sgemm")
+            for _ in range(steps)
+        )
+        # …and one fused pointwise kernel covering every step.
+        forward.append(pointwise(batch * steps, hidden, backward=False))
+
+        backward = [pointwise(batch * steps, hidden, backward=True)]
+        backward.extend(
+            gemm(batch, hidden, gh, name="cudnn_rnn_fused_recurrent_sgemm_bw")
+            for _ in range(steps)
+        )
+        backward.append(
+            gemm(
+                batch * steps, input_size, gh, name="cudnn_rnn_fused_input_sgemm_bw"
+            )
+        )
+        backward.append(
+            gemm(
+                input_size + hidden,
+                gh,
+                batch * steps,
+                name="cudnn_rnn_fused_wgrad_sgemm",
+            )
+        )
+        layer.forward_kernels = forward
+        layer.backward_kernels = backward
+    # Any stray host syncs outside recurrent layers are cleared too: the
+    # fused path keeps the whole iteration on-device.
+    for layer in fused.layers:
+        layer.forward_kernels = [
+            replace(k, host_sync=False) if k.host_sync else k
+            for k in layer.forward_kernels
+        ]
+        layer.backward_kernels = [
+            replace(k, host_sync=False) if k.host_sync else k
+            for k in layer.backward_kernels
+        ]
+    return fused
+
+
 class FusedRNNTransform(PlanTransform):
     """cuDNN-style fused RNN rewrite: same FLOPs, coarser launches, no
     host round-trips (the paper's top LSTM recommendation)."""
@@ -90,8 +186,6 @@ class FusedRNNTransform(PlanTransform):
     name = "fused-rnn"
 
     def rewrite(self, plan: CompiledPlan) -> CompiledPlan:
-        from repro.optimizations.fusion import fuse_recurrent_layers
-
         return compiler.compile_graph(
             fuse_recurrent_layers(plan.graph), plan.framework, plan.gpu
         )
@@ -122,11 +216,20 @@ class HalfPrecisionStorageTransform(PlanTransform):
 
 
 class FeatureMapOffloadTransform(PlanTransform):
-    """vDNN-style offload of a stash fraction to host memory: kernels and
-    timings untouched, the allocation trace replaced by the reduced replay
-    (offloaded maps gone, staging spilled, optimizer state dynamic)."""
+    """vDNN-style offload of a stash fraction to host memory (Rhu et al.,
+    MICRO'16).  The allocation trace is replaced by the reduced replay
+    (offloaded maps gone, staging spilled, optimizer state dynamic), and
+    the offloaded maps cross the host link twice per iteration (out after
+    the forward pass, back before the backward pass).  Kernels and their
+    timings are untouched; the part of that traffic compute does not hide
+    is appended to the timeline as an ``"offload"`` stall."""
 
     name = "feature-map-offload"
+    #: The host link the offloaded maps travel over.
+    link = PCIE_3_X16
+    #: Fraction of offload traffic hidden behind compute (vDNN overlaps
+    #: its prefetches with the convolution stream).
+    overlap = 0.7
 
     def __init__(self, offload_fraction: float):
         try:
@@ -141,11 +244,20 @@ class FeatureMapOffloadTransform(PlanTransform):
             )
         self.offload_fraction = offload_fraction
 
+    def exposed_transfer_s(self, graph: LayerGraph) -> float:
+        """Seconds of offload traffic per iteration that compute does not
+        hide."""
+        traffic = 2.0 * graph.total_feature_map_bytes * self.offload_fraction
+        return self.link.transfer_time(traffic) * (1.0 - self.overlap)
+
     def rewrite(self, plan: CompiledPlan) -> CompiledPlan:
         return plan.with_allocations(
             compiler.reduced_offload_allocations(
                 plan.graph, plan.framework, self.offload_fraction
-            )
+            ),
+            execution=with_offload_stall(
+                plan.execution, self.exposed_transfer_s(plan.graph)
+            ),
         )
 
 
@@ -171,10 +283,30 @@ class ResNetDepthTransform(PlanTransform):
         self.conv4_blocks = conv4_blocks
 
     def rewrite(self, plan: CompiledPlan) -> CompiledPlan:
-        from repro.optimizations.depth import build_resnet_with_depth
-
         return compiler.compile_graph(
             build_resnet_with_depth(plan.graph.batch_size, self.conv4_blocks),
             plan.framework,
             plan.gpu,
         )
+
+
+#: Deepest conv4 stage the depth search tries (ResNet-212).
+_MAX_CONV4_BLOCKS = 60
+
+
+def deepest_fitting_depth(session, batch_size: int) -> int:
+    """The largest conv4 block count, from stock ResNet-50's 6 up to
+    :data:`_MAX_CONV4_BLOCKS`, whose network fits ``session``'s GPU at
+    ``batch_size`` — Observation 12's "how deep at this batch?".  Returns 0
+    when not even ResNet-50 fits."""
+    from repro.plan.pipeline import parse_transform_spec
+
+    best = 0
+    for blocks in range(6, _MAX_CONV4_BLOCKS + 1):
+        plan = session.compile_transformed(
+            batch_size, parse_transform_spec(f"depth:{blocks}")
+        )
+        if not plan.fits(session.gpu.memory_bytes):
+            break
+        best = blocks
+    return best

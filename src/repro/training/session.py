@@ -32,7 +32,6 @@ from repro.data.pipeline import DataPipelineModel
 from repro.data.registry import get_dataset
 from repro.frameworks.base import Framework
 from repro.frameworks.registry import get_framework
-from repro.graph.layer import LayerGraph
 from repro.hardware.devices import CPUSpec, GPUSpec, QUADRO_P4000, XEON_E5_2680
 from repro.hardware.memory import OutOfMemoryError
 from repro.hardware.roofline import RooflineModel
@@ -50,8 +49,6 @@ from repro.plan.compiled import CompiledPlan
 GRADIENT_MAP_FACTOR = 0.10
 #: Host-side staging buffers (double-buffered input batches).
 _INPUT_STAGING_BUFFERS = 2
-
-_RECURRENT_KINDS = ("lstm", "gru", "rnn")
 
 
 @dataclass
@@ -201,11 +198,6 @@ class TrainingSession:
             roofline=self._roofline,
         )
 
-    def _iteration_kernels(self, graph: LayerGraph) -> list:
-        """The specialized kernel stream of one iteration (delegates to
-        the plan compiler's lowering)."""
-        return plan_compiler.lower_kernels(graph, self.framework)
-
     # ------------------------------------------------------------------
     # memory
     # ------------------------------------------------------------------
@@ -292,22 +284,6 @@ class TrainingSession:
                 plan, memory=memory, display_name=self.spec.display_name
             )
 
-    def simulate_graph(
-        self,
-        graph: LayerGraph,
-        memory=None,
-        display_name: str | None = None,
-    ) -> IterationProfile:
-        """Compile and execute an arbitrary (possibly transformed) layer
-        graph under this session's framework/device — the hook ad-hoc
-        graph rewrites use.  Bypasses the plan cache: callers with a
-        cacheable graph should go through :meth:`compile` +
-        :meth:`execute_plan` instead."""
-        plan = plan_compiler.compile_graph(
-            graph, self.framework, self.gpu, roofline=self._roofline
-        )
-        return self.execute_plan(plan, memory=memory, display_name=display_name)
-
     def execute_plan(
         self,
         plan: CompiledPlan,
@@ -369,8 +345,12 @@ class TrainingSession:
             memory=memory,
         )
 
-    def max_batch_size(self, candidates=None, *, search: bool = False) -> int:
-        """Largest sweep batch size that fits in GPU memory.
+    def max_batch_size(
+        self, candidates=None, *, search: bool = False, pipeline=()
+    ) -> int:
+        """Largest sweep batch size that fits in GPU memory, under a
+        :class:`~repro.plan.pipeline.TransformPipeline` when one is given
+        (FP16 storage or offload stretch the batch axis).
 
         The default path bisects the sorted candidates with
         :meth:`profile_memory`: memory footprints are nondecreasing in
@@ -384,20 +364,23 @@ class TrainingSession:
         if search:
             best = 0
             for batch in sizes:
-                if not self._fits(batch):
+                if not self._fits(batch, pipeline):
                     break
                 best = batch
             return best
         lo, hi = -1, len(sizes)  # sizes[lo] fits (or none); sizes[hi] does not
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self._fits(sizes[mid]):
+            if self._fits(sizes[mid], pipeline):
                 lo = mid
             else:
                 hi = mid
         return sizes[lo] if lo >= 0 else 0
 
-    def _fits(self, batch) -> bool:
+    def _fits(self, batch, pipeline) -> bool:
+        if pipeline:
+            plan = self.compile_transformed(batch, pipeline)
+            return plan.fits(self.gpu.memory_bytes)
         try:
             self.profile_memory(batch)
         except OutOfMemoryError:

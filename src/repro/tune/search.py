@@ -36,17 +36,17 @@ from repro.models.registry import ModelSpec, get_model
 from repro.observability.metrics import get_metrics
 from repro.observability.tracer import trace_span
 from repro.plan.pipeline import parse_transform_spec
+from repro.plan.transform import RECURRENT_KINDS
 from repro.training.session import TrainingSession
 
 #: Offload stash fractions the search tries (coarse ladder: a light and a
-#: heavy stash; finer fractions move peak bytes, not makespan).
+#: heavy stash).  Every fraction costs exposed PCIe time, so the search
+#: picks offload only when a faster candidate needs the memory it frees.
 OFFLOAD_FRACTIONS = (0.25, 0.5)
 #: Conv4 block counts the depth search tries (the paper's Observation 12
 #: reinvests freed memory in depth; 6 is stock ResNet-50, 23 is
 #: ResNet-101, 36 is ResNet-152).
 DEPTH_BLOCKS = (23, 36)
-#: Layer kinds the fused-RNN rewrite can act on.
-_RECURRENT_KINDS = ("lstm", "gru", "rnn")
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ class Autotuner:
         excluding the empty combination.  Families are emitted in
         canonical rank order, so the joined text is already normalized."""
         graph = self._session.compile(self.batch_size).graph
-        recurrent = any(layer.kind in _RECURRENT_KINDS for layer in graph.layers)
+        recurrent = any(layer.kind in RECURRENT_KINDS for layer in graph.layers)
         residual = self.spec.key.startswith("resnet")
         families = [
             ["", "fused_rnn"] if recurrent else [""],

@@ -21,7 +21,6 @@ _PACKAGES = [
     "repro.training",
     "repro.distributed",
     "repro.profiling",
-    "repro.optimizations",
     "repro.experiments",
     "repro.tensor",
 ]

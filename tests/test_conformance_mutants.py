@@ -2,10 +2,10 @@
 
 Each test monkeypatches one deliberate bug into the simulator (a
 mis-scaled roofline, an inflated memory snapshot, a fudged throughput, a
-comm-overlap factor above one), then asserts that *exactly* the intended
-invariant fires — no more, no less — and that the shrinker reduces the
-counterexample to the minimal spec: simplest model, smallest ladder
-batch, no faults, default GPU.
+comm-overlap or offload-overlap factor above one), then asserts that
+*exactly* the intended invariant fires — no more, no less — and that the
+shrinker reduces the counterexample to the minimal spec: simplest model,
+smallest ladder batch, no faults, default GPU.
 
 Every runner here uses ``jobs=1`` and ``cache=None``: patches are not
 visible to pool workers, and a warm cache would mask the injected bug.
@@ -23,6 +23,7 @@ import repro.distributed.data_parallel as data_parallel
 import repro.hardware.memory as hwmem
 import repro.hardware.roofline as roofline
 import repro.plan.symbolic as plan_symbolic
+import repro.plan.transform as plan_transform
 from repro.conformance import ConformanceRunner, invariant_registry, shrink
 from repro.conformance.generator import simplicity_order
 from repro.engine.executor import PointSpec
@@ -119,6 +120,13 @@ def _patch_rank_order(monkeypatch):
     )
 
 
+def _patch_offload_overlap(monkeypatch):
+    """Bug class: offload hides more traffic than it moves (overlap above
+    one), so its priced PCIe time goes negative and offloading more makes
+    the iteration faster."""
+    monkeypatch.setattr(plan_transform.FeatureMapOffloadTransform, "overlap", 1.5)
+
+
 def _patch_analytic_fits(monkeypatch):
     """Bug class: the analytic memory model declares every batch an OOM,
     while the searched oracle still compiles and fits."""
@@ -161,6 +169,11 @@ class TestPointMutants:
         _patch_metrics(monkeypatch)
         fired = _fired_point(PointSpec("resnet-50", "mxnet", 32, ""))
         assert fired == ["throughput-identity"]
+
+    def test_offload_overlap_mutant(self, monkeypatch):
+        _patch_offload_overlap(monkeypatch)
+        fired = _fired_point(PointSpec("resnet-50", "mxnet", 32, ""))
+        assert fired == ["transform-conservation"]
 
     def test_rank_order_mutant(self, monkeypatch):
         # Inverted ranking crowns the slow depth:36 pipeline on a residual
@@ -251,7 +264,7 @@ class TestShrinker:
         assert gpu == "p4000"
         assert runner.violates("analytic-oom-agreement", minimal, gpu)
 
-    def test_rank_order_mutant_shrinks_to_smallest_resnet(self, monkeypatch):
+    def test_rank_order_mutant_shrinks_to_minimal_spec(self, monkeypatch):
         _patch_rank_order(monkeypatch)
         runner = _fresh_runner()
         start = PointSpec(
@@ -263,13 +276,13 @@ class TestShrinker:
             "titan xp",
             lambda spec, g: runner.violates("tuned-config-dominance", spec, g),
         )
-        # The depth rewrite only applies to residual networks, so the
-        # model leg cannot shrink away from resnet-50 (the inverted order
-        # is harmless where every candidate matches the baseline's
-        # makespan); everything else minimizes.
-        assert minimal.model == "resnet-50"
-        assert minimal.framework == get_model("resnet-50").frameworks[0]
-        assert minimal.batch_size == min(get_model("resnet-50").batch_sizes)
+        # Offload candidates cost PCIe time on every model, so the
+        # inverted order crowns a slower pipeline everywhere and every leg
+        # minimizes.
+        simplest = simplicity_order()[0]
+        assert minimal.model == simplest
+        assert minimal.framework == get_model(simplest).frameworks[0]
+        assert minimal.batch_size == min(get_model(simplest).batch_sizes)
         assert minimal.faults == ""
         assert gpu == "p4000"
         assert runner.violates("tuned-config-dominance", minimal, gpu)

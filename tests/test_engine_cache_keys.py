@@ -20,11 +20,14 @@ carries the same fields, with each scenario dimension's canonical text.
 """
 
 import dataclasses
+import os
 import random
 
 import pytest
 
+import repro.engine.keys as keys_module
 from repro.engine.keys import (
+    CORE_CODE,
     DIMENSION_CODE,
     KEY_SCHEMA,
     canonical_json,
@@ -287,3 +290,34 @@ class TestOneDocumentShape:
         assert document["code"] == code_fingerprint("repro.models.seq2seq", ("schedule",))
         plain = key_document("nmt", "tensorflow", 16, schedule="fixed")
         assert plain["code"] == code_fingerprint("repro.models.seq2seq")
+
+
+class TestCodeDependencyCoverage:
+    """Every dependency entry must name real source files, and the host
+    link offload prices its transfers on is part of transformed keys."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_digests(self):
+        keys_module.clear_fingerprint_caches()
+        yield
+        keys_module.clear_fingerprint_caches()
+
+    def test_editing_interconnect_moves_offload_keys_only(self, monkeypatch):
+        offload_before = point_key("resnet-50", "mxnet", 16, transforms="offload:0.5")
+        plain_before = point_key("resnet-50", "mxnet", 16)
+        path = os.path.join(keys_module._PACKAGE_ROOT, "hardware", "interconnect.py")
+        monkeypatch.setitem(keys_module._FILE_DIGESTS, path, "0" * 64)
+        keys_module._CODE_FINGERPRINTS.clear()
+        assert point_key("resnet-50", "mxnet", 16, transforms="offload:0.5") != (
+            offload_before
+        )
+        assert point_key("resnet-50", "mxnet", 16) == plain_before
+
+    @pytest.mark.parametrize("table", ("CORE_CODE", "DIMENSION_CODE"))
+    def test_entry_naming_no_file_raises(self, monkeypatch, table):
+        if table == "CORE_CODE":
+            monkeypatch.setattr(keys_module, "CORE_CODE", CORE_CODE + ("bogus",))
+        else:
+            monkeypatch.setitem(DIMENSION_CODE, "transforms", ("bogus.py",))
+        with pytest.raises(FileNotFoundError, match="bogus"):
+            code_fingerprint("repro.models.resnet", ("transforms",))

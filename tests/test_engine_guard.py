@@ -217,13 +217,13 @@ class TestOneCompilePerPoint:
         assert len(counted_compiles) >= len(counted_builds)
 
     def test_optimization_whatifs_reuse_the_session_plan(self, counted_builds):
-        from repro.optimizations.offload import FeatureMapOffload
+        from repro.plan.pipeline import parse_transform_spec
 
         session = TrainingSession("resnet-50", "mxnet")
-        offload = FeatureMapOffload(session)
-        offload.plan(16, 0.5)
+        session.run_iteration(16, parse_transform_spec("offload:0.5"))
         assert len(counted_builds) == 1
-        offload.plan(16, 0.8)  # same batch: cached plan, no recompile
+        # Same batch: the cached base plan, no recompile.
+        session.run_iteration(16, parse_transform_spec("offload:0.8"))
         assert len(counted_builds) == 1
 
 

@@ -1,77 +1,191 @@
-"""Unit and behaviour tests for the optimization what-ifs."""
+"""The paper's optimization what-ifs, asked through the plan transforms and
+the session: offload, FP16 storage, fused RNN cells, depth for batch."""
 
 import pytest
 
-from repro.optimizations.depth import (
-    build_resnet_with_depth,
-    deepest_resnet_that_fits,
-    depth_for_batch_tradeoff,
+from repro.bench.noise import NoiseModel
+from repro.bench.subjects import subject_for
+from repro.hardware.interconnect import PCIE_3_X16
+from repro.hardware.memory import AllocationTag
+from repro.models.resnet import build_resnet_with_depth
+from repro.plan.pipeline import parse_transform_spec
+from repro.plan.transform import (
+    FeatureMapOffloadTransform,
+    deepest_fitting_depth,
+    fuse_recurrent_layers,
 )
-from repro.optimizations.fusion import evaluate_fusion, fuse_recurrent_layers
-from repro.optimizations.offload import FeatureMapOffload
-from repro.optimizations.precision import HalfPrecisionStorage
 from repro.training.session import TrainingSession
+from repro.tune.search import Autotuner
+
+OFFLOAD_FRACTIONS = (0.0, 0.25, 0.5, 0.8, 1.0)
+#: (model, framework, batch) points the offload differential covers.
+OFFLOAD_POINTS = (
+    ("sockeye", "mxnet", 64),
+    ("nmt", "tensorflow", 64),
+    ("resnet-50", "mxnet", 32),
+)
+
+
+def _offload(fraction):
+    return parse_transform_spec(f"offload:{fraction}")
+
+
+def _feature_maps(plan):
+    return plan.memory.peak_by_tag[AllocationTag.FEATURE_MAPS]
+
+
+def reference_exposed_transfer_s(graph, fraction):
+    """The offload price of the retired ``FeatureMapOffload.plan`` helper:
+    both directions over PCIe 3.0 x16, 70 % hidden behind compute."""
+    transfer = 2.0 * graph.total_feature_map_bytes * fraction
+    return PCIE_3_X16.transfer_time(transfer) * (1.0 - 0.7)
 
 
 class TestFeatureMapOffload:
     @pytest.fixture(scope="class")
-    def offload(self):
-        return FeatureMapOffload(TrainingSession("sockeye", "mxnet"))
+    def session(self):
+        return TrainingSession("sockeye", "mxnet")
 
-    def test_memory_saved_scales_with_fraction(self, offload):
-        half = offload.plan(64, 0.5)
-        full = offload.plan(64, 1.0)
-        assert full.gpu_memory_saved_bytes == pytest.approx(
-            2 * half.gpu_memory_saved_bytes
+    def test_memory_saved_scales_with_fraction(self, session):
+        kept = _feature_maps(session.compile_transformed(64, _offload(0.0)))
+        half = kept - _feature_maps(session.compile_transformed(64, _offload(0.5)))
+        full = kept - _feature_maps(session.compile_transformed(64, _offload(1.0)))
+        assert full == pytest.approx(2 * half)
+
+    def test_zero_fraction_is_free(self, session):
+        plan = session.compile_transformed(64, _offload(0.0))
+        assert plan.makespan_s == session.compile(64).makespan_s
+        offloaded = session.run_iteration(64, _offload(0.0))
+        assert offloaded.throughput == pytest.approx(
+            session.run_iteration(64).throughput
         )
 
-    def test_zero_fraction_is_free(self, offload):
-        plan = offload.plan(64, 0.0)
-        assert plan.gpu_memory_saved_bytes == 0.0
-        assert plan.throughput == pytest.approx(plan.baseline_throughput)
-
-    def test_throughput_cost_is_modest_over_pcie(self, offload):
+    def test_throughput_cost_is_modest_over_pcie(self, session):
         """vDNN's result: offloading costs little because PCIe transfers
         overlap with compute."""
-        plan = offload.plan(64, 0.8)
-        assert 0.0 < plan.throughput_cost_fraction < 0.25
+        baseline = session.run_iteration(64).throughput
+        offloaded = session.run_iteration(64, _offload(0.8)).throughput
+        assert 0.0 < 1.0 - offloaded / baseline < 0.25
 
-    def test_offload_raises_the_memory_ceiling(self, offload):
+    def test_offload_raises_the_memory_ceiling(self, session):
         """Sockeye tops out at batch 64 (paper); offloading most feature
         maps lets larger batches fit."""
-        baseline_max = TrainingSession("sockeye", "mxnet").max_batch_size(
-            (16, 32, 64, 128, 256)
-        )
-        offload_max = offload.max_batch_with_offload((16, 32, 64, 128, 256), 0.6)
+        candidates = (16, 32, 64, 128, 256)
+        baseline_max = session.max_batch_size(candidates)
+        offload_max = session.max_batch_size(candidates, pipeline=_offload(0.6))
         assert baseline_max == 64
         assert offload_max > baseline_max
 
-    def test_fraction_validation(self, offload):
+    def test_fraction_validation(self):
         with pytest.raises(ValueError):
-            offload.plan(64, 1.5)
+            FeatureMapOffloadTransform(1.5)
+        with pytest.raises(ValueError):
+            parse_transform_spec("offload:1.5")
 
-    def test_fits_true_for_small_batch(self, offload):
-        assert offload.fits(16, 0.0)
+    def test_fits_true_for_small_batch(self, session):
+        assert session.compile_transformed(16, _offload(0.0)).fits(
+            session.gpu.memory_bytes
+        )
+
+    def test_timeline_attributes_the_stall_to_offload(self, session):
+        plan = session.compile_transformed(64, _offload(0.5))
+        expected = reference_exposed_transfer_s(plan.graph, 0.5)
+        assert plan.timeline.idle_by_cause()["offload"] == pytest.approx(expected)
+        assert plan.execution.offload_stall_s == pytest.approx(expected)
+        assert "offload" not in session.compile(64).timeline.idle_by_cause()
+
+
+class TestOneOffloadModel:
+    """Every consumer prices offload with the same number, and that number
+    is the retired helper's formula."""
+
+    @pytest.fixture(scope="class")
+    def sessions(self):
+        return {
+            (model, framework): TrainingSession(model, framework)
+            for model, framework, _batch in OFFLOAD_POINTS
+        }
+
+    @pytest.fixture(scope="class")
+    def tuners(self):
+        return {
+            (model, framework): Autotuner(model, framework, batch_size=batch)
+            for model, framework, batch in OFFLOAD_POINTS
+        }
+
+    @pytest.mark.parametrize("fraction", OFFLOAD_FRACTIONS)
+    @pytest.mark.parametrize("model,framework,batch", OFFLOAD_POINTS)
+    def test_iteration_time_is_baseline_plus_reference_transfer(
+        self, sessions, model, framework, batch, fraction
+    ):
+        session = sessions[model, framework]
+        baseline = session.run_iteration(batch)
+        offloaded = session.run_iteration(batch, _offload(fraction))
+        exposed = reference_exposed_transfer_s(session.compile(batch).graph, fraction)
+        assert offloaded.iteration_time_s == pytest.approx(
+            baseline.iteration_time_s + exposed, rel=1e-9, abs=0.0
+        )
+
+    @pytest.mark.parametrize("fraction", OFFLOAD_FRACTIONS)
+    @pytest.mark.parametrize("model,framework,batch", OFFLOAD_POINTS)
+    def test_tuner_session_and_ab_subject_agree_exactly(
+        self, sessions, tuners, model, framework, batch, fraction
+    ):
+        spec = parse_transform_spec(f"offload:{fraction}").canonical
+        candidate = tuners[model, framework]._score(spec)
+        plan = sessions[model, framework].compile_transformed(batch, _offload(fraction))
+        subject = subject_for(f"pipeline:{spec}", model, framework, batch)
+        assert candidate.makespan_s == plan.makespan_s == subject.noiseless_s
+        # The A/B measurement pays the same stall: with every jitter off it
+        # reproduces the noiseless makespan.
+        quiet = NoiseModel(
+            kernel_jitter=0.0, dispatch_jitter=0.0, interconnect_jitter=0.0,
+            run_jitter=0.0,
+        )
+        assert subject.measure(quiet.stream(0)) == pytest.approx(
+            subject.noiseless_s, rel=1e-12
+        )
 
 
 class TestHalfPrecision:
     @pytest.fixture(scope="class")
-    def half(self):
-        return HalfPrecisionStorage(TrainingSession("resnet-50", "mxnet"))
+    def session(self):
+        return TrainingSession("resnet-50", "mxnet")
 
-    def test_saving_close_to_half_of_feature_maps(self, half):
-        plan = half.plan(32)
-        assert plan.fp16_feature_map_bytes == pytest.approx(
-            0.5 * plan.fp32_feature_map_bytes
-        )
-        assert 0.25 < plan.total_saving_fraction < 0.55
+    def test_saving_close_to_half_of_feature_maps(self, session):
+        fp32 = session.compile(32)
+        fp16 = session.compile_transformed(32, parse_transform_spec("fp16"))
+        assert _feature_maps(fp16) == pytest.approx(0.5 * _feature_maps(fp32))
+        saving = 1.0 - fp16.memory.peak_total / fp32.memory.peak_total
+        assert 0.25 < saving < 0.55
 
-    def test_fp16_raises_max_batch(self, half):
-        fp32_max = TrainingSession("resnet-50", "mxnet").max_batch_size(
-            (32, 64, 128, 256)
+    def test_fp16_raises_max_batch(self, session):
+        candidates = (32, 64, 128, 256)
+        fp32_max = session.max_batch_size(candidates)
+        fp16_max = session.max_batch_size(
+            candidates, pipeline=parse_transform_spec("fp16")
         )
-        fp16_max = half.max_batch((32, 64, 128, 256))
         assert fp16_max > fp32_max
+
+    @pytest.mark.parametrize(
+        "model,framework,expected",
+        (
+            ("sockeye", "mxnet", 128),
+            ("resnet-50", "mxnet", 128),
+            ("nmt", "tensorflow", 256),
+            ("inception-v3", "tensorflow", 64),
+            ("deep-speech-2", "mxnet", 8),
+            ("transformer", "tensorflow", 512),
+        ),
+    )
+    def test_fp16_max_batch_matches_the_retired_helper(
+        self, model, framework, expected
+    ):
+        session = TrainingSession(model, framework)
+        candidates = (8, 16, 32, 64, 128, 256, 512)
+        fp16 = parse_transform_spec("fp16")
+        assert session.max_batch_size(candidates, pipeline=fp16) == expected
+        assert session.max_batch_size(candidates, search=True, pipeline=fp16) == expected
 
 
 class TestFusedRNN:
@@ -98,15 +212,17 @@ class TestFusedRNN:
     def test_fusion_speeds_up_lstm_models(self, session):
         """The paper's recommendation pays off: the launch/sync overhead the
         simulator attributes to dynamic_rnn disappears."""
-        result = evaluate_fusion(session, 64)
-        assert result.speedup > 1.3
-        assert result.fused_gpu_utilization > result.baseline_gpu_utilization
+        baseline = session.run_iteration(64)
+        fused = session.run_iteration(64, parse_transform_spec("fused_rnn"))
+        assert fused.throughput / baseline.throughput > 1.3
+        assert fused.gpu_utilization > baseline.gpu_utilization
 
     def test_fusion_is_noop_for_cnns(self):
         session = TrainingSession("resnet-50", "mxnet")
-        result = evaluate_fusion(session, 16)
-        assert result.speedup == pytest.approx(1.0, rel=1e-6)
-        assert result.fused_kernel_count == result.baseline_kernel_count
+        baseline = session.run_iteration(16)
+        fused = session.run_iteration(16, parse_transform_spec("fused_rnn"))
+        assert fused.throughput / baseline.throughput == pytest.approx(1.0, rel=1e-6)
+        assert len(fused.kernel_timings) == len(baseline.kernel_timings)
 
     def test_original_graph_untouched(self, session):
         graph = session.spec.build(16)
@@ -123,6 +239,10 @@ class TestFusedRNN:
 
 
 class TestDepthTradeoff:
+    @pytest.fixture(scope="class")
+    def session(self):
+        return TrainingSession("resnet-50", "mxnet")
+
     def test_variable_depth_builder(self):
         shallow = build_resnet_with_depth(4, 6)
         deep = build_resnet_with_depth(4, 23)
@@ -134,18 +254,20 @@ class TestDepthTradeoff:
         with pytest.raises(ValueError):
             build_resnet_with_depth(4, 0)
 
-    def test_smaller_batch_allows_deeper_network(self):
-        at_32 = deepest_resnet_that_fits(32)
-        at_8 = deepest_resnet_that_fits(8)
-        assert at_8.conv4_blocks > at_32.conv4_blocks
-        assert at_32.conv4_blocks >= 23  # at least ResNet-101 at batch 32
+    def test_smaller_batch_allows_deeper_network(self, session):
+        at_32 = deepest_fitting_depth(session, 32)
+        at_8 = deepest_fitting_depth(session, 8)
+        assert at_8 > at_32
+        assert at_32 >= 23  # at least ResNet-101 at batch 32
 
-    def test_tradeoff_table_monotone(self):
-        plans = depth_for_batch_tradeoff(batches=(8, 16, 32))
-        depths = [plan.conv4_blocks for plan in plans]
+    def test_tradeoff_table_monotone(self, session):
+        depths = [deepest_fitting_depth(session, batch) for batch in (8, 16, 32)]
         assert depths == sorted(depths, reverse=True)
 
-    def test_plan_carries_throughput(self):
-        plan = deepest_resnet_that_fits(16)
-        assert plan.throughput > 0
-        assert plan.total_gib < 8.0
+    def test_plan_carries_throughput(self, session):
+        depth = parse_transform_spec(f"depth:{deepest_fitting_depth(session, 16)}")
+        assert session.run_iteration(16, depth).throughput > 0
+        assert session.compile_transformed(16, depth).memory.peak_total / 2**30 < 8.0
+
+    def test_nothing_fits_is_zero(self, session):
+        assert deepest_fitting_depth(session, 4096) == 0

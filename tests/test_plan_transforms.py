@@ -90,7 +90,8 @@ class TestFeatureMapOffload:
     def test_keeps_kernels_and_timings(self, resnet_plan):
         offloaded = FeatureMapOffloadTransform(0.5).apply(resnet_plan)
         assert offloaded.kernels is resnet_plan.kernels
-        assert offloaded.makespan_s == resnet_plan.makespan_s
+        assert offloaded.timings is resnet_plan.timings
+        assert offloaded.makespan_s > resnet_plan.makespan_s
 
 
 class TestResNetDepth:

@@ -12,7 +12,7 @@ from repro.hardware.devices import QUADRO_P4000
 from repro.hardware.energy import energy_profile
 from repro.hardware.roofline import RooflineModel
 from repro.kernels.base import Kernel, KernelCategory
-from repro.optimizations.fusion import fuse_recurrent_layers
+from repro.plan.transform import fuse_recurrent_layers
 from repro.profiling.timeline import build_timeline
 from repro.training.session import TrainingSession
 

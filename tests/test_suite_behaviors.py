@@ -135,29 +135,15 @@ class TestMetricRecords:
 
 
 class TestSessionEdges:
-    def test_simulate_graph_matches_run_iteration(self):
-        session = TrainingSession("inception-v3", "cntk")
-        graph = session.spec.build(16)
-        direct = session.simulate_graph(graph)
-        full = session.run_iteration(16)
-        assert direct.iteration_time_s == pytest.approx(full.iteration_time_s)
-        assert direct.memory is None and full.memory is not None
-
-    def test_display_name_override(self):
-        session = TrainingSession("resnet-50", "mxnet")
-        graph = session.spec.build(8)
-        profile = session.simulate_graph(graph, display_name="custom")
-        assert profile.model == "custom"
-
     def test_kernel_stream_starts_with_h2d_copy(self):
         session = TrainingSession("resnet-50", "mxnet")
-        kernels = session._iteration_kernels(session.spec.build(8))
+        kernels = session.compile(8).kernels
         assert "HtoD" in kernels[0].name
 
     def test_update_kernels_one_per_weighted_layer(self):
         session = TrainingSession("a3c", "mxnet")
-        graph = session.spec.build(8)
-        kernels = session._iteration_kernels(graph)
+        plan = session.compile(8)
+        graph, kernels = plan.graph, plan.kernels
         updates = [k for k in kernels if "sgd" in k.name]
         weighted = [l for l in graph.layers if l.weight_elements > 0]
         assert len(updates) == len(weighted)

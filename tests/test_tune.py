@@ -209,7 +209,8 @@ class TestCLI:
             "--samples", "30", "--seed", "7",
         )
         assert code == 0
-        assert "winner: fused_rnn+offload:0.5+fp16" in out
+        # Offload costs PCIe time, so fp16 alone wins the peak tie-break.
+        assert "winner: fused_rnn+fp16" in out
         assert "confirmed:" in out
         assert "improvement" in out
 
