@@ -67,7 +67,7 @@ def main() -> None:
     store = BenchStore(TRAJECTORY_DIR)
 
     def record_once() -> bytes:
-        results = run_suite(suite, noise=noise, samples=30)
+        results = run_suite(suite, runner, samples=30)
         gate = evaluate_gate(suite, results)
         store.append(
             suite.name,

@@ -7,14 +7,16 @@ exhibit machine-like variance (jittered kernel times, dispatch gaps and
 interconnect latency), an :class:`InterleavedRunner` alternates baseline
 and treatment runs in randomized order so slow drift cancels out of the
 A/B difference, and the verdict is statistical: median speedup, bootstrap
-confidence interval, and a one-sided Welch p-value for "did this change
-make things slower".
+confidence interval, and one-sided Welch p-values both ways.  It is the
+one A/B path: ``tbd bench``, the tuner's confirmation and ``tbd compare``
+(:func:`repro.profiling.comparison.ab_compare`) all measure
+:class:`PlanSubject` values through this runner.
 
 Results append to a schema-versioned ``BENCH_<suite>.json`` trajectory
 (:class:`BenchStore`) keyed by the environment fingerprint from
 :mod:`repro.engine.keys`, and :func:`evaluate_gate` turns one run into a
-CI pass/fail that only fires on *statistically significant* slowdowns —
-never on noise.  ``tbd bench run|compare|history|gate`` is the CLI.
+CI pass/fail: every case must come back with the verdict its suite
+expects.  ``tbd bench run|compare|history|gate`` is the CLI.
 """
 
 from repro.bench.gate import GateReport, evaluate_gate

@@ -7,9 +7,8 @@ semantics and runner construction live in one place.
   record to ``BENCH_<suite>.json`` under ``--dir``.
 - ``compare MODEL TREATMENT`` — one ad-hoc A/B (no trajectory write).
 - ``history SUITE`` — print the stored trajectory, newest last.
-- ``gate SUITE`` — run + record + evaluate the regression gate; exit 1
-  on a statistically significant slowdown (or, for control suites, on
-  any verdict that contradicts the control's expectation).
+- ``gate SUITE`` — run + record + evaluate the gate; exit 1 on any
+  case whose verdict contradicts the suite's expectation.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ def register_bench_command(subparsers) -> None:
     compare.add_argument("model")
     compare.add_argument(
         "treatment",
-        help="'fused-rnn', 'fp16-storage', 'pipeline:<spec>', or "
+        help="a transform spec (e.g. 'fused-rnn', 'fused_rnn+fp16') or "
         "'slowdown:<pct>'",
     )
     compare.add_argument("-f", "--framework", default="tensorflow")
@@ -110,7 +109,8 @@ def register_bench_command(subparsers) -> None:
 
     gate = sub.add_parser(
         "gate",
-        help="run one suite, record it, and fail on significant regressions",
+        help="run one suite, record it, and fail on any verdict the suite "
+        "does not expect",
     )
     gate.add_argument("suite", choices=suites)
     add_run_arguments(gate, with_store=True)
@@ -146,28 +146,28 @@ def _run_schedule_suite(args) -> bool:
     return gate_doc["passed"]
 
 
-def _run_and_record(args, record: bool):
-    suite = get_suite(args.suite)
-    noise = NoiseModel(seed=args.seed)
-    results = run_suite(
-        suite,
-        noise=noise,
-        samples=args.samples,
-        alpha=args.alpha,
-        min_effect=args.min_effect,
+def _runner(args) -> InterleavedRunner:
+    """The one A/B runner ``run``, ``gate`` and ``compare`` measure with."""
+    return InterleavedRunner(
+        noise=NoiseModel(seed=args.seed), alpha=args.alpha, min_effect=args.min_effect
     )
+
+
+def _run_and_record(args):
+    suite = get_suite(args.suite)
+    runner = _runner(args)
+    results = run_suite(suite, runner, samples=args.samples)
     report = evaluate_gate(suite, results)
     for result in results:
         print(result.format_row())
-    if record:
-        store = BenchStore(args.dir)
-        store.append(
-            suite.name,
-            build_record(
-                suite.name, args.seed, noise.to_doc(), results, report.to_doc()
-            ),
-        )
-        print(f"trajectory: {store.path(suite.name)}")
+    store = BenchStore(args.dir)
+    store.append(
+        suite.name,
+        build_record(
+            suite.name, args.seed, runner.noise.to_doc(), results, report.to_doc()
+        ),
+    )
+    print(f"trajectory: {store.path(suite.name)}")
     return report
 
 
@@ -178,7 +178,7 @@ def _cmd_run(args) -> int:
     if args.suite == schedule_suite.SUITE_NAME:
         _run_schedule_suite(args)
         return 0
-    _run_and_record(args, record=True)
+    _run_and_record(args)
     return 0
 
 
@@ -187,16 +187,13 @@ def _cmd_gate(args) -> int:
         return 0 if _run_symbolic_sweep(args) else 1
     if args.suite == schedule_suite.SUITE_NAME:
         return 0 if _run_schedule_suite(args) else 1
-    report = _run_and_record(args, record=True)
+    report = _run_and_record(args)
     print(report.format_summary())
     return 0 if report.passed else 1
 
 
 def _cmd_compare(args) -> int:
-    noise = NoiseModel(seed=args.seed)
-    runner = InterleavedRunner(
-        noise=noise, alpha=args.alpha, min_effect=args.min_effect
-    )
+    runner = _runner(args)
     baseline = subject_for("baseline", args.model, args.framework, args.batch)
     treatment = subject_for(args.treatment, args.model, args.framework, args.batch)
     result = runner.run(baseline, treatment, samples=args.samples)
@@ -221,9 +218,9 @@ def _cmd_history(args) -> int:
             "speedups recorded"
         )
         print(
-            f"  {'tune':<12} autotuner winners (tbd tune) vs baseline on "
-            "the RNN workloads; derived on demand, every winner must "
-            "verify as an improvement"
+            f"  {'tune':<12} autotuner winners (tbd tune) and fused_rnn vs "
+            "baseline on the RNN workloads; derived on demand, every case "
+            "must verify as an improvement"
         )
         print(
             f"  {schedule_suite.SUITE_NAME:<12} adaptive batch schedule "

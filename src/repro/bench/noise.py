@@ -14,17 +14,15 @@ conformance invariant pins — the *median* of noisy results converges to
 the noiseless closed form.  Factors come from a per-run
 :class:`NoiseStream` whose RNG is seeded by ``(model seed, run index)``:
 the same seed reproduces the same sample series bit-for-bit, while
-consecutive runs are independent draws.
-
-``kernel_bias`` exists for the harness's own negative controls: a bias of
-1.05 is a known injected 5% kernel-time slowdown that the regression gate
-must catch (and does — ``tests/test_bench.py``).
+consecutive runs are independent draws.  The harness's injected
+slowdowns are not noise: they live on the measured subject
+(:class:`~repro.bench.subjects.PlanSubject` ``kernel_bias``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,17 +46,12 @@ class NoiseModel:
     #: thousands of kernels in an iteration and leave the makespan
     #: implausibly quiet.
     run_jitter: float = 0.01
-    #: Deterministic multiplicative bias on kernel durations — 1.0 means
-    #: honest measurement; 1.05 is the canonical injected-slowdown probe.
-    kernel_bias: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("kernel_jitter", "dispatch_jitter", "interconnect_jitter", "run_jitter"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.kernel_bias <= 0.0:
-            raise ValueError("kernel_bias must be positive")
 
     def stream(self, run_index: int) -> "NoiseStream":
         """The noise stream of one run: an independent, reproducible draw
@@ -67,13 +60,6 @@ class NoiseModel:
             raise ValueError("run_index must be non-negative")
         return NoiseStream(self, np.random.default_rng((self.seed, run_index)))
 
-    def with_bias(self, kernel_bias: float) -> "NoiseModel":
-        """This model with a different deterministic kernel-time bias."""
-        return replace(self, kernel_bias=kernel_bias)
-
-    def with_seed(self, seed: int) -> "NoiseModel":
-        return replace(self, seed=seed)
-
     def to_doc(self) -> dict:
         """Canonical-JSON-ready description (for ``BENCH_*.json`` records)."""
         return {
@@ -81,7 +67,6 @@ class NoiseModel:
             "dispatch_jitter": self.dispatch_jitter,
             "interconnect_jitter": self.interconnect_jitter,
             "run_jitter": self.run_jitter,
-            "kernel_bias": self.kernel_bias,
             "seed": self.seed,
         }
 
@@ -92,10 +77,11 @@ class NoiseStream:
     The executor pulls whole factor arrays (``kernel_factors(n)``,
     ``dispatch_factors(n)``) so the per-kernel cost of noise is one numpy
     draw per replay, not one RNG call per kernel.  Draw order is part of
-    the contract: kernels first, then dispatch, then interconnect —
-    :func:`repro.plan.executor.replay` and
-    :func:`repro.plan.executor.makespan_under_noise` both follow it, which
-    is what keeps their results identical under the same stream.
+    the contract: the run factor first (eagerly), then kernels, then
+    dispatch, then interconnect — the order
+    :meth:`repro.bench.subjects.PlanSubject.measure` consumes them in via
+    :func:`repro.plan.executor.makespan_under_noise`, which is what makes
+    one seed reproduce one sample series bit-for-bit.
     """
 
     __slots__ = ("model", "_rng", "run_factor")
@@ -114,12 +100,8 @@ class NoiseStream:
 
     def kernel_factors(self, count: int):
         """Multiplicative factors for ``count`` kernel durations (includes
-        the correlated run factor and the model's deterministic bias)."""
-        return (
-            self._lognormal(self.model.kernel_jitter, count)
-            * self.run_factor
-            * self.model.kernel_bias
-        )
+        the correlated run factor)."""
+        return self._lognormal(self.model.kernel_jitter, count) * self.run_factor
 
     def dispatch_factors(self, count: int):
         """Multiplicative factors for ``count`` dispatch gaps."""

@@ -22,6 +22,7 @@ import os
 
 from repro.engine.keys import (
     KEY_SCHEMA,
+    MEASUREMENT_CODE,
     canonical_json,
     code_fingerprint,
     digest,
@@ -33,9 +34,10 @@ from repro.hardware.devices import QUADRO_P4000, XEON_E5_2680
 BENCH_SCHEMA = 1
 
 #: Modules whose source participates in the bench environment fingerprint
-#: beyond the shared timing core: the harness itself changes what the
-#: numbers *mean*, so its edits must start a new trajectory point.
-_BENCH_CODE = ("bench",)
+#: beyond the shared timing core: the harness and the measurement code it
+#: runs change what the numbers *mean*, so their edits must start a new
+#: trajectory point.
+_BENCH_CODE = ("bench", *MEASUREMENT_CODE)
 
 
 def environment_fingerprint(gpu=QUADRO_P4000, cpu=XEON_E5_2680) -> dict:

@@ -1,26 +1,26 @@
 """Benchmark subjects: the things an A/B run measures.
 
 A *subject* owns everything deterministic about one side of a comparison
-— a compiled plan, or a distributed configuration — and exposes exactly
-one operation: ``measure(stream)``, one noisy iteration time drawn under
-one :class:`~repro.bench.noise.NoiseStream`.  All expensive work (graph
-build, lowering, roofline timing) happens once in the constructor; the
-per-sample path is the fast makespan recurrence from
-:mod:`repro.plan.executor`.
+— a compiled plan, plus any host-side time the session adds on top — and
+exposes exactly one operation: ``measure(stream)``, one noisy iteration
+time drawn under one :class:`~repro.bench.noise.NoiseStream`.  All
+expensive work (graph build, lowering, roofline timing) happens once in
+the constructor; the per-sample path is the noisy makespan recurrence
+from :mod:`repro.plan.executor`.
 
 ``subject_for`` builds the standard subjects the CLI and suites use:
-``baseline`` (the plan as compiled), a named plan transform
-(``fused-rnn``, ``fp16-storage``), a full transform pipeline
-(``pipeline:fused_rnn+fp16+offload:0.5`` — how the tune suite measures
-autotuner winners), or ``slowdown:<pct>`` — a biased baseline used as
-the harness's own negative control.
+``baseline`` (the plan as compiled), any transform pipeline in
+:func:`~repro.plan.pipeline.parse_transform_spec` syntax (``fused-rnn``,
+``fused_rnn+fp16+offload:0.5`` — how the tune suite measures autotuner
+winners), or ``slowdown:<pct>`` — a biased baseline used as the harness's
+own negative control.
 """
 
 from __future__ import annotations
 
 from repro.plan.compiled import CompiledPlan
 from repro.plan.executor import makespan_under_noise, plan_arrays
-from repro.plan.transform import FusedRNNTransform, HalfPrecisionStorageTransform
+from repro.plan.pipeline import parse_transform_spec
 from repro.training.session import TrainingSession
 
 
@@ -41,16 +41,27 @@ class Subject:
 class PlanSubject(Subject):
     """One compiled plan measured through the noisy dispatch/execute
     recurrence, plus the plan's offload stall (host-link traffic) on the
-    interconnect channel.  ``kernel_bias`` layers a deterministic slowdown
-    on top of whatever bias the noise model itself carries (their product
-    is what the executor sees) — the injected-regression probe."""
+    interconnect channel.  ``kernel_bias`` is a deterministic kernel-time
+    slowdown — the injected-regression probe.  ``host_s`` is host-side
+    time the session adds on top of the plan (so the subject measures
+    ``run_iteration().iteration_time_s``); it rides the stream's
+    correlated run factor, which moves a whole iteration together."""
 
-    def __init__(self, label: str, plan: CompiledPlan, kernel_bias: float = 1.0):
+    def __init__(
+        self,
+        label: str,
+        plan: CompiledPlan,
+        kernel_bias: float = 1.0,
+        host_s: float = 0.0,
+    ):
         super().__init__(label)
         if kernel_bias <= 0.0:
             raise ValueError("kernel_bias must be positive")
+        if host_s < 0.0:
+            raise ValueError("host_s must be non-negative")
         self.plan = plan
         self.kernel_bias = kernel_bias
+        self.host_s = host_s
         self._durations, self._host_syncs = plan_arrays(plan.timings)
         if kernel_bias != 1.0:
             self._durations = [d * kernel_bias for d in self._durations]
@@ -58,7 +69,7 @@ class PlanSubject(Subject):
     @property
     def noiseless_s(self) -> float:
         """The closed-form (noise-free) iteration time of this subject."""
-        return self.plan.makespan_s * self.kernel_bias
+        return self.plan.makespan_s * self.kernel_bias + self.host_s
 
     def measure(self, stream) -> float:
         makespan = makespan_under_noise(
@@ -67,6 +78,8 @@ class PlanSubject(Subject):
         stall = self.plan.execution.offload_stall_s
         if stall:
             makespan += stall * stream.interconnect_factor()
+        if self.host_s:
+            makespan += self.host_s * stream.run_factor
         return makespan
 
     def describe(self) -> dict:
@@ -84,79 +97,36 @@ class PlanSubject(Subject):
         return doc
 
 
-class ClusterSubject(Subject):
-    """A distributed data-parallel iteration under interconnect noise.
-
-    The deterministic profile is computed once; per sample, the compute
-    share rides the kernel-jitter channel and the communication share the
-    interconnect channel — the measurement-layer view of a fabric whose
-    latency wobbles under contention.
-    """
-
-    def __init__(self, label: str, profile):
-        super().__init__(label)
-        iteration = profile.iteration_time_s
-        comm = iteration * profile.communication_fraction
-        self._compute_s = iteration - comm
-        self._comm_s = comm
-
-    @property
-    def noiseless_s(self) -> float:
-        return self._compute_s + self._comm_s
-
-    def measure(self, stream) -> float:
-        compute_factor = float(stream.kernel_factors(1)[0])
-        return (
-            self._compute_s * compute_factor
-            + self._comm_s * stream.interconnect_factor()
-        )
-
-
-#: Named treatments ``subject_for`` understands.
-TRANSFORMS = {
-    "fused-rnn": FusedRNNTransform,
-    "fp16-storage": HalfPrecisionStorageTransform,
-}
-
-
 def subject_for(
     treatment: str,
     model: str,
     framework: str,
     batch_size: int | None = None,
     gpu=None,
-) -> Subject:
+) -> PlanSubject:
     """Build one measurable subject for a ``(model, framework, batch)``
     point.
 
-    ``treatment`` is ``"baseline"``, a :data:`TRANSFORMS` name,
-    ``"pipeline:<spec>"`` (a full transform pipeline in
-    :func:`~repro.plan.pipeline.parse_transform_spec` syntax), or
-    ``"slowdown:<percent>"`` (e.g. ``slowdown:5`` for a deterministic 5%
-    kernel-time regression — the gate's negative control).
+    ``treatment`` is ``"baseline"``, ``"slowdown:<percent>"`` (e.g.
+    ``slowdown:5`` for a deterministic 5% kernel-time regression — the
+    gate's negative control), or a transform pipeline spec such as
+    ``fused-rnn`` or ``fused_rnn+fp16``.
+
+    Raises:
+        ValueError: for a spec naming no known transform.
     """
     kwargs = {"gpu": gpu} if gpu is not None else {}
     session = TrainingSession(model, framework, **kwargs)
-    plan = session.compile(batch_size)
     if treatment == "baseline":
-        return PlanSubject("baseline", plan)
+        return PlanSubject("baseline", session.compile(batch_size))
     if treatment.startswith("slowdown:"):
         percent = float(treatment.split(":", 1)[1])
         if percent <= -100.0:
             raise ValueError("slowdown percent must exceed -100")
-        return PlanSubject(treatment, plan, kernel_bias=1.0 + percent / 100.0)
-    if treatment.startswith("pipeline:"):
-        from repro.plan.pipeline import parse_transform_spec
-
-        pipeline = parse_transform_spec(treatment.split(":", 1)[1])
         return PlanSubject(
-            treatment, session.compile_transformed(batch_size, pipeline)
+            treatment,
+            session.compile(batch_size),
+            kernel_bias=1.0 + percent / 100.0,
         )
-    if treatment in TRANSFORMS:
-        transformed = TRANSFORMS[treatment]().apply(plan)
-        return PlanSubject(treatment, transformed)
-    known = ", ".join(sorted(TRANSFORMS))
-    raise ValueError(
-        f"unknown treatment {treatment!r}; expected 'baseline', "
-        f"'pipeline:<spec>', 'slowdown:<pct>', or one of: {known}"
-    )
+    pipeline = parse_transform_spec(treatment)
+    return PlanSubject(treatment, session.compile_transformed(batch_size, pipeline))

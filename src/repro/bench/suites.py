@@ -2,31 +2,29 @@
 
 A suite is a fixed list of A/B cases — (model, framework, batch,
 treatment) — run under one noise seed and recorded as one trajectory
-point.  Three ship by default, plus one built on demand:
+point, plus the verdict every case must come back with.  Two ship by
+default, plus one built on demand:
 
-- ``fused-rnn``: the repo's flagship optimization (cuDNN-style fused RNN
-  cells) against the baseline plan on the three RNN models.  This is the
-  suite CI gates: the transform must stay a statistically significant
-  improvement, never regress.
 - ``noop``: baseline vs an independently-built second baseline on three
   architecture families.  Every case must come back
   ``indistinguishable``; this is the gate's false-positive control.
 - ``slowdown5``: baseline vs a deterministic 5% kernel-time slowdown.
   Every case must come back ``regression``; this is the power control —
   proof the gate actually fires when the code gets slower.
-- ``tune``: the autotuner's winning pipeline vs baseline on the three
-  RNN workloads.  The cases are *derived* — the cost-model search runs
-  when the suite is requested, so the trajectory records whatever
-  ``tbd tune`` currently picks — and every winner must come back
-  ``improvement``: a tuned config the A/B runner cannot confirm is a
-  tuner bug worth failing CI over.
+- ``tune``: the modeled-speedup gate on the three RNN workloads.  Per
+  workload it measures the autotuner's winning pipeline and the
+  single-stage ``fused_rnn`` transform against the baseline.  The
+  winners are *derived* — the cost-model search runs when the suite is
+  requested, so the trajectory records whatever ``tbd tune`` currently
+  picks — and every case must come back ``improvement``: a tuned config
+  or a transform the A/B runner cannot confirm is a bug worth failing
+  CI over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.bench.noise import NoiseModel
 from repro.bench.runner import InterleavedRunner
 from repro.bench.subjects import subject_for
 from repro.observability.tracer import trace_span
@@ -49,15 +47,15 @@ class BenchCase:
 
 @dataclass(frozen=True)
 class BenchSuite:
-    """A named, ordered list of cases plus the expectation the gate and
-    the suite's own controls assert (``None`` = no uniform expectation)."""
+    """A named, ordered list of cases plus the verdict the gate expects
+    of every one of them."""
 
     name: str
     description: str
-    cases: tuple = field(default_factory=tuple)
-    #: Expected verdict for every case, or None when the suite only
-    #: gates against regressions (the fused-rnn trajectory suite).
-    expect: str | None = None
+    cases: tuple
+    #: Expected verdict for every case: ``"improvement"``,
+    #: ``"regression"`` or ``"indistinguishable"``.
+    expect: str
 
 
 _RNN_POINTS = (
@@ -73,17 +71,6 @@ _CONTROL_POINTS = (
 )
 
 _SUITES = {
-    "fused-rnn": BenchSuite(
-        name="fused-rnn",
-        description=(
-            "Fused-RNN plan transform vs baseline on the three RNN models "
-            "(the CI-gated trajectory suite)"
-        ),
-        cases=tuple(
-            BenchCase(model, framework, batch, "fused-rnn")
-            for model, framework, batch in _RNN_POINTS
-        ),
-    ),
     "noop": BenchSuite(
         name="noop",
         description=(
@@ -113,25 +100,25 @@ _SUITES = {
 
 
 def _build_tune_suite() -> BenchSuite:
-    """The derived ``tune`` suite: one case per RNN workload, measuring
-    the autotuner's current cost-model winner against the baseline.
-    Built on demand (the search compiles candidate pipelines), so the
-    static :func:`suite_catalog` stays cheap to list."""
+    """The derived ``tune`` suite: per RNN workload, the autotuner's
+    current cost-model winner and the single-stage ``fused_rnn``
+    transform, each against the baseline.  Built on demand (the search
+    compiles candidate pipelines), so the static :func:`suite_catalog`
+    stays cheap to list."""
     from repro.tune.search import Autotuner
 
     cases = []
     for model, framework, batch in _RNN_POINTS:
         result = Autotuner(model, framework, batch_size=batch).rank()
-        if result.winner is None:
-            continue  # nothing beat the baseline; nothing to measure
-        cases.append(
-            BenchCase(model, framework, batch, f"pipeline:{result.winner.spec}")
-        )
+        if result.winner is not None and result.winner.spec != "fused_rnn":
+            cases.append(BenchCase(model, framework, batch, result.winner.spec))
+        cases.append(BenchCase(model, framework, batch, "fused_rnn"))
     return BenchSuite(
         name="tune",
         description=(
-            "Autotuner winners (tbd tune) vs baseline on the three RNN "
-            "workloads; every winner must verify as an improvement"
+            "Autotuner winners (tbd tune) and the fused_rnn transform vs "
+            "baseline on the three RNN workloads; every case must verify "
+            "as an improvement"
         ),
         cases=tuple(cases),
         expect="improvement",
@@ -154,16 +141,12 @@ def suite_catalog() -> list:
 
 
 def run_suite(
-    suite,
-    noise: NoiseModel | None = None,
-    samples: int | None = None,
-    alpha: float = 0.05,
-    min_effect: float = 0.01,
-    max_samples: int = 300,
+    suite, runner: InterleavedRunner | None = None, samples: int | None = None
 ) -> list:
-    """Run every case of ``suite`` (a name or a :class:`BenchSuite`) and
-    return the :class:`~repro.bench.runner.BenchResult` list, in case
-    order.
+    """Run every case of ``suite`` (a name or a :class:`BenchSuite`)
+    through ``runner`` (default: an :class:`InterleavedRunner` at its
+    defaults) and return the :class:`~repro.bench.runner.BenchResult`
+    list, in case order.
 
     Both sides of every case are built independently — even a "noop" case
     constructs two separate baseline subjects — so the runner's
@@ -172,13 +155,10 @@ def run_suite(
     """
     if isinstance(suite, str):
         suite = get_suite(suite)
-    noise = noise if noise is not None else NoiseModel()
-    runner = InterleavedRunner(
-        noise=noise, alpha=alpha, min_effect=min_effect, max_samples=max_samples
-    )
+    runner = runner if runner is not None else InterleavedRunner()
     results = []
     with trace_span(
-        "bench.suite", suite=suite.name, cases=len(suite.cases), seed=noise.seed
+        "bench.suite", suite=suite.name, cases=len(suite.cases), seed=runner.noise.seed
     ):
         for case in suite.cases:
             baseline = subject_for(

@@ -241,11 +241,10 @@ def _cmd_compare(args) -> int:
     report = ab_compare(
         args.model, args.framework_a, args.framework_b, args.batch
     )
+    print(report.result.format_row())
     print(
-        f"{report.label_a}: {report.mean_a:.1f} "
-        f"[{report.ci_a[0]:.1f}, {report.ci_a[1]:.1f}]  vs  "
-        f"{report.label_b}: {report.mean_b:.1f} "
-        f"[{report.ci_b[0]:.1f}, {report.ci_b[1]:.1f}]"
+        f"  throughput: {report.label_a} {report.throughput_a:.1f} vs "
+        f"{report.label_b} {report.throughput_b:.1f} samples/s"
     )
     print(report.verdict)
     return 0

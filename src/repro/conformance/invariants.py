@@ -506,20 +506,17 @@ def _tuned_config_dominance(ev: PointEvidence) -> list:
 def _noise_median_convergence(ev: PointEvidence) -> list:
     # Imported here: the bench package depends on repro.plan, and keeping
     # conformance importable without it would otherwise become circular.
+    # Measured through PlanSubject, the path every A/B answer takes (the
+    # bench gates, the tuner's confirmation and ``tbd compare``).
     from repro.bench.noise import NoiseModel, median_convergence_tolerance
-    from repro.plan.executor import makespan_under_noise, plan_arrays
+    from repro.bench.subjects import PlanSubject
 
     samples = 15
     noise = NoiseModel(seed=ev.batch_size)
-    durations, host_syncs = plan_arrays(ev.plan.timings)
-    observed = sorted(
-        makespan_under_noise(
-            durations, host_syncs, ev.plan.framework, noise.stream(index)
-        )
-        for index in range(samples)
-    )
+    subject = PlanSubject("noise-probe", ev.plan)
+    observed = sorted(subject.measure(noise.stream(index)) for index in range(samples))
     median = observed[samples // 2]
-    noiseless = ev.plan.makespan_s
+    noiseless = subject.noiseless_s
     tolerance = median_convergence_tolerance(noise, samples)
     deviation = abs(median / noiseless - 1.0)
     if deviation > tolerance:

@@ -80,6 +80,17 @@ DIMENSION_CODE = {
     "schedule": ("schedule", "training/convergence.py"),
 }
 
+#: The A/B measurement code: the interleaved runner, its subjects and
+#: noise model, and the Welch/sample-sizing statistics it uses.  Every
+#: noisy answer (bench trajectory records, a tuned config's confirmation)
+#: is a function of these sources, so their fingerprints cover them.
+MEASUREMENT_CODE = (
+    "bench/runner.py",
+    "bench/subjects.py",
+    "bench/noise.py",
+    "profiling/statistics.py",
+)
+
 #: Run dimensions that deliberately do NOT participate in the cache key.
 #: The bench noise seed is measurement-layer state: it perturbs *observed*
 #: times, never the simulated result a point caches, so two runs at

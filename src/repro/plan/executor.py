@@ -151,21 +151,14 @@ def with_offload_stall(execution: ExecutionReplay, seconds: float) -> ExecutionR
     )
 
 
-def replay(timings, framework: Framework, noise=None) -> ExecutionReplay:
+def replay(timings, framework: Framework) -> ExecutionReplay:
     """Run the CPU-dispatch / GPU-execute loop over roofline-timed kernels.
 
     Returns both the per-kernel event record (with idle gaps attributed to
     their cause: frontend warmup, dispatch starvation, or host syncs) and
-    the aggregates the session's metrics derive from.
-
-    ``noise`` is an optional :class:`repro.bench.noise.NoiseStream` (or any
-    object with ``kernel_factors(n)`` / ``dispatch_factors(n)``): when
-    given, every kernel duration and every dispatch gap is scaled by a
-    seeded multiplicative jitter factor, so repeated replays of the same
-    plan exhibit machine-like run-to-run variance instead of being
-    bit-deterministic.  With ``noise=None`` this path is bit-identical to
-    the historical noiseless replay (the aggregates keep their exact
-    accumulation order).
+    the aggregates the session's metrics derive from.  Noiseless: the
+    seeded-noise replays of the bench harness go through
+    :func:`makespan_under_noise`.
     """
     dispatch = framework.dispatch_cost_s
     sync = framework.sync_latency_s
@@ -173,22 +166,12 @@ def replay(timings, framework: Framework, noise=None) -> ExecutionReplay:
     gpu_free = 0.0
     busy = 0.0
     sync_cpu = 0.0
-    dispatch_cpu_accum = 0.0
     events: list = []
     gaps: list = []
     pending_cause = "frontend"
-    if noise is not None:
-        kernel_factors = noise.kernel_factors(len(timings))
-        dispatch_factors = noise.dispatch_factors(len(timings))
-    for index, timing in enumerate(timings):
-        if noise is None:
-            issue_cost = dispatch
-            duration = timing.duration_s
-        else:
-            issue_cost = dispatch * dispatch_factors[index]
-            duration = timing.duration_s * kernel_factors[index]
-            dispatch_cpu_accum += issue_cost
-        cpu_ready += issue_cost
+    for timing in timings:
+        duration = timing.duration_s
+        cpu_ready += dispatch
         start = max(gpu_free, cpu_ready)
         if start > gpu_free:
             gaps.append(Gap(start_s=gpu_free, end_s=start, cause=pending_cause))
@@ -214,10 +197,7 @@ def replay(timings, framework: Framework, noise=None) -> ExecutionReplay:
         else:
             pending_cause = "dispatch"
     makespan = max(gpu_free, cpu_ready)
-    if noise is None:
-        dispatch_cpu = framework.frontend_cost_s + dispatch * len(timings) + sync_cpu
-    else:
-        dispatch_cpu = framework.frontend_cost_s + dispatch_cpu_accum + sync_cpu
+    dispatch_cpu = framework.frontend_cost_s + dispatch * len(timings) + sync_cpu
     return ExecutionReplay(
         timeline=Timeline(events=events, gaps=gaps, makespan_s=makespan),
         makespan_s=makespan,
@@ -227,15 +207,18 @@ def replay(timings, framework: Framework, noise=None) -> ExecutionReplay:
 
 
 def makespan_under_noise(durations, host_syncs, framework: Framework, noise) -> float:
-    """One noisy makespan without materializing the event timeline.
+    """One noisy makespan: the dispatch / execute recurrence of
+    :func:`replay` with every kernel duration and dispatch gap scaled by a
+    factor drawn from ``noise`` (a :class:`repro.bench.noise.NoiseStream`,
+    or any object with ``kernel_factors(n)`` / ``dispatch_factors(n)``).
 
     The benchmarking harness replays a plan hundreds of times per A/B
-    sample series; building a :class:`TimelineEvent` per kernel per sample
-    would dominate the measurement.  This runs the identical dispatch /
-    execute recurrence over precomputed ``durations`` / ``host_syncs``
-    arrays (see :func:`plan_arrays`) and returns only the makespan.
-    ``tests/test_bench.py`` pins its agreement with :func:`replay` under
-    the same noise stream.
+    sample series, so this runs over precomputed ``durations`` /
+    ``host_syncs`` arrays (see :func:`plan_arrays`) and returns only the
+    makespan instead of building a :class:`TimelineEvent` per kernel per
+    sample.  ``tests/test_bench.py`` pins it to :func:`replay` exactly:
+    unit factors give the plan's makespan, and constant factors give the
+    replay of scaled durations under a scaled dispatch cost.
     """
     dispatch = framework.dispatch_cost_s
     sync = framework.sync_latency_s

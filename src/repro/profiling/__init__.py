@@ -21,7 +21,7 @@ from repro.profiling.cpu_sampler import CPUSample, CPUSampler
 from repro.profiling.memory_profiler import MemoryProfile, MemoryProfiler
 from repro.profiling.sampling import IterationTimeline, StablePhaseSampler
 from repro.profiling.timeline import Timeline, build_timeline, timeline_for
-from repro.profiling.statistics import bootstrap_ci, compare, summarize
+from repro.profiling.statistics import bootstrap_ci, summarize
 from repro.profiling.export import (
     kernel_stats_to_csv,
     metrics_to_csv,
@@ -45,7 +45,6 @@ __all__ = [
     "timeline_for",
     "summarize",
     "bootstrap_ci",
-    "compare",
     "timeline_to_chrome_trace",
     "write_chrome_trace",
     "kernel_stats_to_csv",

@@ -1,98 +1,59 @@
-"""Statistically sound A/B comparison of benchmark configurations.
+"""Statistically sound A/B comparison of two frameworks.
 
 "Is MXNet really faster than TensorFlow on ResNet-50, or is that noise?"
-The paper answers with single sampled numbers; this harness answers with
-measurement statistics: it synthesizes per-iteration throughput samples
-for each side (the simulated stable-phase iteration time plus the observed
-~2% stable-phase jitter, via :class:`IterationTimeline`), then runs the
-Welch comparison from :mod:`repro.profiling.statistics`.
+The paper answers with single sampled numbers; this answers with the
+bench harness's measurement statistics.  Each framework becomes one
+:class:`~repro.bench.subjects.PlanSubject` whose noiseless value is the
+session's full iteration time (plan makespan plus host-side costs), and
+the :class:`~repro.bench.runner.InterleavedRunner` measures the two
+interleaved under the seeded noise model — the same runner, noise model
+and verdict rule as ``tbd bench`` and the tuner's confirmation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.profiling.sampling import IterationTimeline, StablePhaseSampler
-from repro.profiling.statistics import (
-    ComparisonResult,
-    compare,
-    required_sample_count,
-    summarize,
-)
 from repro.training.session import TrainingSession
-
-#: Pilot window used to estimate the variance before auto-sizing.
-_PILOT_SAMPLES = 50
-#: Target CI half-width (relative to the mean) for the auto-sized run.
-_DEFAULT_PRECISION = 0.005
 
 
 @dataclass(frozen=True)
 class ABReport:
-    """Outcome of one A/B throughput comparison."""
+    """Outcome of one A/B throughput comparison: a view over the runner's
+    :class:`~repro.bench.runner.BenchResult` (side A is its baseline,
+    side B its treatment)."""
 
     label_a: str
     label_b: str
-    mean_a: float
-    mean_b: float
-    ci_a: tuple
-    ci_b: tuple
-    result: ComparisonResult
-    #: Iterations actually sampled per side (auto-sized unless overridden).
-    samples: int = 0
+    #: Samples per second, ``effective_samples / median iteration time``.
+    throughput_a: float
+    throughput_b: float
+    result: object  # repro.bench.runner.BenchResult
+
+    @property
+    def samples(self) -> int:
+        """Iterations sampled per side (adaptive unless pinned)."""
+        return self.result.samples_per_side
+
+    @property
+    def faster(self) -> str:
+        """The faster side's label, or ``"indistinguishable"``."""
+        return {
+            "regression": self.label_a,
+            "improvement": self.label_b,
+        }.get(self.result.verdict, "indistinguishable")
 
     @property
     def verdict(self) -> str:
         """Human-readable outcome."""
-        if not self.result.significant:
+        if self.faster == "indistinguishable":
             return (
                 f"{self.label_a} and {self.label_b} are statistically "
                 "indistinguishable at this sample size"
             )
-        return (
-            f"{self.result.faster} is faster "
-            f"(difference {abs(self.result.mean_difference):.1f}, 95% CI "
-            f"[{self.result.ci_low:.1f}, {self.result.ci_high:.1f}])"
-        )
-
-
-def _throughput_samples(
-    model: str, framework: str, batch: int, iterations: int, seed: int
-):
-    session = TrainingSession(model, framework)
-    profile = session.run_iteration(batch)
-    timeline = IterationTimeline(
-        stable_iteration_s=profile.iteration_time_s, jitter=0.02, seed=seed
-    )
-    durations = timeline.durations(max(600, iterations * 3))
-    sampler = StablePhaseSampler()
-    window = sampler.choose_window(durations, iterations)
-    stable = durations[window.start_iteration : window.end_iteration]
-    return profile.effective_samples / stable
-
-
-def _auto_sample_count(
-    model: str,
-    framework_a: str,
-    framework_b: str,
-    batch: int,
-    relative_precision: float,
-) -> int:
-    """Sample count sized to the *observed* variance: draw a short pilot
-    window per side, ask :func:`required_sample_count` what each needs for
-    the target precision, and take the worse of the two (clamped to the
-    paper's 50-1000 sampling range)."""
-    needed = max(
-        required_sample_count(
-            _throughput_samples(model, framework_a, batch, _PILOT_SAMPLES, seed=1),
-            relative_precision=relative_precision,
-        ),
-        required_sample_count(
-            _throughput_samples(model, framework_b, batch, _PILOT_SAMPLES, seed=2),
-            relative_precision=relative_precision,
-        ),
-    )
-    return max(50, min(1000, needed))
+        throughputs = (self.throughput_a, self.throughput_b)
+        ratio = max(throughputs) / min(throughputs)
+        return f"{self.faster} is faster (x{ratio:.3f} the throughput)"
 
 
 def ab_compare(
@@ -101,32 +62,43 @@ def ab_compare(
     framework_b: str,
     batch: int,
     samples: int | None = None,
-    relative_precision: float = _DEFAULT_PRECISION,
+    relative_precision: float = 0.005,
 ) -> ABReport:
     """Compare two frameworks on one model with sampled iterations.
 
-    By default the sample count adapts to the observed variance: a pilot
-    window per side feeds :func:`required_sample_count` at
+    By default the runner sizes the sample count from a pilot block at
     ``relative_precision``, so noisy configurations sample more and quiet
-    ones stop early.  Pass an explicit ``samples=`` to pin the
-    caller-fixed count instead.
+    ones stop early; pass ``samples=`` to pin the per-side count.
     """
-    if samples is None:
-        samples = _auto_sample_count(
-            model, framework_a, framework_b, batch, relative_precision
+    # Imported here: repro.bench imports repro.profiling.statistics, and
+    # this module is part of the repro.profiling package.
+    from repro.bench.runner import InterleavedRunner
+    from repro.bench.subjects import PlanSubject
+
+    subjects = []
+    effective_samples = []
+    for framework in (framework_a, framework_b):
+        session = TrainingSession(model, framework)
+        profile = session.run_iteration(batch)
+        plan = session.compile(batch)
+        subjects.append(
+            PlanSubject(
+                framework,
+                plan,
+                host_s=profile.iteration_time_s - plan.makespan_s,
+            )
         )
-    samples_a = _throughput_samples(model, framework_a, batch, samples, seed=1)
-    samples_b = _throughput_samples(model, framework_b, batch, samples, seed=2)
-    summary_a = summarize(samples_a)
-    summary_b = summarize(samples_b)
-    result = compare(samples_a, samples_b, (framework_a, framework_b))
+        effective_samples.append(profile.effective_samples)
+    runner = InterleavedRunner(relative_precision=relative_precision)
+    result = runner.run(
+        *subjects,
+        name=f"{model}/b{batch}:{framework_a}-vs-{framework_b}",
+        samples=samples,
+    )
     return ABReport(
         label_a=framework_a,
         label_b=framework_b,
-        mean_a=summary_a.mean,
-        mean_b=summary_b.mean,
-        ci_a=(summary_a.ci_low, summary_a.ci_high),
-        ci_b=(summary_b.ci_low, summary_b.ci_high),
+        throughput_a=effective_samples[0] / result.median_baseline_s,
+        throughput_b=effective_samples[1] / result.median_treatment_s,
         result=result,
-        samples=int(samples),
     )

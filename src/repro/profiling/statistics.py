@@ -3,8 +3,9 @@
 The paper (a Sigmetrics-community submission) samples 50-1000 stable-phase
 iterations and reports point estimates; this module supplies the rigor
 around those estimates: summary statistics, normal-theory and bootstrap
-confidence intervals for mean throughput, and a two-sample comparison test
-for "is framework A really faster than framework B" questions.
+confidence intervals for mean throughput, sample sizing, and the Welch
+test the bench harness's A/B verdicts use for "is framework A really
+faster than framework B" questions.
 """
 
 from __future__ import annotations
@@ -169,50 +170,3 @@ def welch_p_value(samples_a, samples_b, alternative: str = "two-sided") -> float
     if alternative == "less":
         return _normal_sf(-z)
     raise ValueError("alternative must be 'two-sided', 'greater' or 'less'")
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    """Outcome of a two-sample mean comparison (Welch)."""
-
-    mean_difference: float
-    ci_low: float
-    ci_high: float
-    significant: bool
-    faster: str
-    #: Two-sided Welch p-value under the null of equal means.
-    p_value: float = 1.0
-
-
-def compare(
-    samples_a, samples_b, labels=("A", "B"), confidence: float = 0.95
-) -> ComparisonResult:
-    """Is one measurement series reliably larger than the other?
-
-    Uses Welch's normal-approximation interval on the difference of means;
-    "significant" means the interval excludes zero.  ``p_value`` carries
-    the matching two-sided test so callers can gate on an explicit alpha
-    instead of the interval.
-    """
-    a = np.asarray(list(samples_a), dtype=float)
-    b = np.asarray(list(samples_b), dtype=float)
-    if a.size < 2 or b.size < 2:
-        raise ValueError("need at least 2 samples per side")
-    difference = float(a.mean() - b.mean())
-    half = _z_value(confidence) * math.sqrt(
-        a.var(ddof=1) / a.size + b.var(ddof=1) / b.size
-    )
-    low, high = difference - half, difference + half
-    significant = low > 0 or high < 0
-    if not significant:
-        faster = "indistinguishable"
-    else:
-        faster = labels[0] if difference > 0 else labels[1]
-    return ComparisonResult(
-        mean_difference=difference,
-        ci_low=low,
-        ci_high=high,
-        significant=significant,
-        faster=faster,
-        p_value=welch_p_value(a, b, "two-sided"),
-    )

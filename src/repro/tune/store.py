@@ -4,16 +4,18 @@ A tuned config is a *derived* result: "for this exact workload, under
 this exact timing-model code, the best transform pipeline is X".  It is
 keyed the same way sweep points are — a SHA-256 over every input the
 answer depends on (model, framework, device pair, batch, reference
-hyper-parameters, and the code fingerprint widened by the optimization
-modules) — and stored in the same
-:class:`~repro.engine.cache.ResultCache`.  So retuning an unchanged
-workload is a cache hit, and editing a transform (or the compiler, or
-the model) moves the key and invalidates exactly the stale answers.
+hyper-parameters, the code fingerprint of a transformed point, and the
+search and A/B measurement code that chose and confirmed the winner) —
+and stored in the same :class:`~repro.engine.cache.ResultCache`.  So
+retuning an unchanged workload is a cache hit, and editing a transform,
+the compiler, the model, the search or the A/B runner moves the key and
+invalidates exactly the stale answers.
 """
 
 from __future__ import annotations
 
 from repro.engine.keys import (
+    MEASUREMENT_CODE,
     code_fingerprint,
     digest,
     fingerprint_cpu,
@@ -21,6 +23,7 @@ from repro.engine.keys import (
     fingerprint_gpu,
     fingerprint_hyperparameters,
     fingerprint_model,
+    modules_fingerprint,
 )
 from repro.frameworks.registry import get_framework
 from repro.hardware.devices import CPUSpec, GPUSpec, QUADRO_P4000, XEON_E5_2680
@@ -29,6 +32,10 @@ from repro.training.hyperparams import MODEL_DEFAULTS
 
 #: Schema of the cached tuned-config record; bump to invalidate them all.
 TUNED_SCHEMA = 1
+
+#: Code a tuned config depends on beyond a transformed point's: the
+#: search that picks the winner and the A/B runner that confirms it.
+_TUNER_CODE = ("tune/search.py", *MEASUREMENT_CODE)
 
 
 def tuned_key(
@@ -61,6 +68,7 @@ def tuned_key(
                 MODEL_DEFAULTS.get(spec.key)
             ),
             "code": code_fingerprint(spec.build.__module__, ("transforms",)),
+            "tuner_code": modules_fingerprint(_TUNER_CODE),
         }
     )
 

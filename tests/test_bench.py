@@ -1,5 +1,6 @@
 """Tests for the statistical differential-benchmarking harness."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -24,6 +25,10 @@ from repro.engine.keys import NON_KEY_RUN_DIMENSIONS, point_key
 from repro.observability.exporters import bench_records_to_jsonl
 from repro.plan.executor import makespan_under_noise, plan_arrays, replay
 from repro.training.session import TrainingSession
+
+
+def _runner(seed: int) -> InterleavedRunner:
+    return InterleavedRunner(noise=NoiseModel(seed=seed))
 
 
 @pytest.fixture(scope="module")
@@ -54,25 +59,45 @@ class TestNoiseModel:
         assert np.array_equal(stream.kernel_factors(8), np.ones(8))
         assert stream.interconnect_factor() == 1.0
 
-    def test_bias_scales_kernel_factors_only(self):
-        plain = NoiseModel(seed=5)
-        biased = plain.with_bias(1.05)
-        assert np.allclose(
-            biased.stream(2).kernel_factors(32),
-            plain.stream(2).kernel_factors(32) * 1.05,
+    def test_subject_bias_scales_kernel_durations_only(self, resnet_plan):
+        model = NoiseModel(seed=5)
+        biased = PlanSubject("slowdown:5", resnet_plan, kernel_bias=1.05)
+        durations, host_syncs = plan_arrays(resnet_plan.timings)
+        assert biased.measure(model.stream(2)) == makespan_under_noise(
+            [d * 1.05 for d in durations],
+            host_syncs,
+            resnet_plan.framework,
+            model.stream(2),
         )
-        assert np.array_equal(
-            biased.stream(2).dispatch_factors(32),
-            plain.stream(2).dispatch_factors(32),
-        )
+        assert biased.noiseless_s == resnet_plan.makespan_s * 1.05
 
     def test_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(kernel_jitter=-0.1)
         with pytest.raises(ValueError):
-            NoiseModel(kernel_bias=0.0)
-        with pytest.raises(ValueError):
             NoiseModel().stream(-1)
+
+
+#: Points spanning conv-bound, dispatch-bound and host-sync-heavy plans.
+EXACTNESS_POINTS = [
+    ("resnet-50", "tensorflow", 32),
+    ("nmt", "tensorflow", 64),
+    ("wgan", "tensorflow", 16),
+]
+
+
+class _ConstantStream:
+    """A noise stream whose kernel and dispatch factors are constants."""
+
+    def __init__(self, kernel: float, dispatch: float):
+        self.kernel = kernel
+        self.dispatch = dispatch
+
+    def kernel_factors(self, count: int):
+        return np.full(count, self.kernel)
+
+    def dispatch_factors(self, count: int):
+        return np.full(count, self.dispatch)
 
 
 class TestExecutorNoise:
@@ -82,22 +107,44 @@ class TestExecutorNoise:
         assert rerun.gpu_busy_s == resnet_plan.execution.gpu_busy_s
         assert rerun.dispatch_cpu_s == resnet_plan.execution.dispatch_cpu_s
 
-    def test_fast_path_agrees_with_full_replay(self, resnet_plan):
-        model = NoiseModel(seed=9)
-        durations, host_syncs = plan_arrays(resnet_plan.timings)
-        for run_index in range(3):
-            full = replay(
-                resnet_plan.timings,
-                resnet_plan.framework,
-                noise=model.stream(run_index),
-            )
-            fast = makespan_under_noise(
-                durations,
-                host_syncs,
-                resnet_plan.framework,
-                model.stream(run_index),
-            )
-            assert fast == full.makespan_s
+    @pytest.mark.parametrize("model,framework,batch", EXACTNESS_POINTS)
+    def test_unit_factors_give_the_plan_makespan(self, model, framework, batch):
+        plan = TrainingSession(model, framework).compile(batch)
+        quiet = NoiseModel(
+            kernel_jitter=0.0, dispatch_jitter=0.0,
+            interconnect_jitter=0.0, run_jitter=0.0,
+        )
+        durations, host_syncs = plan_arrays(plan.timings)
+        noisy = makespan_under_noise(
+            durations, host_syncs, plan.framework, quiet.stream(0)
+        )
+        assert noisy == plan.execution.makespan_s
+
+    @pytest.mark.parametrize("model,framework,batch", EXACTNESS_POINTS)
+    def test_constant_factors_equal_a_scaled_replay(self, model, framework, batch):
+        """Kernel factor k and dispatch factor d are exactly the replay of
+        durations x k under a dispatch cost x d: one recurrence, two
+        entry points."""
+        plan = TrainingSession(model, framework).compile(batch)
+        kernel, dispatch = 1.07, 0.9
+        durations, host_syncs = plan_arrays(plan.timings)
+        noisy = makespan_under_noise(
+            durations,
+            host_syncs,
+            plan.framework,
+            _ConstantStream(kernel, dispatch),
+        )
+        scaled = replay(
+            [
+                dataclasses.replace(timing, duration_s=timing.duration_s * kernel)
+                for timing in plan.timings
+            ],
+            dataclasses.replace(
+                plan.framework,
+                dispatch_cost_s=plan.framework.dispatch_cost_s * dispatch,
+            ),
+        )
+        assert noisy == scaled.makespan_s
 
     def test_noise_moves_the_makespan(self, resnet_plan):
         durations, host_syncs = plan_arrays(resnet_plan.timings)
@@ -133,12 +180,41 @@ class TestSubjects:
     def test_subject_for_variants(self, nmt_plan):
         baseline = subject_for("baseline", "nmt", "tensorflow", 64)
         fused = subject_for("fused-rnn", "nmt", "tensorflow", 64)
+        fused_fp16 = subject_for("fused_rnn+fp16", "nmt", "tensorflow", 64)
         slowed = subject_for("slowdown:5", "nmt", "tensorflow", 64)
         assert baseline.noiseless_s == pytest.approx(nmt_plan.makespan_s)
         assert fused.noiseless_s < baseline.noiseless_s
+        assert fused_fp16.noiseless_s == fused.noiseless_s
+        assert fused_fp16.label == "fused_rnn+fp16"
         assert slowed.kernel_bias == pytest.approx(1.05)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="warp-drive"):
             subject_for("warp-drive", "nmt", "tensorflow", 64)
+
+    def test_spec_treatment_matches_the_transform_itself(self, nmt_plan):
+        """``fused-rnn`` through the spec parser times exactly like the
+        transform applied to the baseline plan."""
+        from repro.plan.transform import FusedRNNTransform
+
+        fused = subject_for("fused-rnn", "nmt", "tensorflow", 64)
+        direct = FusedRNNTransform().apply(nmt_plan)
+        assert fused.plan.makespan_s == direct.makespan_s
+        assert [t.duration_s for t in fused.plan.timings] == [
+            t.duration_s for t in direct.timings
+        ]
+
+    def test_host_time_rides_the_run_factor(self, resnet_plan):
+        plain = PlanSubject("plain", resnet_plan)
+        hosted = PlanSubject("hosted", resnet_plan, host_s=0.004)
+        model = NoiseModel(seed=3)
+        assert hosted.noiseless_s == plain.noiseless_s + 0.004
+        stream = model.stream(5)
+        assert hosted.measure(model.stream(5)) == (
+            plain.measure(stream) + 0.004 * stream.run_factor
+        )
+        with pytest.raises(ValueError):
+            PlanSubject("bad", resnet_plan, host_s=-1.0)
+        with pytest.raises(ValueError):
+            PlanSubject("bad", resnet_plan, kernel_bias=0.0)
 
     def test_describe_is_json_ready(self):
         doc = subject_for("baseline", "resnet-50", "tensorflow", 32).describe()
@@ -221,20 +297,20 @@ class TestInterleavedRunner:
 class TestSuitesAndGate:
     def test_catalog_names(self):
         names = [suite.name for suite in suite_catalog()]
-        assert names == ["fused-rnn", "noop", "slowdown5"]
+        assert names == ["noop", "slowdown5"]
         with pytest.raises(ValueError):
             get_suite("nope")
 
     def test_gate_passes_on_improvements_and_noise(self):
         suite = get_suite("noop")
-        results = run_suite(suite, noise=NoiseModel(seed=7), samples=20)
+        results = run_suite(suite, _runner(7), samples=20)
         report = evaluate_gate(suite, results)
         assert report.passed
         assert report.regressions == ()
 
     def test_gate_fails_on_significant_slowdown(self):
         suite = get_suite("slowdown5")
-        results = run_suite(suite, noise=NoiseModel(seed=7), samples=20)
+        results = run_suite(suite, _runner(7), samples=20)
         assert all(r.verdict == "regression" for r in results)
         assert all(r.p_regression < 0.05 for r in results)
         # As the power control, the regressions are *expected*: the gate
@@ -243,7 +319,7 @@ class TestSuitesAndGate:
 
     def test_control_mismatch_fails_the_gate(self):
         suite = get_suite("slowdown5")
-        results = run_suite(get_suite("noop"), noise=NoiseModel(seed=7), samples=20)
+        results = run_suite(get_suite("noop"), _runner(7), samples=20)
         report = evaluate_gate(suite, results)
         assert not report.passed
         assert len(report.mismatches) == len(results)
@@ -305,7 +381,7 @@ class TestStore:
     def _record(self, seed):
         suite = get_suite("noop")
         noise = NoiseModel(seed=seed)
-        results = run_suite(suite, noise=noise, samples=20)
+        results = run_suite(suite, InterleavedRunner(noise=noise), samples=20)
         gate = evaluate_gate(suite, results)
         return build_record(suite.name, seed, noise.to_doc(), results, gate.to_doc())
 

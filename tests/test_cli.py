@@ -307,6 +307,7 @@ class TestBenchCommand:
             "-b", "64", "--samples", "20", "--seed", "7",
         )
         assert code == 0
+        assert out.startswith("baseline-vs-fused-rnn ")
         assert "improvement" in out and "speedup" in out
 
     def test_run_records_trajectory_and_history_reads_it(self, capsys, tmp_path):
@@ -324,7 +325,8 @@ class TestBenchCommand:
     def test_history_lists_suites(self, capsys, tmp_path):
         code, out = run_cli(capsys, "bench", "history", "--list", "--dir", str(tmp_path))
         assert code == 0
-        assert "fused-rnn" in out and "slowdown5" in out
+        assert "tune" in out and "slowdown5" in out
+        assert "fused-rnn" not in out
 
     def test_gate_exit_codes(self, capsys, tmp_path):
         code, out = run_cli(

@@ -313,6 +313,36 @@ class TestCodeDependencyCoverage:
         )
         assert point_key("resnet-50", "mxnet", 16) == plain_before
 
+    @pytest.mark.parametrize(
+        "source", (("tune", "search.py"), ("profiling", "statistics.py"))
+    )
+    def test_editing_search_or_ab_code_moves_tuned_keys_only(
+        self, monkeypatch, source
+    ):
+        from repro.tune.store import tuned_key
+
+        tuned_before = tuned_key("nmt", "tensorflow", 64)
+        offload_before = point_key("nmt", "tensorflow", 64, transforms="offload:0.5")
+        plain_before = point_key("nmt", "tensorflow", 64)
+        path = os.path.join(keys_module._PACKAGE_ROOT, *source)
+        monkeypatch.setitem(keys_module._FILE_DIGESTS, path, "0" * 64)
+        keys_module._CODE_FINGERPRINTS.clear()
+        assert tuned_key("nmt", "tensorflow", 64) != tuned_before
+        assert point_key("nmt", "tensorflow", 64, transforms="offload:0.5") == (
+            offload_before
+        )
+        assert point_key("nmt", "tensorflow", 64) == plain_before
+
+    def test_editing_ab_statistics_moves_the_bench_environment(self, monkeypatch):
+        from repro.bench.store import environment_fingerprint
+
+        before = environment_fingerprint()
+        path = os.path.join(keys_module._PACKAGE_ROOT, "profiling", "statistics.py")
+        monkeypatch.setitem(keys_module._FILE_DIGESTS, path, "0" * 64)
+        after = environment_fingerprint()
+        assert after["bench_code"] != before["bench_code"]
+        assert after["code"] == before["code"]
+
     @pytest.mark.parametrize("table", ("CORE_CODE", "DIMENSION_CODE"))
     def test_entry_naming_no_file_raises(self, monkeypatch, table):
         if table == "CORE_CODE":

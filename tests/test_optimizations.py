@@ -134,7 +134,7 @@ class TestOneOffloadModel:
         spec = parse_transform_spec(f"offload:{fraction}").canonical
         candidate = tuners[model, framework]._score(spec)
         plan = sessions[model, framework].compile_transformed(batch, _offload(fraction))
-        subject = subject_for(f"pipeline:{spec}", model, framework, batch)
+        subject = subject_for(spec, model, framework, batch)
         assert candidate.makespan_s == plan.makespan_s == subject.noiseless_s
         # The A/B measurement pays the same stall: with every jitter off it
         # reproduces the noiseless makespan.

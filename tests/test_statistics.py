@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.profiling.sampling import IterationTimeline, StablePhaseSampler
 from repro.profiling.statistics import (
     bootstrap_ci,
-    compare,
     required_sample_count,
     summarize,
     welch_p_value,
@@ -137,43 +136,6 @@ class TestRequiredSamples:
     def test_validation(self):
         with pytest.raises(ValueError):
             required_sample_count([1.0, 2.0], relative_precision=0.0)
-
-
-class TestCompare:
-    def test_clear_winner(self):
-        rng = np.random.default_rng(0)
-        result = compare(
-            rng.normal(110, 5, 200), rng.normal(100, 5, 200), ("mxnet", "tf")
-        )
-        assert result.significant
-        assert result.faster == "mxnet"
-        assert result.ci_low > 0
-
-    def test_indistinguishable(self):
-        rng = np.random.default_rng(0)
-        result = compare(rng.normal(100, 20, 10), rng.normal(100, 20, 10))
-        assert not result.significant
-        assert result.faster == "indistinguishable"
-
-    def test_direction(self):
-        rng = np.random.default_rng(0)
-        result = compare(
-            rng.normal(90, 2, 100), rng.normal(100, 2, 100), ("a", "b")
-        )
-        assert result.faster == "b"
-        assert result.mean_difference < 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            compare([1.0], [1.0, 2.0])
-
-    def test_carries_two_sided_p_value(self):
-        rng = np.random.default_rng(0)
-        clear = compare(rng.normal(110, 5, 200), rng.normal(100, 5, 200))
-        null = compare(rng.normal(100, 20, 10), rng.normal(100, 20, 10))
-        assert clear.p_value < 0.001
-        assert null.p_value > 0.05
-        assert clear.significant == (clear.p_value < 0.05)
 
 
 class TestWelch:

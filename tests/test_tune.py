@@ -251,9 +251,9 @@ class TestTuneBenchSuite:
         from repro.bench.suites import get_suite, run_suite
 
         suite = get_suite("tune")
-        assert len(suite.cases) == 3
-        assert all(case.treatment.startswith("pipeline:") for case in suite.cases)
-        results = run_suite(suite, noise=NoiseModel(seed=7), samples=30)
+        assert len(suite.cases) == 6
+        assert [case.treatment for case in suite.cases].count("fused_rnn") == 3
+        results = run_suite(suite, _runner(), samples=30)
         report = evaluate_gate(suite, results)
         assert report.passed
         assert all(result.verdict == "improvement" for result in results)
