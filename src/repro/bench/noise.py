@@ -74,11 +74,12 @@ class NoiseModel:
 class NoiseStream:
     """One run's jitter factors, drawn lazily per channel.
 
-    The executor pulls whole factor arrays (``kernel_factors(n)``,
-    ``dispatch_factors(n)``) so the per-kernel cost of noise is one numpy
-    draw per replay, not one RNG call per kernel.  Draw order is part of
-    the contract: the run factor first (eagerly), then kernels, then
-    dispatch, then interconnect — the order
+    Each channel returns one numpy array per replay (``kernel_factors(n)``,
+    ``dispatch_factors(n)``): noise costs one vectorised draw per sample,
+    not one RNG call per kernel, and the executor turns each array into a
+    list of Python floats once before its per-kernel loop.  Draw order is
+    part of the contract: the run factor first (eagerly), then kernels,
+    then dispatch, then interconnect — the order
     :meth:`repro.bench.subjects.PlanSubject.measure` consumes them in via
     :func:`repro.plan.executor.makespan_under_noise`, which is what makes
     one seed reproduce one sample series bit-for-bit.

@@ -97,21 +97,25 @@ class GPUMemoryAllocator:
         if num_bytes < 0:
             raise ValueError("allocation size cannot be negative")
         charged = num_bytes * self.pool_overhead
-        if self.allocated_bytes + charged > self.capacity_bytes:
+        current = self._current_by_tag
+        in_use = sum(current.values())
+        if in_use + charged > self.capacity_bytes:
             raise OutOfMemoryError(
                 f"allocating {charged / 1024**2:.1f} MiB ({tag.value}"
                 f"{': ' + label if label else ''}) exceeds capacity: "
-                f"{self.allocated_bytes / 1024**2:.1f} MiB in use of "
+                f"{in_use / 1024**2:.1f} MiB in use of "
                 f"{self.capacity_bytes / 1024**2:.1f} MiB"
             )
         handle = self._next_handle
         self._next_handle += 1
         self._allocations[handle] = Allocation(handle, charged, tag, label)
-        self._current_by_tag[tag] += charged
-        if self._current_by_tag[tag] > self._peak_by_tag[tag]:
-            self._peak_by_tag[tag] = self._current_by_tag[tag]
-        if self.allocated_bytes > self._peak_total:
-            self._peak_total = self.allocated_bytes
+        level = current[tag] + charged
+        current[tag] = level
+        if level > self._peak_by_tag[tag]:
+            self._peak_by_tag[tag] = level
+        total = sum(current.values())
+        if total > self._peak_total:
+            self._peak_total = total
         return handle
 
     def free(self, handle: int) -> None:

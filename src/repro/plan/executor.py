@@ -210,28 +210,34 @@ def makespan_under_noise(durations, host_syncs, framework: Framework, noise) -> 
     """One noisy makespan: the dispatch / execute recurrence of
     :func:`replay` with every kernel duration and dispatch gap scaled by a
     factor drawn from ``noise`` (a :class:`repro.bench.noise.NoiseStream`,
-    or any object with ``kernel_factors(n)`` / ``dispatch_factors(n)``).
+    or any object whose ``kernel_factors(n)`` / ``dispatch_factors(n)``
+    return numpy arrays of ``n`` factors).
 
     The benchmarking harness replays a plan hundreds of times per A/B
     sample series, so this runs over precomputed ``durations`` /
-    ``host_syncs`` arrays (see :func:`plan_arrays`) and returns only the
+    ``host_syncs`` lists (see :func:`plan_arrays`) and returns only the
     makespan instead of building a :class:`TimelineEvent` per kernel per
-    sample.  ``tests/test_bench.py`` pins it to :func:`replay` exactly:
-    unit factors give the plan's makespan, and constant factors give the
-    replay of scaled durations under a scaled dispatch cost.
+    sample.  Each factor array becomes a list of Python floats once per
+    sample, so the per-kernel loop does plain float arithmetic on the
+    arrays' float64 values.  ``tests/test_bench.py`` pins it to
+    :func:`replay` exactly: unit factors give the plan's makespan, and
+    constant factors give the replay of scaled durations under a scaled
+    dispatch cost.
     """
     dispatch = framework.dispatch_cost_s
     sync = framework.sync_latency_s
     cpu_ready = framework.frontend_cost_s
     gpu_free = 0.0
     count = len(durations)
-    kernel_factors = noise.kernel_factors(count)
-    dispatch_factors = noise.dispatch_factors(count)
-    for index in range(count):
-        cpu_ready += dispatch * dispatch_factors[index]
+    kernel_factors = noise.kernel_factors(count).tolist()
+    dispatch_factors = noise.dispatch_factors(count).tolist()
+    for duration, kernel_factor, dispatch_factor, host_sync in zip(
+        durations, kernel_factors, dispatch_factors, host_syncs
+    ):
+        cpu_ready += dispatch * dispatch_factor
         start = cpu_ready if cpu_ready > gpu_free else gpu_free
-        gpu_free = start + durations[index] * kernel_factors[index]
-        if host_syncs[index]:
+        gpu_free = start + duration * kernel_factor
+        if host_sync:
             cpu_ready = gpu_free + sync
     return gpu_free if gpu_free > cpu_ready else cpu_ready
 

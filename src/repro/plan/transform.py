@@ -16,7 +16,6 @@ bug; :class:`TransformContractError` turns it into a loud one.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import replace
 
@@ -102,7 +101,8 @@ _POINTWISE = {
 
 
 def fuse_recurrent_layers(graph: LayerGraph) -> LayerGraph:
-    """Return a deep copy of ``graph`` with every recurrent layer fused.
+    """Return a new graph equal to ``graph`` with every recurrent layer
+    fused; ``graph`` itself is left untouched.
 
     cuDNN's fused RNN path, read from each recurrent layer's geometry
     ``attributes``: the per-step ``gemm(b, g*h, input+h)`` GEMMs become one
@@ -112,71 +112,74 @@ def fuse_recurrent_layers(graph: LayerGraph) -> LayerGraph:
     Total FLOPs are preserved; only launch granularity and synchronization
     change.
 
+    The result has its own :class:`Layer` objects and kernel lists, but
+    shares the frozen :class:`~repro.kernels.base.Kernel` values: every
+    unchanged kernel is the source graph's object, and each recurrent GEMM
+    is one object repeated once per step.
+
     Raises:
         ValueError: if a recurrent layer lacks geometry attributes.
     """
-    fused = copy.deepcopy(graph)
-    for layer in fused.layers:
-        if layer.kind not in RECURRENT_KINDS:
-            continue
-        geometry = layer.attributes
-        required = ("batch", "seq_len", "input_size", "hidden", "gates", "directions")
-        missing = [key for key in required if key not in geometry]
-        if missing:
-            raise ValueError(
-                f"recurrent layer {layer.name!r} lacks geometry {missing}"
-            )
-        batch = geometry["batch"]
-        steps = geometry["seq_len"] * geometry["directions"]
-        input_size = geometry["input_size"]
-        hidden = geometry["hidden"]
-        gh = geometry["gates"] * hidden
-        pointwise = _POINTWISE[layer.kind]
+    return replace(
+        graph,
+        layers=[_fused_layer(layer) for layer in graph.layers],
+        extra_kernels=list(graph.extra_kernels),
+    )
 
-        forward = [
-            # One big input projection across all timesteps and directions…
-            gemm(batch * steps, gh, input_size, name="cudnn_rnn_fused_input_sgemm"),
-        ]
-        # …then back-to-back recurrent GEMMs with no host round trips…
-        forward.extend(
-            gemm(batch, gh, hidden, name="cudnn_rnn_fused_recurrent_sgemm")
-            for _ in range(steps)
-        )
-        # …and one fused pointwise kernel covering every step.
-        forward.append(pointwise(batch * steps, hidden, backward=False))
 
-        backward = [pointwise(batch * steps, hidden, backward=True)]
-        backward.extend(
-            gemm(batch, hidden, gh, name="cudnn_rnn_fused_recurrent_sgemm_bw")
-            for _ in range(steps)
-        )
-        backward.append(
-            gemm(
-                batch * steps, input_size, gh, name="cudnn_rnn_fused_input_sgemm_bw"
-            )
-        )
-        backward.append(
-            gemm(
-                input_size + hidden,
-                gh,
-                batch * steps,
-                name="cudnn_rnn_fused_wgrad_sgemm",
-            )
-        )
-        layer.forward_kernels = forward
-        layer.backward_kernels = backward
-    # Any stray host syncs outside recurrent layers are cleared too: the
-    # fused path keeps the whole iteration on-device.
-    for layer in fused.layers:
-        layer.forward_kernels = [
-            replace(k, host_sync=False) if k.host_sync else k
-            for k in layer.forward_kernels
-        ]
-        layer.backward_kernels = [
-            replace(k, host_sync=False) if k.host_sync else k
-            for k in layer.backward_kernels
-        ]
-    return fused
+def _fused_layer(layer):
+    """A copy of ``layer`` with fused recurrent kernels (recurrent kinds)
+    or with its host syncs cleared (every other kind): the fused path
+    keeps the whole iteration on-device."""
+    if layer.kind in RECURRENT_KINDS:
+        forward, backward = _fused_recurrent_kernels(layer)
+    else:
+        forward = _on_device(layer.forward_kernels)
+        backward = _on_device(layer.backward_kernels)
+    return replace(
+        layer,
+        forward_kernels=forward,
+        backward_kernels=backward,
+        attributes=dict(layer.attributes),
+    )
+
+
+def _on_device(kernels) -> list:
+    return [replace(k, host_sync=False) if k.host_sync else k for k in kernels]
+
+
+def _fused_recurrent_kernels(layer) -> tuple:
+    """``(forward, backward)`` kernel lists of one fused recurrent layer."""
+    geometry = layer.attributes
+    required = ("batch", "seq_len", "input_size", "hidden", "gates", "directions")
+    missing = [key for key in required if key not in geometry]
+    if missing:
+        raise ValueError(f"recurrent layer {layer.name!r} lacks geometry {missing}")
+    batch = geometry["batch"]
+    steps = geometry["seq_len"] * geometry["directions"]
+    input_size = geometry["input_size"]
+    hidden = geometry["hidden"]
+    gh = geometry["gates"] * hidden
+    pointwise = _POINTWISE[layer.kind]
+
+    # One big input projection across all timesteps and directions, then
+    # back-to-back recurrent GEMMs with no host round trips, then one
+    # fused pointwise kernel covering every step.
+    recurrent = gemm(batch, gh, hidden, name="cudnn_rnn_fused_recurrent_sgemm")
+    forward = [gemm(batch * steps, gh, input_size, name="cudnn_rnn_fused_input_sgemm")]
+    forward += [recurrent] * steps
+    forward.append(pointwise(batch * steps, hidden, backward=False))
+
+    recurrent_bw = gemm(batch, hidden, gh, name="cudnn_rnn_fused_recurrent_sgemm_bw")
+    backward = [pointwise(batch * steps, hidden, backward=True)]
+    backward += [recurrent_bw] * steps
+    backward.append(
+        gemm(batch * steps, input_size, gh, name="cudnn_rnn_fused_input_sgemm_bw")
+    )
+    backward.append(
+        gemm(input_size + hidden, gh, batch * steps, name="cudnn_rnn_fused_wgrad_sgemm")
+    )
+    return forward, backward
 
 
 class FusedRNNTransform(PlanTransform):

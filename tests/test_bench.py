@@ -100,6 +100,34 @@ class _ConstantStream:
         return np.full(count, self.dispatch)
 
 
+#: Real-noise points: host syncs, the largest kernel stream (32 k kernels)
+#: and a conv-bound plan.
+REAL_NOISE_POINTS = [
+    ("nmt", "tensorflow", 64),
+    ("deep-speech-2", "mxnet", 4),
+    ("resnet-50", "tensorflow", 32),
+]
+
+
+def _indexed_makespan_under_noise(durations, host_syncs, framework, noise):
+    """Reference: the recurrence as an indexed walk over the numpy factor
+    arrays, one numpy scalar per kernel."""
+    dispatch = framework.dispatch_cost_s
+    sync = framework.sync_latency_s
+    cpu_ready = framework.frontend_cost_s
+    gpu_free = 0.0
+    count = len(durations)
+    kernel_factors = noise.kernel_factors(count)
+    dispatch_factors = noise.dispatch_factors(count)
+    for index in range(count):
+        cpu_ready += dispatch * dispatch_factors[index]
+        start = cpu_ready if cpu_ready > gpu_free else gpu_free
+        gpu_free = start + durations[index] * kernel_factors[index]
+        if host_syncs[index]:
+            cpu_ready = gpu_free + sync
+    return gpu_free if gpu_free > cpu_ready else cpu_ready
+
+
 class TestExecutorNoise:
     def test_noiseless_replay_is_bit_identical(self, resnet_plan):
         rerun = replay(resnet_plan.timings, resnet_plan.framework)
@@ -145,6 +173,23 @@ class TestExecutorNoise:
             ),
         )
         assert noisy == scaled.makespan_s
+
+    @pytest.mark.parametrize("model,framework,batch", REAL_NOISE_POINTS)
+    def test_real_noise_matches_the_indexed_reference(self, model, framework, batch):
+        """Walking plain floats instead of indexing numpy arrays changes
+        no sample: same float64 values, same operation order."""
+        plan = TrainingSession(model, framework).compile(batch)
+        durations, host_syncs = plan_arrays(plan.timings)
+        noise = NoiseModel(seed=7)
+        for run in range(20):
+            flat = makespan_under_noise(
+                durations, host_syncs, plan.framework, noise.stream(run)
+            )
+            indexed = _indexed_makespan_under_noise(
+                durations, host_syncs, plan.framework, noise.stream(run)
+            )
+            assert type(flat) is float
+            assert flat == indexed
 
     def test_noise_moves_the_makespan(self, resnet_plan):
         durations, host_syncs = plan_arrays(resnet_plan.timings)

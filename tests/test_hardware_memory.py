@@ -107,6 +107,42 @@ class TestPeakTracking:
         assert allocator.snapshot().feature_map_fraction == 0.0
 
 
+class TestTracePin:
+    """A hand-made three-tag trace whose values make float summation order
+    visible: the in-use total is always the sum over tags in
+    :class:`AllocationTag` order, never a running total in allocation
+    order (which would give a peak of 1499463.68 here)."""
+
+    def test_peaks_and_oom_message(self):
+        allocator = GPUMemoryAllocator(10 * _MIB, pool_overhead=1.1)
+        allocator.allocate(0.3 * _MIB, AllocationTag.FEATURE_MAPS, "embed")
+        allocator.allocate(0.1 * _MIB, AllocationTag.WEIGHTS, "fc")
+        workspace = allocator.allocate(0.7 * _MIB, AllocationTag.WORKSPACE, "conv1")
+        allocator.allocate(0.2 * _MIB, AllocationTag.FEATURE_MAPS, "fc")
+        snapshot = allocator.snapshot()
+        assert snapshot.peak_total == 1499463.6800000002
+        assert snapshot.peak_by_tag == {
+            AllocationTag.WEIGHTS: 115343.36000000002,
+            AllocationTag.WEIGHT_GRADIENTS: 0.0,
+            AllocationTag.FEATURE_MAPS: 576716.8,
+            AllocationTag.WORKSPACE: 807403.52,
+            AllocationTag.DYNAMIC: 0.0,
+        }
+
+        allocator.free(workspace)
+        allocator.allocate(5 * _MIB, AllocationTag.WORKSPACE, "conv2")
+        with pytest.raises(OutOfMemoryError) as raised:
+            allocator.allocate(4 * _MIB, AllocationTag.FEATURE_MAPS, "fc")
+        assert str(raised.value) == (
+            "allocating 4.4 MiB (feature maps: fc) exceeds capacity: "
+            "6.2 MiB in use of 10.0 MiB"
+        )
+        snapshot = allocator.snapshot()
+        assert snapshot.peak_total == 6459228.16
+        assert snapshot.peak_by_tag[AllocationTag.WORKSPACE] == 5767168.0
+        assert snapshot.peak_by_tag[AllocationTag.FEATURE_MAPS] == 576716.8
+
+
 class TestValidation:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,22 @@
 """The paper's optimization what-ifs, asked through the plan transforms and
 the session: offload, FP16 storage, fused RNN cells, depth for batch."""
 
+import copy
+from dataclasses import replace
+
 import pytest
 
+import repro.kernels.rnn as rnn_kernels
 from repro.bench.noise import NoiseModel
 from repro.bench.subjects import subject_for
 from repro.hardware.interconnect import PCIE_3_X16
 from repro.hardware.memory import AllocationTag
+from repro.kernels.gemm import gemm
 from repro.models.resnet import build_resnet_with_depth
+from repro.plan.compiler import compile_graph
 from repro.plan.pipeline import parse_transform_spec
 from repro.plan.transform import (
+    RECURRENT_KINDS,
     FeatureMapOffloadTransform,
     deepest_fitting_depth,
     fuse_recurrent_layers,
@@ -188,6 +195,64 @@ class TestHalfPrecision:
         assert session.max_batch_size(candidates, search=True, pipeline=fp16) == expected
 
 
+_REFERENCE_POINTWISE = {
+    "lstm": rnn_kernels.lstm_cell_pointwise,
+    "gru": rnn_kernels.gru_cell_pointwise,
+    "rnn": rnn_kernels.vanilla_rnn_pointwise,
+}
+
+
+def deepcopy_fused_reference(graph):
+    """Reference fused-RNN rewrite: deep-copy the whole graph, then build
+    every fused kernel afresh in place, one GEMM object per step."""
+    fused = copy.deepcopy(graph)
+    for layer in fused.layers:
+        if layer.kind not in RECURRENT_KINDS:
+            continue
+        g = layer.attributes
+        batch, hidden, width = g["batch"], g["hidden"], g["input_size"]
+        steps = g["seq_len"] * g["directions"]
+        gh = g["gates"] * hidden
+        pointwise = _REFERENCE_POINTWISE[layer.kind]
+        forward = [gemm(batch * steps, gh, width, name="cudnn_rnn_fused_input_sgemm")]
+        forward.extend(
+            gemm(batch, gh, hidden, name="cudnn_rnn_fused_recurrent_sgemm")
+            for _ in range(steps)
+        )
+        forward.append(pointwise(batch * steps, hidden, backward=False))
+        backward = [pointwise(batch * steps, hidden, backward=True)]
+        backward.extend(
+            gemm(batch, hidden, gh, name="cudnn_rnn_fused_recurrent_sgemm_bw")
+            for _ in range(steps)
+        )
+        backward.append(
+            gemm(batch * steps, width, gh, name="cudnn_rnn_fused_input_sgemm_bw")
+        )
+        backward.append(
+            gemm(width + hidden, gh, batch * steps, name="cudnn_rnn_fused_wgrad_sgemm")
+        )
+        layer.forward_kernels = forward
+        layer.backward_kernels = backward
+    for layer in fused.layers:
+        layer.forward_kernels = [
+            replace(k, host_sync=False) if k.host_sync else k
+            for k in layer.forward_kernels
+        ]
+        layer.backward_kernels = [
+            replace(k, host_sync=False) if k.host_sync else k
+            for k in layer.backward_kernels
+        ]
+    return fused
+
+
+#: The RNN points the tune suite fuses.
+FUSED_POINTS = (
+    ("nmt", "tensorflow", 64),
+    ("sockeye", "mxnet", 64),
+    ("deep-speech-2", "mxnet", 16),
+)
+
+
 class TestFusedRNN:
     @pytest.fixture(scope="class")
     def session(self):
@@ -229,6 +294,43 @@ class TestFusedRNN:
         before = len(graph.iteration_kernels())
         fuse_recurrent_layers(graph)
         assert len(graph.iteration_kernels()) == before
+
+    def test_fused_graph_owns_its_layers_and_lists(self, session):
+        graph = session.spec.build(16)
+        fused = fuse_recurrent_layers(graph)
+        assert fused is not graph
+        assert fused.layers is not graph.layers
+        assert fused.extra_kernels is not graph.extra_kernels
+        for source, layer in zip(graph.layers, fused.layers):
+            assert layer is not source
+            assert layer.forward_kernels is not source.forward_kernels
+            assert layer.backward_kernels is not source.backward_kernels
+            assert layer.attributes is not source.attributes
+
+    def test_mutating_the_fused_graph_leaves_the_source_alone(self, session):
+        graph = session.compile(16).graph
+        before = list(graph.iteration_kernels())
+        fused = fuse_recurrent_layers(graph)
+        for layer in fused.layers:
+            layer.forward_kernels = []
+            layer.backward_kernels = layer.backward_kernels[:1]
+        fused.extra_kernels.append(gemm(1, 1, 1, name="probe"))
+        after = graph.iteration_kernels()
+        assert len(after) == len(before)
+        assert all(a is b for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("model,framework,batch", FUSED_POINTS)
+    def test_compiles_like_the_deepcopy_reference(self, model, framework, batch):
+        plan = TrainingSession(model, framework).compile(batch)
+        fused = compile_graph(
+            fuse_recurrent_layers(plan.graph), plan.framework, plan.gpu
+        )
+        reference = compile_graph(
+            deepcopy_fused_reference(plan.graph), plan.framework, plan.gpu
+        )
+        assert fused.timings == reference.timings
+        assert fused.makespan_s == reference.makespan_s
+        assert fused.allocations == reference.allocations
 
     def test_missing_geometry_rejected(self):
         from repro.graph.layer import Layer, LayerGraph
