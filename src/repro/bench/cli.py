@@ -244,13 +244,18 @@ def _cmd_history(args) -> int:
         )
         for result in record["results"]:
             if "adaptive_s" in result:
+                # Older schedule records name the fixed-side guard
+                # fixed_equals_elastic.
+                fixed_ok = result.get(
+                    "fixed_matches_scaling", result.get("fixed_equals_elastic")
+                )
                 print(
                     f"  {result['name']:<40} "
                     f"fixed {result['fixed_s']:.0f}s adaptive "
                     f"{result['adaptive_s']:.0f}s x{result['speedup']:.3f} "
                     f"beats={result['adaptive_beats_fixed']} "
                     f"conserved={result['conservation_ok']} "
-                    f"fixed-eq={result['fixed_equals_elastic']}"
+                    f"fixed=scaling={fixed_ok}"
                 )
                 continue
             if "speedup_ci" not in result:

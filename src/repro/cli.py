@@ -396,7 +396,6 @@ def _cmd_faults(args) -> int:
 def _faults_demo(args) -> int:
     """Fig.-10-style elastic-recovery demo: lose a machine mid-training
     and still reach the accuracy target, just later."""
-    from repro.distributed.time_to_accuracy import elastic_time_to_accuracy
     from repro.faults import (
         AllReduceTimeout,
         FaultPlan,
@@ -405,6 +404,7 @@ def _faults_demo(args) -> int:
     )
     from repro.hardware.cluster import parse_configuration
     from repro.observability.tracer import tracing
+    from repro.schedule.accuracy import scheduled_time_to_accuracy
 
     cluster = parse_configuration("4M1G", fabric="infiniband")
     plan = FaultPlan(
@@ -416,10 +416,10 @@ def _faults_demo(args) -> int:
         seed=args.seed,
     )
     with tracing() as tracer:
-        point = elastic_time_to_accuracy(
+        point = scheduled_time_to_accuracy(
             args.model, args.framework, cluster, args.batch or 16, plan=plan
         )
-    result = point.result
+    result = point.segment_runs[0].result
     print(f"elastic-recovery demo: {args.model} on {args.framework}, {cluster.name}")
     print(plan.describe())
     print(

@@ -633,8 +633,6 @@ def _schedule_sample_conservation(ev: PointEvidence) -> list:
     # Imported here like the bench/tune dependencies above: the schedule
     # package pulls in the convergence curves, and conformance must stay
     # importable on its own.
-    import math
-
     from repro.schedule import integrator
     from repro.training.convergence import FIG2_MODELS
 
@@ -642,38 +640,9 @@ def _schedule_sample_conservation(ev: PointEvidence) -> list:
         return []  # schedules integrate against the convergence curve
     out = []
     for probe in _schedule_probes(ev.batch_size):
-        integration = integrator.integrate_schedule(
-            ev.model, probe, ev.batch_size
+        message = integrator.tiling_violation(
+            integrator.integrate_schedule(ev.model, probe, ev.batch_size)
         )
-        segments = integration.segments
-        total = integration.total_samples
-        message = None
-        if segments[0].start_samples != 0.0:
-            message = (
-                f"first segment starts at {segments[0].start_samples!r}, "
-                f"not 0"
-            )
-        if message is None:
-            for prev, cur in zip(segments, segments[1:]):
-                if cur.start_samples != prev.end_samples:
-                    message = (
-                        f"segment {cur.index} starts at "
-                        f"{cur.start_samples!r} but segment {prev.index} "
-                        f"ends at {prev.end_samples!r}"
-                    )
-                    break
-        if message is None and segments[-1].end_samples != total:
-            message = (
-                f"last segment ends at {segments[-1].end_samples!r}, not "
-                f"the integrated total {total!r}"
-            )
-        if message is None:
-            covered = math.fsum(s.samples for s in segments)
-            if abs(covered - total) > REL_TOL * max(total, 1.0):
-                message = (
-                    f"segment samples sum to {covered!r}, not the "
-                    f"integrated total {total!r}"
-                )
         if message is not None:
             out.append(f"schedule {probe}: {message}")
     return out
@@ -684,17 +653,14 @@ def _schedule_sample_conservation(ev: PointEvidence) -> list:
     "point",
     "the fixed schedule is byte-identical to no schedule: an engine "
     "point run under schedule='fixed' serializes to the same canonical "
-    "payload as the legacy path, and the schedule-aware time_to_metric "
-    "reproduces the legacy integrator exactly",
+    "payload as the point run with no schedule",
 )
 def _schedule_fixed_equivalence(ev: PointEvidence) -> list:
     # Imported here for the same reason as the schedule import above.
     from repro.engine.executor import PointSpec, SweepEngine
     from repro.engine.keys import canonical_json
     from repro.engine.merge import point_to_payload
-    from repro.training.convergence import FIG2_MODELS, time_to_metric
 
-    out = []
     engine = SweepEngine(jobs=1, cache=None, gpu=ev.gpu)
     plain, scheduled = engine.run_grid(
         [
@@ -704,27 +670,14 @@ def _schedule_fixed_equivalence(ev: PointEvidence) -> list:
             ),
         ]
     )
-    plain_bytes = canonical_json(point_to_payload(plain))
-    scheduled_bytes = canonical_json(point_to_payload(scheduled))
-    if plain_bytes != scheduled_bytes:
-        out.append(
-            f"schedule='fixed' payload diverges from the legacy path for "
-            f"{ev.model}/{ev.framework} b{ev.batch_size}"
-        )
-    if ev.model in FIG2_MODELS:
-        curve = FIG2_MODELS[ev.model]
-        target = curve.initial + 0.95 * (curve.final - curve.initial)
-        throughput = ev.profile.throughput
-        legacy = time_to_metric(ev.model, throughput, target)
-        fixed = time_to_metric(
-            ev.model, throughput, target, schedule="fixed"
-        )
-        if legacy != fixed:
-            out.append(
-                f"time_to_metric under schedule='fixed' gives {fixed!r}, "
-                f"legacy path gives {legacy!r}"
-            )
-    return out
+    if canonical_json(point_to_payload(plain)) != canonical_json(
+        point_to_payload(scheduled)
+    ):
+        return [
+            f"schedule='fixed' payload diverges from the unscheduled point "
+            f"for {ev.model}/{ev.framework} b{ev.batch_size}"
+        ]
+    return []
 
 
 # ----------------------------------------------------------------------

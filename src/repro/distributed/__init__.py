@@ -14,18 +14,12 @@ from repro.distributed.data_parallel import (
 )
 from repro.distributed.parameter_server import ParameterServerExchange
 from repro.distributed.allreduce import RingAllReduceExchange
-from repro.distributed.time_to_accuracy import (
-    ElasticPoint,
-    elastic_time_to_accuracy,
-)
 from repro.distributed.topology import standard_configurations
 
 __all__ = [
     "DataParallelTrainer",
     "DistributedProfile",
-    "ElasticPoint",
     "ParameterServerExchange",
     "RingAllReduceExchange",
-    "elastic_time_to_accuracy",
     "standard_configurations",
 ]

@@ -67,14 +67,9 @@ class DataParallelTrainer:
         framework: str,
         cluster: ClusterSpec,
         exchange=None,
-        fault_plan=None,
     ):
         self.cluster = cluster
         self.exchange = exchange if exchange is not None else ParameterServerExchange()
-        #: Optional :class:`~repro.faults.plan.FaultPlan` consulted by
-        #: :meth:`run_step`; ``None`` (or the empty plan) leaves every
-        #: step on the exact :meth:`run_iteration` arithmetic.
-        self.fault_plan = fault_plan
         self.session = TrainingSession(
             model, framework, gpu=cluster.machine.gpu, cpu=cluster.machine.cpu
         )
@@ -126,72 +121,6 @@ class DataParallelTrainer:
             exchange_time_s=exchange_time,
             exposed_exchange_s=exposed,
             iteration_time_s=iteration,
-            samples_per_iteration=local.effective_samples * workers,
-        )
-
-    def run_step(self, per_gpu_batch: int, step: int = 0) -> DistributedProfile:
-        """One synchronous iteration at a specific ``step`` index, priced
-        under the trainer's fault plan.
-
-        Stragglers stretch the compute phase (the synchronous barrier
-        waits for the slowest replica); link degradation re-prices the
-        exchange over the degraded fabric.  Point events (crashes,
-        timeouts) are recovery concerns and belong to
-        :class:`~repro.faults.trainer.FaultTolerantTrainer` — this method
-        prices the step as if they did not fire.  With no plan, or a
-        clean step, the result is byte-identical to
-        :meth:`run_iteration`.
-
-        Raises:
-            UnrecoverableFaultError: when the plan has the link fully out
-                at ``step`` — a bare priced step cannot complete and only
-                the recovery loop knows how to retry through it.
-        """
-        plan = self.fault_plan
-        if plan is None or plan.is_empty:
-            return self.run_iteration(per_gpu_batch)
-        conds = plan.conditions_at(step)
-        if conds.is_clean:
-            return self.run_iteration(per_gpu_batch)
-        if conds.link_is_out:
-            from repro.faults.recovery import UnrecoverableFaultError
-
-            raise UnrecoverableFaultError(
-                f"link is fully out at step {step}; a bare step cannot "
-                "complete (use FaultTolerantTrainer to retry through it)",
-                step=step,
-                kind="link-outage",
-            )
-        cluster = self.cluster.with_degraded_link(
-            bandwidth_factor=conds.bandwidth_factor,
-            packet_loss=conds.packet_loss,
-            extra_latency_s=conds.extra_latency_s,
-        )
-        workers = max(1, cluster.total_gpus)
-        with trace_span(
-            "distributed.step",
-            model=self.session.spec.key,
-            configuration=cluster.name,
-            step=step,
-            straggle_factor=conds.straggle_factor,
-        ):
-            local = self.session.run_iteration(per_gpu_batch)
-            compiled = self.session.compile(per_gpu_batch)
-            gradient_bytes = compiled.graph.total_weight_bytes
-            compute = local.iteration_time_s * conds.straggle_factor
-            cost = self.exchange.cost(gradient_bytes, cluster)
-            exchange_time = cost.total_s if workers > 1 else 0.0
-            exposed = exchange_time * (1.0 - COMM_OVERLAP)
-        return DistributedProfile(
-            model=self.session.spec.display_name,
-            framework=self.session.framework.name,
-            configuration=cluster.name,
-            per_gpu_batch=per_gpu_batch,
-            worker_count=workers,
-            compute_time_s=compute,
-            exchange_time_s=exchange_time,
-            exposed_exchange_s=exposed,
-            iteration_time_s=compute + exposed,
             samples_per_iteration=local.effective_samples * workers,
         )
 

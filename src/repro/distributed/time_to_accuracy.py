@@ -59,23 +59,19 @@ class ScalingPoint:
 
 def samples_to_accuracy(model_key: str, target_fraction: float = 0.95) -> float:
     """Samples a single worker needs to reach ``target_fraction`` of the
-    model's asymptotic metric, from the calibrated convergence curve."""
+    model's asymptotic metric: the calibrated curve's closed-form inverse."""
     if not 0.0 < target_fraction < 1.0:
         raise ValueError("target fraction must be in (0, 1)")
     model = FIG2_MODELS[model_key]
     target = model.initial + target_fraction * (model.final - model.initial)
-    low, high = 1.0, 1.0
-    while model.value_at(high) < target:
-        high *= 2.0
-        if high > 1e15:
-            raise ValueError("target unreachable")
-    for _ in range(100):
-        mid = 0.5 * (low + high)
-        if model.value_at(mid) < target:
-            low = mid
-        else:
-            high = mid
-    return high
+    return model.samples_to(target)
+
+
+def batch_penalty(model_key: str, global_batch: float, base_batch: float) -> float:
+    """The critical-batch sample inflation at ``global_batch``, normalized
+    so the single-GPU ``base_batch`` costs exactly 1."""
+    critical = CRITICAL_BATCH.get(model_key, 8192.0)
+    return (1.0 + global_batch / critical) / (1.0 + base_batch / critical)
 
 
 def adjusted_samples_needed(
@@ -85,10 +81,8 @@ def adjusted_samples_needed(
     (normalized so the single-GPU ``base_batch`` is the baseline)."""
     if global_batch <= 0 or base_batch <= 0:
         raise ValueError("batch sizes must be positive")
-    critical = CRITICAL_BATCH.get(model_key, 8192.0)
     base = samples_to_accuracy(model_key, target_fraction)
-    penalty = (1.0 + global_batch / critical) / (1.0 + base_batch / critical)
-    return base * penalty
+    return base * batch_penalty(model_key, global_batch, base_batch)
 
 
 def linear_scaled_learning_rate(model_key: str, global_batch: int, base_batch: int) -> float:
@@ -120,78 +114,6 @@ def scaling_point(
         learning_rate=linear_scaled_learning_rate(model_key, global_batch, base),
         samples_needed=samples,
         time_to_accuracy_s=samples / profile.throughput,
-    )
-
-
-@dataclass(frozen=True)
-class ElasticPoint:
-    """Time-to-accuracy for a run that survives a fault plan.
-
-    ``result`` is the underlying
-    :class:`~repro.faults.trainer.FaultTrainingResult`, kept so demos and
-    tests can inspect the event log behind the headline number.
-    """
-
-    configuration: str
-    per_gpu_batch: int
-    global_batch: int
-    samples_needed: float
-    time_to_accuracy_s: float
-    baseline_time_s: float
-    final_machines: int
-    result: object
-
-    @property
-    def overhead(self) -> float:
-        """Wall-clock inflation the faults cost (>= 1 in practice)."""
-        if self.baseline_time_s <= 0:
-            return float("inf")
-        return self.time_to_accuracy_s / self.baseline_time_s
-
-
-def elastic_time_to_accuracy(
-    model_key: str,
-    framework: str,
-    cluster: ClusterSpec,
-    per_gpu_batch: int,
-    plan=None,
-    recovery=None,
-    base_batch: int | None = None,
-    target_fraction: float = 0.95,
-) -> ElasticPoint:
-    """Time-to-accuracy for a run threaded through a fault plan.
-
-    The statistical side (samples needed) is priced at the *initial*
-    global batch — an elastic shrink changes how fast samples are
-    consumed, not how many the optimizer needs — and the hardware side
-    comes from
-    :meth:`~repro.faults.trainer.FaultTolerantTrainer.run_until_samples`,
-    so crashes, stragglers and outages lengthen (but never derail) the
-    run.  With ``plan=None`` the number collapses to
-    ``samples / baseline throughput``, exactly :func:`scaling_point`.
-
-    Raises:
-        UnrecoverableFaultError: propagated from the trainer when the
-            recovery policies cannot survive the plan.
-    """
-    from repro.faults.trainer import FaultTolerantTrainer
-
-    trainer = FaultTolerantTrainer(
-        model_key, framework, cluster, per_gpu_batch, plan=plan, recovery=recovery
-    )
-    base = base_batch if base_batch is not None else per_gpu_batch
-    global_batch = per_gpu_batch * trainer.baseline.worker_count
-    samples = adjusted_samples_needed(model_key, global_batch, base, target_fraction)
-    result = trainer.run_until_samples(samples)
-    return ElasticPoint(
-        configuration=cluster.name,
-        per_gpu_batch=per_gpu_batch,
-        global_batch=global_batch,
-        samples_needed=samples,
-        time_to_accuracy_s=result.wall_clock_s,
-        baseline_time_s=samples / trainer.baseline.throughput,
-        final_machines=result.final_machines,
-        result=result,
     )
 
 

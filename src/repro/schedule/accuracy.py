@@ -1,21 +1,24 @@
-"""Time-to-accuracy under an adaptive batch schedule, faults included.
+"""Time-to-accuracy under a batch schedule, faults included.
 
-This composes three existing models segment by segment:
+This is the one time-to-accuracy model for a run threaded through a
+cluster and a fault plan.  It composes three existing models segment by
+segment:
 
 - the **convergence curve** tiles the run into batch segments
   (:func:`~repro.schedule.integrator.integrate_schedule`),
 - the **critical-batch statistical model** prices each segment's real
-  sample cost at that segment's *global* batch (the same
-  ``(1 + B/B_crit)`` penalty :func:`~repro.distributed.time_to_accuracy.\
-adjusted_samples_needed` charges a fixed run), and
+  sample cost at that segment's *global* batch
+  (:func:`~repro.distributed.time_to_accuracy.batch_penalty`, the same
+  penalty :func:`~repro.distributed.time_to_accuracy.\
+adjusted_samples_needed` charges), and
 - the **fault-tolerant trainer** replays each segment against its window
   of the fault plan (:meth:`~repro.faults.plan.FaultPlan.window`),
   carrying elastic shrinks across segment boundaries.
 
-With a fixed (or absent) schedule this delegates verbatim to
-:func:`~repro.distributed.time_to_accuracy.elastic_time_to_accuracy`
-— the ``schedule-fixed-equivalence`` conformance invariant holds the two
-paths together.
+A fixed (or absent) schedule is the single segment ``[0, total]`` at the
+starting batch, priced by the same loop; fault-free, its baseline equals
+:func:`~repro.distributed.time_to_accuracy.scaling_point`'s
+time-to-accuracy exactly.
 """
 
 from __future__ import annotations
@@ -23,10 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.distributed.time_to_accuracy import (
-    CRITICAL_BATCH,
-    elastic_time_to_accuracy,
-)
+from repro.distributed.time_to_accuracy import batch_penalty
 from repro.faults.plan import FaultPlan
 from repro.hardware.cluster import ClusterSpec
 from repro.observability.metrics import get_metrics
@@ -57,9 +57,8 @@ class SegmentRun:
 class ScheduledPoint:
     """Time-to-accuracy for a run driven by a batch schedule.
 
-    Mirrors :class:`~repro.distributed.time_to_accuracy.ElasticPoint`;
-    ``schedule`` is the canonical spec text (empty for fixed, where the
-    numbers are exactly the elastic path's).
+    ``schedule`` is the canonical spec text (empty for a fixed run,
+    which has exactly one segment).
     """
 
     configuration: str
@@ -83,13 +82,6 @@ class ScheduledPoint:
     @property
     def segment_count(self) -> int:
         return len(self.segment_runs)
-
-
-def _batch_penalty(model_key: str, global_batch: float, base_batch: float) -> float:
-    """The critical-batch sample inflation, normalized to ``base_batch``
-    (identical in form to ``adjusted_samples_needed``)."""
-    critical = CRITICAL_BATCH.get(model_key, 8192.0)
-    return (1.0 + global_batch / critical) / (1.0 + base_batch / critical)
 
 
 def scheduled_time_to_accuracy(
@@ -121,49 +113,16 @@ def scheduled_time_to_accuracy(
 
     if isinstance(schedule, str):
         schedule = parse_schedule_spec(schedule)
-    if schedule is None or schedule.is_fixed:
-        elastic = elastic_time_to_accuracy(
-            model_key,
-            framework,
-            cluster,
-            per_gpu_batch,
-            plan=plan,
-            recovery=recovery,
-            base_batch=base_batch,
-            target_fraction=target_fraction,
-        )
-        run = SegmentRun(
-            index=0,
-            per_gpu_batch=per_gpu_batch,
-            global_batch=elastic.global_batch,
-            curve_samples=elastic.samples_needed,
-            samples_needed=elastic.samples_needed,
-            wall_clock_s=elastic.time_to_accuracy_s,
-            start_step=0,
-            machines_before=cluster.machine_count,
-            machines_after=elastic.final_machines,
-            result=elastic.result,
-        )
-        return ScheduledPoint(
-            configuration=elastic.configuration,
-            schedule="",
-            per_gpu_batch=per_gpu_batch,
-            final_per_gpu_batch=per_gpu_batch,
-            global_batch=elastic.global_batch,
-            samples_needed=elastic.samples_needed,
-            time_to_accuracy_s=elastic.time_to_accuracy_s,
-            baseline_time_s=elastic.baseline_time_s,
-            final_machines=elastic.final_machines,
-            segment_runs=(run,),
-        )
-
+    spec_text = (
+        "" if schedule is None or schedule.is_fixed else schedule.canonical
+    )
     base = base_batch if base_batch is not None else per_gpu_batch
     plan = plan if plan is not None else FaultPlan.none()
     with trace_span(
         "schedule.tta",
         model=model_key,
         framework=framework,
-        schedule=schedule.canonical,
+        schedule=spec_text or "fixed",
         configuration=cluster.name,
     ) as span:
         integration = integrate_schedule(
@@ -188,7 +147,7 @@ def scheduled_time_to_accuracy(
                 recovery=recovery,
             )
             global_batch = segment.batch_size * trainer.baseline.worker_count
-            needed = segment.samples * _batch_penalty(
+            needed = segment.samples * batch_penalty(
                 model_key, global_batch, base
             )
             result = trainer.run_until_samples(needed)
@@ -222,7 +181,7 @@ def scheduled_time_to_accuracy(
         first = runs[0] if runs else None
         return ScheduledPoint(
             configuration=cluster.name,
-            schedule=schedule.canonical,
+            schedule=spec_text,
             per_gpu_batch=per_gpu_batch,
             final_per_gpu_batch=(
                 runs[-1].per_gpu_batch if runs else per_gpu_batch

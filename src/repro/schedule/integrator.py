@@ -8,11 +8,13 @@ or bounded checkpoint scans, so a run needing 10^12 samples costs the
 same to integrate as one needing 10^4.  The segment list is the single
 source of truth downstream: the schedule-aware ``time_to_metric``
 integrates time over it, ``scheduled_time_to_accuracy`` prices each
-segment's statistical penalty and fault window over it, and the engine
-aggregates per-segment iteration profiles over it.
+segment's statistical penalty and fault window over it (a fixed run is
+its one segment), and the engine aggregates per-segment iteration
+profiles over it.
 
-Conservation contract (checked by the ``schedule-sample-conservation``
-invariant): segments tile ``[0, total_samples]`` exactly — the first
+Conservation contract (checked by :func:`tiling_violation`, which the
+``schedule-sample-conservation`` invariant and the schedule bench guard
+both call): segments tile ``[0, total_samples]`` exactly — the first
 starts at 0, each starts where its predecessor ends, the last ends at
 ``total_samples``, and every segment's ``samples`` equals its span.
 """
@@ -156,12 +158,12 @@ def build_segments(
 ) -> tuple:
     """Tile ``[0, total_samples]`` with the schedule's segments.
 
-    ``schedule=None`` and the fixed schedule produce the single legacy
-    segment.  Adaptive schedules need ``model`` (the curve that drives
-    plateau/gns triggers and, for uniformity, bounds every schedule's
-    horizon).  The result always has at least one segment — a zero-length
-    run (``total_samples == 0``) is one zero-length segment, which every
-    consumer must price at zero.
+    ``schedule=None`` and the fixed schedule produce one segment at
+    ``base_batch`` covering the whole run.  Adaptive schedules need
+    ``model`` (the curve that drives plateau/gns triggers and, for
+    uniformity, bounds every schedule's horizon).  The result always has
+    at least one segment — a zero-length run (``total_samples == 0``) is
+    one zero-length segment, which every consumer must price at zero.
     """
     if int(base_batch) < 1:
         raise ValueError("base batch must be a positive integer")
@@ -255,6 +257,34 @@ class ScheduleIntegration:
                 f"{segment.end_samples:.4g})  steps {segment.steps:.1f}"
             )
         return "\n".join(lines)
+
+
+def tiling_violation(integration: ScheduleIntegration) -> str | None:
+    """The first breach of the conservation contract (module docstring)
+    in ``integration``'s segments, or ``None`` when they tile
+    ``[0, total_samples]`` exactly."""
+    segments = integration.segments
+    total = integration.total_samples
+    if segments[0].start_samples != 0.0:
+        return f"first segment starts at {segments[0].start_samples!r}, not 0"
+    for prev, cur in zip(segments, segments[1:]):
+        if cur.start_samples != prev.end_samples:
+            return (
+                f"segment {cur.index} starts at {cur.start_samples!r} but "
+                f"segment {prev.index} ends at {prev.end_samples!r}"
+            )
+    if segments[-1].end_samples != total:
+        return (
+            f"last segment ends at {segments[-1].end_samples!r}, not the "
+            f"integrated total {total!r}"
+        )
+    covered = math.fsum(segment.samples for segment in segments)
+    if abs(covered - total) > 1e-9 * max(total, 1.0):
+        return (
+            f"segment samples sum to {covered!r}, not the integrated "
+            f"total {total!r}"
+        )
+    return None
 
 
 def integrate_schedule(

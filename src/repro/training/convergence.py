@@ -214,17 +214,19 @@ def time_to_metric(
 ) -> float:
     """Wall-clock seconds until the curve reaches ``target``.
 
-    With no ``schedule`` (or a fixed one) this is the legacy bisection —
-    bit-identical to every pre-schedule caller.  With an adaptive
-    schedule (a :class:`~repro.schedule.spec.BatchSchedule` or its spec
-    text) the time is integrated segment-by-segment in closed form:
-    ``base_batch`` seeds the schedule and ``throughput_for_batch``
-    (batch -> samples/s, defaulting to the constant
-    ``throughput_samples_per_s``) prices each segment, so larger batches
-    can be credited with their real hardware speedup.
+    With no ``schedule`` (or a fixed one) this is the closed-form curve
+    inverse at constant throughput: ``samples_to(target) / throughput``.
+    With an adaptive schedule (a
+    :class:`~repro.schedule.spec.BatchSchedule` or its spec text) the
+    time is integrated segment-by-segment in closed form: ``base_batch``
+    seeds the schedule and ``throughput_for_batch`` (batch ->
+    samples/s, defaulting to the constant ``throughput_samples_per_s``)
+    prices each segment, so larger batches can be credited with their
+    real hardware speedup.
 
     Raises:
-        ValueError: if the target exceeds the curve's asymptote.
+        ValueError: if the target lies outside the curve's range or at
+            its asymptote, or the throughput is not positive.
     """
     if schedule is not None:
         from repro.schedule.integrator import integrate_schedule
@@ -241,22 +243,9 @@ def time_to_metric(
                     raise ValueError("throughput must be positive")
                 throughput_for_batch = lambda _batch: throughput_samples_per_s
             return integration.time_with(throughput_for_batch)
-    model = FIG2_MODELS[model_key]
-    lo, hi = model.initial, model.final
-    if not (min(lo, hi) <= target <= max(lo, hi)):
+    samples = FIG2_MODELS[model_key].samples_to(target)
+    if throughput_samples_per_s <= 0:
         raise ValueError(
-            f"target {target} outside achievable range [{lo}, {hi}] "
-            f"for {model_key}"
+            f"throughput must be positive, got {throughput_samples_per_s}"
         )
-    low, high = 0.0, 1.0
-    while model.value_at(high * throughput_samples_per_s) < target:
-        high *= 2.0
-        if high > 1e12:
-            raise ValueError(f"target {target} unreachable for {model_key}")
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if model.value_at(mid * throughput_samples_per_s) < target:
-            low = mid
-        else:
-            high = mid
-    return high
+    return samples / throughput_samples_per_s

@@ -23,7 +23,7 @@ from repro.distributed.allreduce import (
     ring_allreduce_time,
 )
 from repro.distributed.data_parallel import DataParallelTrainer
-from repro.faults.plan import FaultPlan, LinkFault, StragglerFault
+from repro.faults.plan import FaultPlan, LinkFault, StepConditions, StragglerFault
 from repro.faults.trainer import FaultTolerantTrainer
 from repro.hardware.cluster import ClusterSpec, MachineSpec, parse_configuration
 from repro.hardware.interconnect import Interconnect
@@ -170,15 +170,20 @@ class TestZeroMagnitudeIdentity:
         assert result.mean_step_s == pytest.approx(baseline.iteration_time_s, rel=1e-15)
         assert result.throughput == pytest.approx(baseline.throughput, rel=1e-15)
 
-    def test_run_step_with_clean_plan_equals_run_iteration(self):
-        cluster = parse_configuration("2M1G", fabric="infiniband")
-        zero = FaultPlan(
-            events=(StragglerFault(worker=0, factor=1.0, start_step=0),)
-        )
-        trainer = DataParallelTrainer("resnet-50", "mxnet", cluster, fault_plan=zero)
-        assert trainer.run_step(16, step=5) == trainer.run_iteration(16)
-        bare = DataParallelTrainer("resnet-50", "mxnet", cluster)
-        assert bare.run_step(16, step=0) == bare.run_iteration(16)
+    @pytest.mark.parametrize(
+        "label, fabric", [("2M1G", "infiniband"), ("1M2G", "ethernet")]
+    )
+    def test_clean_step_cost_prices_like_run_iteration(self, label, fabric):
+        cluster = parse_configuration(label, fabric=fabric)
+        reference = DataParallelTrainer("resnet-50", "mxnet", cluster).run_iteration(16)
+        trainer = FaultTolerantTrainer("resnet-50", "mxnet", cluster, 16)
+        cost = trainer._step_cost(cluster.machine_count, StepConditions())
+        assert cost.compute_s == reference.compute_time_s
+        assert cost.exchange_s == reference.exchange_time_s
+        assert cost.exposed_s == reference.exposed_exchange_s
+        assert cost.iteration_s == reference.iteration_time_s
+        assert cost.samples == reference.samples_per_iteration
+        assert cost.rebalance is None
 
 
 class TestSeededDeterminism:

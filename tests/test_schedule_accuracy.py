@@ -1,7 +1,7 @@
 """``scheduled_time_to_accuracy``: segment pricing, faults, elasticity.
 
-The fixed path must delegate *exactly* to ``elastic_time_to_accuracy``
-(the ``schedule-fixed-equivalence`` invariant's unit-level twin), the
+Every fixed spelling must price the same single segment, whose
+fault-free baseline is exactly the Fig. 10 ``scaling_point``; the
 adaptive path must beat fixed on the bench cluster, elastic shrinks must
 carry across segment boundaries, and ``FaultPlan.window`` — the plumbing
 that threads one plan through per-segment trainers — gets its own unit
@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distributed.time_to_accuracy import elastic_time_to_accuracy
+from repro.distributed.time_to_accuracy import (
+    samples_to_accuracy,
+    scaling_point,
+)
 from repro.faults import (
     AllReduceTimeout,
     FaultPlan,
@@ -21,7 +24,7 @@ from repro.faults import (
     WorkerCrash,
 )
 from repro.hardware.cluster import parse_configuration
-from repro.schedule import scheduled_time_to_accuracy
+from repro.schedule import parse_schedule_spec, scheduled_time_to_accuracy
 
 MODEL, FRAMEWORK, BATCH = "resnet-50", "mxnet", 32
 ADAPTIVE = "gns:ceiling=64,every=50"
@@ -40,29 +43,47 @@ def cluster():
     return parse_configuration("2M1G", fabric="ethernet")
 
 
-class TestFixedDelegation:
-    """schedule=fixed (or absent) must be the elastic path, number for
-    number."""
+class TestFixedIsOneSegment:
+    """A fixed (or absent) schedule is one segment at the starting batch,
+    whatever its spelling."""
 
     @pytest.mark.parametrize("plan", [None, CRASH_PLAN])
-    @pytest.mark.parametrize("spelling", [None, "", "fixed", "constant"])
-    def test_fixed_equals_elastic_exactly(self, cluster, spelling, plan):
-        elastic = elastic_time_to_accuracy(
+    def test_every_fixed_spelling_gives_the_same_point(self, cluster, plan):
+        reference = scheduled_time_to_accuracy(
+            MODEL, FRAMEWORK, cluster, BATCH, None, plan=plan
+        )
+        for spelling in ("", "fixed", "constant", parse_schedule_spec("fixed")):
+            assert (
+                scheduled_time_to_accuracy(
+                    MODEL, FRAMEWORK, cluster, BATCH, spelling, plan=plan
+                )
+                == reference
+            ), spelling
+        assert reference.schedule == ""
+        assert reference.segment_count == 1
+        assert reference.final_per_gpu_batch == BATCH
+        [run] = reference.segment_runs
+        # The one segment covers the whole curve; its real samples carry
+        # the critical-batch penalty at the cluster's global batch.
+        assert run.curve_samples == samples_to_accuracy(MODEL)
+        assert run.samples_needed == reference.samples_needed
+        assert run.samples_needed > run.curve_samples
+        assert run.wall_clock_s == reference.time_to_accuracy_s
+        assert run.machines_after == reference.final_machines
+
+    @pytest.mark.parametrize("plan", [None, CRASH_PLAN])
+    def test_fault_free_baseline_equals_scaling_point(self, cluster, plan):
+        point = scheduled_time_to_accuracy(
             MODEL, FRAMEWORK, cluster, BATCH, plan=plan
         )
-        scheduled = scheduled_time_to_accuracy(
-            MODEL, FRAMEWORK, cluster, BATCH, spelling, plan=plan
-        )
-        assert scheduled.schedule == ""
-        assert scheduled.time_to_accuracy_s == elastic.time_to_accuracy_s
-        assert scheduled.baseline_time_s == elastic.baseline_time_s
-        assert scheduled.samples_needed == elastic.samples_needed
-        assert scheduled.global_batch == elastic.global_batch
-        assert scheduled.final_machines == elastic.final_machines
-        assert scheduled.segment_count == 1
-        assert scheduled.final_per_gpu_batch == BATCH
+        scaling = scaling_point(MODEL, FRAMEWORK, cluster, BATCH)
+        assert point.baseline_time_s == scaling.time_to_accuracy_s
+        assert point.samples_needed == scaling.samples_needed
+        assert point.global_batch == scaling.global_batch
+        if plan is None:
+            assert point.time_to_accuracy_s == scaling.time_to_accuracy_s
 
-    def test_fixed_overhead_matches_elastic(self, cluster):
+    def test_fixed_overhead_is_time_over_baseline(self, cluster):
         scheduled = scheduled_time_to_accuracy(
             MODEL, FRAMEWORK, cluster, BATCH, "fixed", plan=CRASH_PLAN
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -51,7 +52,7 @@ class TestScheduleSuite:
         for result in results:
             assert result.adaptive_beats_fixed, result.name
             assert result.conservation_ok, result.name
-            assert result.fixed_equals_elastic, result.name
+            assert result.fixed_matches_scaling, result.name
             assert result.guards_ok
             assert result.speedup > 1.0
             assert result.final_batch == 64
@@ -173,6 +174,20 @@ class TestBenchCli:
         )
         assert code == 0
         assert "adaptive" in out
+        assert "fixed=scaling=True" in out
+
+    def test_history_reads_the_committed_trajectory(self, capsys):
+        trajectory = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "benchmarks",
+            "trajectory",
+        )
+        code, out = run_cli(
+            capsys, "bench", "history", SUITE_NAME, "--dir", trajectory
+        )
+        assert code == 0
+        assert "fixed=scaling=True" in out
+        assert "fixed=scaling=False" not in out
 
     def test_bench_list_mentions_the_suite(self, capsys):
         code, out = run_cli(capsys, "bench", "history", "--list")

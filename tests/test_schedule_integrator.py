@@ -9,8 +9,9 @@ invariants every consumer leans on:
 - **affine invariance** — plateau triggers see only gap *fractions*, so
   rescaling the curve's metric axis never moves a boundary (metamorphic);
 - **closed form** — arbitrarily deep targets (10^12+ samples) integrate
-  in bounded work, and ``time_to_metric``'s legacy path is bit-identical
-  to the ``schedule="fixed"`` spelling.
+  in bounded work, every fixed spelling of ``time_to_metric`` is
+  bit-identical to no schedule, and its closed-form curve inverse agrees
+  with a reference time bisection.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.schedule.integrator import (
     Segment,
     build_segments,
     integrate_schedule,
+    tiling_violation,
 )
 from repro.schedule.spec import (
     GeometricSchedule,
@@ -79,7 +81,23 @@ class TestConservationProperty:
             assert len(integration.segments) <= MAX_SEGMENTS
             _assert_conserves(integration.segments, integration.total_samples)
 
-    def test_fixed_and_none_produce_the_single_legacy_segment(self):
+    def test_tiling_violation_names_the_first_broken_boundary(self):
+        integration = integrate_schedule("resnet-50", "gns:ceiling=256", 32)
+        assert tiling_violation(integration) is None
+        first, *rest = integration.segments
+        leaky = dataclasses.replace(
+            integration,
+            segments=(
+                dataclasses.replace(first, end_samples=first.end_samples - 1.0),
+                *rest,
+            ),
+        )
+        assert tiling_violation(leaky) == (
+            f"segment 1 starts at {rest[0].start_samples!r} but segment 0 "
+            f"ends at {first.end_samples - 1.0!r}"
+        )
+
+    def test_fixed_and_none_produce_the_single_segment(self):
         for schedule in (None, parse_schedule_spec("fixed")):
             segments = build_segments(schedule, 32, 1e6)
             assert segments == (Segment(0, 32, 0.0, 1e6),)
@@ -183,15 +201,43 @@ class TestBuildSegmentsValidation:
             Segment(0, 32, 10.0, 5.0)
 
 
+def _bisect_time_to_metric(model, throughput: float, target: float) -> float:
+    """Reference: the 200-step time bisection ``time_to_metric`` used
+    before it inverted the curve in closed form."""
+    low, high = 0.0, 1.0
+    while model.value_at(high * throughput) < target:
+        high *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (low + high)
+        if model.value_at(mid * throughput) < target:
+            low = mid
+        else:
+            high = mid
+    return high
+
+
+class TestTimeToMetricClosedForm:
+    @pytest.mark.parametrize("model_key", _MODELS)
+    def test_agrees_with_reference_bisection(self, model_key):
+        curve = FIG2_MODELS[model_key]
+        for fraction in (0.25, 0.5, 0.9, 0.95):
+            target = curve.initial + fraction * (curve.final - curve.initial)
+            for throughput in (1.0, 37.5, 1000.0, 2.5e5):
+                seconds = time_to_metric(model_key, throughput, target)
+                assert seconds == curve.samples_to(target) / throughput
+                reference = _bisect_time_to_metric(curve, throughput, target)
+                assert seconds == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+
 class TestTimeToMetricEdgeCases:
-    def test_fixed_spelling_is_bit_identical_to_legacy(self):
+    def test_fixed_spellings_are_bit_identical_to_no_schedule(self):
         curve = FIG2_MODELS["resnet-50"]
         target = curve.initial + 0.95 * (curve.final - curve.initial)
-        legacy = time_to_metric("resnet-50", 1000.0, target)
-        for spelling in ("fixed", "", None):
+        plain = time_to_metric("resnet-50", 1000.0, target)
+        for spelling in ("fixed", "", parse_schedule_spec("fixed")):
             assert (
                 time_to_metric("resnet-50", 1000.0, target, schedule=spelling)
-                == legacy
+                == plain
             )
 
     def test_adaptive_with_constant_throughput_matches_direct_integration(self):
@@ -231,24 +277,25 @@ class TestTimeToMetricEdgeCases:
                 "resnet-50", 1000.0, beyond, schedule="gns:ceiling=64"
             )
 
-    def test_asymptote_target_raises_in_closed_form(self):
-        # The adaptive path sees "unreachable" analytically — no bisection
-        # blow-up, the curve inverse itself rejects the asymptote.
+    @pytest.mark.parametrize("schedule", [None, "gns:ceiling=64"])
+    def test_asymptote_target_raises_in_closed_form(self, schedule):
+        # "Unreachable" is analytic on both paths: the curve inverse
+        # itself rejects the asymptote.
         with pytest.raises(ValueError, match="asymptote"):
             time_to_metric(
                 "resnet-50",
                 1000.0,
                 FIG2_MODELS["resnet-50"].final,
-                schedule="gns:ceiling=64",
+                schedule=schedule,
             )
 
-    def test_non_positive_throughput_rejected(self):
+    @pytest.mark.parametrize("schedule", [None, "gns:ceiling=64"])
+    @pytest.mark.parametrize("throughput", [0.0, -5.0])
+    def test_non_positive_throughput_rejected(self, schedule, throughput):
         curve = FIG2_MODELS["resnet-50"]
         target = curve.initial + 0.5 * (curve.final - curve.initial)
         with pytest.raises(ValueError, match="positive"):
-            time_to_metric(
-                "resnet-50", 0.0, target, schedule="gns:ceiling=64"
-            )
+            time_to_metric("resnet-50", throughput, target, schedule=schedule)
 
     def test_zero_length_run_is_one_zero_segment_priced_at_zero(self):
         segments = build_segments(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.distributed.time_to_accuracy import (
     adjusted_samples_needed,
+    batch_penalty,
     linear_scaled_learning_rate,
     samples_to_accuracy,
     scaling_point,
@@ -13,7 +14,33 @@ from repro.distributed.topology import configuration
 from repro.training.convergence import FIG2_MODELS
 
 
+def _bisect_samples(model, target: float) -> float:
+    """Reference: the 100-step sample bisection ``samples_to_accuracy``
+    used before it inverted the curve in closed form."""
+    low, high = 1.0, 1.0
+    while model.value_at(high) < target:
+        high *= 2.0
+    for _ in range(100):
+        mid = 0.5 * (low + high)
+        if model.value_at(mid) < target:
+            low = mid
+        else:
+            high = mid
+    return high
+
+
 class TestStatisticalEfficiencyModel:
+    @pytest.mark.parametrize("model_key", sorted(FIG2_MODELS))
+    def test_closed_form_agrees_with_reference_bisection(self, model_key):
+        model = FIG2_MODELS[model_key]
+        for fraction in (0.5, 0.9, 0.95, 0.99):
+            target = model.initial + fraction * (model.final - model.initial)
+            samples = samples_to_accuracy(model_key, fraction)
+            assert samples == model.samples_to(target)
+            assert samples == pytest.approx(
+                _bisect_samples(model, target), rel=1e-13, abs=0.0
+            )
+
     def test_samples_to_accuracy_inverts_the_curve(self):
         samples = samples_to_accuracy("resnet-50", 0.95)
         model = FIG2_MODELS["resnet-50"]
@@ -25,9 +52,19 @@ class TestStatisticalEfficiencyModel:
             "resnet-50", 0.90
         )
 
-    def test_target_fraction_validation(self):
-        with pytest.raises(ValueError):
-            samples_to_accuracy("resnet-50", 1.0)
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])
+    def test_target_fraction_validation(self, fraction):
+        with pytest.raises(ValueError, match=r"in \(0, 1\)"):
+            samples_to_accuracy("resnet-50", fraction)
+
+    def test_batch_penalty_is_one_at_the_base_batch(self):
+        assert batch_penalty("resnet-50", 32, 32) == 1.0
+        assert adjusted_samples_needed("resnet-50", 32, 32) == samples_to_accuracy(
+            "resnet-50"
+        )
+        assert adjusted_samples_needed(
+            "resnet-50", 256, 32
+        ) == samples_to_accuracy("resnet-50") * batch_penalty("resnet-50", 256, 32)
 
     def test_small_batches_scale_freely(self):
         base = adjusted_samples_needed("resnet-50", 32, 32)

@@ -31,7 +31,6 @@ REQUIRED = [
     ("repro/distributed/allreduce.py", "RingAllReduceExchange", "cost"),
     ("repro/distributed/parameter_server.py", "ParameterServerExchange", "cost"),
     ("repro/distributed/data_parallel.py", "DataParallelTrainer", "run_iteration"),
-    ("repro/distributed/data_parallel.py", "DataParallelTrainer", "run_step"),
     ("repro/data/pipeline.py", "DataPipelineModel", "cost"),
     ("repro/engine/executor.py", "SweepEngine", "run_grid"),
     ("repro/engine/executor.py", "SweepEngine", "_compute_inline"),
