@@ -21,7 +21,6 @@ from repro.profiling.export import (
     write_chrome_trace,
 )
 from repro.profiling.kernel_trace import trace_from_profile
-from repro.profiling.timeline import timeline_for
 
 OUTPUT_DIR = "artifacts"
 
@@ -35,7 +34,7 @@ def main() -> None:
         ("nmt", "nmt", "tensorflow", 64),
     ):
         session = suite.session(model, framework)
-        timeline = timeline_for(session, batch)
+        timeline = session.compile(batch).timeline
         trace_path = os.path.join(OUTPUT_DIR, f"{label}_trace.json")
         write_chrome_trace(timeline, trace_path, process_name=f"{model} ({framework})")
         profile = session.run_iteration(batch)

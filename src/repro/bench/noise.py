@@ -76,13 +76,12 @@ class NoiseStream:
 
     Each channel returns one numpy array per replay (``kernel_factors(n)``,
     ``dispatch_factors(n)``): noise costs one vectorised draw per sample,
-    not one RNG call per kernel, and the executor turns each array into a
-    list of Python floats once before its per-kernel loop.  Draw order is
-    part of the contract: the run factor first (eagerly), then kernels,
-    then dispatch, then interconnect — the order
-    :meth:`repro.bench.subjects.PlanSubject.measure` consumes them in via
-    :func:`repro.plan.executor.makespan_under_noise`, which is what makes
-    one seed reproduce one sample series bit-for-bit.
+    not one RNG call per kernel, and the subject turns each array into a
+    list of Python floats once before :func:`repro.plan.executor.replay`
+    walks it.  Draw order is part of the contract: the run factor first
+    (eagerly), then kernels, then dispatch, then interconnect — the order
+    :meth:`repro.bench.subjects.PlanSubject.measure` draws them in, which
+    is what makes one seed reproduce one sample series bit-for-bit.
     """
 
     __slots__ = ("model", "_rng", "run_factor")

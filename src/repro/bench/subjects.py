@@ -5,8 +5,8 @@ A *subject* owns everything deterministic about one side of a comparison
 exposes exactly one operation: ``measure(stream)``, one noisy iteration
 time drawn under one :class:`~repro.bench.noise.NoiseStream`.  All
 expensive work (graph build, lowering, roofline timing) happens once in
-the constructor; the per-sample path is the noisy makespan recurrence
-from :mod:`repro.plan.executor`.
+the constructor; the per-sample path is one noisy pass of
+:func:`repro.plan.executor.replay` over the plan's flat duration list.
 
 ``subject_for`` builds the standard subjects the CLI and suites use:
 ``baseline`` (the plan as compiled), any transform pipeline in
@@ -19,7 +19,7 @@ own negative control.
 from __future__ import annotations
 
 from repro.plan.compiled import CompiledPlan
-from repro.plan.executor import makespan_under_noise, plan_arrays
+from repro.plan.executor import replay
 from repro.plan.pipeline import parse_transform_spec
 from repro.training.session import TrainingSession
 
@@ -62,7 +62,7 @@ class PlanSubject(Subject):
         self.plan = plan
         self.kernel_bias = kernel_bias
         self.host_s = host_s
-        self._durations, self._host_syncs = plan_arrays(plan.timings)
+        self._durations = plan.execution.durations
         if kernel_bias != 1.0:
             self._durations = [d * kernel_bias for d in self._durations]
 
@@ -72,8 +72,13 @@ class PlanSubject(Subject):
         return self.plan.makespan_s * self.kernel_bias + self.host_s
 
     def measure(self, stream) -> float:
-        makespan = makespan_under_noise(
-            self._durations, self._host_syncs, self.plan.framework, stream
+        count = len(self._durations)
+        makespan = replay(
+            self._durations,
+            self.plan.execution.host_syncs,
+            self.plan.framework,
+            stream.kernel_factors(count).tolist(),
+            stream.dispatch_factors(count).tolist(),
         )
         stall = self.plan.execution.offload_stall_s
         if stall:

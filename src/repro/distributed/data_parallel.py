@@ -10,13 +10,13 @@ become ready — captured by ``COMM_OVERLAP``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.distributed.parameter_server import ParameterServerExchange
 from repro.hardware.cluster import ClusterSpec
 from repro.observability.metrics import get_metrics
 from repro.observability.tracer import trace_span
-from repro.training.session import TrainingSession
+from repro.training.session import IterationProfile, TrainingSession
 
 #: Fraction of exchange time hidden behind the backward pass (layer-wise
 #: push while upstream layers still compute).
@@ -37,6 +37,8 @@ class DistributedProfile:
     exposed_exchange_s: float
     iteration_time_s: float
     samples_per_iteration: float
+    #: The profile of one replica's iteration (``compute_time_s``).
+    replica: IterationProfile = field(repr=False, compare=False)
 
     @property
     def throughput(self) -> float:
@@ -56,6 +58,19 @@ class DistributedProfile:
     def communication_fraction(self) -> float:
         """Share of the iteration spent in exposed communication."""
         return self.exposed_exchange_s / self.iteration_time_s
+
+
+@dataclass(frozen=True)
+class StepPrice:
+    """One synchronous step: replica compute plus the exposed exchange."""
+
+    compute_s: float
+    exchange_s: float
+    exposed_s: float
+
+    @property
+    def iteration_s(self) -> float:
+        return self.compute_s + self.exposed_s
 
 
 class DataParallelTrainer:
@@ -93,21 +108,19 @@ class DataParallelTrainer:
             local = self.session.run_iteration(per_gpu_batch)
             plan = self.session.compile(per_gpu_batch)
             gradient_bytes = plan.graph.total_weight_bytes
-
-            cost = self.exchange.cost(gradient_bytes, self.cluster)
-            exchange_time = cost.total_s if workers > 1 else 0.0
-            exposed = exchange_time * (1.0 - COMM_OVERLAP)
-            iteration = local.iteration_time_s + exposed
+            price = self.price_step(
+                local.iteration_time_s, gradient_bytes, self.cluster
+            )
             span.set_attributes(
                 gradient_bytes=gradient_bytes,
-                exchange_s=exchange_time,
-                exposed_exchange_s=exposed,
-                iteration_time_s=iteration,
+                exchange_s=price.exchange_s,
+                exposed_exchange_s=price.exposed_s,
+                iteration_time_s=price.iteration_s,
             )
             metrics = get_metrics()
             if metrics.enabled:
                 metrics.counter("distributed_iterations_total").inc()
-                metrics.counter("exchange_exposed_seconds_total").inc(exposed)
+                metrics.counter("exchange_exposed_seconds_total").inc(price.exposed_s)
                 metrics.gauge(
                     "distributed_workers", {"configuration": self.cluster.name}
                 ).set(workers)
@@ -117,12 +130,20 @@ class DataParallelTrainer:
             configuration=self.cluster.name,
             per_gpu_batch=per_gpu_batch,
             worker_count=workers,
-            compute_time_s=local.iteration_time_s,
-            exchange_time_s=exchange_time,
-            exposed_exchange_s=exposed,
-            iteration_time_s=iteration,
+            compute_time_s=price.compute_s,
+            exchange_time_s=price.exchange_s,
+            exposed_exchange_s=price.exposed_s,
+            iteration_time_s=price.iteration_s,
             samples_per_iteration=local.effective_samples * workers,
+            replica=local,
         )
+
+    def price_step(self, compute_s, gradient_bytes, cluster: ClusterSpec) -> StepPrice:
+        """``compute_s`` of replica time plus exchanging ``gradient_bytes``
+        on ``cluster`` (nothing on one GPU), ``COMM_OVERLAP`` of it hidden."""
+        cost = self.exchange.cost(gradient_bytes, cluster)
+        exchange = cost.total_s if cluster.total_gpus > 1 else 0.0
+        return StepPrice(compute_s, exchange, exchange * (1.0 - COMM_OVERLAP))
 
     def gradient_schedule(self, per_gpu_batch: int) -> list:
         """Per-layer ``(layer_name, gradient_ready_s)`` pairs, in the order

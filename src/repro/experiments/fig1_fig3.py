@@ -69,7 +69,7 @@ PIPELINE_STAGES = (
         "profiling.sampling.StablePhaseSampler",
     ),
     ("short training period, sampling", "profiling.sampling + statistics"),
-    ("nvprof -> .nvvp files", "profiling.kernel_trace + profiling.timeline"),
+    ("nvprof -> .nvvp files", "profiling.kernel_trace + CompiledPlan.timeline"),
     ("vTune", "profiling.cpu_sampler.CPUSampler"),
     ("memory profiler", "profiling.memory_profiler.MemoryProfiler"),
     (

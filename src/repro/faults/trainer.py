@@ -32,9 +32,10 @@ and the empty plan reproduces the plain trainer's numbers bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.metrics import IterationMetrics, cpu_utilization
-from repro.distributed.data_parallel import COMM_OVERLAP, DataParallelTrainer
+from repro.distributed.data_parallel import DataParallelTrainer, StepPrice
 from repro.faults.plan import FaultPlan, StepConditions
 from repro.faults.recovery import (
     RebalanceDecision,
@@ -67,13 +68,9 @@ class RunEvent:
 
 
 @dataclass(frozen=True)
-class _StepCost:
+class _StepCost(StepPrice):
     """Memoized per-step cost under one (machines, conditions) pair."""
 
-    compute_s: float
-    exchange_s: float
-    exposed_s: float
-    iteration_s: float
     samples: float
     rebalance: RebalanceDecision | None = None
 
@@ -156,8 +153,7 @@ class FaultTolerantTrainer:
         #: exactly like the plain distributed path when a replica does
         #: not fit its GPU).
         self.baseline = self.trainer.run_iteration(per_gpu_batch)
-        self._local = self.trainer.session.run_iteration(per_gpu_batch)
-        self._schedule = self.trainer.gradient_schedule(per_gpu_batch)
+        self._local = self.baseline.replica
         compiled = self.trainer.session.compile(per_gpu_batch)
         self._gradient_bytes = compiled.graph.total_weight_bytes
         self._local_iteration_s = self.baseline.compute_time_s
@@ -165,6 +161,11 @@ class FaultTolerantTrainer:
             self.baseline.samples_per_iteration / self.baseline.worker_count
         )
         self._cost_memo: dict = {}
+
+    @cached_property
+    def _schedule(self) -> list:
+        """The gradient-ready schedule, read only when rebalancing."""
+        return self.trainer.gradient_schedule(self.per_gpu_batch)
 
     # ------------------------------------------------------------------
     # per-step cost under resolved conditions
@@ -195,11 +196,9 @@ class FaultTolerantTrainer:
             if worker < machines * gpus_per_machine:
                 factor = max(factor, straggle)
         cluster = self._cluster_for(machines, conds)
-        workers = cluster.total_gpus
         compute = self._local_iteration_s * factor
-        cost = self.trainer.exchange.cost(self._gradient_bytes, cluster)
-        exchange = cost.total_s if workers > 1 else 0.0
-        exposed = exchange * (1.0 - COMM_OVERLAP)
+        price = self.trainer.price_step(compute, self._gradient_bytes, cluster)
+        exchange, exposed = price.exchange_s, price.exposed_s
         rebalance = None
         if factor > 1.0 and self.recovery.rebalance and exchange > 0.0:
             rebalance = plan_rebalance(
@@ -210,8 +209,7 @@ class FaultTolerantTrainer:
             compute_s=compute,
             exchange_s=exchange,
             exposed_s=exposed,
-            iteration_s=compute + exposed,
-            samples=self._samples_per_worker * workers,
+            samples=self._samples_per_worker * cluster.total_gpus,
             rebalance=rebalance,
         )
         self._cost_memo[key] = result

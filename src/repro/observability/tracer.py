@@ -92,7 +92,7 @@ class Span:
         return self
 
     def attach_timeline(self, timeline, label: str = "kernels") -> "Span":
-        """Attach a simulated kernel :class:`~repro.profiling.timeline.Timeline`
+        """Attach a simulated kernel :class:`~repro.plan.executor.Timeline`
         so exporters can overlay kernel events under this span."""
         self._tracer._attach_timeline(self.record, timeline, label)
         return self

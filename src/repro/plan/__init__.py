@@ -7,9 +7,9 @@ an XLA-style compile-then-execute split:
 
 - :mod:`repro.plan.compiler` lowers a layer graph once into a
   :class:`~repro.plan.compiled.CompiledPlan` (kernel stream, roofline
-  timings, dispatch/execute timeline, allocation trace);
-- :mod:`repro.plan.executor` holds the single dispatch/execute replay
-  every timeline in the codebase comes from;
+  timings, dispatch/execute replay, allocation trace);
+- :mod:`repro.plan.executor` holds the one dispatch/execute recurrence
+  every makespan (noiseless or noisy) and every timeline comes from;
 - :mod:`repro.plan.cache` memoizes plans so each ``(model, framework,
   batch, gpu)`` point compiles exactly once per session;
 - :mod:`repro.plan.transform` expresses the optimization what-ifs as

@@ -2,14 +2,14 @@
 
 A :class:`CompiledPlan` is the immutable, fully-lowered form of one
 ``(model graph, framework, batch, GPU)`` point: the specialized kernel
-stream, its roofline timings, the resolved dispatch/execute timeline, and
+stream, its roofline timings, the resolved dispatch/execute replay, and
 the allocation trace a training iteration replays through the memory
 allocator.  It is the single substrate every consumer reads —
 ``TrainingSession`` executes plans, the optimization what-ifs transform
 them, ``distributed.data_parallel`` derives gradient-ready times from
-their timelines, and the profiling/telemetry layers export them — so the
-expensive build/lower/time work happens exactly once per point (see
-:class:`repro.plan.cache.PlanCache`).
+their replays, and the profiling/telemetry layers export their timelines
+(recorded on first read) — so the expensive build/lower/time work
+happens exactly once per point (see :class:`repro.plan.cache.PlanCache`).
 
 Memory capacity checks *replay* the recorded allocation trace through a
 real :class:`~repro.hardware.memory.GPUMemoryAllocator` rather than
@@ -105,17 +105,15 @@ class CompiledPlan:
 
     def gradient_ready_times(self) -> list:
         """``(layer name, seconds)`` when each weighted layer's gradient is
-        complete — the end of its last backward kernel on the timeline.
+        complete — the end of its last backward kernel, read from one
+        recording replay without building the timeline's events.
 
         Layers appear in backward (stream) order, so the list is
         non-decreasing in time: the schedule a layer-wise gradient push
         overlaps against (the mechanism behind ``COMM_OVERLAP``).
         """
-        events = self.timeline.events
-        return [
-            (name, events[end - 1].end_s)
-            for name, _start, end in self.backward_spans
-        ]
+        _makespan, pairs = self.execution.record()
+        return [(name, pairs[end - 1][1]) for name, _start, end in self.backward_spans]
 
     # -- memory view ---------------------------------------------------
 

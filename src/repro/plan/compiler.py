@@ -1,5 +1,5 @@
-"""Graph -> plan lowering: kernel stream, roofline timing, replay, and the
-allocation trace, compiled once per point.
+"""Graph -> plan lowering: kernel stream, roofline timing, the replay's
+aggregates, and the allocation trace, compiled once per point.
 
 ``compile_graph`` is the only place in the codebase that lowers a
 :class:`~repro.graph.layer.LayerGraph` into its executable form; the
@@ -24,7 +24,7 @@ import repro.kernels.misc as misc
 from repro.observability.tracer import trace_span
 
 from repro.plan.compiled import AllocationRecord, CompiledPlan
-from repro.plan.executor import replay
+from repro.plan.executor import ExecutionReplay, replay
 
 
 def _memory_model_constants() -> tuple:
@@ -190,7 +190,15 @@ def compile_graph(
         kernels = lower_kernels(graph, framework)
         model = roofline if roofline is not None else RooflineModel(gpu)
         timings = model.time_kernels(kernels)
-        execution = replay(timings, framework)
+        durations = [timing.duration_s for timing in timings]
+        host_syncs = [kernel.host_sync for kernel in kernels]
+        execution = ExecutionReplay(
+            kernels,
+            durations,
+            host_syncs,
+            framework,
+            makespan_s=replay(durations, host_syncs, framework),
+        )
         allocations = record_allocations(graph, framework)
         plan = CompiledPlan(
             graph=graph,

@@ -1,31 +1,33 @@
-"""The one CPU-dispatch / GPU-execute replay in the codebase.
+"""The CPU-dispatch / GPU-execute recurrence, and the timeline it records.
 
-Before the plan layer existed this loop lived twice: once inside
-``TrainingSession`` (aggregates only: makespan, busy time, dispatch CPU
-seconds) and once inside ``repro.profiling.timeline`` (full event/gap
-record).  Both copies implemented the same execution model
-
-    cpu_ready += dispatch_cost
-    start      = max(gpu_free, cpu_ready)
-    gpu_free   = start + kernel_duration
-
-and had to be kept in lockstep by tests.  This module merges them: one
-pass over the kernel stream produces the full :class:`Timeline` *and* the
-scalar aggregates, with the exact accumulation order of the originals so
-every derived metric stays bit-identical (the aggregates are accumulated
-from the kernel durations in stream order, not re-derived from event
-endpoints — floating-point addition order matters).
+:func:`replay` is the one place the execution model lives: the CPU
+issues each kernel one dispatch cost after the previous one (or after a
+host sync's result arrives), and the GPU starts it at the later of that
+issue time and the end of the previous kernel.  It walks a kernel
+stream's flat per-kernel ``durations`` and ``host_syncs`` lists and
+returns the makespan.  Compiled plans run it noiselessly, the bench
+harness runs it once per noisy sample with per-kernel kernel and
+dispatch factors, and the symbolic plan set runs it over evaluated
+durations.
 
 When kernels are long (big convolutions) the GPU never waits and compute
 utilization approaches 100%; when they are tiny and numerous (per-timestep
 RNN kernels, small batches) the dispatch+launch path dominates and the GPU
 idles between kernels — the paper's Observations 4 and 5 fall out of this
 loop directly.
+
+The per-kernel :class:`Timeline` (events, and idle gaps with their
+cause) is recorded on read: an :class:`ExecutionReplay` keeps the
+aggregates and its inputs, and the first read of its ``timeline`` runs
+:func:`replay` again with a recording sink.  Compiling a plan or drawing
+a noisy sample records nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import repeat
 
 from repro.frameworks.base import Framework
 from repro.kernels.base import KernelCategory
@@ -109,142 +111,126 @@ class Timeline:
         return sorted(self.gaps, key=lambda g: g.duration_s, reverse=True)[:count]
 
 
-@dataclass(frozen=True)
-class ExecutionReplay:
-    """One kernel stream's resolved execution on the simulated device.
+def replay(
+    durations,
+    host_syncs,
+    framework: Framework,
+    kernel_factors=None,
+    dispatch_factors=None,
+    sink=None,
+) -> float:
+    """The makespan of one pass of the dispatch / execute recurrence
 
-    ``offload_stall_s`` is GPU idle time waiting on offloaded feature maps
-    (see :func:`with_offload_stall`); it is already inside
-    ``makespan_s``."""
+        cpu_ready += dispatch_cost
+        start      = max(gpu_free, cpu_ready)
+        gpu_free   = start + kernel_duration
 
-    timeline: Timeline
-    makespan_s: float
-    gpu_busy_s: float
-    dispatch_cpu_s: float
-    offload_stall_s: float = 0.0
-
-
-def with_offload_stall(execution: ExecutionReplay, seconds: float) -> ExecutionReplay:
-    """``execution`` followed by ``seconds`` of GPU idle (cause
-    ``"offload"``): the host-link traffic of offloaded feature maps that
-    compute does not hide.  It adds no kernels, so the events, busy time
-    and dispatch CPU seconds carry over and no second replay is needed; a
-    zero stall returns ``execution`` itself."""
-    if seconds == 0.0:
-        return execution
-    timeline = execution.timeline
-    stall = Gap(
-        start_s=timeline.makespan_s,
-        end_s=timeline.makespan_s + seconds,
-        cause="offload",
-    )
-    return ExecutionReplay(
-        timeline=Timeline(
-            events=timeline.events,
-            gaps=[*timeline.gaps, stall],
-            makespan_s=timeline.makespan_s + seconds,
-        ),
-        makespan_s=execution.makespan_s + seconds,
-        gpu_busy_s=execution.gpu_busy_s,
-        dispatch_cpu_s=execution.dispatch_cpu_s,
-        offload_stall_s=execution.offload_stall_s + seconds,
-    )
-
-
-def replay(timings, framework: Framework) -> ExecutionReplay:
-    """Run the CPU-dispatch / GPU-execute loop over roofline-timed kernels.
-
-    Returns both the per-kernel event record (with idle gaps attributed to
-    their cause: frontend warmup, dispatch starvation, or host syncs) and
-    the aggregates the session's metrics derive from.  Noiseless: the
-    seeded-noise replays of the bench harness go through
-    :func:`makespan_under_noise`.
+    over per-kernel ``durations`` and ``host_syncs`` lists in stream
+    order.  ``kernel_factors`` and ``dispatch_factors`` (float lists, one
+    per kernel) scale each duration and dispatch gap — the bench
+    harness's noise; without them the pass is the noiseless one, bit for
+    bit.  ``sink``, a list, receives one ``(issued_s, end_s)`` pair per
+    kernel: all a timeline needs, since a kernel starts at the later of
+    its issue and the previous kernel's end.
     """
     dispatch = framework.dispatch_cost_s
     sync = framework.sync_latency_s
     cpu_ready = framework.frontend_cost_s
     gpu_free = 0.0
-    busy = 0.0
-    sync_cpu = 0.0
-    events: list = []
-    gaps: list = []
-    pending_cause = "frontend"
-    for timing in timings:
-        duration = timing.duration_s
-        cpu_ready += dispatch
-        start = max(gpu_free, cpu_ready)
-        if start > gpu_free:
-            gaps.append(Gap(start_s=gpu_free, end_s=start, cause=pending_cause))
-        end = start + duration
-        events.append(
-            TimelineEvent(
-                name=timing.kernel.name,
-                category=timing.kernel.category,
-                issued_s=cpu_ready,
-                start_s=start,
-                end_s=end,
-                host_sync=timing.kernel.host_sync,
-            )
-        )
-        gpu_free = end
-        busy += duration
-        if timing.kernel.host_sync:
-            # The framework waits for this result, then spends the sync
-            # latency in control-flow code before issuing anything else.
-            cpu_ready = gpu_free + sync
-            sync_cpu += sync
-            pending_cause = "host sync"
-        else:
-            pending_cause = "dispatch"
-    makespan = max(gpu_free, cpu_ready)
-    dispatch_cpu = framework.frontend_cost_s + dispatch * len(timings) + sync_cpu
-    return ExecutionReplay(
-        timeline=Timeline(events=events, gaps=gaps, makespan_s=makespan),
-        makespan_s=makespan,
-        gpu_busy_s=busy,
-        dispatch_cpu_s=dispatch_cpu,
-    )
-
-
-def makespan_under_noise(durations, host_syncs, framework: Framework, noise) -> float:
-    """One noisy makespan: the dispatch / execute recurrence of
-    :func:`replay` with every kernel duration and dispatch gap scaled by a
-    factor drawn from ``noise`` (a :class:`repro.bench.noise.NoiseStream`,
-    or any object whose ``kernel_factors(n)`` / ``dispatch_factors(n)``
-    return numpy arrays of ``n`` factors).
-
-    The benchmarking harness replays a plan hundreds of times per A/B
-    sample series, so this runs over precomputed ``durations`` /
-    ``host_syncs`` lists (see :func:`plan_arrays`) and returns only the
-    makespan instead of building a :class:`TimelineEvent` per kernel per
-    sample.  Each factor array becomes a list of Python floats once per
-    sample, so the per-kernel loop does plain float arithmetic on the
-    arrays' float64 values.  ``tests/test_bench.py`` pins it to
-    :func:`replay` exactly: unit factors give the plan's makespan, and
-    constant factors give the replay of scaled durations under a scaled
-    dispatch cost.
-    """
-    dispatch = framework.dispatch_cost_s
-    sync = framework.sync_latency_s
-    cpu_ready = framework.frontend_cost_s
-    gpu_free = 0.0
-    count = len(durations)
-    kernel_factors = noise.kernel_factors(count).tolist()
-    dispatch_factors = noise.dispatch_factors(count).tolist()
     for duration, kernel_factor, dispatch_factor, host_sync in zip(
-        durations, kernel_factors, dispatch_factors, host_syncs
+        durations,
+        repeat(1.0) if kernel_factors is None else kernel_factors,
+        repeat(1.0) if dispatch_factors is None else dispatch_factors,
+        host_syncs,
     ):
         cpu_ready += dispatch * dispatch_factor
         start = cpu_ready if cpu_ready > gpu_free else gpu_free
         gpu_free = start + duration * kernel_factor
+        if sink is not None:
+            sink.append((cpu_ready, gpu_free))
         if host_sync:
+            # The framework waits for this result, then spends the sync
+            # latency in control-flow code before issuing anything else.
             cpu_ready = gpu_free + sync
     return gpu_free if gpu_free > cpu_ready else cpu_ready
 
 
-def plan_arrays(timings) -> tuple:
-    """``(durations, host_syncs)`` lists for :func:`makespan_under_noise`,
-    extracted once per plan instead of once per noisy sample."""
-    durations = [timing.duration_s for timing in timings]
-    host_syncs = [timing.kernel.host_sync for timing in timings]
-    return durations, host_syncs
+@dataclass(frozen=True, eq=False)
+class ExecutionReplay:
+    """One kernel stream's noiseless execution on the simulated device:
+    the inputs of :func:`replay` and the aggregates a session reads.
+
+    ``kernels`` label the recorded timeline's events.  ``offload_stall_s``
+    is GPU idle time waiting on offloaded feature maps (see
+    :func:`with_offload_stall`); it is already inside ``makespan_s``."""
+
+    kernels: list = field(repr=False)
+    durations: list = field(repr=False)
+    host_syncs: list = field(repr=False)
+    framework: Framework
+    makespan_s: float
+    offload_stall_s: float = 0.0
+
+    @cached_property
+    def gpu_busy_s(self) -> float:
+        """Kernel seconds, summed in stream order."""
+        busy = 0.0
+        for duration in self.durations:
+            busy += duration
+        return busy
+
+    @cached_property
+    def dispatch_cpu_s(self) -> float:
+        """Host seconds spent issuing kernels and waiting out host syncs."""
+        framework = self.framework
+        sync_cpu = 0.0
+        for host_sync in self.host_syncs:
+            if host_sync:
+                sync_cpu += framework.sync_latency_s
+        issue_cpu = framework.dispatch_cost_s * len(self.durations)
+        return framework.frontend_cost_s + issue_cpu + sync_cpu
+
+    def record(self) -> tuple:
+        """``(makespan before any offload stall, [(issued_s, end_s), ...])``
+        from one recording pass of :func:`replay`; not cached."""
+        pairs: list = []
+        makespan = replay(self.durations, self.host_syncs, self.framework, sink=pairs)
+        return makespan, pairs
+
+    @cached_property
+    def timeline(self) -> Timeline:
+        """The per-kernel event record, with idle gaps attributed to their
+        cause: recorded on first read, then cached."""
+        makespan, pairs = self.record()
+        events: list = []
+        gaps: list = []
+        gpu_free = 0.0
+        cause = "frontend"
+        for kernel, (issued, end) in zip(self.kernels, pairs):
+            start = issued if issued > gpu_free else gpu_free
+            if start > gpu_free:
+                gaps.append(Gap(gpu_free, start, cause))
+            events.append(
+                TimelineEvent(
+                    kernel.name, kernel.category, issued, start, end, kernel.host_sync
+                )
+            )
+            gpu_free = end
+            cause = "host sync" if kernel.host_sync else "dispatch"
+        if self.offload_stall_s:
+            gaps.append(Gap(makespan, self.makespan_s, "offload"))
+        return Timeline(events=events, gaps=gaps, makespan_s=self.makespan_s)
+
+
+def with_offload_stall(execution: ExecutionReplay, seconds: float) -> ExecutionReplay:
+    """``execution`` followed by ``seconds`` of GPU idle: the host-link
+    traffic of offloaded feature maps that compute does not hide.  A field
+    update (no kernels change); the timeline ends in one ``"offload"``
+    gap.  A zero stall returns ``execution`` itself."""
+    if seconds == 0.0:
+        return execution
+    return replace(
+        execution,
+        makespan_s=execution.makespan_s + seconds,
+        offload_stall_s=execution.offload_stall_s + seconds,
+    )

@@ -35,7 +35,7 @@ from repro.observability.metrics import get_metrics
 from repro.observability.tracer import trace_span
 from repro.plan import compiler as plan_compiler
 from repro.plan.compiled import CompiledPlan
-from repro.plan.executor import replay
+from repro.plan.executor import ExecutionReplay, replay
 from repro.plan.symexpr import (
     GuardViolation,
     LinearTape,
@@ -228,6 +228,7 @@ class SymbolicPlan:
         self._tape: LinearTape | None = None
         self._recipes = None
         self._timing_plan = None
+        self._host_syncs = None
         self._slots_cache: dict = {}
 
     @property
@@ -258,10 +259,10 @@ class SymbolicPlan:
                     if isinstance(timing.duration_s, SymValue)
                     else None,
                     timing.duration_s,
-                    timing.kernel.host_sync,
                 )
                 for timing in self.timings
             ]
+            self._host_syncs = [timing.kernel.host_sync for timing in self.timings]
             self._tape = tape
         return tape
 
@@ -310,7 +311,15 @@ class SymbolicPlan:
             if allocations_r is None
             else allocations_r(slots, memo)
         )
-        execution = replay(timings, self.framework)
+        durations = [timing.duration_s for timing in timings]
+        host_syncs = [kernel.host_sync for kernel in kernels]
+        execution = ExecutionReplay(
+            kernels,
+            durations,
+            host_syncs,
+            self.framework,
+            makespan_s=replay(durations, host_syncs, self.framework),
+        )
         return CompiledPlan(
             graph=graph,
             framework=self.framework,
@@ -397,21 +406,13 @@ class SymbolicPlan:
         return total
 
     def lean_makespan(self, batch: int) -> float:
-        """Device makespan at ``batch`` via the dispatch/execute recurrence
-        over evaluated durations — no event timeline, no plan object."""
+        """Device makespan at ``batch``: :func:`replay` over evaluated
+        durations — no event timeline, no plan object."""
         slots = self._slots(int(batch))
-        dispatch = self.framework.dispatch_cost_s
-        sync = self.framework.sync_latency_s
-        cpu_ready = self.framework.frontend_cost_s
-        gpu_free = 0.0
-        for slot, const, host_sync in self._timing_plan:
-            duration = const if slot is None else slots[slot]
-            cpu_ready += dispatch
-            start = cpu_ready if cpu_ready > gpu_free else gpu_free
-            gpu_free = start + duration
-            if host_sync:
-                cpu_ready = gpu_free + sync
-        return gpu_free if gpu_free > cpu_ready else cpu_ready
+        durations = [
+            const if slot is None else slots[slot] for slot, const in self._timing_plan
+        ]
+        return replay(durations, self._host_syncs, self.framework)
 
     def effective_samples(self, batch: int) -> float:
         value = int(batch)

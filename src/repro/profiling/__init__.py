@@ -14,13 +14,16 @@ of DNN training:
   workspace / dynamic) per framework (the first such tool, per the paper).
 - :mod:`repro.profiling.sampling` — warm-up / auto-tuning detection and
   stable-phase sampling (Section 3.4.2).
+
+:class:`Timeline`, :class:`TimelineEvent` and :class:`Gap` are
+re-exported from :mod:`repro.plan.executor` (see ``plan.timeline``).
 """
 
 from repro.profiling.kernel_trace import KernelTrace, KernelStats
 from repro.profiling.cpu_sampler import CPUSample, CPUSampler
 from repro.profiling.memory_profiler import MemoryProfile, MemoryProfiler
 from repro.profiling.sampling import IterationTimeline, StablePhaseSampler
-from repro.profiling.timeline import Timeline, build_timeline, timeline_for
+from repro.plan.executor import Gap, Timeline, TimelineEvent
 from repro.profiling.statistics import bootstrap_ci, summarize
 from repro.profiling.export import (
     kernel_stats_to_csv,
@@ -40,9 +43,9 @@ __all__ = [
     "MemoryProfile",
     "StablePhaseSampler",
     "IterationTimeline",
+    "Gap",
     "Timeline",
-    "build_timeline",
-    "timeline_for",
+    "TimelineEvent",
     "summarize",
     "bootstrap_ci",
     "timeline_to_chrome_trace",

@@ -14,7 +14,7 @@ import csv
 import json
 import io
 
-from repro.profiling.timeline import Timeline
+from repro.plan.executor import Timeline
 
 _US = 1e6  # trace events are in microseconds
 

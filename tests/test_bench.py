@@ -23,7 +23,7 @@ from repro.bench.subjects import PlanSubject
 from repro.cli import main
 from repro.engine.keys import NON_KEY_RUN_DIMENSIONS, point_key
 from repro.observability.exporters import bench_records_to_jsonl
-from repro.plan.executor import makespan_under_noise, plan_arrays, replay
+from repro.plan.executor import ExecutionReplay, replay
 from repro.training.session import TrainingSession
 
 
@@ -62,12 +62,10 @@ class TestNoiseModel:
     def test_subject_bias_scales_kernel_durations_only(self, resnet_plan):
         model = NoiseModel(seed=5)
         biased = PlanSubject("slowdown:5", resnet_plan, kernel_bias=1.05)
-        durations, host_syncs = plan_arrays(resnet_plan.timings)
-        assert biased.measure(model.stream(2)) == makespan_under_noise(
-            [d * 1.05 for d in durations],
-            host_syncs,
-            resnet_plan.framework,
+        assert biased.measure(model.stream(2)) == _noisy_makespan(
+            resnet_plan,
             model.stream(2),
+            durations=[d * 1.05 for d in resnet_plan.execution.durations],
         )
         assert biased.noiseless_s == resnet_plan.makespan_s * 1.05
 
@@ -109,6 +107,21 @@ REAL_NOISE_POINTS = [
 ]
 
 
+def _noisy_makespan(plan, noise, durations=None):
+    """One noisy pass of :func:`replay` over ``plan``'s flat lists, drawing
+    kernel factors before dispatch factors (the subjects' draw order)."""
+    execution = plan.execution
+    durations = execution.durations if durations is None else durations
+    count = len(durations)
+    return replay(
+        durations,
+        execution.host_syncs,
+        plan.framework,
+        noise.kernel_factors(count).tolist(),
+        noise.dispatch_factors(count).tolist(),
+    )
+
+
 def _indexed_makespan_under_noise(durations, host_syncs, framework, noise):
     """Reference: the recurrence as an indexed walk over the numpy factor
     arrays, one numpy scalar per kernel."""
@@ -130,10 +143,19 @@ def _indexed_makespan_under_noise(durations, host_syncs, framework, noise):
 
 class TestExecutorNoise:
     def test_noiseless_replay_is_bit_identical(self, resnet_plan):
-        rerun = replay(resnet_plan.timings, resnet_plan.framework)
-        assert rerun.makespan_s == resnet_plan.execution.makespan_s
-        assert rerun.gpu_busy_s == resnet_plan.execution.gpu_busy_s
-        assert rerun.dispatch_cpu_s == resnet_plan.execution.dispatch_cpu_s
+        execution = resnet_plan.execution
+        rerun = ExecutionReplay(
+            resnet_plan.kernels,
+            [timing.duration_s for timing in resnet_plan.timings],
+            [timing.kernel.host_sync for timing in resnet_plan.timings],
+            resnet_plan.framework,
+            makespan_s=replay(
+                execution.durations, execution.host_syncs, resnet_plan.framework
+            ),
+        )
+        assert rerun.makespan_s == execution.makespan_s
+        assert rerun.gpu_busy_s == execution.gpu_busy_s
+        assert rerun.dispatch_cpu_s == execution.dispatch_cpu_s
 
     @pytest.mark.parametrize("model,framework,batch", EXACTNESS_POINTS)
     def test_unit_factors_give_the_plan_makespan(self, model, framework, batch):
@@ -142,72 +164,55 @@ class TestExecutorNoise:
             kernel_jitter=0.0, dispatch_jitter=0.0,
             interconnect_jitter=0.0, run_jitter=0.0,
         )
-        durations, host_syncs = plan_arrays(plan.timings)
-        noisy = makespan_under_noise(
-            durations, host_syncs, plan.framework, quiet.stream(0)
-        )
+        noisy = _noisy_makespan(plan, quiet.stream(0))
         assert noisy == plan.execution.makespan_s
 
     @pytest.mark.parametrize("model,framework,batch", EXACTNESS_POINTS)
     def test_constant_factors_equal_a_scaled_replay(self, model, framework, batch):
         """Kernel factor k and dispatch factor d are exactly the replay of
-        durations x k under a dispatch cost x d: one recurrence, two
-        entry points."""
+        durations x k under a dispatch cost x d: one recurrence, with or
+        without factors."""
         plan = TrainingSession(model, framework).compile(batch)
         kernel, dispatch = 1.07, 0.9
-        durations, host_syncs = plan_arrays(plan.timings)
-        noisy = makespan_under_noise(
-            durations,
-            host_syncs,
-            plan.framework,
-            _ConstantStream(kernel, dispatch),
-        )
+        noisy = _noisy_makespan(plan, _ConstantStream(kernel, dispatch))
         scaled = replay(
-            [
-                dataclasses.replace(timing, duration_s=timing.duration_s * kernel)
-                for timing in plan.timings
-            ],
+            [duration * kernel for duration in plan.execution.durations],
+            plan.execution.host_syncs,
             dataclasses.replace(
                 plan.framework,
                 dispatch_cost_s=plan.framework.dispatch_cost_s * dispatch,
             ),
         )
-        assert noisy == scaled.makespan_s
+        assert noisy == scaled
 
     @pytest.mark.parametrize("model,framework,batch", REAL_NOISE_POINTS)
     def test_real_noise_matches_the_indexed_reference(self, model, framework, batch):
         """Walking plain floats instead of indexing numpy arrays changes
         no sample: same float64 values, same operation order."""
         plan = TrainingSession(model, framework).compile(batch)
-        durations, host_syncs = plan_arrays(plan.timings)
+        execution = plan.execution
         noise = NoiseModel(seed=7)
         for run in range(20):
-            flat = makespan_under_noise(
-                durations, host_syncs, plan.framework, noise.stream(run)
-            )
+            flat = _noisy_makespan(plan, noise.stream(run))
             indexed = _indexed_makespan_under_noise(
-                durations, host_syncs, plan.framework, noise.stream(run)
+                execution.durations,
+                execution.host_syncs,
+                plan.framework,
+                noise.stream(run),
             )
             assert type(flat) is float
             assert flat == indexed
 
     def test_noise_moves_the_makespan(self, resnet_plan):
-        durations, host_syncs = plan_arrays(resnet_plan.timings)
-        noisy = makespan_under_noise(
-            durations, host_syncs, resnet_plan.framework, NoiseModel(seed=1).stream(0)
-        )
+        noisy = _noisy_makespan(resnet_plan, NoiseModel(seed=1).stream(0))
         assert noisy != resnet_plan.makespan_s
         assert noisy > 0.0
 
     def test_median_converges_to_noiseless(self, resnet_plan):
         model = NoiseModel(seed=4)
-        durations, host_syncs = plan_arrays(resnet_plan.timings)
         samples = 15
         observed = sorted(
-            makespan_under_noise(
-                durations, host_syncs, resnet_plan.framework, model.stream(i)
-            )
-            for i in range(samples)
+            _noisy_makespan(resnet_plan, model.stream(i)) for i in range(samples)
         )
         median = observed[samples // 2]
         tolerance = median_convergence_tolerance(model, samples)

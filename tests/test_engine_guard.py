@@ -134,8 +134,6 @@ class TestOneCompilePerPoint:
     point, no matter which consumer asks next."""
 
     def test_session_consumers_share_one_build_per_batch(self, counted_builds):
-        from repro.profiling import timeline_for
-
         session = TrainingSession("resnet-50", "mxnet")
         ladder = session.spec.batch_sizes
         best = session.max_batch_size()
@@ -148,7 +146,7 @@ class TestOneCompilePerPoint:
         assert ("resnet-50", "mxnet", best) in counted_builds
         session.run_iteration(best)
         session.profile_memory(best)
-        timeline_for(session, best)
+        session.compile(best).timeline
         session.run_iteration(best)
         assert len(counted_builds) == probes, (
             "the bisection's plans stay cached: warm consumers must add "

@@ -7,7 +7,6 @@ from repro.hardware.memory import AllocationTag, OutOfMemoryError
 from repro.observability.runner import telemetry
 from repro.plan import PlanCache, compile_graph
 from repro.plan.executor import replay
-from repro.profiling import timeline_for
 from repro.training.session import TrainingSession
 
 
@@ -19,6 +18,26 @@ def resnet_session():
 @pytest.fixture(scope="module")
 def resnet_plan(resnet_session):
     return resnet_session.compile(16)
+
+
+@pytest.fixture
+def recorded_timeline_objects(monkeypatch):
+    """Names of every :class:`TimelineEvent` and :class:`Gap` constructed
+    while the test runs."""
+    import repro.plan.executor as executor
+
+    built = []
+
+    def counting(cls):
+        def construct(*args, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
+
+        return construct
+
+    monkeypatch.setattr(executor, "TimelineEvent", counting(executor.TimelineEvent))
+    monkeypatch.setattr(executor, "Gap", counting(executor.Gap))
+    return built
 
 
 class TestCompilation:
@@ -48,10 +67,53 @@ class TestCompilation:
         )
 
     def test_execution_replay_matches_timeline(self, resnet_plan):
-        replayed = replay(resnet_plan.timings, resnet_plan.framework)
-        assert replayed.makespan_s == resnet_plan.makespan_s
-        assert replayed.timeline.events == resnet_plan.timeline.events
-        assert replayed.timeline.gaps == resnet_plan.timeline.gaps
+        execution = resnet_plan.execution
+        replayed = replay(execution.durations, execution.host_syncs, resnet_plan.framework)
+        assert replayed == resnet_plan.makespan_s
+        assert resnet_plan.timeline.makespan_s == resnet_plan.makespan_s
+        assert [event.end_s for event in resnet_plan.timeline.events] == [
+            end for _issued, end in execution.record()[1]
+        ]
+
+    def test_paper_grid_sweep_records_no_timeline(self, recorded_timeline_objects):
+        """Compiling and profiling every paper-grid point reads only the
+        replay's aggregates: no event or gap is ever constructed."""
+        from repro.engine.executor import SweepEngine
+        from repro.experiments.common import SWEEP_PANELS
+
+        engine = SweepEngine(jobs=1)
+        points = [
+            point
+            for model, frameworks in SWEEP_PANELS
+            for framework in frameworks
+            for point in engine.sweep(model, framework)
+        ]
+        assert engine.stats.points_computed == len(points) > 50
+        assert recorded_timeline_objects == []
+
+    def test_faulted_run_records_no_timeline(self, recorded_timeline_objects):
+        """Straggler rebalancing and elastic restarts read the gradient
+        schedule, which comes from recorded end times, not events."""
+        from repro.faults.spec import parse_fault_spec
+        from repro.faults.trainer import FaultTolerantTrainer
+
+        scenario = parse_fault_spec(
+            "cluster=2M1G:ethernet; steps=40; seed=3; "
+            "straggler=0x1.5@5:20; crash=1@30"
+        )
+        trainer = FaultTolerantTrainer(
+            "resnet-50", "mxnet", scenario.cluster, 16, plan=scenario.plan
+        )
+        result = trainer.run(scenario.steps)
+        assert any(event.action == "rebalance" for event in result.events)
+        assert recorded_timeline_objects == []
+
+    def test_timeline_is_recorded_once_on_read(self):
+        plan = TrainingSession("resnet-50", "mxnet").compile(16)
+        assert "timeline" not in vars(plan.execution)
+        first = plan.timeline
+        assert plan.timeline is first
+        assert len(first.events) == len(plan.kernels)
 
     def test_describe_mentions_the_point(self, resnet_plan):
         text = resnet_plan.describe()
@@ -186,9 +248,9 @@ class TestGradientSchedule:
 
 
 class TestConsumersShareThePlan:
-    def test_timeline_for_reads_the_cached_plan(self, resnet_session):
+    def test_timeline_reads_the_cached_plan(self, resnet_session):
         plan = resnet_session.compile(16)
-        assert timeline_for(resnet_session, 16) is plan.timeline
+        assert resnet_session.compile(16).timeline is plan.timeline
 
     def test_profile_and_plan_agree_bitwise(self):
         session = TrainingSession("resnet-50", "mxnet")

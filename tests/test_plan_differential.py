@@ -21,7 +21,8 @@ from repro.frameworks.base import MomentumAllocation
 import repro.kernels.misc as misc
 from repro.models.registry import model_catalog
 from repro.plan.executor import Gap, Timeline, TimelineEvent
-from repro.profiling import timeline_for
+from repro.plan.pipeline import parse_transform_spec
+from repro.plan.transform import FeatureMapOffloadTransform
 from repro.profiling.export import timeline_to_chrome_trace
 from repro.training.session import (
     GRADIENT_MAP_FACTOR,
@@ -216,34 +217,83 @@ def test_iteration_profile_is_bit_identical(model, framework, batch):
     assert current.cpu_utilization == legacy.cpu_utilization
 
 
-@pytest.mark.parametrize("model,framework,batch", PAPER_GRID)
-def test_timeline_is_identical(model, framework, batch):
+def _legacy_offload_stall(timeline, seconds):
+    """The pre-refactor ``with_offload_stall``: the stall appended to an
+    already-built timeline as one trailing ``"offload"`` gap."""
+    stall = Gap(
+        start_s=timeline.makespan_s,
+        end_s=timeline.makespan_s + seconds,
+        cause="offload",
+    )
+    return Timeline(
+        events=timeline.events,
+        gaps=[*timeline.gaps, stall],
+        makespan_s=timeline.makespan_s + seconds,
+    )
+
+
+def _legacy_timeline_and_plan(model, framework, batch, transforms):
+    """``(legacy timeline, current plan)`` for one point, under an
+    optional offload transform spec."""
     session = TrainingSession(model, framework, gpu=QUADRO_P4000)
-    kernels = _legacy_iteration_kernels(session, session.spec.build(batch))
+    graph = session.spec.build(batch)
+    kernels = _legacy_iteration_kernels(session, graph)
     legacy = _legacy_build_timeline(
         session._roofline.time_kernels(kernels), session.framework
     )
-    current = timeline_for(session, batch)
-    assert current.makespan_s == legacy.makespan_s
+    if transforms is None:
+        return legacy, session.compile(batch)
+    fraction = float(transforms.split(":", 1)[1])
+    legacy = _legacy_offload_stall(
+        legacy, FeatureMapOffloadTransform(fraction).exposed_transfer_s(graph)
+    )
+    return legacy, session.compile_transformed(batch, parse_transform_spec(transforms))
+
+
+#: The paper grid, plus an offloaded RNN point whose timeline carries the
+#: trailing offload stall gap.
+TIMELINE_POINTS = [(*point, None) for point in PAPER_GRID] + [
+    ("sockeye", "mxnet", 64, "offload:0.6"),
+]
+
+
+@pytest.mark.parametrize("model,framework,batch,transforms", TIMELINE_POINTS)
+def test_timeline_is_identical(model, framework, batch, transforms):
+    legacy, plan = _legacy_timeline_and_plan(model, framework, batch, transforms)
+    current = plan.timeline
+    assert current.makespan_s == legacy.makespan_s == plan.makespan_s
     assert current.events == legacy.events
     assert current.gaps == legacy.gaps
     assert current.idle_by_cause() == legacy.idle_by_cause()
 
 
 @pytest.mark.parametrize(
-    "model,framework,batch",
-    [("resnet-50", "mxnet", 32), ("nmt", "tensorflow", 128)],
+    "model,framework,batch,transforms",
+    [
+        ("resnet-50", "mxnet", 32, None),
+        ("nmt", "tensorflow", 128, None),
+        ("sockeye", "mxnet", 64, "offload:0.6"),
+    ],
 )
-def test_chrome_trace_export_is_byte_identical(model, framework, batch):
-    session = TrainingSession(model, framework, gpu=QUADRO_P4000)
-    kernels = _legacy_iteration_kernels(session, session.spec.build(batch))
-    legacy = _legacy_build_timeline(
-        session._roofline.time_kernels(kernels), session.framework
-    )
+def test_chrome_trace_export_is_byte_identical(model, framework, batch, transforms):
+    legacy, plan = _legacy_timeline_and_plan(model, framework, batch, transforms)
     encode = lambda timeline: json.dumps(  # noqa: E731
         timeline_to_chrome_trace(timeline), sort_keys=True, separators=(",", ":")
     )
-    assert encode(timeline_for(session, batch)) == encode(legacy)
+    assert encode(plan.timeline) == encode(legacy)
+
+
+@pytest.mark.parametrize("model,framework,batch", PAPER_GRID)
+def test_gradient_ready_times_are_the_legacy_event_ends(model, framework, batch):
+    """The gradient schedule reads recorded end times, never events: each
+    weighted layer's entry is the end of its last backward kernel on the
+    legacy timeline."""
+    legacy, plan = _legacy_timeline_and_plan(model, framework, batch, None)
+    assert plan.gradient_ready_times() == [
+        (name, legacy.events[end - 1].end_s)
+        for name, _start, end in plan.backward_spans
+    ]
+    assert "timeline" not in vars(plan.execution)
 
 
 @pytest.mark.parametrize("framework", ("tensorflow", "mxnet", "cntk"))

@@ -11,19 +11,29 @@ from repro.profiling.export import (
     write_chrome_trace,
 )
 from repro.profiling.kernel_trace import trace_from_profile
-from repro.profiling.timeline import build_timeline, timeline_for
 from repro.core.metrics import IterationMetrics
+from repro.plan.executor import ExecutionReplay, replay
 from repro.training.session import TrainingSession
+
+
+def _execution(timings, framework):
+    """The replay of a kernel stream that has no plan."""
+    durations = [timing.duration_s for timing in timings]
+    host_syncs = [timing.kernel.host_sync for timing in timings]
+    return ExecutionReplay(
+        [timing.kernel for timing in timings], durations, host_syncs, framework,
+        makespan_s=replay(durations, host_syncs, framework),
+    )
 
 
 @pytest.fixture(scope="module")
 def cnn_timeline():
-    return timeline_for(TrainingSession("resnet-50", "mxnet"), 32)
+    return TrainingSession("resnet-50", "mxnet").compile(32).timeline
 
 
 @pytest.fixture(scope="module")
 def rnn_timeline():
-    return timeline_for(TrainingSession("nmt", "tensorflow"), 64)
+    return TrainingSession("nmt", "tensorflow").compile(64).timeline
 
 
 class TestTimelineConstruction:
@@ -40,7 +50,7 @@ class TestTimelineConstruction:
     def test_matches_session_utilization(self):
         session = TrainingSession("sockeye", "mxnet")
         profile = session.run_iteration(64)
-        timeline = timeline_for(session, 64)
+        timeline = session.compile(64).timeline
         # The timeline excludes pipeline/host exposure, so compare against
         # the kernel-level quantities.
         assert timeline.busy_s == pytest.approx(profile.gpu_busy_time_s, rel=1e-9)
@@ -71,10 +81,10 @@ class TestTimelineConstruction:
         with pytest.raises(ValueError):
             rnn_timeline.longest_gaps(0)
 
-    def test_build_timeline_empty(self):
+    def test_empty_stream_timeline(self):
         from repro.frameworks.registry import TENSORFLOW
 
-        timeline = build_timeline([], TENSORFLOW)
+        timeline = _execution([], TENSORFLOW).timeline
         assert timeline.busy_s == 0.0
         assert timeline.gpu_utilization == 0.0
 
@@ -125,7 +135,7 @@ class TestGapAttribution:
             timing("k6", 5),
             timing("k7", 5),
         ]
-        return build_timeline(timings, framework)
+        return _execution(timings, framework).timeline
 
     def test_gap_causes_and_extents(self, synthetic_timeline):
         us = 1e-6
