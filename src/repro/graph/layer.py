@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.kernels.base import Kernel
@@ -97,12 +98,16 @@ class LayerGraph:
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
             raise ValueError("batch size must be positive")
-        names = [layer.name for layer in self.layers]
-        duplicates = {n for n in names if names.count(n) > 1}
+        names = Counter(layer.name for layer in self.layers)
+        duplicates = [name for name, count in names.items() if count > 1]
         if duplicates:
             raise ValueError(
                 f"duplicate layer names in {self.model_name}: {sorted(duplicates)}"
             )
+        #: Layer names for :meth:`add`'s duplicate check; not a field, so
+        #: ``dataclasses.replace`` rebuilds it here and ``copy.deepcopy``
+        #: copies it with the layers.
+        self._names = set(names)
 
     @property
     def effective_samples(self) -> float:
@@ -133,9 +138,15 @@ class LayerGraph:
 
     def add(self, layer: Layer) -> "LayerGraph":
         """Append a layer (fluent)."""
-        if any(existing.name == layer.name for existing in self.layers):
+        names = getattr(self, "_names", None)
+        if names is None or len(names) != len(self.layers):
+            # Built without __post_init__ (the symbolic planner materializes
+            # graphs field by field) or its list was extended directly.
+            names = self._names = {existing.name for existing in self.layers}
+        if layer.name in names:
             raise ValueError(f"duplicate layer name {layer.name!r}")
         self.layers.append(layer)
+        names.add(layer.name)
         return self
 
     def iteration_kernels(self) -> list:

@@ -199,31 +199,28 @@ def _recurrent_layer(
     pointwise cell-update kernel.  Backward mirrors it with transposed GEMMs
     (dgrad + wgrad) and the backward pointwise kernel.  ``seq_len`` small
     GEMMs per direction per pass are what keep these layers launch-bound.
+
+    Every timestep launches the same five kernels, so each is built once
+    as one frozen object and the lists repeat that object per launch: the
+    stream keeps every launch while the work is per distinct kernel.
     """
     if seq_len <= 0:
         raise ValueError("sequence length must be positive")
     directions = 2 if bidirectional else 1
     k_dim = input_size + hidden
-    forward: list = []
-    backward: list = []
-    for _direction in range(directions):
-        for _step in range(seq_len):
-            forward.append(gemm(batch, gates * hidden, k_dim, name="rnn_step_sgemm"))
-            step_fw = pointwise_factory(batch, hidden, backward=False)
-            step_bw = pointwise_factory(batch, hidden, backward=True)
-            if stepwise_host_sync:
-                # dynamic_rnn-style loops re-enter host control flow after
-                # every cell update, forward and backward.
-                step_fw = replace(step_fw, host_sync=True)
-                step_bw = replace(step_bw, host_sync=True)
-            forward.append(step_fw)
-            backward.append(step_bw)
-            backward.append(
-                gemm(batch, k_dim, gates * hidden, name="rnn_step_sgemm_dgrad")
-            )
-            backward.append(
-                gemm(k_dim, gates * hidden, batch, name="rnn_step_sgemm_wgrad")
-            )
+    step_gemm = gemm(batch, gates * hidden, k_dim, name="rnn_step_sgemm")
+    step_fw = pointwise_factory(batch, hidden, backward=False)
+    step_bw = pointwise_factory(batch, hidden, backward=True)
+    if stepwise_host_sync:
+        # dynamic_rnn-style loops re-enter host control flow after every
+        # cell update, forward and backward.
+        step_fw = replace(step_fw, host_sync=True)
+        step_bw = replace(step_bw, host_sync=True)
+    dgrad = gemm(batch, k_dim, gates * hidden, name="rnn_step_sgemm_dgrad")
+    wgrad = gemm(k_dim, gates * hidden, batch, name="rnn_step_sgemm_wgrad")
+    steps = directions * seq_len
+    forward = [step_gemm, step_fw] * steps
+    backward = [step_bw, dgrad, wgrad] * steps
     weights = directions * (k_dim * gates * hidden + gates * hidden)
     # Stash per step: the concatenated [input, hidden] GEMM operand, gate
     # values both before and after their nonlinearities, and the cell/state

@@ -112,14 +112,24 @@ class RooflineModel:
     def time_kernels(self, kernels) -> list:
         """Time a sequence of kernels, each distinct kernel value once per
         model instance: equal kernels get the same :class:`KernelTiming`.
-        Kernels must be hashable (concrete); time symbolic ones one by one
-        with :meth:`time_kernel`."""
+        Each kernel is looked up by identity first, then in the value-keyed
+        ``_timings`` memo: a recurrent layer repeats one object per launch,
+        so most lookups skip hashing the frozen dataclass.  The identity
+        map lives only for this call, while ``kernels`` keeps its ids
+        alive.  Kernels must be hashable (concrete); time symbolic ones
+        one by one with :meth:`time_kernel`."""
+        if not isinstance(kernels, (list, tuple)):
+            kernels = list(kernels)  # the id map needs every kernel alive
         memo = self._timings
+        by_id: dict = {}
         timings = []
         for kernel in kernels:
-            timing = memo.get(kernel)
+            timing = by_id.get(id(kernel))
             if timing is None:
-                timing = memo[kernel] = self.time_kernel(kernel)
+                timing = memo.get(kernel)
+                if timing is None:
+                    timing = memo[kernel] = self.time_kernel(kernel)
+                by_id[id(kernel)] = timing
             timings.append(timing)
         return timings
 

@@ -44,19 +44,22 @@ def _attention_decoder_step_layer(name: str, batch: int, seq_enc: int, seq_dec: 
     reduction, and the attentional combination GEMM.  The implementation
     stashes the weighted encoder states for backward — the
     ``batch x T_dec x T_enc x hidden`` materialization responsible for the
-    Seq2Seq memory blow-up.
+    Seq2Seq memory blow-up.  Every step launches the same kernels, so each
+    is built once and repeated per launch.
     """
-    forward: list = []
-    backward: list = []
-    for _step in range(seq_dec):
-        forward.append(gemm(batch, seq_enc, hidden, name="attn_score_sgemm"))
-        forward.append(ew.softmax(batch, seq_enc))
-        forward.append(gemm(batch, hidden, seq_enc, name="attn_context_sgemm"))
-        forward.append(gemm(batch, hidden, 2 * hidden, name="attn_combine_sgemm"))
-        backward.append(gemm(batch, 2 * hidden, hidden, name="attn_combine_sgemm_bw"))
-        backward.append(gemm(batch, seq_enc, hidden, name="attn_context_sgemm_bw"))
-        backward.append(ew.softmax(batch, seq_enc))
-        backward.append(gemm(batch, hidden, seq_enc, name="attn_score_sgemm_bw"))
+    softmax = ew.softmax(batch, seq_enc)
+    forward = [
+        gemm(batch, seq_enc, hidden, name="attn_score_sgemm"),
+        softmax,
+        gemm(batch, hidden, seq_enc, name="attn_context_sgemm"),
+        gemm(batch, hidden, 2 * hidden, name="attn_combine_sgemm"),
+    ] * seq_dec
+    backward = [
+        gemm(batch, 2 * hidden, hidden, name="attn_combine_sgemm_bw"),
+        gemm(batch, seq_enc, hidden, name="attn_context_sgemm_bw"),
+        softmax,
+        gemm(batch, hidden, seq_enc, name="attn_score_sgemm_bw"),
+    ] * seq_dec
     # Stash: per-step weighted encoder states (T_enc x hidden), kept for
     # both the forward product and its backward counterpart, plus context,
     # combined output and alignment weights.

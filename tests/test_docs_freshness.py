@@ -89,3 +89,38 @@ def test_design_lists_every_package():
     ]
     for package in packages:
         assert f"{package}/" in text or f"repro.{package}" in text, package
+
+
+def _design_layout_files() -> dict:
+    """``{directory: [*.py names]}`` from DESIGN.md's source-layout block:
+    a line ``  <dir>/  ...`` opens a directory, deeper-indented lines
+    continue it, and a top-level file line (``  cli.py``) closes it."""
+    text = _doc_text("DESIGN.md")
+    block = text[text.index("```\nsrc/repro/\n") + 4 :]
+    block = block[: block.index("```")]
+    named: dict = {}
+    current = None
+    for line in block.splitlines()[1:]:
+        opener = re.match(r"  ([a-z_]+)/\s", line)
+        if opener:
+            current = opener.group(1)
+            named.setdefault(current, [])
+            line = line[opener.end() :]
+        elif not line.startswith("   "):
+            current = None
+        if current is not None:
+            named[current].extend(re.findall(r"\b([a-z_0-9]+\.py)\b", line))
+    return named
+
+
+def test_design_layout_names_only_existing_files():
+    named = _design_layout_files()
+    assert "graph" in named and "plan" in named
+    src = os.path.join(_ROOT, "src", "repro")
+    missing = [
+        f"{directory}/{name}"
+        for directory, names in named.items()
+        for name in names
+        if not os.path.exists(os.path.join(src, directory, name))
+    ]
+    assert not missing, f"DESIGN.md's source layout names missing files: {missing}"

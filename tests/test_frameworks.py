@@ -102,6 +102,79 @@ class TestKernelSpecialization:
         assert len(TENSORFLOW.specialize_kernels(kernels)) == 3
 
 
+def _stream_kernels():
+    """Kernels the personalities rescale, rename and leave alone."""
+    return [
+        Kernel("sgemm", KernelCategory.GEMM, 1e6, 4e4),
+        Kernel("elementwise_add", KernelCategory.ELEMENTWISE, 1e3, 8e3),
+        Kernel("memcpy", KernelCategory.MEMCPY, 0.0, 4e3),
+        Kernel("cell", KernelCategory.RNN_POINTWISE, 1e2, 4e2, host_sync=True),
+    ]
+
+
+def _rows(kernels) -> list:
+    return [
+        (
+            k.name,
+            k.category,
+            repr(k.flops),
+            repr(k.bytes_accessed),
+            repr(k.max_compute_efficiency),
+            repr(k.max_memory_efficiency),
+            k.host_sync,
+        )
+        for k in kernels
+    ]
+
+
+class TestSpecializeKernelsMemo:
+    @pytest.mark.parametrize("framework", [TENSORFLOW, MXNET, CNTK], ids=lambda f: f.key)
+    def test_mixed_stream_equals_kernel_by_kernel(self, framework):
+        shared = _stream_kernels()
+        # Repeated objects interleaved with equal-but-distinct copies.
+        stream = shared * 3 + _stream_kernels() + shared[::-1] + _stream_kernels()
+        got = framework.specialize_kernels(stream)
+        want = [framework.specialize_kernel(k) for k in stream]
+        assert _rows(got) == _rows(want)
+
+    def test_repeated_object_maps_to_one_output(self):
+        shared = _stream_kernels()
+        stream = shared * 4 + _stream_kernels()
+        got = MXNET.specialize_kernels(stream)
+        for position, kernel in enumerate(stream):
+            first = stream.index(kernel)
+            assert got[position] is got[first]
+
+    def test_short_lived_streams_equal_references(self):
+        # Each call's kernels die with it, so later calls reuse their ids;
+        # an identity map that outlived its call would serve stale results.
+        for round_ in range(200):
+            stream = [
+                kernel
+                for _ in range(3)
+                for kernel in (
+                    Kernel("conv", KernelCategory.CONV, 1e3 * (round_ + 1), 4e3),
+                    Kernel(
+                        "elementwise_scale", KernelCategory.ELEMENTWISE, round_ + 1.0, 8.0
+                    ),
+                )
+            ]
+            got = TENSORFLOW.specialize_kernels(stream)
+            assert _rows(got) == _rows(TENSORFLOW.specialize_kernel(k) for k in stream)
+
+    def test_generator_stream_equals_references(self):
+        # Fresh kernels alternate with copies of five values; a copy hits
+        # the value memo and dies mid-call unless the stream is held, and a
+        # later kernel can then reuse its id.
+        def stream():
+            for i in range(200):
+                flops = float(i % 5 + 1) if i % 3 else float(i + 10)
+                yield Kernel("memcpy", KernelCategory.MEMCPY, flops, 4.0)
+
+        got = TENSORFLOW.specialize_kernels(stream())
+        assert _rows(got) == _rows(TENSORFLOW.specialize_kernel(k) for k in stream())
+
+
 class TestValidation:
     def _base(self, **overrides):
         fields = dict(

@@ -1,5 +1,8 @@
 """Unit tests for the Layer/LayerGraph IR."""
 
+import copy
+import dataclasses
+
 import pytest
 
 from repro.graph.layer import Layer, LayerGraph
@@ -49,6 +52,39 @@ class TestLayerGraph:
     def test_duplicates_rejected_at_construction(self):
         with pytest.raises(ValueError, match="duplicate"):
             LayerGraph("m", batch_size=1, layers=[Layer("a", "conv"), Layer("a", "bn")])
+
+    def test_construction_names_every_duplicate_sorted(self):
+        layers = [Layer(n, "conv") for n in ("c", "b", "a", "c", "b", "d")]
+        with pytest.raises(ValueError) as raised:
+            LayerGraph("m", batch_size=1, layers=layers)
+        assert str(raised.value) == "duplicate layer names in m: ['b', 'c']"
+
+    def test_add_rejects_duplicate_on_replaced_graph(self):
+        graph = LayerGraph("m", batch_size=1).add(Layer("a", "conv"))
+        replaced = dataclasses.replace(graph, layers=[Layer("b", "conv")])
+        replaced.add(Layer("a", "conv"))
+        with pytest.raises(ValueError, match="duplicate layer name 'b'"):
+            replaced.add(Layer("b", "conv"))
+        # The source graph keeps its own names.
+        graph.add(Layer("b", "conv"))
+        assert [layer.name for layer in graph.layers] == ["a", "b"]
+
+    def test_add_rejects_duplicate_on_deepcopy(self):
+        graph = LayerGraph("m", batch_size=1).add(Layer("a", "conv"))
+        clone = copy.deepcopy(graph)
+        with pytest.raises(ValueError, match="duplicate layer name 'a'"):
+            clone.add(Layer("a", "conv"))
+        clone.add(Layer("b", "conv"))
+        # The copy's names are its own: the original still accepts "b".
+        graph.add(Layer("b", "conv"))
+        with pytest.raises(ValueError, match="duplicate layer name 'b'"):
+            clone.add(Layer("b", "conv"))
+
+    def test_add_sees_layers_appended_directly(self):
+        graph = LayerGraph("m", batch_size=1).add(Layer("a", "conv"))
+        graph.layers.append(Layer("b", "conv"))
+        with pytest.raises(ValueError, match="duplicate layer name 'b'"):
+            graph.add(Layer("b", "conv"))
 
     def test_batch_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,46 @@
 """Unit tests for layer -> kernel lowering."""
 
+from dataclasses import replace
+
 import pytest
 
+import repro.kernels.rnn as rnn
 from repro.graph import lowering
 from repro.kernels.base import KernelCategory
 from repro.kernels.conv import ConvShape
+from repro.kernels.gemm import gemm
+
+_RECURRENT = [
+    (lowering.lstm_layer, 4, rnn.lstm_cell_pointwise, True),
+    (lowering.gru_layer, 3, rnn.gru_cell_pointwise, True),
+    (lowering.vanilla_rnn_layer, 1, rnn.vanilla_rnn_pointwise, False),
+]
+
+
+def _per_step_reference(
+    batch, seq_len, input_size, hidden, gates, pointwise_factory, directions, sync
+):
+    """The per-timestep lowering loop, one new kernel per launch: the
+    reference the shared-object lowering must equal element by element."""
+    k_dim = input_size + hidden
+    forward, backward = [], []
+    for _direction in range(directions):
+        for _step in range(seq_len):
+            forward.append(gemm(batch, gates * hidden, k_dim, name="rnn_step_sgemm"))
+            step_fw = pointwise_factory(batch, hidden, backward=False)
+            step_bw = pointwise_factory(batch, hidden, backward=True)
+            if sync:
+                step_fw = replace(step_fw, host_sync=True)
+                step_bw = replace(step_bw, host_sync=True)
+            forward.append(step_fw)
+            backward.append(step_bw)
+            backward.append(
+                gemm(batch, k_dim, gates * hidden, name="rnn_step_sgemm_dgrad")
+            )
+            backward.append(
+                gemm(k_dim, gates * hidden, batch, name="rnn_step_sgemm_wgrad")
+            )
+    return forward, backward
 
 
 class TestConvLayer:
@@ -93,6 +129,31 @@ class TestRecurrentLayers:
     def test_zero_sequence_rejected(self):
         with pytest.raises(ValueError):
             lowering.lstm_layer("l", 4, 0, 32, 32)
+
+    @pytest.mark.parametrize("build,gates,factory,sync", _RECURRENT)
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_shared_kernels_equal_per_step_reference(
+        self, build, gates, factory, sync, bidirectional
+    ):
+        layer = build("r", 3, 7, 24, 40, bidirectional=bidirectional)
+        forward, backward = _per_step_reference(
+            3, 7, 24, 40, gates, factory, 2 if bidirectional else 1, sync
+        )
+        pairs = ((layer.forward_kernels, forward), (layer.backward_kernels, backward))
+        for got, want in pairs:
+            assert len(got) == len(want)
+            for index, (a, b) in enumerate(zip(got, want)):
+                assert a == b, index
+                assert a.host_sync == b.host_sync, index
+
+    @pytest.mark.parametrize("build,gates,factory,sync", _RECURRENT)
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_layer_holds_five_kernel_objects(
+        self, build, gates, factory, sync, bidirectional
+    ):
+        layer = build("r", 3, 7, 24, 40, bidirectional=bidirectional)
+        kernels = layer.forward_kernels + layer.backward_kernels
+        assert len({id(k) for k in kernels}) == 5
 
 
 class TestAttentionAndFFN:

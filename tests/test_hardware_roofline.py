@@ -75,6 +75,75 @@ class TestKernelTiming:
         assert len(timings) == 5
 
 
+def _timing_rows(timings) -> list:
+    return [
+        (
+            t.kernel,
+            t.kernel.host_sync,
+            repr(t.duration_s),
+            repr(t.compute_time_s),
+            repr(t.memory_time_s),
+            repr(t.launch_latency_s),
+        )
+        for t in timings
+    ]
+
+
+class TestTimeKernelsMemo:
+    def test_mixed_stream_equals_kernel_by_kernel(self, model):
+        def fresh():
+            return [gemm(64, 256, 96), batchnorm_forward(4096, 16), gemm(8, 8, 8)]
+
+        shared = fresh()
+        # Repeated objects interleaved with equal-but-distinct copies.
+        stream = shared * 3 + fresh() + shared[::-1] + fresh()
+        got = model.time_kernels(stream)
+        reference = RooflineModel(QUADRO_P4000)
+        assert _timing_rows(got) == _timing_rows(
+            reference.time_kernel(k) for k in stream
+        )
+
+    def test_repeated_object_maps_to_one_timing(self, model):
+        shared = [gemm(64, 256, 96), batchnorm_forward(4096, 16)]
+        stream = shared * 5
+        got = model.time_kernels(stream)
+        for position, kernel in enumerate(stream):
+            assert got[position] is got[stream.index(kernel)]
+
+    def test_short_lived_streams_equal_fresh_references(self, model):
+        # Each call's kernels die with it, so later calls reuse their ids;
+        # an identity map that outlived its call would serve stale timings.
+        for round_ in range(200):
+            # Equal-but-distinct copies: only the first of each value stays
+            # alive in the value memo, the others free their ids.
+            stream = [
+                kernel
+                for _ in range(3)
+                for kernel in (
+                    gemm(8 + round_, 64, 32),
+                    batchnorm_forward(64 * (round_ + 1), 8),
+                )
+            ]
+            got = model.time_kernels(stream)
+            fresh = RooflineModel(QUADRO_P4000)
+            assert _timing_rows(got) == _timing_rows(
+                fresh.time_kernel(k) for k in stream
+            )
+
+    def test_generator_stream_equals_references(self, model):
+        # Fresh kernels alternate with copies of five values; a copy hits
+        # the value memo and dies mid-call unless the stream is held, and a
+        # later kernel can then reuse its id.
+        def stream():
+            for i in range(200):
+                flops = float(i % 5 + 1) if i % 3 else float(i + 10)
+                yield Kernel("k", KernelCategory.GEMM, flops, 4.0)
+
+        got = model.time_kernels(stream())
+        fresh = RooflineModel(QUADRO_P4000)
+        assert _timing_rows(got) == _timing_rows(fresh.time_kernel(k) for k in stream())
+
+
 class TestHelpers:
     def test_speed_of_light_lower_bound(self, model):
         kernel = gemm(1024, 1024, 1024)

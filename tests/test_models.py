@@ -2,12 +2,19 @@
 
 import pytest
 
+import repro.kernels.elementwise as ew
+from repro.kernels.gemm import gemm
 from repro.models.a3c import build_a3c
 from repro.models.deepspeech import build_deep_speech2
 from repro.models.faster_rcnn import build_faster_rcnn
 from repro.models.inception import build_inception_v3
 from repro.models.resnet import build_resnet50, build_resnet101
-from repro.models.seq2seq import build_nmt, build_seq2seq, build_sockeye
+from repro.models.seq2seq import (
+    _attention_decoder_step_layer,
+    build_nmt,
+    build_seq2seq,
+    build_sockeye,
+)
 from repro.models.transformer import build_transformer
 from repro.models.wgan import build_wgan
 from repro.models.registry import get_model, model_catalog, model_keys
@@ -91,6 +98,29 @@ class TestSeq2Seq:
         short = build_seq2seq(2, seq_len=10)
         long = build_seq2seq(2, seq_len=20)
         assert len(long.iteration_kernels()) > 1.5 * len(short.iteration_kernels())
+
+    def test_attention_step_kernels_equal_per_step_reference(self):
+        batch, seq, hidden = 3, 6, 16
+        layer = _attention_decoder_step_layer("attn", batch, seq, seq, hidden)
+        forward, backward = [], []
+        for _step in range(seq):
+            forward += [
+                gemm(batch, seq, hidden, name="attn_score_sgemm"),
+                ew.softmax(batch, seq),
+                gemm(batch, hidden, seq, name="attn_context_sgemm"),
+                gemm(batch, hidden, 2 * hidden, name="attn_combine_sgemm"),
+            ]
+            backward += [
+                gemm(batch, 2 * hidden, hidden, name="attn_combine_sgemm_bw"),
+                gemm(batch, seq, hidden, name="attn_context_sgemm_bw"),
+                ew.softmax(batch, seq),
+                gemm(batch, hidden, seq, name="attn_score_sgemm_bw"),
+            ]
+        assert layer.forward_kernels == forward
+        assert layer.backward_kernels == backward
+        # One object per distinct kernel; softmax serves both passes.
+        kernels = layer.forward_kernels + layer.backward_kernels
+        assert len({id(k) for k in kernels}) == 7
 
 
 class TestTransformer:

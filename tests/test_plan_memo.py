@@ -1,9 +1,11 @@
 """Differential tests for the concrete compiler's per-kernel memos.
 
-``RooflineModel.time_kernels`` memoizes timings by kernel value for the
-life of the roofline (a session's roofline serves every batch the session
-compiles), and ``Framework.specialize_kernels`` memoizes within one
-kernel stream.  Neither may be visible in any plan:
+The recurrent lowering repeats one frozen kernel object per timestep
+launch.  ``RooflineModel.time_kernels`` memoizes timings by kernel value
+for the life of the roofline (a session's roofline serves every batch the
+session compiles), and ``Framework.specialize_kernels`` memoizes within
+one kernel stream; both look a kernel up by identity first, in a map that
+lives only for the call.  None of this may be visible in any plan:
 
 - every paper-grid point compiled through one session, in sweep order,
   equals a fresh ``compile_graph`` with its own new ``RooflineModel``,
