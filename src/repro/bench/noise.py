@@ -60,16 +60,6 @@ class NoiseModel:
             raise ValueError("run_index must be non-negative")
         return NoiseStream(self, np.random.default_rng((self.seed, run_index)))
 
-    def to_doc(self) -> dict:
-        """Canonical-JSON-ready description (for ``BENCH_*.json`` records)."""
-        return {
-            "kernel_jitter": self.kernel_jitter,
-            "dispatch_jitter": self.dispatch_jitter,
-            "interconnect_jitter": self.interconnect_jitter,
-            "run_jitter": self.run_jitter,
-            "seed": self.seed,
-        }
-
 
 class NoiseStream:
     """One run's jitter factors, drawn lazily per channel.

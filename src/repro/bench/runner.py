@@ -14,8 +14,8 @@ configurations stop early and noisy ones keep sampling until the target
 CI half-width is met (bounded by ``max_samples``).  The verdict is
 deliberately conservative — a *regression* requires both a one-sided
 Welch p-value below alpha **and** a median slowdown above the
-``min_effect`` noise floor, which is what lets CI gate on this without
-flaking.
+``min_effect`` noise floor, which is what lets a test assert a verdict
+without flaking.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class BenchResult:
         return self.median_treatment_s / self.median_baseline_s - 1.0
 
     def to_doc(self) -> dict:
-        """Canonical-JSON-ready record for the trajectory store."""
+        """Canonical-JSON-ready record of this result."""
         return {
             "name": self.name,
             "baseline": dict(sorted(self.baseline.items())),

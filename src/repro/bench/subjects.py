@@ -8,12 +8,11 @@ expensive work (graph build, lowering, roofline timing) happens once in
 the constructor; the per-sample path is one noisy pass of
 :func:`repro.plan.executor.replay` over the plan's flat duration list.
 
-``subject_for`` builds the standard subjects the CLI and suites use:
+``subject_for`` builds the standard subjects ``tbd compare`` measures:
 ``baseline`` (the plan as compiled), any transform pipeline in
 :func:`~repro.plan.pipeline.parse_transform_spec` syntax (``fused-rnn``,
-``fused_rnn+fp16+offload:0.5`` — how the tune suite measures autotuner
-winners), or ``slowdown:<pct>`` — a biased baseline used as the harness's
-own negative control.
+``fused_rnn+fp16+offload:0.5``), or ``slowdown:<pct>`` — a biased
+baseline used as the harness's own negative control.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ class Subject:
         raise NotImplementedError
 
     def describe(self) -> dict:
-        """Canonical-JSON-ready identity for the trajectory record."""
+        """Canonical-JSON-ready identity of this side of an A/B."""
         return {"kind": type(self).__name__, "label": self.label}
 
 
@@ -114,7 +113,7 @@ def subject_for(
 
     ``treatment`` is ``"baseline"``, ``"slowdown:<percent>"`` (e.g.
     ``slowdown:5`` for a deterministic 5% kernel-time regression — the
-    gate's negative control), or a transform pipeline spec such as
+    harness's negative control), or a transform pipeline spec such as
     ``fused-rnn`` or ``fused_rnn+fp16``.
 
     Raises:

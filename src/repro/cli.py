@@ -27,10 +27,12 @@ Subcommands:
   the paper's physical invariants over the grid plus seeded fuzz cases,
   list the registries, or shrink one failing spec to a minimal
   counterexample.
-- ``tbd bench run|compare|history|gate`` — statistical differential
-  benchmarking: interleaved A/B runs under a seeded noise model, the
-  ``BENCH_<suite>.json`` trajectory store, and the CI regression gate
-  that fails only on statistically significant slowdowns.
+- ``tbd compare MODEL FRAMEWORK SIDE -b BATCH [--seed N] [--samples N]
+  [--alpha A] [--min-effect E]`` — one interleaved A/B under the seeded
+  noise model: ``FRAMEWORK`` vs ``SIDE`` when ``SIDE`` names a framework,
+  otherwise ``SIDE`` is a treatment (``fused-rnn``, ``fused_rnn+fp16``,
+  ``slowdown:5``) measured against ``FRAMEWORK``'s baseline.  Bad input
+  exits 2.
 - ``tbd analyze MODEL [-f FW] [-b BATCH]`` — the full Fig. 3 pipeline
   report, plus the optimization advisor's recommendations.
 - ``tbd exhibit NAME [...]`` — regenerate tables/figures (``all`` = paper
@@ -53,7 +55,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.cli import register_bench_command
 from repro.conformance.cli import register_conformance_command
 from repro.core.analysis import AnalysisPipeline
 from repro.core.observations import verify_all
@@ -69,7 +70,7 @@ from repro.engine.cli import (
 )
 from repro.schedule.cli import register_schedule_command
 from repro.tune.cli import register_tune_command
-from repro.frameworks.registry import framework_catalog
+from repro.frameworks.registry import framework_catalog, get_framework
 from repro.hardware.devices import get_gpu
 from repro.models.registry import extension_catalog, get_model, model_catalog
 
@@ -235,18 +236,70 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
+def _names_framework(name: str) -> bool:
+    try:
+        get_framework(name)
+    except KeyError:
+        return False
+    return True
+
+
+def _compare_lines(args, runner) -> list:
+    """Run ``tbd compare``'s one A/B and return the lines it prints."""
+    from repro.bench.subjects import subject_for
+    from repro.plan.pipeline import TransformSpecError
     from repro.profiling.comparison import ab_compare
 
-    report = ab_compare(
-        args.model, args.framework_a, args.framework_b, args.batch
-    )
-    print(report.result.format_row())
-    print(
-        f"  throughput: {report.label_a} {report.throughput_a:.1f} vs "
-        f"{report.label_b} {report.throughput_b:.1f} samples/s"
-    )
-    print(report.verdict)
+    if _names_framework(args.side):
+        report = ab_compare(
+            args.model,
+            args.framework,
+            args.side,
+            args.batch,
+            samples=args.samples,
+            runner=runner,
+        )
+        return [
+            report.result.format_row(),
+            f"  throughput: {report.label_a} {report.throughput_a:.1f} vs "
+            f"{report.label_b} {report.throughput_b:.1f} samples/s",
+            report.verdict,
+        ]
+    baseline = subject_for("baseline", args.model, args.framework, args.batch)
+    try:
+        treatment = subject_for(args.side, args.model, args.framework, args.batch)
+    except TransformSpecError as exc:
+        raise TransformSpecError(
+            f"{args.side!r} names no framework and no treatment: {exc}"
+        ) from None
+    result = runner.run(baseline, treatment, samples=args.samples)
+    return [
+        result.format_row(),
+        f"  medians: baseline {result.median_baseline_s * 1e3:.3f} ms, "
+        f"treatment {result.median_treatment_s * 1e3:.3f} ms "
+        f"({result.slowdown_fraction * 100.0:+.2f}%)",
+    ]
+
+
+def _cmd_compare(args) -> int:
+    from repro.bench.noise import NoiseModel
+    from repro.bench.runner import InterleavedRunner
+    from repro.hardware.memory import OutOfMemoryError
+
+    # Every error below comes from the command line: an unknown model,
+    # framework or treatment, a pairing the paper lacks, a batch that is
+    # not positive or does not fit, or runner settings out of range.
+    try:
+        runner = InterleavedRunner(
+            noise=NoiseModel(seed=args.seed),
+            alpha=args.alpha,
+            min_effect=args.min_effect,
+        )
+        lines = _compare_lines(args, runner)
+    except (KeyError, ValueError, OutOfMemoryError) as exc:
+        print(f"tbd compare: error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    print("\n".join(lines))
     return 0
 
 
@@ -485,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     register_cache_command(sub)
     register_conformance_command(sub)
-    register_bench_command(sub)
     register_tune_command(sub)
     register_schedule_command(sub)
 
@@ -577,11 +629,41 @@ def build_parser() -> argparse.ArgumentParser:
     faults_demo.add_argument("--seed", type=int, default=0)
     faults.set_defaults(func=_cmd_faults)
 
-    compare = sub.add_parser("compare", help="A/B framework comparison")
+    compare = sub.add_parser(
+        "compare",
+        help="interleaved A/B: two frameworks, or a treatment vs its "
+        "framework's baseline",
+    )
     compare.add_argument("model")
-    compare.add_argument("framework_a")
-    compare.add_argument("framework_b")
+    compare.add_argument("framework")
+    compare.add_argument(
+        "side",
+        help="a second framework, or a treatment of FRAMEWORK: a transform "
+        "spec (e.g. 'fused-rnn', 'fused_rnn+fp16') or 'slowdown:<pct>'",
+    )
     compare.add_argument("-b", "--batch", type=int, required=True)
+    compare.add_argument(
+        "--seed", type=int, default=0, help="noise-model seed (default 0)"
+    )
+    compare.add_argument(
+        "--samples",
+        type=int,
+        default=None,
+        help="per-side sample count (default: adaptive from pilot variance)",
+    )
+    compare.add_argument(
+        "--alpha",
+        type=float,
+        default=0.05,
+        help="significance level for verdicts (default 0.05)",
+    )
+    compare.add_argument(
+        "--min-effect",
+        type=float,
+        default=0.01,
+        help="median-effect noise floor below which verdicts stay "
+        "'indistinguishable' (default 0.01 = 1%%)",
+    )
     compare.set_defaults(func=_cmd_compare)
 
     for name, handler in (

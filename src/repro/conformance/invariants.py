@@ -507,7 +507,7 @@ def _noise_median_convergence(ev: PointEvidence) -> list:
     # Imported here: the bench package depends on repro.plan, and keeping
     # conformance importable without it would otherwise become circular.
     # Measured through PlanSubject, the path every A/B answer takes (the
-    # bench gates, the tuner's confirmation and ``tbd compare``).
+    # tuner's confirmation and ``tbd compare``).
     from repro.bench.noise import NoiseModel, median_convergence_tolerance
     from repro.bench.subjects import PlanSubject
 

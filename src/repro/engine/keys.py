@@ -82,8 +82,8 @@ DIMENSION_CODE = {
 
 #: The A/B measurement code: the interleaved runner, its subjects and
 #: noise model, and the Welch/sample-sizing statistics it uses.  Every
-#: noisy answer (bench trajectory records, a tuned config's confirmation)
-#: is a function of these sources, so their fingerprints cover them.
+#: noisy answer (a tuned config's confirmation) is a function of these
+#: sources, so the tuned-config key covers them.
 MEASUREMENT_CODE = (
     "bench/runner.py",
     "bench/subjects.py",
@@ -96,8 +96,7 @@ MEASUREMENT_CODE = (
 #: times, never the simulated result a point caches, so two runs at
 #: different seeds must hit the same cache entry.  Adding one of these to
 #: the key document is a bug (it would shard the cache by measurement
-#: configuration); the bench trajectory records them separately in each
-#: ``BENCH_*.json`` record instead.
+#: configuration).
 NON_KEY_RUN_DIMENSIONS = ("noise_seed",)
 
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -255,9 +254,9 @@ def code_fingerprint(model_module: str | None = None, dimensions: tuple = ()) ->
 def modules_fingerprint(entries) -> str:
     """Composite digest of arbitrary package-relative source entries
     (files or directories), for subsystems with their own code-dependency
-    sets — e.g. the bench harness fingerprints itself on top of
-    :data:`CORE_CODE` so trajectory records can tell "the timing model
-    changed" apart from "the measurement harness changed"."""
+    sets — e.g. the tuned-config key fingerprints the search and the A/B
+    measurement code on top of :data:`CORE_CODE`, so editing either
+    invalidates tuned configs but no sweep point."""
     digests = []
     seen = set()
     for entry in entries:

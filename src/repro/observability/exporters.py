@@ -160,28 +160,6 @@ def parse_jsonl(text: str) -> list:
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
-def bench_records_to_jsonl(records) -> str:
-    """Flatten bench trajectory records to one event per line.
-
-    Each ``BENCH_*.json`` record (see :mod:`repro.bench.store`) becomes a
-    ``bench_record`` line followed by one ``bench_result`` line per A/B
-    case, so log pipelines that already ingest the span JSONL can ingest
-    performance trajectories with the same machinery.  Deterministic for
-    the same records: sorted keys, no wall-clock fields.
-    """
-    lines: list = []
-    for record in records:
-        header = {k: v for k, v in record.items() if k != "results"}
-        header["event"] = "bench_record"
-        lines.append(json.dumps(header, sort_keys=True))
-        for result in record.get("results", []):
-            row = dict(result)
-            row["event"] = "bench_result"
-            row["record_key"] = record.get("key")
-            lines.append(json.dumps(row, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def write_spans_jsonl(roots_or_tracer, path: str) -> None:
     with open(path, "w") as handle:
         handle.write(spans_to_jsonl(roots_or_tracer))

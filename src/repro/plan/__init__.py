@@ -25,8 +25,7 @@ an XLA-style compile-then-execute split:
   kernel specialization and roofline timing by kernel value and is
   several times faster than tracing plus specializing.  Only the
   ``analytic-oom-agreement`` and ``symbolic-concrete-agreement``
-  invariants, ``tbd plan show --symbolic`` and the ``symbolic-sweep``
-  bench suite still use it.  It stays in the tree until the host
+  invariants and ``tbd plan show --symbolic`` still use it.  It stays in the tree until the host
   wall-clock benchmark (``benchmarks/wall/layers.py``) stops importing
   it; it is then deleted.
 """

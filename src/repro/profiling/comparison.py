@@ -7,7 +7,9 @@ bench harness's measurement statistics.  Each framework becomes one
 session's full iteration time (plan makespan plus host-side costs), and
 the :class:`~repro.bench.runner.InterleavedRunner` measures the two
 interleaved under the seeded noise model — the same runner, noise model
-and verdict rule as ``tbd bench`` and the tuner's confirmation.
+and verdict rule as the tuner's confirmation.  ``tbd compare`` prints it,
+and measures a treatment against its framework's baseline with the same
+runner.
 """
 
 from __future__ import annotations
@@ -62,13 +64,14 @@ def ab_compare(
     framework_b: str,
     batch: int,
     samples: int | None = None,
-    relative_precision: float = 0.005,
+    runner=None,
 ) -> ABReport:
     """Compare two frameworks on one model with sampled iterations.
 
-    By default the runner sizes the sample count from a pilot block at
-    ``relative_precision``, so noisy configurations sample more and quiet
-    ones stop early; pass ``samples=`` to pin the per-side count.
+    ``runner`` is the :class:`~repro.bench.runner.InterleavedRunner` to
+    measure with (default: one at its defaults).  By default it sizes the
+    sample count from a pilot block, so noisy configurations sample more
+    and quiet ones stop early; pass ``samples=`` to pin the per-side count.
     """
     # Imported here: repro.bench imports repro.profiling.statistics, and
     # this module is part of the repro.profiling package.
@@ -89,7 +92,7 @@ def ab_compare(
             )
         )
         effective_samples.append(profile.effective_samples)
-    runner = InterleavedRunner(relative_precision=relative_precision)
+    runner = runner if runner is not None else InterleavedRunner()
     result = runner.run(
         *subjects,
         name=f"{model}/b{batch}:{framework_a}-vs-{framework_b}",

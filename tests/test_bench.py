@@ -2,29 +2,20 @@
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
-from repro.bench import (
-    BENCH_SCHEMA,
-    BenchStore,
-    InterleavedRunner,
-    NoiseModel,
-    evaluate_gate,
-    get_suite,
-    run_suite,
-    subject_for,
-    suite_catalog,
-)
+from repro.bench import InterleavedRunner, NoiseModel, subject_for
 from repro.bench.noise import median_convergence_tolerance
-from repro.bench.store import build_record, environment_fingerprint
 from repro.bench.subjects import PlanSubject
-from repro.cli import main
 from repro.engine.keys import NON_KEY_RUN_DIMENSIONS, point_key
-from repro.observability.exporters import bench_records_to_jsonl
 from repro.plan.executor import ExecutionReplay, replay
 from repro.training.session import TrainingSession
+from repro.tune.search import Autotuner
+
+_EXPECTED = os.path.join(os.path.dirname(__file__), "expected")
 
 
 def _runner(seed: int) -> InterleavedRunner:
@@ -344,146 +335,80 @@ class TestInterleavedRunner:
         assert low <= result.speedup <= high
 
 
-class TestSuitesAndGate:
-    def test_catalog_names(self):
-        names = [suite.name for suite in suite_catalog()]
-        assert names == ["noop", "slowdown5"]
-        with pytest.raises(ValueError):
-            get_suite("nope")
+#: The controls' points: a conv-bound plan and two RNN plans.
+CONTROL_POINTS = [
+    ("resnet-50", "tensorflow", 32),
+    ("nmt", "tensorflow", 64),
+    ("sockeye", "mxnet", 64),
+]
 
-    def test_gate_passes_on_improvements_and_noise(self):
-        suite = get_suite("noop")
-        results = run_suite(suite, _runner(7), samples=20)
-        report = evaluate_gate(suite, results)
-        assert report.passed
-        assert report.regressions == ()
-
-    def test_gate_fails_on_significant_slowdown(self):
-        suite = get_suite("slowdown5")
-        results = run_suite(suite, _runner(7), samples=20)
-        assert all(r.verdict == "regression" for r in results)
-        assert all(r.p_regression < 0.05 for r in results)
-        # As the power control, the regressions are *expected*: the gate
-        # passes, and would fail if the harness ever stopped seeing them.
-        assert evaluate_gate(suite, results).passed
-
-    def test_control_mismatch_fails_the_gate(self):
-        suite = get_suite("slowdown5")
-        results = run_suite(get_suite("noop"), _runner(7), samples=20)
-        report = evaluate_gate(suite, results)
-        assert not report.passed
-        assert len(report.mismatches) == len(results)
-        assert "FAIL" in report.format_summary()
-
-    def test_unknown_suite_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "gate", "serve"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "schedule" in err
-        assert "symbolic-sweep" in err
-
-
-#: Every suite ``tbd bench run|gate`` accepts: the catalog A/B suites
-#: plus the derived and self-gating ones.
-RUNNABLE_SUITES = [suite.name for suite in suite_catalog()] + [
-    "tune",
-    "symbolic-sweep",
-    "schedule",
+#: The RNN workloads whose tuned winners the runner must confirm.
+RNN_POINTS = [
+    ("nmt", "tensorflow", 64),
+    ("sockeye", "mxnet", 64),
+    ("deep-speech-2", "mxnet", 16),
 ]
 
 
-class TestSuiteNames:
-    @pytest.mark.parametrize("verb", ["run", "gate"])
-    @pytest.mark.parametrize("suite", RUNNABLE_SUITES)
-    def test_every_runnable_suite_passes_the_parser(self, capsys, verb, suite):
-        # ``--help`` after the positional exits 0 only once ``suite`` has
-        # cleared its ``choices`` check; nothing runs.
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", verb, suite, "--help"])
-        assert exc.value.code == 0
-        assert "usage:" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("suite", RUNNABLE_SUITES)
-    def test_history_list_advertises_every_runnable_suite(
-        self, capsys, tmp_path, suite
-    ):
-        assert main(["bench", "history", "--list", "--dir", str(tmp_path)]) == 0
-        listed = [
-            line.split()[0]
-            for line in capsys.readouterr().out.splitlines()
-            if line.startswith("  ")
-        ]
-        assert suite in listed
-
-    def test_run_rejects_an_unknown_suite(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "run", "bogus"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'bogus'" in capsys.readouterr().err
-
-    def test_history_keeps_free_form_names(self, capsys, tmp_path):
-        assert main(["bench", "history", "retired", "--dir", str(tmp_path)]) == 0
-        assert "no trajectory for suite 'retired'" in capsys.readouterr().out
+def _ab(model, framework, batch, treatment):
+    """One seed-7 A/B with adaptive sample sizing: ``treatment`` against
+    an independently built baseline (so a no-op still measures two
+    distinct subjects)."""
+    return _runner(7).run(
+        subject_for("baseline", model, framework, batch),
+        subject_for(treatment, model, framework, batch),
+        name=f"{model}/{framework}/b{batch}:{treatment}",
+    )
 
 
-class TestStore:
-    def _record(self, seed):
-        suite = get_suite("noop")
-        noise = NoiseModel(seed=seed)
-        results = run_suite(suite, InterleavedRunner(noise=noise), samples=20)
-        gate = evaluate_gate(suite, results)
-        return build_record(suite.name, seed, noise.to_doc(), results, gate.to_doc())
+class TestControls:
+    """The runner's false-positive and power controls."""
 
-    def test_same_seed_rerun_is_byte_identical(self, tmp_path):
-        store = BenchStore(str(tmp_path))
-        store.append("noop", self._record(7))
-        first = store.path("noop")
-        first_bytes = open(first, "rb").read()
-        store.append("noop", self._record(7))
-        assert open(first, "rb").read() == first_bytes
-        assert len(store.records("noop")) == 1
+    @pytest.mark.parametrize("model,framework,batch", CONTROL_POINTS)
+    def test_noop_is_indistinguishable(self, model, framework, batch):
+        result = _ab(model, framework, batch, "baseline")
+        assert result.verdict == "indistinguishable"
 
-    def test_different_seed_appends_a_new_record(self, tmp_path):
-        store = BenchStore(str(tmp_path))
-        store.append("noop", self._record(7))
-        store.append("noop", self._record(8))
-        records = store.records("noop")
-        assert len(records) == 2
-        assert records[0]["key"] != records[1]["key"]
-        assert store.suites() == ["noop"]
+    @pytest.mark.parametrize("model,framework,batch", CONTROL_POINTS)
+    def test_5pct_slowdown_is_a_significant_regression(self, model, framework, batch):
+        result = _ab(model, framework, batch, "slowdown:5")
+        assert result.verdict == "regression"
+        assert result.p_regression < 0.05
 
-    def test_schema_and_fingerprint(self, tmp_path):
-        store = BenchStore(str(tmp_path))
-        store.append("noop", self._record(7))
-        document = json.loads(open(store.path("noop")).read())
-        assert document["schema"] == BENCH_SCHEMA
-        record = document["records"][0]
-        fingerprint = record["environment"]
-        assert fingerprint == environment_fingerprint()
-        assert len(fingerprint["code"]) == 64
-        assert len(fingerprint["bench_code"]) == 64
 
-    def test_rejects_unknown_schema(self, tmp_path):
-        store = BenchStore(str(tmp_path))
-        with open(store.path("noop"), "w") as handle:
-            json.dump({"schema": 99, "suite": "noop", "records": []}, handle)
-        with pytest.raises(ValueError):
-            store.load("noop")
+def _expected(filename):
+    with open(os.path.join(_EXPECTED, filename), encoding="utf-8") as handle:
+        return {doc["name"]: doc for doc in json.load(handle)}
 
-    def test_jsonl_export_is_deterministic(self, tmp_path):
-        store = BenchStore(str(tmp_path))
-        store.append("noop", self._record(7))
-        records = store.records("noop")
-        text = bench_records_to_jsonl(records)
-        assert text == bench_records_to_jsonl(records)
-        events = [json.loads(line) for line in text.splitlines()]
-        kinds = [event["event"] for event in events]
-        assert kinds[0] == "bench_record"
-        assert kinds.count("bench_result") == len(records[0]["results"])
-        assert all(
-            event["record_key"] == records[0]["key"]
-            for event in events
-            if event["event"] == "bench_result"
-        )
-        assert bench_records_to_jsonl([]) == ""
+
+#: The committed ``tune`` results, keyed by case name.
+EXPECTED_TUNE = _expected("tune_results.json")
+
+
+@pytest.fixture(scope="module")
+def tune_results():
+    """Per RNN workload, the autotuner's cost-model winner and the
+    single-stage ``fused_rnn`` transform, each A/B'd against baseline."""
+    results = []
+    for model, framework, batch in RNN_POINTS:
+        winner = Autotuner(model, framework, batch_size=batch).rank().winner
+        treatments = ["fused_rnn"]
+        if winner is not None and winner.spec != "fused_rnn":
+            treatments.insert(0, winner.spec)
+        results.extend(_ab(model, framework, batch, t) for t in treatments)
+    return {result.name: result for result in results}
+
+
+class TestTunedWinners:
+    def test_cases_are_each_winner_and_fused_rnn(self, tune_results):
+        assert list(tune_results) == list(EXPECTED_TUNE)
+        assert len(tune_results) == 6
+        assert sum(name.endswith(":fused_rnn") for name in tune_results) == 3
+
+    @pytest.mark.parametrize("name", EXPECTED_TUNE)
+    def test_is_an_improvement(self, tune_results, name):
+        assert tune_results[name].verdict == "improvement"
+
+    @pytest.mark.parametrize("name", EXPECTED_TUNE)
+    def test_result_equals_the_committed_expectation(self, tune_results, name):
+        assert tune_results[name].to_doc() == EXPECTED_TUNE[name]

@@ -300,48 +300,95 @@ class TestSweepScenarioBoundary:
         assert "Traceback" not in captured.err
 
 
-class TestBenchCommand:
-    def test_compare_prints_verdict(self, capsys):
-        code, out = run_cli(
-            capsys, "bench", "compare", "nmt", "fused-rnn",
-            "-b", "64", "--samples", "20", "--seed", "7",
-        )
-        assert code == 0
-        assert out.startswith("baseline-vs-fused-rnn ")
-        assert "improvement" in out and "speedup" in out
+class TestCompareCommand:
+    """``tbd compare`` prints what both commands it merges printed: the
+    framework A/B of ``tbd compare`` and the treatment A/B of the former
+    ``tbd bench compare nmt fused-rnn -f tensorflow``."""
 
-    def test_run_records_trajectory_and_history_reads_it(self, capsys, tmp_path):
-        directory = str(tmp_path)
+    def test_framework_side_output_is_unchanged(self, capsys):
         code, out = run_cli(
-            capsys, "bench", "run", "noop",
-            "--seed", "7", "--samples", "20", "--dir", directory,
+            capsys, "compare", "resnet-50", "mxnet", "tensorflow", "-b", "32"
         )
         assert code == 0
-        assert "BENCH_noop.json" in out
-        code, out = run_cli(capsys, "bench", "history", "noop", "--dir", directory)
-        assert code == 0
-        assert "seed=7" in out and "gate=PASS" in out
+        assert out == (
+            "resnet-50/b32:mxnet-vs-tensorflow speedup x 0.873 [ 0.869,  0.876]"
+            "  p(slower)= 0.0000 n=30   regression\n"
+            "  throughput: mxnet 100.8 vs tensorflow 88.0 samples/s\n"
+            "mxnet is faster (x1.146 the throughput)\n"
+        )
 
-    def test_history_lists_suites(self, capsys, tmp_path):
-        code, out = run_cli(capsys, "bench", "history", "--list", "--dir", str(tmp_path))
+    def test_treatment_side_output_is_unchanged(self, capsys):
+        code, out = run_cli(
+            capsys, "compare", "nmt", "tensorflow", "fused-rnn",
+            "-b", "64", "--seed", "7", "--samples", "20",
+        )
         assert code == 0
-        assert "tune" in out and "slowdown5" in out
-        assert "fused-rnn" not in out
+        assert out == (
+            "baseline-vs-fused-rnn        speedup x 2.098 [ 2.088,  2.114]"
+            "  p(slower)= 1.0000 n=20   improvement\n"
+            "  medians: baseline 268.543 ms, treatment 128.027 ms (-52.33%)\n"
+        )
 
-    def test_gate_exit_codes(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "side,verdict",
+        [
+            ("baseline", "indistinguishable"),
+            ("fused-rnn", "improvement"),
+            ("fused_rnn+fp16", "improvement"),
+            ("slowdown:5", "regression"),
+        ],
+    )
+    def test_treatment_side_prints_its_verdict(self, capsys, side, verdict):
+        code, out = run_cli(capsys, "compare", "nmt", "tensorflow", side, "-b", "64")
+        assert code == 0
+        row, medians = out.splitlines()
+        assert row.startswith(f"baseline-vs-{side} ")
+        assert row.endswith(f" {verdict}")
+        assert medians.startswith("  medians: baseline ")
+
+    @pytest.mark.parametrize(
+        "flags,row",
+        [
+            ((), "x 0.996 [ 0.992,  0.998]  p(slower)= 0.0013 n=30   indistinguishable"),
+            (("--seed", "3"), "x 0.998 [ 0.994,  1.002]  p(slower)= 0.0705 n=30"),
+            (("--samples", "12"), " n=12 "),
+            (("--min-effect", "0"), "p(slower)= 0.0013 n=30   regression"),
+            (("--min-effect", "0", "--alpha", "0.001"), "n=30   indistinguishable"),
+        ],
+    )
+    def test_runner_flags_reach_the_runner(self, capsys, flags, row):
+        # A 1% slowdown at p(slower) = 0.0013: under the default 1% effect
+        # floor the verdict is indistinguishable, without it a regression
+        # at the default alpha of 0.05 but not at 0.001.
         code, out = run_cli(
-            capsys, "bench", "gate", "noop",
-            "--seed", "7", "--samples", "20", "--dir", str(tmp_path),
+            capsys, "compare", "nmt", "tensorflow", "slowdown:1", "-b", "64", *flags
         )
         assert code == 0
-        assert "gate PASS" in out
-        # An alpha of ~1 makes every wobble "significant", but the noop
-        # control expects 'indistinguishable' verdicts -- the mismatch
-        # must fail the gate.
-        code, out = run_cli(
-            capsys, "bench", "gate", "noop",
-            "--seed", "7", "--samples", "20", "--dir", str(tmp_path),
-            "--alpha", "0.999", "--min-effect", "0.0",
-        )
-        assert code == 1
-        assert "gate FAIL" in out
+        assert row in out.splitlines()[0]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("nmt", "tensorflow", "mxnet", "-b", "64"), "no MXNet implementation"),
+            (("resnet-50", "mxnet", "bogus", "-b", "32"), "names no framework"),
+            (("resnet-50", "mxnet", "tensorflow", "-b", "0"), "must be positive"),
+            (("nmt", "tensorflow", "bogus", "-b", "64"), "unknown transform 'bogus'"),
+            (("bogus", "tensorflow", "mxnet", "-b", "32"), "unknown model 'bogus'"),
+            (("nmt", "tensorflow", "slowdown:abc", "-b", "64"), "'abc'"),
+            (("resnet-50", "mxnet", "tensorflow", "-b", "100000"), "exceeds capacity"),
+            (("nmt", "tensorflow", "fused-rnn", "-b", "64", "--samples", "0"),
+             "at least 2 samples"),
+            (("nmt", "tensorflow", "fused-rnn", "-b", "64", "--alpha", "0"),
+             "alpha must be in (0, 1)"),
+            (("nmt", "tensorflow", "fused-rnn", "-b", "64", "--min-effect", "-1"),
+             "min_effect must be non-negative"),
+        ],
+    )
+    def test_bad_input_exits_2_on_stderr(self, capsys, argv, message):
+        code = main(["compare", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("tbd compare: error: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err

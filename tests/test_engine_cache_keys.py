@@ -333,16 +333,6 @@ class TestCodeDependencyCoverage:
         )
         assert point_key("nmt", "tensorflow", 64) == plain_before
 
-    def test_editing_ab_statistics_moves_the_bench_environment(self, monkeypatch):
-        from repro.bench.store import environment_fingerprint
-
-        before = environment_fingerprint()
-        path = os.path.join(keys_module._PACKAGE_ROOT, "profiling", "statistics.py")
-        monkeypatch.setitem(keys_module._FILE_DIGESTS, path, "0" * 64)
-        after = environment_fingerprint()
-        assert after["bench_code"] != before["bench_code"]
-        assert after["code"] == before["code"]
-
     @pytest.mark.parametrize("table", ("CORE_CODE", "DIMENSION_CODE"))
     def test_entry_naming_no_file_raises(self, monkeypatch, table):
         if table == "CORE_CODE":

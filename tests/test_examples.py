@@ -34,7 +34,7 @@ _EXAMPLES = (
     ("plan_inspect.py", "compiled plan"),
     ("fault_sweep.py", "fault injection on the simulated cluster"),
     ("conformance_check.py", "byte-identical report"),
-    ("bench_compare.py", "identical across same-seed runs"),
+    ("bench_compare.py", "slowdown-control"),
     ("schedule_sweep.py", "adaptive batch schedules as a sweep dimension"),
 )
 

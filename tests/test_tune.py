@@ -242,18 +242,3 @@ class TestCLI:
         )
         assert code == 0
         assert "NMT" in out
-
-
-class TestTuneBenchSuite:
-    @pytest.mark.slow
-    def test_tune_suite_winners_all_verify_as_improvements(self):
-        from repro.bench.gate import evaluate_gate
-        from repro.bench.suites import get_suite, run_suite
-
-        suite = get_suite("tune")
-        assert len(suite.cases) == 6
-        assert [case.treatment for case in suite.cases].count("fused_rnn") == 3
-        results = run_suite(suite, _runner(), samples=30)
-        report = evaluate_gate(suite, results)
-        assert report.passed
-        assert all(result.verdict == "improvement" for result in results)
