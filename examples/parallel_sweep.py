@@ -3,7 +3,8 @@
 ``tbd sweep --jobs/--cache-dir`` and ``tbd cache stats|clear`` drive the
 same machinery from the shell; this example walks it programmatically:
 
-1. run a reduced Figs. 4-6 grid serially (the reference result);
+1. run a reduced Figs. 4-6 grid serially, one ``TrainingSession`` per
+   panel with no engine (the reference result);
 2. run the same grid through the engine with two worker processes and a
    cold content-addressed cache, then again warm — the warm pass computes
    nothing;
@@ -13,7 +14,8 @@ same machinery from the shell; this example walks it programmatically:
 
 import os
 
-from repro.core.suite import standard_suite
+from repro.core.metrics import IterationMetrics
+from repro.core.suite import SweepPoint, standard_suite
 from repro.engine import SweepEngine, grid_for, write_grid_jsonl
 
 CACHE_DIR = os.path.join("artifacts", "sweep-cache")
@@ -31,10 +33,17 @@ def main() -> None:
     grid = grid_for(PANELS, batch_sizes=BATCHES)
     print(f"== parallel sweep engine: {len(grid)} grid points ==")
 
-    print("\n-- serial reference (plain TBDSuite.sweep) --")
+    print("\n-- serial reference (TrainingSession driven directly, no engine) --")
+    sessions = {}
     reference = []
     for spec in grid:
-        reference.extend(suite.sweep(spec.model, spec.framework, (spec.batch_size,)))
+        key = (spec.model, spec.framework)
+        if key not in sessions:
+            sessions[key] = suite.session(*key)
+        session = sessions[key]
+        profile = session.run_iteration(spec.batch_size)
+        metrics = IterationMetrics.from_profile(profile, session.spec.throughput_unit)
+        reference.append(SweepPoint(batch_size=spec.batch_size, metrics=metrics))
     for point in reference[:3]:
         print(f"  {point.metrics.format_row()}")
     print(f"  ... {len(reference)} points")

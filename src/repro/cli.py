@@ -103,16 +103,13 @@ def _cmd_sweep(args) -> int:
         return 2
     suite = _suite(args)
     engine = engine_from_args(args, gpu=suite.gpu)
-    if args.faults or args.transforms or args.schedule:
-        points = engine.sweep(
-            args.model,
-            args.framework,
-            faults=args.faults,
-            transforms=args.transforms,
-            schedule=args.schedule,
-        )
-    else:
-        points = suite.sweep(args.model, args.framework, engine=engine)
+    points = engine.sweep(
+        args.model,
+        args.framework,
+        faults=args.faults,
+        transforms=args.transforms,
+        schedule=args.schedule,
+    )
     for point in points:
         if point.oom:
             print(f"b={point.batch_size:<6d} OOM")

@@ -13,7 +13,6 @@ from repro.core.metrics import IterationMetrics
 from repro.data.registry import dataset_catalog, get_dataset
 from repro.frameworks.registry import framework_catalog, get_framework
 from repro.hardware.devices import GPUSpec, QUADRO_P4000
-from repro.hardware.memory import OutOfMemoryError
 from repro.models.registry import ModelSpec, get_model, model_catalog
 from repro.training.hyperparams import assert_comparable, defaults_for
 from repro.training.session import TrainingSession
@@ -84,8 +83,8 @@ class TBDSuite:
 
     def engine(self, jobs: int = 1, cache=None, check_memory: bool = True):
         """A :class:`~repro.engine.executor.SweepEngine` bound to this
-        suite's GPU — the parallel/memoized execution path for
-        :meth:`run`, :meth:`sweep`, and the figure experiments."""
+        suite's GPU — the execution path of :meth:`sweep` and the figure
+        experiments, and the parallel/memoized one for :meth:`run`."""
         from repro.engine.executor import SweepEngine
 
         return SweepEngine(
@@ -117,28 +116,11 @@ class TBDSuite:
         self, model: str, framework: str, batch_sizes=None, engine=None
     ) -> list:
         """Run the model's mini-batch sweep (Figs. 4-6 x-axes); OOM points
-        are recorded, not raised.  ``engine`` fans the sweep out across
-        worker processes and memoizes each point (see :meth:`engine`)."""
-        if engine is not None:
-            return engine.sweep(model, framework, batch_sizes)
-        session = self.session(model, framework)
-        sizes = batch_sizes if batch_sizes is not None else session.spec.batch_sizes
-        points = []
-        for batch in sizes:
-            try:
-                profile = session.run_iteration(batch)
-            except OutOfMemoryError:
-                points.append(SweepPoint(batch_size=batch, oom=True))
-                continue
-            points.append(
-                SweepPoint(
-                    batch_size=batch,
-                    metrics=IterationMetrics.from_profile(
-                        profile, throughput_unit=session.spec.throughput_unit
-                    ),
-                )
-            )
-        return points
+        are recorded, not raised.  Points run through ``engine``, by
+        default :meth:`engine` (in this process, uncached); pass a parallel
+        or caching one to fan the sweep out and memoize each point."""
+        engine = engine if engine is not None else self.engine()
+        return engine.sweep(model, framework, batch_sizes)
 
     def compare_frameworks(self, model: str, batch_size: int | None = None) -> dict:
         """Run one model on every framework that implements it, after

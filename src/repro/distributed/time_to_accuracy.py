@@ -51,11 +51,6 @@ class ScalingPoint:
     samples_needed: float
     time_to_accuracy_s: float
 
-    @property
-    def speedup_metric(self) -> float:
-        """Inverse time-to-accuracy (bigger is better)."""
-        return 1.0 / self.time_to_accuracy_s
-
 
 def samples_to_accuracy(model_key: str, target_fraction: float = 0.95) -> float:
     """Samples a single worker needs to reach ``target_fraction`` of the

@@ -45,36 +45,31 @@ def run_sweeps(
     Args:
         metric: attribute of :class:`~repro.core.metrics.IterationMetrics`
             (``throughput``, ``gpu_utilization``, ``fp32_utilization``).
-        engine: optional :class:`~repro.engine.executor.SweepEngine`; when
-            given, the *whole* grid (every panel, every batch size) is
-            handed to the engine as one flat work list, so worker
-            processes draw from all panels at once and memoized points
-            are skipped — the serial per-panel loop below and the engine
-            path are asserted equivalent by the differential harness.
+        suite: the suite whose :meth:`~repro.core.suite.TBDSuite.engine`
+            runs the grid when no ``engine`` is given (default: the
+            standard suite).
+        engine: the :class:`~repro.engine.executor.SweepEngine` to run
+            on; the *whole* grid (every panel, every batch size) is
+            handed to it as one flat work list, so worker processes draw
+            from all panels at once and memoized points are skipped.
         panels: panel tuples ``(model, (framework, ...))``; defaults to
             the paper's :data:`SWEEP_PANELS`.
     """
-    panels = panels if panels is not None else SWEEP_PANELS
-    if engine is not None:
-        from repro.engine.executor import grid_for
+    from repro.engine.executor import grid_for
 
-        specs = grid_for(panels)
-        points_by_spec = dict(zip(specs, engine.run_grid(specs)))
-        series = []
-        for model, frameworks in panels:
-            for framework in frameworks:
-                points = [
-                    points_by_spec[spec]
-                    for spec in specs
-                    if spec.model == model and spec.framework == framework
-                ]
-                series.append(_series_from_points(model, framework, points, metric))
-        return series
-    suite = suite if suite is not None else standard_suite()
+    panels = panels if panels is not None else SWEEP_PANELS
+    if engine is None:
+        engine = (suite if suite is not None else standard_suite()).engine()
+    specs = grid_for(panels)
+    points_by_spec = dict(zip(specs, engine.run_grid(specs)))
     series = []
     for model, frameworks in panels:
         for framework in frameworks:
-            points = suite.sweep(model, framework)
+            points = [
+                points_by_spec[spec]
+                for spec in specs
+                if spec.model == model and spec.framework == framework
+            ]
             series.append(_series_from_points(model, framework, points, metric))
     return series
 

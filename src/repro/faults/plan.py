@@ -146,18 +146,6 @@ class StepConditions:
     timeouts: tuple = ()
 
     @property
-    def is_clean(self) -> bool:
-        """No perturbation of any kind at this step."""
-        return (
-            self.straggle_factor == 1.0
-            and self.bandwidth_factor == 1.0
-            and self.packet_loss == 0.0
-            and self.extra_latency_s == 0.0
-            and not self.crashes
-            and not self.timeouts
-        )
-
-    @property
     def link_is_out(self) -> bool:
         """The fabric cannot complete any transfer at this step."""
         return self.packet_loss >= 1.0

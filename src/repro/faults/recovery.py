@@ -79,12 +79,6 @@ class CheckpointPolicy:
         if self.save_s < 0 or self.restore_s < 0:
             raise ValueError("checkpoint costs cannot be negative")
 
-    def last_checkpoint(self, step: int) -> int:
-        """The most recent checkpointed step at or before ``step``."""
-        if step < 0:
-            raise ValueError("step cannot be negative")
-        return (step // self.interval_steps) * self.interval_steps
-
 
 @dataclass(frozen=True)
 class RecoveryConfig:

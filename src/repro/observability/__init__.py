@@ -52,7 +52,6 @@ from repro.observability.exporters import (
     parse_jsonl,
     spans_to_chrome_trace,
     spans_to_jsonl,
-    write_span_trace,
 )
 from repro.observability.archive import RunArchive, RunManifest
 from repro.observability.runner import TelemetryRun, telemetry, traced_run
@@ -74,7 +73,6 @@ __all__ = [
     "spans_to_jsonl",
     "parse_jsonl",
     "spans_to_chrome_trace",
-    "write_span_trace",
     "metrics_to_prometheus",
     "RunArchive",
     "RunManifest",

@@ -25,6 +25,8 @@ import os
 import subprocess
 from dataclasses import asdict, dataclass, field
 
+from repro.observability.exporters import write_trace
+
 #: Environment variable overriding the default archive location.
 RUNS_DIR_ENV = "TBD_RUNS_DIR"
 #: Default archive directory, relative to the current working directory.
@@ -110,8 +112,7 @@ class RunArchive:
             with open(os.path.join(run_dir, "spans.jsonl"), "w") as handle:
                 handle.write(spans_jsonl)
         if chrome_trace is not None:
-            with open(os.path.join(run_dir, "trace.json"), "w") as handle:
-                json.dump(chrome_trace, handle, sort_keys=True, separators=(",", ":"))
+            write_trace(chrome_trace, os.path.join(run_dir, "trace.json"))
         if prometheus is not None:
             with open(os.path.join(run_dir, "metrics.prom"), "w") as handle:
                 handle.write(prometheus)

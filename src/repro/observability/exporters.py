@@ -1,16 +1,19 @@
-"""Deterministic exporters for span trees and metrics.
+"""Deterministic exporters for span trees, kernel timelines and metrics.
 
 Three formats:
 
 - **JSONL** — one structured event per line (spans depth-first, each
   followed by its attached kernel events), round-trippable via
   :func:`parse_jsonl`.
-- **Chrome trace** — the same tree as chrome://tracing "X" events, using
-  the conventions of
-  :func:`repro.profiling.export.timeline_to_chrome_trace` so span and
-  kernel views overlay: spans and their kernels share ``tid=0`` (the
-  viewer nests by time containment, making stage spans ancestors of
-  kernel events), GPU idle gaps ride on ``tid=1``.
+- **Chrome trace** — chrome://tracing complete ("X") events.  This module
+  is the one place they are built: :func:`timeline_events` lays out one
+  simulated timeline (kernels on ``tid=0``, GPU idle gaps on ``tid=1``),
+  :func:`spans_to_chrome_trace` puts each span on ``tid=0`` followed by the
+  events of the timelines it carries (the viewer nests by time
+  containment, making stage spans ancestors of kernel events), and
+  :func:`chrome_trace` adds the metadata.
+  :func:`repro.profiling.export.timeline_to_chrome_trace` is the bare
+  timeline through the same code; :func:`write_trace` writes either.
 - **Prometheus text** — ``# TYPE`` headers plus one sample per series.
 
 Determinism is a feature, not an accident: archived runs must diff
@@ -160,96 +163,98 @@ def parse_jsonl(text: str) -> list:
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
-def write_spans_jsonl(roots_or_tracer, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(spans_to_jsonl(roots_or_tracer))
-
-
 # ----------------------------------------------------------------------
 # Chrome trace
 # ----------------------------------------------------------------------
 
 
+def _complete(
+    name: str, cat: str, tid: int, start_s: float, dur_s: float, args: dict
+) -> dict:
+    """One chrome-trace complete (``"X"``) event."""
+    return {
+        "name": name,
+        "cat": cat,
+        "ph": "X",
+        "pid": 0,
+        "tid": tid,
+        "ts": _round_us(start_s),
+        "dur": _round_us(dur_s),
+        "args": args,
+    }
+
+
+def timeline_events(
+    timeline, t0: float = 0.0, span_id: int | None = None, stream: str = ""
+) -> list:
+    """Complete events for one simulated timeline placed at ``t0``: its
+    kernels on ``tid=0``, then its GPU idle gaps on ``tid=1``.
+
+    Under a span (``span_id`` given) every event names its owning span and
+    kernels name their ``stream``; a bare timeline's gaps carry their index.
+    """
+    owner = {} if span_id is None else {"span_id": span_id, "stream": stream}
+    events = [
+        _complete(
+            event.name,
+            event.category.value,
+            0,
+            t0 + event.start_s,
+            event.duration_s,
+            {"host_sync": event.host_sync, **owner},
+        )
+        for event in timeline.events
+    ]
+    events.extend(
+        _complete(
+            f"idle ({gap.cause})",
+            "idle",
+            1,
+            t0 + gap.start_s,
+            gap.duration_s,
+            {"index": index} if span_id is None else {"span_id": span_id},
+        )
+        for index, gap in enumerate(timeline.gaps)
+    )
+    return events
+
+
+def chrome_trace(process_name: str, events: list, thread_names: tuple = ()) -> dict:
+    """A chrome://tracing object: process and thread-name metadata (thread
+    ``i`` named ``thread_names[i]``), then ``events``."""
+    metadata = [
+        {"name": "process_name", "ph": "M", "pid": 0, "args": {"name": process_name}}
+    ]
+    metadata.extend(
+        {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid, "args": {"name": name}}
+        for tid, name in enumerate(thread_names)
+    )
+    return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
+
+
+def write_trace(trace: dict, path: str) -> None:
+    """Serialize a chrome trace as deterministic JSON (sorted keys, no
+    whitespace)."""
+    with open(path, "w") as handle:
+        json.dump(trace, handle, sort_keys=True, separators=(",", ":"))
+
+
 def spans_to_chrome_trace(roots_or_tracer, process_name: str = "run") -> dict:
     """Convert span trees (plus attached kernel timelines) to a
-    chrome://tracing object with the same shape as
-    :func:`repro.profiling.export.timeline_to_chrome_trace`."""
-    roots = _roots(roots_or_tracer)
-    events: list = [
-        {"name": "process_name", "ph": "M", "pid": 0, "args": {"name": process_name}},
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": 0,
-            "args": {"name": "spans + kernels"},
-        },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": 1,
-            "args": {"name": "GPU idle"},
-        },
-    ]
-    for span, start_s, end_s, timelines in layout_spans(roots):
+    chrome://tracing object: each span is followed by the events of the
+    timelines it carries."""
+    events: list = []
+    for span, start_s, end_s, timelines in layout_spans(_roots(roots_or_tracer)):
         args = _clean_attributes(span.attributes)
         args["span_id"] = span.span_id
         if span.parent_id is not None:
             args["parent_id"] = span.parent_id
         if span.status != "ok":
             args["status"] = span.status
-        events.append(
-            {
-                "name": span.name,
-                "cat": "span",
-                "ph": "X",
-                "pid": 0,
-                "tid": 0,
-                "ts": _round_us(start_s),
-                "dur": _round_us(end_s - start_s),
-                "args": args,
-            }
-        )
+        events.append(_complete(span.name, "span", 0, start_s, end_s - start_s, args))
         for label, timeline, t0 in timelines:
-            for event in timeline.events:
-                events.append(
-                    {
-                        "name": event.name,
-                        "cat": event.category.value,
-                        "ph": "X",
-                        "pid": 0,
-                        "tid": 0,
-                        "ts": _round_us(t0 + event.start_s),
-                        "dur": _round_us(event.duration_s),
-                        "args": {
-                            "host_sync": event.host_sync,
-                            "span_id": span.span_id,
-                            "stream": label,
-                        },
-                    }
-                )
-            for gap in timeline.gaps:
-                events.append(
-                    {
-                        "name": f"idle ({gap.cause})",
-                        "cat": "idle",
-                        "ph": "X",
-                        "pid": 0,
-                        "tid": 1,
-                        "ts": _round_us(t0 + gap.start_s),
-                        "dur": _round_us(gap.duration_s),
-                        "args": {"span_id": span.span_id},
-                    }
-                )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_span_trace(roots_or_tracer, path: str, process_name: str = "run") -> None:
-    """Serialize the span/kernel overlay trace as deterministic JSON."""
-    trace = spans_to_chrome_trace(roots_or_tracer, process_name)
-    with open(path, "w") as handle:
-        json.dump(trace, handle, sort_keys=True, separators=(",", ":"))
+            events.extend(timeline_events(timeline, t0, span.span_id, label))
+    return chrome_trace(process_name, events, ("spans + kernels", "GPU idle"))
 
 
 # ----------------------------------------------------------------------

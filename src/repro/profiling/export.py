@@ -11,65 +11,22 @@ consume.
 from __future__ import annotations
 
 import csv
-import json
 import io
 
+from repro.observability.exporters import chrome_trace, timeline_events, write_trace
 from repro.plan.executor import Timeline
-
-_US = 1e6  # trace events are in microseconds
-
-
-def _round_us(seconds: float) -> float:
-    """Seconds -> microseconds with fixed nanosecond precision, so exported
-    traces are byte-stable and diff cleanly across runs."""
-    return round(seconds * _US, 3)
 
 
 def timeline_to_chrome_trace(timeline: Timeline, process_name: str = "GPU") -> dict:
-    """Convert a :class:`Timeline` to a chrome://tracing object."""
-    events = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 0,
-            "args": {"name": process_name},
-        }
-    ]
-    for event in timeline.events:
-        events.append(
-            {
-                "name": event.name,
-                "cat": event.category.value,
-                "ph": "X",
-                "pid": 0,
-                "tid": 0,
-                "ts": _round_us(event.start_s),
-                "dur": _round_us(event.duration_s),
-                "args": {"host_sync": event.host_sync},
-            }
-        )
-    for index, gap in enumerate(timeline.gaps):
-        events.append(
-            {
-                "name": f"idle ({gap.cause})",
-                "cat": "idle",
-                "ph": "X",
-                "pid": 0,
-                "tid": 1,
-                "ts": _round_us(gap.start_s),
-                "dur": _round_us(gap.duration_s),
-                "args": {"index": index},
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    """Convert a :class:`Timeline` to a chrome://tracing object (built by
+    :mod:`repro.observability.exporters`, like the span traces)."""
+    return chrome_trace(process_name, timeline_events(timeline))
 
 
 def write_chrome_trace(timeline: Timeline, path: str, process_name: str = "GPU") -> None:
     """Serialize a timeline to deterministic chrome-trace JSON (sorted keys,
     fixed float precision)."""
-    trace = timeline_to_chrome_trace(timeline, process_name)
-    with open(path, "w") as handle:
-        json.dump(trace, handle, sort_keys=True, separators=(",", ":"))
+    write_trace(timeline_to_chrome_trace(timeline, process_name), path)
 
 
 def kernel_stats_to_csv(trace, path_or_buffer=None) -> str:

@@ -25,10 +25,6 @@ class RooflinePoint:
     achieved_flops: float
     time_share: float
 
-    @property
-    def is_memory_bound_region(self) -> bool:
-        return False  # resolved against a device by the chart
-
 
 def points_from_trace(trace, top: int = 12) -> list:
     """Aggregate a :class:`~repro.profiling.kernel_trace.KernelTrace` into

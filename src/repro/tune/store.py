@@ -18,20 +18,14 @@ from repro.engine.keys import (
     MEASUREMENT_CODE,
     code_fingerprint,
     digest,
-    fingerprint_cpu,
-    fingerprint_framework,
-    fingerprint_gpu,
-    fingerprint_hyperparameters,
-    fingerprint_model,
+    key_document,
     modules_fingerprint,
 )
-from repro.frameworks.registry import get_framework
 from repro.hardware.devices import CPUSpec, GPUSpec, QUADRO_P4000, XEON_E5_2680
 from repro.models.registry import get_model
-from repro.training.hyperparams import MODEL_DEFAULTS
 
 #: Schema of the cached tuned-config record; bump to invalidate them all.
-TUNED_SCHEMA = 1
+TUNED_SCHEMA = 2
 
 #: Code a tuned config depends on beyond a transformed point's: the
 #: search that picks the winner and the A/B runner that confirms it.
@@ -45,29 +39,27 @@ def tuned_key(
     gpu: GPUSpec = QUADRO_P4000,
     cpu: CPUSpec = XEON_E5_2680,
 ) -> str:
-    """Content address of one workload's tuned config.
+    """Content address of one workload's tuned config: the sweep point's
+    :func:`~repro.engine.keys.key_document` (with the code fingerprint of
+    a transformed point) plus the tuner's own code.
 
     Deliberately distinct from :func:`repro.engine.keys.point_key` (the
     ``kind`` field sees to that): a tuned config and a sweep point about
     the same workload coexist in one cache without colliding.
     """
     spec = get_model(model) if isinstance(model, str) else model
-    personality = (
-        get_framework(framework) if isinstance(framework, str) else framework
-    )
     return digest(
         {
             "kind": "tuned-config",
             "schema": TUNED_SCHEMA,
-            "model": fingerprint_model(spec),
-            "framework": fingerprint_framework(personality),
-            "gpu": fingerprint_gpu(gpu),
-            "cpu": fingerprint_cpu(cpu),
-            "batch_size": int(batch_size),
-            "hyperparameters": fingerprint_hyperparameters(
-                MODEL_DEFAULTS.get(spec.key)
+            "point": key_document(
+                spec,
+                framework,
+                batch_size,
+                gpu=gpu,
+                cpu=cpu,
+                code=code_fingerprint(spec.build.__module__, ("transforms",)),
             ),
-            "code": code_fingerprint(spec.build.__module__, ("transforms",)),
             "tuner_code": modules_fingerprint(_TUNER_CODE),
         }
     )

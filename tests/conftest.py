@@ -12,7 +12,9 @@ import random
 
 import pytest
 
-from repro.core.suite import standard_suite
+from repro.core.metrics import IterationMetrics
+from repro.core.suite import SweepPoint, standard_suite
+from repro.hardware.memory import OutOfMemoryError
 from repro.training.session import TrainingSession
 
 
@@ -51,6 +53,35 @@ def _isolated_cache_dir(tmp_path, monkeypatch):
 @pytest.fixture(scope="session")
 def suite():
     return standard_suite()
+
+
+@pytest.fixture(scope="session")
+def direct_sweep(suite):
+    """Memoized (model, framework) -> the sweep's ``SweepPoint`` list,
+    computed by one ``TrainingSession`` driven directly over the model's
+    batch sizes, OOM batches recorded: the engine-free reference that
+    engine sweeps are checked against."""
+    cache = {}
+
+    def get(model: str, framework: str):
+        key = (model, framework)
+        if key not in cache:
+            session = suite.session(model, framework)
+            points = []
+            for batch in session.spec.batch_sizes:
+                try:
+                    profile = session.run_iteration(batch)
+                except OutOfMemoryError:
+                    points.append(SweepPoint(batch_size=batch, oom=True))
+                    continue
+                metrics = IterationMetrics.from_profile(
+                    profile, throughput_unit=session.spec.throughput_unit
+                )
+                points.append(SweepPoint(batch_size=batch, metrics=metrics))
+            cache[key] = points
+        return list(cache[key])
+
+    return get
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@
 A reduced Figs. 4-6 grid (two image panels, an RNN panel, and the A3C
 panel — 22 points) is executed four ways:
 
-- serially through the plain ``TBDSuite`` path (the reference),
+- serially by ``TrainingSession.run_iteration``, no engine (the reference),
 - through the engine with ``jobs=2`` and a cold cache,
 - through the engine with ``jobs=4`` and **no** cache (pure fan-out),
 - through the engine serially against the now-warm cache.
@@ -21,7 +21,7 @@ import pytest
 from repro.core.metrics import IterationMetrics
 from repro.engine import PointSpec, SweepEngine, grid_for, write_grid_jsonl
 from repro.engine.executor import _compute_payload
-from repro.experiments.common import run_sweeps
+from repro.experiments.common import SweepSeries, run_sweeps
 from repro.hardware.devices import QUADRO_P4000, XEON_E5_2680
 from repro.training.session import TrainingSession
 
@@ -46,21 +46,33 @@ def cache_root(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def serial_series(suite):
-    """The reference result: the plain, engine-free serial path."""
+def serial_points(direct_sweep):
+    """The reference: each panel swept by one ``TrainingSession`` driven
+    directly, with no engine in the way; OOM batches are recorded."""
     return {
-        metric: run_sweeps(metric, suite, panels=REDUCED_PANELS)
-        for metric in METRICS
+        (model, framework): direct_sweep(model, framework)
+        for model, frameworks in REDUCED_PANELS
+        for framework in frameworks
     }
 
 
 @pytest.fixture(scope="module")
-def serial_points(suite):
-    """Per-panel reference sweeps through the plain serial path."""
+def serial_series(serial_points):
+    """The reference points as ``run_sweeps`` series, one per metric."""
     return {
-        (model, framework): suite.sweep(model, framework)
-        for model, frameworks in REDUCED_PANELS
-        for framework in frameworks
+        metric: [
+            SweepSeries(
+                model=model,
+                framework=framework,
+                batch_sizes=tuple(point.batch_size for point in points),
+                values=tuple(
+                    None if point.oom else getattr(point.metrics, metric)
+                    for point in points
+                ),
+            )
+            for (model, framework), points in serial_points.items()
+        ]
+        for metric in METRICS
     }
 
 
@@ -191,11 +203,13 @@ class TestEngineSuiteParity:
     # These tests use per-test cache dirs (not the module-scoped, already
     # warm ``cache_root``) so each one proves parity from a cold cache and
     # stays independent of collection order.
-    def test_suite_sweep_with_engine_delegates(self, suite, tmp_path):
+    def test_suite_sweep_with_engine_delegates(self, suite, direct_sweep, tmp_path):
         engine = suite.engine(jobs=2, cache=str(tmp_path / "cache"))
         via_suite = suite.sweep("resnet-50", "tensorflow", engine=engine)
         plain = suite.sweep("resnet-50", "tensorflow")
-        assert via_suite == plain
+        reference = direct_sweep("resnet-50", "tensorflow")
+        assert via_suite == reference
+        assert plain == reference
 
     def test_suite_run_with_engine_matches_plain_run(self, suite, tmp_path):
         engine = suite.engine(cache=str(tmp_path / "cache"))

@@ -20,7 +20,8 @@ from repro.hardware.energy import (
     energy_profile,
     tdp_of,
 )
-from repro.profiling.export import _round_us, metrics_to_csv
+from repro.observability.exporters import _round_us
+from repro.profiling.export import metrics_to_csv
 from repro.profiling.kernel_trace import trace_from_profile
 from repro.profiling.export import kernel_stats_to_csv
 

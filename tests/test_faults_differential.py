@@ -3,8 +3,8 @@
 Two byte-identity guarantees:
 
 - adding the dimension changed **nothing** for the paper grid — a
-  fault-free grid run through the engine exports byte-identical JSONL to
-  the plain serial suite path, and empty-``faults`` cache keys are the
+  fault-free grid run through the engine equals a direct, engine-free
+  ``TrainingSession`` sweep, and empty-``faults`` cache keys are the
   keys of points that never mention faults (no "faults" field in
   records);
 - the faulted grid is itself deterministic — the same specs produce
@@ -59,11 +59,13 @@ def _export(tmp_path, name, grid, points):
 class TestFaultFreeGridUnperturbed:
     """``faults=""`` must be bitwise invisible to the paper grid."""
 
-    def test_engine_sweep_matches_suite_sweep(self, suite, tmp_path):
+    def test_engine_sweep_matches_suite_sweep(self, suite, direct_sweep, tmp_path):
         engine = SweepEngine(jobs=1, cache=str(tmp_path / "cache"))
         for model, frameworks in PLAIN_PANELS:
             for framework in frameworks:
-                assert engine.sweep(model, framework) == suite.sweep(model, framework)
+                reference = direct_sweep(model, framework)
+                assert engine.sweep(model, framework) == reference
+                assert suite.sweep(model, framework) == reference
 
     def test_empty_faults_spec_key_is_the_pre_fault_key(self):
         spec = get_model("resnet-50")

@@ -4,6 +4,8 @@ memory profiler, stable-phase sampling)."""
 import numpy as np
 import pytest
 
+from repro.engine import grid_for
+from repro.experiments.common import SWEEP_PANELS
 from repro.hardware.devices import QUADRO_P4000
 from repro.hardware.memory import AllocationTag
 from repro.profiling.cpu_sampler import CPUSampler
@@ -61,12 +63,24 @@ class TestKernelTrace:
             trace.longest_low_utilization_kernels(0)
 
 
+#: Every point of the Figs. 4-6 sweep grid (all 60 fit in memory).
+SWEEP_GRID = [
+    (spec.model, spec.framework, spec.batch_size) for spec in grid_for(SWEEP_PANELS)
+]
+
+
 class TestCPUSampler:
-    def test_sample_matches_session_utilization(self):
-        session = TrainingSession("resnet-50", "mxnet")
-        profile = session.run_iteration(32)
-        sample = CPUSampler(session).sample(32)
-        assert sample.utilization == pytest.approx(profile.cpu_utilization, rel=0.05)
+    @pytest.mark.parametrize("model,framework,batch", SWEEP_GRID)
+    def test_sample_matches_session_utilization(self, model, framework, batch):
+        """The sampler's decomposition and the session's CPU model are one
+        model: their core-seconds agree to rounding at every grid point."""
+        session = TrainingSession(model, framework)
+        profile = session.run_iteration(batch)
+        sample = CPUSampler(session).sample(batch)
+        assert sample.total_core_seconds == pytest.approx(
+            profile.cpu_core_seconds, rel=1e-12
+        )
+        assert sample.utilization == pytest.approx(profile.cpu_utilization, rel=1e-12)
 
     def test_hotspots_ranked(self):
         session = TrainingSession("a3c", "mxnet")

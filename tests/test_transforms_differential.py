@@ -3,10 +3,10 @@
 The same guarantees the faults dimension shipped with, plus the symbolic
 one the pipeline leans on:
 
-- ``transforms=""`` is bitwise invisible: the plain grid's JSONL is
-  exactly what the suite produces, with no ``transforms`` field in any
-  record, and its key is the key of a point that never mentions
-  transforms;
+- ``transforms=""`` is bitwise invisible: the plain grid's points are
+  exactly what a direct, engine-free ``TrainingSession`` sweep produces,
+  with no ``transforms`` field in any record, and its key is the key of
+  a point that never mentions transforms;
 - the transformed grid is deterministic — byte-identical JSONL across
   job counts and across a warm cache re-run, with the canonical spec
   text carried in every record and in the cache key, so two spellings of
@@ -71,11 +71,13 @@ def _export(tmp_path, name, grid, points):
 class TestUntransformedGridUnperturbed:
     """``transforms=""`` must be bitwise invisible to the paper grid."""
 
-    def test_engine_sweep_matches_suite_sweep(self, suite, tmp_path):
+    def test_engine_sweep_matches_suite_sweep(self, suite, direct_sweep, tmp_path):
         engine = SweepEngine(jobs=1, cache=str(tmp_path / "cache"))
         for model, frameworks in PLAIN_PANELS:
             for framework in frameworks:
-                assert engine.sweep(model, framework) == suite.sweep(model, framework)
+                reference = direct_sweep(model, framework)
+                assert engine.sweep(model, framework) == reference
+                assert suite.sweep(model, framework) == reference
 
     def test_empty_transforms_key_is_the_pre_transform_key(self):
         spec = get_model("resnet-50")
