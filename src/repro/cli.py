@@ -101,8 +101,7 @@ def _cmd_sweep(args) -> int:
     except (FaultSpecError, TransformSpecError, ScheduleSpecError, ScenarioError) as exc:
         print(f"tbd sweep: error: {exc}", file=sys.stderr)
         return 2
-    suite = _suite(args)
-    engine = engine_from_args(args, gpu=suite.gpu)
+    engine = engine_from_args(args)
     points = engine.sweep(
         args.model,
         args.framework,
@@ -362,21 +361,6 @@ def _cmd_plan(args) -> int:
     gpu = get_gpu(args.gpu) if args.gpu else None
     kwargs = {"gpu": gpu} if gpu else {}
     session = TrainingSession(args.model, args.framework, **kwargs)
-    if getattr(args, "symbolic", False):
-        from repro.plan.symbolic import SymbolicPlanSet, TraceEscape
-
-        sset = SymbolicPlanSet(session.spec, session.framework, session.gpu)
-        batch = args.batch if args.batch is not None else session.spec.reference_batch
-        try:
-            sset.specialize(batch)  # trace + specialize the region
-            print(sset.describe())
-        except TraceEscape as exc:
-            print(
-                f"{args.model} on {args.framework} escapes the symbolic "
-                f"tracer ({exc}); showing the concrete plan instead\n"
-            )
-            print(session.compile(args.batch).describe())
-        return 0
     plan = session.compile(args.batch)
     print(plan.describe())
     return 0
@@ -596,12 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan_sub = plan.add_subparsers(dest="plan_command", required=True)
     plan_show = plan_sub.add_parser("show", help="dump one configuration's plan")
     add_config(plan_show)
-    plan_show.add_argument(
-        "--symbolic",
-        action="store_true",
-        help="show the traced symbolic plan set (guard regions, closed-form "
-        "FLOP/byte/memory polynomials) instead of one concrete plan",
-    )
     plan.set_defaults(func=_cmd_plan)
 
     faults = sub.add_parser(

@@ -33,6 +33,7 @@ from repro.plan.transform import (
     FeatureMapOffloadTransform,
     HalfPrecisionStorageTransform,
 )
+from repro.training.session import TrainingSession
 
 #: Relative tolerance for comparisons that may reassociate float sums.
 REL_TOL = 1e-9
@@ -529,86 +530,24 @@ def _noise_median_convergence(ev: PointEvidence) -> list:
 
 
 @_register(
-    "symbolic-concrete-agreement",
-    "point",
-    "a fresh symbolic trace specialized at the point's batch is "
-    "bit-identical to the concrete compiler's plan (kernel stream, "
-    "roofline timings, timeline, allocation trace)",
-)
-def _symbolic_concrete_agreement(ev: PointEvidence) -> list:
-    # Imported here like the bench dependency above: repro.plan.symbolic
-    # imports the compiler stack, and conformance must stay importable
-    # on its own.
-    from repro.frameworks.registry import get_framework
-    from repro.plan import compiler as plan_compiler
-    from repro.plan.symbolic import (
-        SymbolicPlanSet,
-        TraceEscape,
-        plan_difference,
-    )
-
-    spec = get_model(ev.model)
-    framework = get_framework(ev.framework)
-    try:
-        symbolic = SymbolicPlanSet(spec, framework, ev.gpu).specialize(
-            ev.batch_size
-        )
-    except TraceEscape:
-        return []  # untraceable models use the concrete compiler anyway
-    concrete = plan_compiler.compile_graph(
-        spec.build(ev.batch_size), framework, ev.gpu
-    )
-    difference = plan_difference(symbolic, concrete)
-    if difference is not None:
-        return [
-            f"symbolic specialize diverges from the concrete compiler at "
-            f"{difference}"
-        ]
-    return []
-
-
-@_register(
     "analytic-oom-agreement",
     "point",
-    "three max-batch answers agree over the model's batch ladder: the "
-    "session's bisection over concrete compiles, the linear probe "
-    "(compile every candidate until the first OOM), and the symbolic "
-    "library's traced allocation expressions",
+    "two max-batch answers agree over the model's batch ladder: the "
+    "session's bisection over concrete compiles and the linear probe "
+    "(compile every candidate until the first OOM)",
 )
 def _analytic_oom_agreement(ev: PointEvidence) -> list:
-    # Imported here like the symbolic dependency above.
-    from repro.plan.symbolic import TraceEscape, shared_plan_set
-    from repro.training import session as session_module
-
-    session = session_module.TrainingSession(ev.model, ev.framework, gpu=ev.gpu)
+    session = TrainingSession(ev.model, ev.framework, gpu=ev.gpu)
     # The linear probe first: bisection then replays cached plans, so the
     # second answer costs no compiles.
     searched = session.max_batch_size(search=True)
     bisected = session.max_batch_size()
-    out = []
     if bisected != searched:
-        out.append(
+        return [
             f"bisected max_batch_size {bisected} != searched OOM boundary "
             f"{searched}"
-        )
-    try:
-        analytic = shared_plan_set(
-            session.spec,
-            session.framework,
-            ev.gpu,
-            constants=(
-                session_module.GRADIENT_MAP_FACTOR,
-                session_module._INPUT_STAGING_BUFFERS,
-            ),
-        ).max_batch_size(session.spec.batch_sizes, ev.gpu.memory_bytes)
-    except TraceEscape:
-        return out  # untraceable models have no analytic answer
-    if analytic != searched:
-        out.append(
-            f"analytic max_batch_size {analytic} != searched OOM boundary "
-            f"{searched}"
-        )
-    return out
+        ]
+    return []
 
 
 def _schedule_probes(batch_size: int) -> tuple:

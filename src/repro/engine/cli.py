@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.engine.cache import ResultCache, default_cache_dir
 from repro.engine.executor import SweepEngine
-from repro.hardware.devices import GPUSpec, QUADRO_P4000
+from repro.hardware.devices import QUADRO_P4000, get_gpu
 
 
 def add_engine_arguments(parser) -> None:
@@ -76,15 +76,17 @@ def add_schedule_argument(parser) -> None:
     )
 
 
-def engine_from_args(args, gpu: GPUSpec | None = None) -> SweepEngine:
-    """Build the :class:`SweepEngine` an engine-aware command asked for."""
+def engine_from_args(args) -> SweepEngine:
+    """Build the :class:`SweepEngine` an engine-aware command asked for,
+    on ``args.gpu`` when it names one (default: the Quadro P4000)."""
     cache = None
     if not getattr(args, "no_cache", False):
         cache = ResultCache(args.cache_dir)  # None -> default location
+    gpu = getattr(args, "gpu", None)
     return SweepEngine(
         jobs=args.jobs,
         cache=cache,
-        gpu=gpu if gpu is not None else QUADRO_P4000,
+        gpu=get_gpu(gpu) if gpu else QUADRO_P4000,
     )
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.suite import TBDSuite, standard_suite
-
 #: The (model, framework) panels of Figs. 4-6, in the paper's panel order.
 SWEEP_PANELS = (
     ("resnet-50", ("tensorflow", "mxnet", "cntk")),
@@ -37,17 +35,12 @@ class SweepSeries:
         ]
 
 
-def run_sweeps(
-    metric: str, suite: TBDSuite | None = None, engine=None, panels=None
-) -> list:
+def run_sweeps(metric: str, engine, panels=None) -> list:
     """Run every Figs. 4-6 panel and extract ``metric`` from each point.
 
     Args:
         metric: attribute of :class:`~repro.core.metrics.IterationMetrics`
             (``throughput``, ``gpu_utilization``, ``fp32_utilization``).
-        suite: the suite whose :meth:`~repro.core.suite.TBDSuite.engine`
-            runs the grid when no ``engine`` is given (default: the
-            standard suite).
         engine: the :class:`~repro.engine.executor.SweepEngine` to run
             on; the *whole* grid (every panel, every batch size) is
             handed to it as one flat work list, so worker processes draw
@@ -58,8 +51,6 @@ def run_sweeps(
     from repro.engine.executor import grid_for
 
     panels = panels if panels is not None else SWEEP_PANELS
-    if engine is None:
-        engine = (suite if suite is not None else standard_suite()).engine()
     specs = grid_for(panels)
     points_by_spec = dict(zip(specs, engine.run_grid(specs)))
     series = []

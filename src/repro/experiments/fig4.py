@@ -18,7 +18,7 @@ def generate(suite=None, engine=None) -> dict:
     ``engine`` (see :meth:`TBDSuite.engine`) parallelizes and memoizes
     the whole grid."""
     suite = suite if suite is not None else standard_suite()
-    sweeps = run_sweeps("throughput", suite, engine=engine)
+    sweeps = run_sweeps("throughput", engine or suite.engine())
     faster_rcnn = {
         framework: suite.run("faster-rcnn", framework, 1, engine=engine).throughput
         for framework in ("tensorflow", "mxnet")

@@ -13,7 +13,7 @@ def generate(suite=None, engine=None) -> dict:
     ``engine`` (see :meth:`TBDSuite.engine`) parallelizes and memoizes
     the whole grid."""
     suite = suite if suite is not None else standard_suite()
-    sweeps = run_sweeps("gpu_utilization", suite, engine=engine)
+    sweeps = run_sweeps("gpu_utilization", engine or suite.engine())
     faster_rcnn = {
         framework: suite.run(
             "faster-rcnn", framework, 1, engine=engine

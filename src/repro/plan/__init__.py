@@ -17,17 +17,13 @@ an XLA-style compile-then-execute split:
 - :mod:`repro.plan.pipeline` composes those rewrites behind the
   ``--transforms`` mini-language (``fused_rnn+fp16+offload:0.5``) with
   canonical normalized ordering and composition-wide contract checks;
-- :mod:`repro.plan.symbolic` compiles once per (model, framework, GPU)
-  with a symbolic batch and specializes per batch — bit-identical to
-  :func:`~repro.plan.compiler.compile_graph` inside each guard region.
-  It is an off-path library: every answer the toolchain gives (sweeps,
-  tuning, OOM probes) comes from ``compile_graph``, which memoizes
-  kernel specialization and roofline timing by kernel value and is
-  several times faster than tracing plus specializing.  Only the
-  ``analytic-oom-agreement`` and ``symbolic-concrete-agreement``
-  invariants and ``tbd plan show --symbolic`` still use it.  It stays in the tree until the host
-  wall-clock benchmark (``benchmarks/wall/layers.py``) stops importing
-  it; it is then deleted.
+- :mod:`repro.plan.symbolic` (with :mod:`repro.plan.symexpr`) compiles
+  once per (model, framework, GPU) with a symbolic batch and specializes
+  per batch.  No module in this package or elsewhere under ``repro``
+  imports it, and this package does not re-export it: every answer
+  (sweeps, tuning, OOM probes) comes from
+  :func:`~repro.plan.compiler.compile_graph`.  It is kept only while the
+  host wall-clock benchmark (``benchmarks/wall``) patches it by name.
 """
 
 from repro.plan.cache import PlanCache, PlanCacheStats
@@ -47,18 +43,6 @@ from repro.plan.pipeline import (
     parse_transform_spec,
     transform_catalog,
 )
-from repro.plan.symbolic import (
-    GuardViolation,
-    SymbolicPlan,
-    SymbolicPlanSet,
-    TraceEscape,
-    compile_symbolic,
-    plan_difference,
-    plan_fingerprint,
-    shared_plan_set,
-    shared_plan_sets_clear,
-)
-from repro.plan.symexpr import NotPolynomial, Polynomial, SymTracer, SymValue
 from repro.plan.transform import (
     FeatureMapOffloadTransform,
     FusedRNNTransform,
@@ -75,35 +59,22 @@ __all__ = [
     "ExecutionReplay",
     "FeatureMapOffloadTransform",
     "FusedRNNTransform",
-    "GuardViolation",
     "HalfPrecisionStorageTransform",
-    "NotPolynomial",
     "PipelineStage",
     "PlanCache",
     "PlanCacheStats",
     "PlanTransform",
-    "Polynomial",
     "ResNetDepthTransform",
-    "SymTracer",
-    "SymValue",
-    "SymbolicPlan",
-    "SymbolicPlanSet",
-    "TraceEscape",
     "TransformArgumentError",
     "TransformContractError",
     "TransformPipeline",
     "TransformSpecError",
     "canonical_transform_spec",
     "compile_graph",
-    "compile_symbolic",
     "lower_kernels",
     "parse_transform_spec",
-    "plan_difference",
-    "plan_fingerprint",
     "record_allocations",
     "reduced_offload_allocations",
     "replay",
-    "shared_plan_set",
-    "shared_plan_sets_clear",
     "transform_catalog",
 ]

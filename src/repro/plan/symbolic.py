@@ -54,8 +54,6 @@ __all__ = [
     "SymbolicPlanSet",
     "TraceEscape",
     "compile_symbolic",
-    "plan_difference",
-    "plan_fingerprint",
     "shared_plan_set",
     "shared_plan_sets_clear",
 ]
@@ -703,127 +701,3 @@ def shared_plan_set(
 def shared_plan_sets_clear() -> None:
     """Drop every cached shared set (tests that need a cold trace)."""
     _SHARED_SETS.clear()
-
-
-# ----------------------------------------------------------------------
-# bit-identity fingerprints (the differential harness's comparator)
-# ----------------------------------------------------------------------
-
-
-def _exact(value):
-    """A float-exact, type-distinguishing token (repr keeps every bit and
-    ``int`` vs ``float`` distinct, which ``==`` would conflate)."""
-    return f"{type(value).__name__}:{value!r}"
-
-
-def plan_fingerprint(plan: CompiledPlan) -> dict:
-    """Every observable quantity of a plan, rendered exactly.  Two plans
-    with equal fingerprints are interchangeable for every consumer in the
-    repo (sessions, transforms, exporters, the memory checker)."""
-    graph = plan.graph
-    timeline = plan.timeline
-    return {
-        "graph": {
-            "model_name": graph.model_name,
-            "batch_size": _exact(graph.batch_size),
-            "input_bytes": _exact(graph.input_bytes),
-            "samples_per_iteration": (
-                None
-                if graph.samples_per_iteration is None
-                else _exact(graph.samples_per_iteration)
-            ),
-            "feature_map_overallocation": _exact(graph.feature_map_overallocation),
-            "layers": [
-                {
-                    "name": layer.name,
-                    "kind": layer.kind,
-                    "weight_elements": _exact(layer.weight_elements),
-                    "output_elements": _exact(layer.output_elements),
-                    "workspace_bytes": _exact(layer.workspace_bytes),
-                    "inplace": layer.inplace,
-                    "forward_kernels": len(layer.forward_kernels),
-                    "backward_kernels": len(layer.backward_kernels),
-                }
-                for layer in graph.layers
-            ],
-        },
-        "kernels": [
-            {
-                "name": kernel.name,
-                "category": kernel.category.value,
-                "flops": _exact(kernel.flops),
-                "bytes_accessed": _exact(kernel.bytes_accessed),
-                "max_compute_efficiency": _exact(kernel.max_compute_efficiency),
-                "max_memory_efficiency": _exact(kernel.max_memory_efficiency),
-                "host_sync": kernel.host_sync,
-            }
-            for kernel in plan.kernels
-        ],
-        "timings": [
-            {
-                "duration_s": _exact(timing.duration_s),
-                "compute_time_s": _exact(timing.compute_time_s),
-                "memory_time_s": _exact(timing.memory_time_s),
-                "launch_latency_s": _exact(timing.launch_latency_s),
-            }
-            for timing in plan.timings
-        ],
-        "execution": {
-            "makespan_s": _exact(plan.makespan_s),
-            "gpu_busy_s": _exact(plan.gpu_busy_s),
-            "dispatch_cpu_s": _exact(plan.dispatch_cpu_s),
-            "events": [
-                (
-                    event.name,
-                    _exact(event.issued_s),
-                    _exact(event.start_s),
-                    _exact(event.end_s),
-                )
-                for event in timeline.events
-            ],
-            "gaps": [
-                (gap.cause, _exact(gap.start_s), _exact(gap.end_s))
-                for gap in timeline.gaps
-            ],
-        },
-        "allocations": [
-            (record.tag.value, record.label, _exact(record.num_bytes))
-            for record in plan.allocations
-        ],
-        "backward_spans": list(plan.backward_spans),
-        "total_flops": _exact(plan.total_flops),
-    }
-
-
-def plan_difference(a: CompiledPlan, b: CompiledPlan) -> str | None:
-    """First point of disagreement between two plans' fingerprints, as a
-    dotted path — None when bit-identical.  The conformance invariant and
-    the differential harness both report through this."""
-    return _first_difference(plan_fingerprint(a), plan_fingerprint(b), "plan")
-
-
-def _first_difference(a, b, path):
-    if type(a) is not type(b):
-        return f"{path}: type {type(a).__name__} != {type(b).__name__}"
-    if isinstance(a, dict):
-        for key in a:
-            if key not in b:
-                return f"{path}.{key}: missing on right"
-            found = _first_difference(a[key], b[key], f"{path}.{key}")
-            if found:
-                return found
-        extra = [key for key in b if key not in a]
-        if extra:
-            return f"{path}.{extra[0]}: missing on left"
-        return None
-    if isinstance(a, (list, tuple)):
-        if len(a) != len(b):
-            return f"{path}: length {len(a)} != {len(b)}"
-        for index, (left, right) in enumerate(zip(a, b)):
-            found = _first_difference(left, right, f"{path}[{index}]")
-            if found:
-                return found
-        return None
-    if a != b:
-        return f"{path}: {a!r} != {b!r}"
-    return None

@@ -29,27 +29,13 @@ def write_chrome_trace(timeline: Timeline, path: str, process_name: str = "GPU")
     write_trace(timeline_to_chrome_trace(timeline, process_name), path)
 
 
-def kernel_stats_to_csv(trace, path_or_buffer=None) -> str:
-    """Write a :class:`~repro.profiling.kernel_trace.KernelTrace`'s
-    aggregated per-kernel statistics as CSV; returns the CSV text."""
+def _write_csv(header, rows, path_or_buffer) -> str:
+    """Render ``header`` and ``rows`` as CSV text, write it to a path or a
+    file object when one is given, and return the text."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["kernel", "launches", "total_time_s", "mean_time_s", "fp32_utilization"]
-    )
-    stats = sorted(
-        trace.by_name().values(), key=lambda s: s.total_time_s, reverse=True
-    )
-    for entry in stats:
-        writer.writerow(
-            [
-                entry.name,
-                entry.launches,
-                f"{entry.total_time_s:.9f}",
-                f"{entry.mean_time_s:.9f}",
-                f"{entry.fp32_utilization:.4f}",
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     text = buffer.getvalue()
     if path_or_buffer is not None:
         if hasattr(path_or_buffer, "write"):
@@ -60,11 +46,31 @@ def kernel_stats_to_csv(trace, path_or_buffer=None) -> str:
     return text
 
 
+def kernel_stats_to_csv(trace, path_or_buffer=None) -> str:
+    """Write a :class:`~repro.profiling.kernel_trace.KernelTrace`'s
+    aggregated per-kernel statistics as CSV; returns the CSV text."""
+    stats = sorted(
+        trace.by_name().values(), key=lambda s: s.total_time_s, reverse=True
+    )
+    return _write_csv(
+        ["kernel", "launches", "total_time_s", "mean_time_s", "fp32_utilization"],
+        (
+            [
+                entry.name,
+                entry.launches,
+                f"{entry.total_time_s:.9f}",
+                f"{entry.mean_time_s:.9f}",
+                f"{entry.fp32_utilization:.4f}",
+            ]
+            for entry in stats
+        ),
+        path_or_buffer,
+    )
+
+
 def metrics_to_csv(metrics_list, path_or_buffer=None) -> str:
     """Write a list of :class:`~repro.core.metrics.IterationMetrics` rows."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
+    return _write_csv(
         [
             "model",
             "framework",
@@ -76,10 +82,8 @@ def metrics_to_csv(metrics_list, path_or_buffer=None) -> str:
             "fp32_utilization",
             "cpu_utilization",
             "iteration_time_s",
-        ]
-    )
-    for metrics in metrics_list:
-        writer.writerow(
+        ],
+        (
             [
                 metrics.model,
                 metrics.framework,
@@ -92,12 +96,7 @@ def metrics_to_csv(metrics_list, path_or_buffer=None) -> str:
                 f"{metrics.cpu_utilization:.4f}",
                 f"{metrics.iteration_time_s:.6f}",
             ]
-        )
-    text = buffer.getvalue()
-    if path_or_buffer is not None:
-        if hasattr(path_or_buffer, "write"):
-            path_or_buffer.write(text)
-        else:
-            with open(path_or_buffer, "w") as handle:
-                handle.write(text)
-    return text
+            for metrics in metrics_list
+        ),
+        path_or_buffer,
+    )

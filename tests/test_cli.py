@@ -135,6 +135,12 @@ class TestCommandSurface:
         assert exc.value.code == 2
         assert "invalid choice: 'serve'" in capsys.readouterr().err
 
+    def test_plan_show_has_no_symbolic_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "show", "resnet-50", "--symbolic"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --symbolic" in capsys.readouterr().err
+
 
 class TestTraceAndRuns:
     def test_trace_archives_and_prints_tree(self, capsys, tmp_path):

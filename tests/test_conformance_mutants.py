@@ -22,8 +22,8 @@ import repro.core.metrics as core_metrics
 import repro.distributed.data_parallel as data_parallel
 import repro.hardware.memory as hwmem
 import repro.hardware.roofline as roofline
-import repro.plan.symbolic as plan_symbolic
 import repro.plan.transform as plan_transform
+import repro.training.session as training_session
 from repro.conformance import ConformanceRunner, invariant_registry, shrink
 from repro.conformance.generator import simplicity_order
 from repro.engine.executor import PointSpec
@@ -43,10 +43,7 @@ def _clear_tune_rank_memo():
 
 def _fresh_runner() -> ConformanceRunner:
     # Built AFTER the patch is applied: the runner memoizes sessions, so a
-    # pre-patch runner would carry clean evidence.  The process-wide
-    # symbolic trace cache is keyed against the patchable timing model,
-    # but clear it anyway: a mutant test must never see a clean trace.
-    plan_symbolic.shared_plan_sets_clear()
+    # pre-patch runner would carry clean evidence.
     return ConformanceRunner(jobs=1, cache=None, include_grid=False, budget=0)
 
 
@@ -96,20 +93,6 @@ def _patch_metrics(monkeypatch):
     )
 
 
-def _patch_symbolic_flops(monkeypatch):
-    """Bug class: an off-by-one coefficient in the symbolic FLOP total —
-    too small for the tolerance-based conservation law, but a different
-    float, so only the bit-exact differential can see it."""
-    orig = plan_symbolic.SymbolicPlan.specialize
-
-    def off_by_one(self, batch):
-        plan = orig(self, batch)
-        plan.total_flops = plan.total_flops + 1.0
-        return plan
-
-    monkeypatch.setattr(plan_symbolic.SymbolicPlan, "specialize", off_by_one)
-
-
 def _patch_rank_order(monkeypatch):
     """Bug class: the autotuner's total order inverts makespan, so the
     slowest fitting candidate ranks first and "wins"."""
@@ -128,12 +111,17 @@ def _patch_offload_overlap(monkeypatch):
 
 
 def _patch_analytic_fits(monkeypatch):
-    """Bug class: the analytic memory model declares every batch an OOM,
-    while the searched oracle still compiles and fits."""
+    """Bug class: the session's bisecting max-batch search declares that
+    nothing fits, while the linear probe still compiles and fits."""
+    orig = training_session.TrainingSession.max_batch_size
+
+    def nothing_fits(self, candidates=None, *, search=False, pipeline=()):
+        if search:
+            return orig(self, candidates, search=True, pipeline=pipeline)
+        return 0
+
     monkeypatch.setattr(
-        plan_symbolic.SymbolicPlanSet,
-        "fits",
-        lambda self, batch, capacity_bytes: False,
+        training_session.TrainingSession, "max_batch_size", nothing_fits
     )
 
 
@@ -147,11 +135,6 @@ class TestPointMutants:
         _patch_roofline(monkeypatch)
         fired = _fired_point(PointSpec("resnet-50", "mxnet", 32, ""))
         assert fired == ["roofline-kernel-floor"]
-
-    def test_symbolic_flops_mutant(self, monkeypatch):
-        _patch_symbolic_flops(monkeypatch)
-        fired = _fired_point(PointSpec("resnet-50", "mxnet", 32, ""))
-        assert fired == ["symbolic-concrete-agreement"]
 
     def test_analytic_fits_mutant(self, monkeypatch):
         _patch_analytic_fits(monkeypatch)
@@ -228,24 +211,6 @@ class TestShrinker:
         assert evals <= 24
         # And the minimal spec still reproduces the violation.
         assert runner.violates("roofline-kernel-floor", minimal, gpu)
-
-    def test_symbolic_flops_mutant_shrinks_to_minimal_spec(self, monkeypatch):
-        _patch_symbolic_flops(monkeypatch)
-        runner = _fresh_runner()
-        start = PointSpec("inception-v3", "tensorflow", 32, "")
-        assert runner.violates("symbolic-concrete-agreement", start, "titan xp")
-        minimal, gpu, evals = shrink(
-            start,
-            "titan xp",
-            lambda spec, g: runner.violates("symbolic-concrete-agreement", spec, g),
-        )
-        simplest = simplicity_order()[0]
-        assert minimal.model == simplest == "a3c"
-        assert minimal.framework == get_model(simplest).frameworks[0]
-        assert minimal.batch_size == min(get_model(simplest).batch_sizes)
-        assert minimal.faults == ""
-        assert gpu == "p4000"
-        assert runner.violates("symbolic-concrete-agreement", minimal, gpu)
 
     def test_analytic_fits_mutant_shrinks_to_minimal_spec(self, monkeypatch):
         _patch_analytic_fits(monkeypatch)

@@ -10,7 +10,9 @@ engine's entry points.
 
 import math
 import os
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -213,6 +215,38 @@ class TestOneCompilePerPoint:
         assert traced == [], "no question may reach compile_symbolic"
         assert len(counted_builds) > 0
         assert len(counted_compiles) >= len(counted_builds)
+
+    def test_no_module_imports_the_symbolic_library(self):
+        """Importing every other module under ``repro`` loads neither
+        symbolic module: the library is no dependency of any answer."""
+        import repro
+
+        script = textwrap.dedent(
+            """
+            import importlib, pkgutil, sys
+            import repro
+
+            library = {"repro.plan.symbolic", "repro.plan.symexpr"}
+            for module in pkgutil.walk_packages(repro.__path__, "repro."):
+                if module.name not in library:
+                    importlib.import_module(module.name)
+            print(sorted(library & set(sys.modules)))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]", result.stdout
 
     def test_optimization_whatifs_reuse_the_session_plan(self, counted_builds):
         from repro.plan.pipeline import parse_transform_spec

@@ -9,7 +9,7 @@ lives only for the call.  None of this may be visible in any plan:
 
 - every paper-grid point compiled through one session, in sweep order,
   equals a fresh ``compile_graph`` with its own new ``RooflineModel``,
-  bit for bit (:func:`repro.plan.symbolic.plan_difference`);
+  bit for bit (:func:`tests.plans.plan_difference`);
 - every tune baseline (each panel at its reference batch) equals a
   fresh compile, and so does every single-stage candidate the tuner
   scores, against the same stage applied to the fresh compile;
@@ -25,9 +25,9 @@ from repro.experiments.common import SWEEP_PANELS
 from repro.hardware.roofline import RooflineModel
 from repro.plan.compiler import compile_graph, iteration_stream
 from repro.plan.pipeline import parse_transform_spec
-from repro.plan.symbolic import plan_difference
 from repro.training.session import TrainingSession
 from repro.tune.search import Autotuner
+from tests.plans import exact, plan_difference
 
 PANEL_PAIRS = [(model, fw) for model, fws in SWEEP_PANELS for fw in fws]
 
@@ -41,19 +41,15 @@ def _fresh_plan(session: TrainingSession, batch: int):
     )
 
 
-def _exact(value) -> str:
-    return f"{type(value).__name__}:{value!r}"
-
-
 def _kernel_rows(kernels) -> list:
     return [
         (
             k.name,
             k.category,
-            _exact(k.flops),
-            _exact(k.bytes_accessed),
-            _exact(k.max_compute_efficiency),
-            _exact(k.max_memory_efficiency),
+            exact(k.flops),
+            exact(k.bytes_accessed),
+            exact(k.max_compute_efficiency),
+            exact(k.max_memory_efficiency),
             k.host_sync,
         )
         for k in kernels
@@ -64,11 +60,11 @@ def _timing_rows(timings) -> list:
     return [
         (
             _kernel_rows([t.kernel])[0],
-            _exact(t.duration_s),
-            _exact(t.compute_time_s),
-            _exact(t.memory_time_s),
-            _exact(t.launch_latency_s),
-            _exact(t.fp32_utilization),
+            exact(t.duration_s),
+            exact(t.compute_time_s),
+            exact(t.memory_time_s),
+            exact(t.launch_latency_s),
+            exact(t.fp32_utilization),
         )
         for t in timings
     ]

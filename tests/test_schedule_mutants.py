@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.plan.symbolic as plan_symbolic
 import repro.schedule.integrator as integrator
 from repro.conformance import ConformanceRunner, invariant_registry, shrink
 from repro.conformance.generator import simplicity_order
@@ -23,10 +22,8 @@ from repro.models.registry import get_model
 
 
 def _fresh_runner() -> ConformanceRunner:
-    # Built AFTER the patch is applied: the runner memoizes sessions, and
-    # the process-wide symbolic trace cache must never carry clean traces
-    # into a mutant test.
-    plan_symbolic.shared_plan_sets_clear()
+    # Built AFTER the patch is applied: the runner memoizes sessions, so a
+    # pre-patch runner would carry clean evidence.
     return ConformanceRunner(jobs=1, cache=None, include_grid=False, budget=0)
 
 

@@ -100,14 +100,14 @@ class TestSweepHelpers:
         assert series.finite() == [(8, 1.0), (32, 3.0)]
 
     def test_run_sweeps_metric_selection(self, suite):
-        series = run_sweeps("gpu_utilization", suite)
+        series = run_sweeps("gpu_utilization", suite.engine())
         for entry in series:
             for _, value in entry.finite():
                 assert 0.0 < value <= 1.0
 
     def test_sockeye_sweep_has_no_oom_within_paper_range(self, suite):
         series = {
-            (s.model, s.framework): s for s in run_sweeps("throughput", suite)
+            (s.model, s.framework): s for s in run_sweeps("throughput", suite.engine())
         }
         sockeye = series[("sockeye", "mxnet")]
         assert None not in sockeye.values  # the paper's sweep stops at 64

@@ -33,14 +33,9 @@ from repro.frameworks import get_framework
 from repro.hardware.devices import QUADRO_P4000, TITAN_XP
 from repro.models.registry import get_model, model_catalog
 from repro.plan import compiler as plan_compiler
-from repro.plan.symbolic import (
-    SymbolicPlanSet,
-    TraceEscape,
-    plan_difference,
-    plan_fingerprint,
-    shared_plan_set,
-)
+from repro.plan.symbolic import SymbolicPlanSet, TraceEscape, shared_plan_set
 from repro.training.session import TrainingSession
+from tests.plans import plan_difference, plan_fingerprint
 
 #: Every (model, framework) implementation the paper evaluates.
 PAPER_PAIRS = [

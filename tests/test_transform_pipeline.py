@@ -34,6 +34,7 @@ from repro.plan.transform import (
     ResNetDepthTransform,
 )
 from repro.training.session import TrainingSession
+from tests.plans import plan_difference
 
 SEED = 20180923
 
@@ -161,8 +162,6 @@ class TestNormalization:
         ]
 
     def test_permuted_specs_produce_bit_identical_plans(self):
-        from repro.plan.symbolic import plan_difference
-
         session = TrainingSession("nmt", "tensorflow")
         base = session.compile(64)
         reference = parse_transform_spec("fused_rnn+offload:0.5+fp16").apply(base)
@@ -232,8 +231,6 @@ class TestContracts:
         assert TransformPipeline().apply(plan) is plan
 
     def test_pipeline_apply_equals_sequential_stage_application(self):
-        from repro.plan.symbolic import plan_difference
-
         session = TrainingSession("sockeye", "mxnet")
         base = session.compile(64)
         pipeline = parse_transform_spec("fused_rnn+offload:0.25+fp16")

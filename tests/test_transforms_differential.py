@@ -34,8 +34,9 @@ from repro.engine.keys import KEY_SCHEMA, key_document
 from repro.engine.scenario import ScenarioError
 from repro.models.registry import get_model
 from repro.plan.pipeline import parse_transform_spec
-from repro.plan.symbolic import SymbolicPlanSet, plan_difference
+from repro.plan.symbolic import SymbolicPlanSet
 from repro.training.session import TrainingSession
+from tests.plans import plan_difference
 
 #: A reduced paper grid used for the no-perturbation check.
 PLAIN_PANELS = (("resnet-50", ("mxnet",)), ("nmt", ("tensorflow",)))
