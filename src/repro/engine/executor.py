@@ -331,17 +331,18 @@ class SweepEngine:
             **spec.scenario.used,
         }
 
-    def _load_cached(self, key: str) -> dict | None:
-        """Cache probe for one key; a decoded-but-invalid payload is
-        discarded (counted as damage) and reported as a miss."""
+    def _load_cached(self, key: str) -> SweepPoint | None:
+        """Cache probe for one key: the decoded point, or ``None`` on a
+        miss.  A decoded-but-invalid payload is discarded (counted as
+        damage) and reported as a miss."""
         payload = self.cache.load(key)
-        if payload is not None:
-            try:
-                payload_to_point(payload)
-            except ValueError as exc:
-                self.cache.discard(key, str(exc))
-                payload = None
-        return payload
+        if payload is None:
+            return None
+        try:
+            return payload_to_point(payload)
+        except ValueError as exc:
+            self.cache.discard(key, str(exc))
+            return None
 
     def run_grid(self, specs) -> list:
         """Execute every :class:`PointSpec`, in grid order, and return one
@@ -355,32 +356,31 @@ class SweepEngine:
             missing: list = []
             keys: list = [None] * len(specs)
             for index, spec in enumerate(specs):
-                payload = None
+                point = None
                 if self.cache is not None:
                     keys[index] = self._key_for(spec)
-                    payload = self._load_cached(keys[index])
-                if payload is not None:
+                    point = self._load_cached(keys[index])
+                if point is not None:
                     self._stats.cache_hits += 1
                     get_metrics().counter("engine_cache_hits_total").inc()
                     self._record_point_span(spec, "cache")
-                    results.append((index, payload))
+                    results.append((index, point))
                 else:
                     if self.cache is not None:
                         self._stats.cache_misses += 1
                         get_metrics().counter("engine_cache_misses_total").inc()
                     missing.append((index, spec))
 
-            computed = self._execute(missing)
-            for index, payload in computed:
+            for index, payload in self._execute(missing):
                 if self.cache is not None:
                     self.cache.store(
                         keys[index], payload, config=self._config_for(specs[index])
                     )
-            results.extend(computed)
+                results.append((index, payload_to_point(payload)))
             grid_span.set_attributes(
                 cache_hits=len(specs) - len(missing), computed=len(missing)
             )
-        return [payload_to_point(payload) for payload in merge_ordered(len(specs), results)]
+        return merge_ordered(len(specs), results)
 
     def _execute(self, missing) -> list:
         """Compute every missing ``(index, spec)`` pair; any-order output."""

@@ -22,6 +22,25 @@ Code is fingerprinted at module granularity: every point depends on the
 shared timing core (session, roofline, kernels, graph, frameworks, data
 pipeline), but only on *its own* model-builder module, so editing
 ``repro/models/resnet.py`` invalidates ResNet entries and nothing else.
+
+A sweep asks for many points that share everything but the batch size,
+so the per-context work is memoized:
+
+- ``_FILE_DIGESTS`` and ``_CODE_FINGERPRINTS``: the source digests.
+- ``_SUB_DOCUMENTS``: each spec object's fingerprint document (model,
+  framework, GPU, CPU, hyper-parameters), keyed by identity with the
+  object pinned in the entry, so an ``id`` is never reused while its
+  entry lives.  The specs are frozen dataclasses.
+- ``_CONTEXTS``: the canonical JSON of a *context* (the document minus
+  ``batch_size``), keyed by the spec objects, the resolved code
+  fingerprint and the canonical scenario texts.  ``batch_size`` sorts
+  first among the document's fields, so :func:`point_key` hashes
+  ``'{"batch_size":N'`` plus the memoized tail: the same bytes as the
+  whole document's canonical JSON.
+
+The two identity memos hold at most :data:`_MEMO_SIZE` entries each,
+dropping the oldest first.  :func:`clear_fingerprint_caches` empties all
+four.
 """
 
 from __future__ import annotations
@@ -105,6 +124,15 @@ _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _FILE_DIGESTS: dict = {}
 #: Composite fingerprint cache: model module name (or None) -> hex digest.
 _CODE_FINGERPRINTS: dict = {}
+#: Entries per identity memo below, like :func:`parse_scenario`'s
+#: ``lru_cache``: conformance fuzzing mints fresh framework
+#: personalities, which an unbounded memo would pin for good.
+_MEMO_SIZE = 1024
+#: (fingerprint function, id(spec)) -> (spec, sub-document).
+_SUB_DOCUMENTS: dict = {}
+#: (ids of the spec objects, code, canonical scenario texts) ->
+#: (the spec objects, canonical JSON of the document after ``batch_size``).
+_CONTEXTS: dict = {}
 
 
 def canonical_json(document) -> str:
@@ -271,15 +299,93 @@ def modules_fingerprint(entries) -> str:
 
 
 def clear_fingerprint_caches() -> None:
-    """Drop memoized file/code digests (tests, or long-lived processes
-    that edit source on the fly)."""
+    """Drop memoized file/code digests, sub-documents and contexts
+    (tests, or long-lived processes that edit source on the fly)."""
     _FILE_DIGESTS.clear()
     _CODE_FINGERPRINTS.clear()
+    _SUB_DOCUMENTS.clear()
+    _CONTEXTS.clear()
+
+
+def _remember(memo: dict, key, value):
+    """Store ``value`` under ``key``, first dropping the oldest entry of a
+    full memo; returns ``value``."""
+    if len(memo) >= _MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+def _sub_document(fingerprint, spec):
+    """``fingerprint(spec)``, built once per spec object.  The result is
+    shared: read it, never mutate it."""
+    entry = _SUB_DOCUMENTS.get((fingerprint, id(spec)))
+    if entry is None:
+        entry = _remember(
+            _SUB_DOCUMENTS, (fingerprint, id(spec)), (spec, fingerprint(spec))
+        )
+    return entry[1]
 
 
 # ----------------------------------------------------------------------
 # the point key
 # ----------------------------------------------------------------------
+
+
+def _resolve(
+    model, framework, gpu, cpu, hyperparams, code, faults, transforms, schedule
+):
+    """The context of a point: its spec objects, resolved code fingerprint
+    and parsed scenario (see :func:`key_document` for the defaults)."""
+    spec = get_model(model) if isinstance(model, str) else model
+    personality = (
+        get_framework(framework) if isinstance(framework, str) else framework
+    )
+    if hyperparams is None:
+        hyperparams = MODEL_DEFAULTS.get(spec.key)
+    scenario = parse_scenario(faults, transforms, schedule)
+    if code is None:
+        code = code_fingerprint(spec.build.__module__, scenario.dimensions)
+    return spec, personality, gpu, cpu, hyperparams, code, scenario
+
+
+def _context_document(spec, personality, gpu, cpu, hyperparams, code, scenario) -> dict:
+    """The key document of a context: every field but ``batch_size``."""
+    return {
+        "schema": KEY_SCHEMA,
+        "model": _sub_document(fingerprint_model, spec),
+        "framework": _sub_document(fingerprint_framework, personality),
+        "gpu": _sub_document(fingerprint_gpu, gpu),
+        "cpu": _sub_document(fingerprint_cpu, cpu),
+        "hyperparameters": _sub_document(fingerprint_hyperparameters, hyperparams),
+        "code": code,
+        **scenario.canonical,
+    }
+
+
+def _context_tail(spec, personality, gpu, cpu, hyperparams, code, scenario) -> str:
+    """The canonical JSON of a context's document after its opening
+    brace, with a leading comma: what follows ``'{"batch_size":N'``."""
+    key = (
+        id(spec),
+        id(personality),
+        id(gpu),
+        id(cpu),
+        id(hyperparams),
+        code,
+        *scenario.canonical.values(),
+    )
+    entry = _CONTEXTS.get(key)
+    if entry is None:
+        text = canonical_json(
+            _context_document(spec, personality, gpu, cpu, hyperparams, code, scenario)
+        )
+        entry = _remember(
+            _CONTEXTS,
+            key,
+            ((spec, personality, gpu, cpu, hyperparams), "," + text[1:]),
+        )
+    return entry[1]
 
 
 def key_document(
@@ -305,26 +411,10 @@ def key_document(
     result).  ``code`` defaults to :func:`code_fingerprint` of the timing
     model, the model's builder module and the dimensions in use.
     """
-    spec = get_model(model) if isinstance(model, str) else model
-    personality = (
-        get_framework(framework) if isinstance(framework, str) else framework
+    context = _resolve(
+        model, framework, gpu, cpu, hyperparams, code, faults, transforms, schedule
     )
-    if hyperparams is None:
-        hyperparams = MODEL_DEFAULTS.get(spec.key)
-    scenario = parse_scenario(faults, transforms, schedule)
-    if code is None:
-        code = code_fingerprint(spec.build.__module__, scenario.dimensions)
-    return {
-        "schema": KEY_SCHEMA,
-        "model": fingerprint_model(spec),
-        "framework": fingerprint_framework(personality),
-        "gpu": fingerprint_gpu(gpu),
-        "cpu": fingerprint_cpu(cpu),
-        "batch_size": int(batch_size),
-        "hyperparameters": fingerprint_hyperparameters(hyperparams),
-        "code": code,
-        **scenario.canonical,
-    }
+    return {"batch_size": int(batch_size), **_context_document(*context)}
 
 
 def point_key(
@@ -340,18 +430,12 @@ def point_key(
     schedule: str = "",
 ) -> str:
     """Content address of one sweep point: SHA-256 over every input the
-    simulated result depends on."""
-    return digest(
-        key_document(
-            model,
-            framework,
-            batch_size,
-            gpu=gpu,
-            cpu=cpu,
-            hyperparams=hyperparams,
-            code=code,
-            faults=faults,
-            transforms=transforms,
-            schedule=schedule,
+    simulated result depends on — ``digest(key_document(...))``, with the
+    context's part of the canonical JSON memoized."""
+    tail = _context_tail(
+        *_resolve(
+            model, framework, gpu, cpu, hyperparams, code, faults, transforms, schedule
         )
     )
+    text = '{"batch_size":%d' % int(batch_size) + tail
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -53,8 +53,8 @@ def payload_to_point(payload: dict) -> SweepPoint:
         raise ValueError(f"malformed sweep-point payload: {exc}") from exc
 
 
-def merge_ordered(total: int, indexed_payloads) -> list:
-    """Merge ``(index, payload)`` pairs — from any number of workers, in
+def merge_ordered(total: int, indexed_results) -> list:
+    """Merge ``(index, result)`` pairs — from any number of workers, in
     any completion order — back into grid order.
 
     Raises:
@@ -63,12 +63,12 @@ def merge_ordered(total: int, indexed_payloads) -> list:
     """
     slots: list = [None] * total
     filled = [False] * total
-    for index, payload in indexed_payloads:
+    for index, result in indexed_results:
         if not 0 <= index < total:
             raise ValueError(f"merge index {index} outside grid of {total}")
         if filled[index]:
             raise ValueError(f"duplicate result for grid index {index}")
-        slots[index] = payload
+        slots[index] = result
         filled[index] = True
     missing = [index for index, present in enumerate(filled) if not present]
     if missing:

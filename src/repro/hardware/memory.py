@@ -81,6 +81,10 @@ class GPUMemoryAllocator:
         self._current_by_tag: dict = {tag: 0.0 for tag in AllocationTag}
         self._peak_by_tag: dict = {tag: 0.0 for tag in AllocationTag}
         self._peak_total = 0.0
+        #: The largest ``in use + charged`` any granted request reached:
+        #: the exact quantity the capacity check compares, so with no
+        #: frees a replay fits capacity ``C`` iff not ``peak_demand > C``.
+        self.peak_demand = 0.0
 
     @property
     def allocated_bytes(self) -> float:
@@ -99,13 +103,16 @@ class GPUMemoryAllocator:
         charged = num_bytes * self.pool_overhead
         current = self._current_by_tag
         in_use = sum(current.values())
-        if in_use + charged > self.capacity_bytes:
+        demand = in_use + charged
+        if demand > self.capacity_bytes:
             raise OutOfMemoryError(
                 f"allocating {charged / 1024**2:.1f} MiB ({tag.value}"
                 f"{': ' + label if label else ''}) exceeds capacity: "
                 f"{in_use / 1024**2:.1f} MiB in use of "
                 f"{self.capacity_bytes / 1024**2:.1f} MiB"
             )
+        if demand > self.peak_demand:
+            self.peak_demand = demand
         handle = self._next_handle
         self._next_handle += 1
         self._allocations[handle] = Allocation(handle, charged, tag, label)
@@ -140,3 +147,4 @@ class GPUMemoryAllocator:
         warm-up phase so auto-tuning probes don't pollute the profile)."""
         self._peak_by_tag = dict(self._current_by_tag)
         self._peak_total = self.allocated_bytes
+        self.peak_demand = self._peak_total

@@ -11,12 +11,17 @@ their replays, and the profiling/telemetry layers export their timelines
 (recorded on first read) — so the expensive build/lower/time work
 happens exactly once per point (see :class:`repro.plan.cache.PlanCache`).
 
-Memory capacity checks *replay* the recorded allocation trace through a
-real :class:`~repro.hardware.memory.GPUMemoryAllocator` rather than
-comparing a precomputed peak against capacity: the allocator's running
-total is recomputed per allocation, so only a true replay reproduces the
-exact out-of-memory boundary (and error message) of the uncompiled path.
-Each capacity's outcome — snapshot or exception — is memoized on the plan.
+A capacity check is one comparison against the plan's *peak demand*:
+the largest ``in use + charged`` the unconstrained replay of the
+allocation trace (the one behind :attr:`CompiledPlan.memory`) reached,
+summed in the allocator's own order.  The comparison is exact because
+the trace only allocates, never frees: a replay at capacity ``C`` makes
+the same requests in the same order, so it raises exactly when some
+``in use + charged > C``, that is, when ``peak_demand > C``; and when it
+does not raise, its snapshot is the unconstrained one.  Only a capacity
+that does not fit is replayed, to raise the exact
+:class:`~repro.hardware.memory.OutOfMemoryError` a live allocator would;
+that error is memoized per capacity.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from repro.frameworks.base import Framework
 from repro.graph.layer import LayerGraph
 from repro.hardware.devices import GPUSpec
-from repro.hardware.memory import AllocationTag, GPUMemoryAllocator
+from repro.hardware.memory import AllocationTag, GPUMemoryAllocator, OutOfMemoryError
 
 from repro.plan.executor import ExecutionReplay
 
@@ -71,7 +76,8 @@ class CompiledPlan:
         self.backward_spans = tuple(backward_spans)
         # Accumulated in stream order, exactly as the session always has.
         self.total_flops = sum(t.kernel.flops for t in timings)
-        self._capacity_outcomes: dict = {}
+        self._unconstrained = None
+        self._capacity_errors: dict = {}
 
     # -- identity ------------------------------------------------------
 
@@ -117,41 +123,57 @@ class CompiledPlan:
 
     # -- memory view ---------------------------------------------------
 
+    def _replay(self, capacity_bytes: float) -> GPUMemoryAllocator:
+        """Replay the allocation trace through a fresh allocator."""
+        allocator = GPUMemoryAllocator(
+            capacity_bytes, pool_overhead=self.framework.pool_overhead
+        )
+        for record in self.allocations:
+            allocator.allocate(record.num_bytes, record.tag, record.label)
+        return allocator
+
     def check_memory(self, capacity_bytes: float):
-        """Replay the allocation trace against ``capacity_bytes``.
+        """Check the allocation trace against ``capacity_bytes``.
 
-        Returns the :class:`~repro.hardware.memory.MemorySnapshot`;
-        raises :class:`~repro.hardware.memory.OutOfMemoryError` exactly
-        where (and with the message) a live allocator would.  Outcomes are
-        memoized per capacity.
+        Returns the :class:`~repro.hardware.memory.MemorySnapshot` (the
+        unconstrained one, shared: read it, never mutate it); raises
+        :class:`~repro.hardware.memory.OutOfMemoryError` exactly where
+        (and with the message) a live allocator would, memoized per
+        capacity.
+
+        Raises:
+            ValueError: for a capacity that is not positive.
         """
-        from repro.hardware.memory import OutOfMemoryError
-
-        outcome = self._capacity_outcomes.get(capacity_bytes)
-        if outcome is None:
-            allocator = GPUMemoryAllocator(
-                capacity_bytes, pool_overhead=self.framework.pool_overhead
-            )
-            try:
-                for record in self.allocations:
-                    allocator.allocate(record.num_bytes, record.tag, record.label)
-                outcome = allocator.snapshot()
-            except OutOfMemoryError as error:
-                outcome = error
-            self._capacity_outcomes[capacity_bytes] = outcome
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        if not self.fits(capacity_bytes):
+            error = self._capacity_errors.get(capacity_bytes)
+            if error is None:
+                try:
+                    self._replay(capacity_bytes)
+                except OutOfMemoryError as raised:
+                    error = self._capacity_errors[capacity_bytes] = raised
+            raise error
+        return self._unconstrained_replay()[0]
 
     def fits(self, capacity_bytes: float) -> bool:
-        """Does the full allocation trace fit in ``capacity_bytes``?"""
-        from repro.hardware.memory import OutOfMemoryError
+        """Does the full allocation trace fit in ``capacity_bytes``?
 
-        try:
-            self.check_memory(capacity_bytes)
-        except OutOfMemoryError:
-            return False
-        return True
+        The allocator's own test negated (``not demand > capacity``), so
+        even a NaN capacity answers as a live allocator would.
+
+        Raises:
+            ValueError: for a capacity that is not positive.
+        """
+        if capacity_bytes <= 0:
+            raise ValueError("capacity must be positive")
+        return not self._unconstrained_replay()[1] > float(capacity_bytes)
+
+    def _unconstrained_replay(self) -> tuple:
+        """``(snapshot, peak demand)`` of the trace at infinite capacity,
+        replayed once per plan."""
+        if self._unconstrained is None:
+            allocator = self._replay(float("inf"))
+            self._unconstrained = (allocator.snapshot(), allocator.peak_demand)
+        return self._unconstrained
 
     @property
     def memory(self):

@@ -124,3 +124,35 @@ def test_design_layout_names_only_existing_files():
         if not os.path.exists(os.path.join(src, directory, name))
     ]
     assert not missing, f"DESIGN.md's source layout names missing files: {missing}"
+
+
+_FENCED_PYTHON = re.compile(r"```python\n(.*?)```", re.DOTALL)
+_FROM_IMPORT = re.compile(
+    r"^\s*from (repro(?:\.[a-z_0-9]+)*) import ([^#\n]+)", re.MULTILINE
+)
+
+
+def _importable(module, name: str) -> bool:
+    """Would ``from <module> import <name>`` succeed?"""
+    if hasattr(module, name):
+        return True
+    try:
+        importlib.import_module(f"{module.__name__}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("doc", _DOC_FILES)
+def test_python_examples_import_existing_names(doc):
+    """Every ``from repro... import a, b`` line of a fenced python block
+    names a module and attributes that exist."""
+    broken = []
+    for block in _FENCED_PYTHON.findall(_doc_text(doc)):
+        for module_name, names in _FROM_IMPORT.findall(block):
+            module = importlib.import_module(module_name)
+            for name in names.strip().strip("()").split(","):
+                name = name.split(" as ")[0].strip()
+                if name and not _importable(module, name):
+                    broken.append(f"from {module_name} import {name}")
+    assert not broken, f"{doc} imports missing names: {broken}"

@@ -341,3 +341,82 @@ class TestCodeDependencyCoverage:
             monkeypatch.setitem(DIMENSION_CODE, "transforms", ("bogus.py",))
         with pytest.raises(FileNotFoundError, match="bogus"):
             code_fingerprint("repro.models.resnet", ("transforms",))
+
+
+class TestPinnedBytes:
+    """Key bytes pinned to literals, with the code fingerprint held fixed
+    so that editing the timing model does not move them.  A change to
+    how keys are *built* (memos, splicing) must leave every byte alone;
+    only a deliberate ``KEY_SCHEMA`` bump may rewrite these."""
+
+    CODE = "0" * 64
+
+    @pytest.mark.parametrize(
+        "model, framework, batch, scenario, expected",
+        (
+            (
+                "resnet-50", "mxnet", 32, {},
+                "b81f7cc5855ce7980a7dd83a90bf114572d56f86938a217ab6ce4ce3ba969f94",
+            ),
+            (
+                "nmt", "tensorflow", 64, {"transforms": "fused_rnn+fp16"},
+                "12ab0883ecacb44db9ddd3264f1763e4c610d28d8738b36284a395c9764cd87f",
+            ),
+            (
+                "nmt", "tensorflow", 16, {"schedule": "gns:ceiling=256"},
+                "99cf16d8b89237bdf302716ca3ade98a222f79a70cdcb68c71353bdff307b8ba",
+            ),
+            (
+                "resnet-50", "mxnet", 16, {"faults": "steps=12; crash=1@5"},
+                "db9e82979e84a62745db2132a44f4bd744d16c0a2daec48767c107d218b3c4d7",
+            ),
+        ),
+    )
+    def test_point_key_literal(self, model, framework, batch, scenario, expected):
+        key = point_key(model, framework, batch, code=self.CODE, **scenario)
+        assert key == expected
+
+    def test_tuned_key_literal(self, monkeypatch):
+        import repro.tune.store as store
+
+        monkeypatch.setattr(store, "code_fingerprint", lambda *args: "1" * 64)
+        monkeypatch.setattr(store, "modules_fingerprint", lambda *args: "2" * 64)
+        assert store.tuned_key("nmt", "tensorflow", 64) == (
+            "a9f4a25db66889d72d974c1b2e75418ca49e5def6a63f6052ba2b3c66ac0591c"
+        )
+
+    def test_point_key_hashes_the_key_document(self):
+        for spec in model_catalog().values():
+            for framework_key in spec.frameworks:
+                for batch in spec.batch_sizes:
+                    assert point_key(spec.key, framework_key, batch) == digest(
+                        key_document(spec.key, framework_key, batch)
+                    )
+
+    def test_batch_size_is_the_first_canonical_field(self):
+        # point_key splices the batch size in front of a memoized context.
+        text = canonical_json(key_document("resnet-50", "mxnet", 32))
+        assert text.startswith('{"batch_size":32,')
+
+    def test_clear_fingerprint_caches_empties_every_memo(self):
+        point_key("resnet-50", "mxnet", 32)
+        memos = (
+            keys_module._FILE_DIGESTS,
+            keys_module._CODE_FINGERPRINTS,
+            keys_module._SUB_DOCUMENTS,
+            keys_module._CONTEXTS,
+        )
+        assert all(memos)
+        keys_module.clear_fingerprint_caches()
+        assert not any(memos)
+
+    def test_memos_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(keys_module, "_MEMO_SIZE", 4)
+        keys_module.clear_fingerprint_caches()
+        base = get_framework("tensorflow")
+        for index in range(10):
+            personality = dataclasses.replace(base, dispatch_cost_s=1e-6 * (index + 1))
+            point_key("resnet-50", personality, 32)
+        assert len(keys_module._SUB_DOCUMENTS) <= 4
+        assert len(keys_module._CONTEXTS) <= 4
+        keys_module.clear_fingerprint_caches()

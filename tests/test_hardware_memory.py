@@ -95,6 +95,18 @@ class TestPeakTracking:
         allocator.free(handle)
         allocator.reset_peaks()
         assert allocator.snapshot().peak_total == 0
+        assert allocator.peak_demand == 0
+
+    def test_peak_demand_is_the_largest_granted_in_use_plus_charged(self):
+        allocator = GPUMemoryAllocator(100 * _MIB, pool_overhead=1.5)
+        first = allocator.allocate(20 * _MIB, AllocationTag.WEIGHTS)
+        allocator.allocate(10 * _MIB, AllocationTag.WORKSPACE)
+        allocator.free(first)
+        allocator.allocate(2 * _MIB, AllocationTag.WORKSPACE)
+        with pytest.raises(OutOfMemoryError):
+            allocator.allocate(80 * _MIB, AllocationTag.FEATURE_MAPS)
+        # 30 + 15 MiB charged together; the refused request never counts.
+        assert allocator.peak_demand == 45 * _MIB
 
     def test_feature_map_fraction(self, allocator):
         allocator.allocate(75 * _MIB, AllocationTag.FEATURE_MAPS)
