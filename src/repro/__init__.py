@@ -30,11 +30,23 @@ Quickstart::
     print(result.throughput, result.gpu_utilization, result.fp32_utilization)
 """
 
-from repro.core.analysis import AnalysisPipeline
+import importlib
+
 from repro.core.metrics import IterationMetrics
 from repro.core.suite import TBDSuite, standard_suite
 
 __version__ = "1.0.0"
+
+#: Names imported on first use (PEP 562): the analysis pipeline loads
+#: all of :mod:`repro.profiling`, which no sweep needs.
+_LAZY = {"AnalysisPipeline": "repro.core.analysis"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_LAZY[name]), name)
+
 
 __all__ = [
     "TBDSuite",

@@ -56,9 +56,6 @@ import argparse
 import sys
 
 from repro.conformance.cli import register_conformance_command
-from repro.core.analysis import AnalysisPipeline
-from repro.core.observations import verify_all
-from repro.core.recommendations import advise
 from repro.core.suite import standard_suite, TBDSuite
 from repro.data.registry import dataset_catalog
 from repro.engine.cli import (
@@ -89,16 +86,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.engine.cli import engine_from_args, format_engine_summary
-    from repro.engine.scenario import ScenarioError, parse_scenario
-    from repro.faults.spec import FaultSpecError
-    from repro.plan.pipeline import TransformSpecError
-    from repro.schedule.spec import ScheduleSpecError
+    from repro.engine.scenario import parse_scenario
 
+    # Every spec error (FaultSpecError, TransformSpecError,
+    # ScheduleSpecError, ScenarioError) is a ValueError; naming them here
+    # would load the fault and schedule layers into every plain sweep.
     try:
         parse_scenario(args.faults, args.transforms, args.schedule).validate(
             get_model(args.model).key
         )
-    except (FaultSpecError, TransformSpecError, ScheduleSpecError, ScenarioError) as exc:
+    except ValueError as exc:
         print(f"tbd sweep: error: {exc}", file=sys.stderr)
         return 2
     engine = engine_from_args(args)
@@ -119,6 +116,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from repro.core.analysis import AnalysisPipeline
+    from repro.core.recommendations import advise
+
     gpu = get_gpu(args.gpu) if args.gpu else None
     kwargs = {"gpu": gpu} if gpu else {}
     report = AnalysisPipeline(args.model, args.framework, **kwargs).run(args.batch)
@@ -156,6 +156,8 @@ def _render_exhibit(names) -> int:
 
 
 def _cmd_observations(_args) -> int:
+    from repro.core.observations import verify_all
+
     results = verify_all()
     failures = 0
     for result in results:

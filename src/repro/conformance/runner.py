@@ -38,9 +38,6 @@ from repro.conformance.relations import (
     get_relation,
     relation_registry,
 )
-from repro.distributed.allreduce import RingAllReduceExchange
-from repro.distributed.data_parallel import DataParallelTrainer
-from repro.distributed.topology import standard_configurations
 from repro.engine.cache import ResultCache
 from repro.engine.executor import PointSpec, SweepEngine, grid_for
 from repro.engine.keys import canonical_json
@@ -157,6 +154,8 @@ class ConformanceRunner:
         max_shrinks: int = 5,
         max_shrink_evals: int = 24,
     ):
+        from repro.distributed.topology import standard_configurations
+
         self.seed = seed
         self.budget = budget
         self.jobs = jobs
@@ -241,6 +240,10 @@ class ConformanceRunner:
     def _gather_scaling(
         self, model: str, framework: str, batch: int, config_label: str
     ) -> ScalingEvidence | None:
+        from repro.distributed.allreduce import RingAllReduceExchange
+        from repro.distributed.data_parallel import DataParallelTrainer
+        from repro.distributed.topology import standard_configurations
+
         cluster = standard_configurations()[config_label]
         exchange = RingAllReduceExchange()
         trainer = DataParallelTrainer(model, framework, cluster, exchange=exchange)

@@ -12,6 +12,8 @@ contribution, as a library.
 - :mod:`repro.core.report` — text renderers for every table and figure.
 """
 
+import importlib
+
 from repro.core.metrics import (
     IterationMetrics,
     cpu_utilization,
@@ -20,7 +22,20 @@ from repro.core.metrics import (
     throughput,
 )
 from repro.core.suite import TBDSuite, standard_suite
-from repro.core.analysis import AnalysisPipeline, AnalysisReport
+
+#: Names imported on first use (PEP 562): the analysis pipeline loads
+#: all of :mod:`repro.profiling`, which no sweep needs.
+_LAZY = {
+    "AnalysisPipeline": "repro.core.analysis",
+    "AnalysisReport": "repro.core.analysis",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_LAZY[name]), name)
+
 
 __all__ = [
     "TBDSuite",

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -61,5 +63,7 @@ class DatasetSpec:
             raise ValueError("batch size must be positive")
         if self.generator is None:
             raise NotImplementedError(f"{self.key} has no synthetic generator")
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         return self.generator(batch_size, rng)

@@ -9,15 +9,20 @@ loss decrease on them.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.data.base import DatasetSpec, SyntheticBatch
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _image_classification_generator(channels: int, size: int, classes: int):
     """Images whose class determines a spatial frequency pattern."""
 
     def generate(batch_size: int, rng: np.random.Generator) -> SyntheticBatch:
+        import numpy as np
+
         labels = rng.integers(0, classes, size=batch_size)
         coords = np.linspace(0.0, np.pi, size, dtype=np.float32)
         images = rng.normal(0.0, 0.3, size=(batch_size, channels, size, size))
@@ -35,6 +40,8 @@ def _translation_generator(vocab: int, min_len: int, max_len: int):
     """Token sequences where the target is the source reversed mod vocab."""
 
     def generate(batch_size: int, rng: np.random.Generator) -> SyntheticBatch:
+        import numpy as np
+
         length = int(rng.integers(min_len, max_len + 1))
         source = rng.integers(1, vocab, size=(batch_size, length))
         target = (source[:, ::-1] + 1) % vocab
@@ -49,6 +56,8 @@ def _detection_generator(size_h: int, size_w: int, classes: int):
     """Images with one bright rectangle; target is (class, box)."""
 
     def generate(batch_size: int, rng: np.random.Generator) -> SyntheticBatch:
+        import numpy as np
+
         images = rng.normal(0.0, 0.2, size=(batch_size, 3, size_h, size_w))
         boxes = np.zeros((batch_size, 5), dtype=np.float32)
         for index in range(batch_size):
@@ -68,6 +77,8 @@ def _speech_generator(freq_bins: int, frames: int, vocab: int, label_len: int):
     """Spectrograms built from per-character formant bands."""
 
     def generate(batch_size: int, rng: np.random.Generator) -> SyntheticBatch:
+        import numpy as np
+
         labels = rng.integers(1, vocab, size=(batch_size, label_len))
         spectrograms = rng.normal(0.0, 0.1, size=(batch_size, 1, freq_bins, frames))
         frames_per_char = max(1, frames // label_len)
@@ -87,6 +98,8 @@ def _atari_generator(frame_stack: int, frame_size: int, actions: int):
     """Frame stacks where the optimal action tracks a moving blob."""
 
     def generate(batch_size: int, rng: np.random.Generator) -> SyntheticBatch:
+        import numpy as np
+
         frames = rng.normal(0.0, 0.1, size=(batch_size, frame_stack, frame_size, frame_size))
         actions_out = rng.integers(0, actions, size=batch_size)
         for index, action in enumerate(actions_out):

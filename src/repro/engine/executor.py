@@ -24,7 +24,6 @@ pins down.
 
 from __future__ import annotations
 
-import concurrent.futures
 import warnings
 from dataclasses import dataclass
 
@@ -390,6 +389,8 @@ class SweepEngine:
             return self._compute_inline(missing)
         chunks = [missing[offset :: self.jobs] for offset in range(self.jobs)]
         chunks = [chunk for chunk in chunks if chunk]
+        import concurrent.futures  # only a pooled run pays for the import
+
         try:
             executor = concurrent.futures.ProcessPoolExecutor(
                 max_workers=len(chunks)

@@ -23,12 +23,15 @@ emits structured telemetry that can be exported, archived and diffed.
 Telemetry is **off by default** and costs a single branch per
 instrumentation point when off::
 
+    from repro import AnalysisPipeline
     from repro.observability import telemetry
 
     with telemetry() as run:
         AnalysisPipeline("resnet-50", "mxnet").run(32)
     print(run.tracer.render_tree())
 """
+
+import importlib
 
 from repro.observability.tracer import (
     Tracer,
@@ -47,14 +50,28 @@ from repro.observability.metrics import (
     get_metrics,
     set_metrics,
 )
-from repro.observability.exporters import (
-    metrics_to_prometheus,
-    parse_jsonl,
-    spans_to_chrome_trace,
-    spans_to_jsonl,
-)
-from repro.observability.archive import RunArchive, RunManifest
-from repro.observability.runner import TelemetryRun, telemetry, traced_run
+
+#: Names imported on first use (PEP 562): the exporters, the run archive
+#: (``subprocess``) and the traced runner (the whole analysis pipeline)
+#: stay unloaded in a process that only records spans and metrics.
+_LAZY = {
+    "metrics_to_prometheus": "repro.observability.exporters",
+    "parse_jsonl": "repro.observability.exporters",
+    "spans_to_chrome_trace": "repro.observability.exporters",
+    "spans_to_jsonl": "repro.observability.exporters",
+    "RunArchive": "repro.observability.archive",
+    "RunManifest": "repro.observability.archive",
+    "TelemetryRun": "repro.observability.runner",
+    "telemetry": "repro.observability.runner",
+    "traced_run": "repro.observability.runner",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_LAZY[name]), name)
+
 
 __all__ = [
     "Tracer",

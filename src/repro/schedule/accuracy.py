@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.distributed.time_to_accuracy import batch_penalty
-from repro.faults.plan import FaultPlan
 from repro.hardware.cluster import ClusterSpec
 from repro.observability.metrics import get_metrics
 from repro.observability.tracer import trace_span
@@ -109,6 +107,8 @@ def scheduled_time_to_accuracy(
             GPU — pick the schedule ceiling below the OOM boundary.
         UnrecoverableFaultError: propagated from the trainer.
     """
+    from repro.distributed.time_to_accuracy import batch_penalty
+    from repro.faults.plan import FaultPlan
     from repro.faults.trainer import FaultTolerantTrainer
 
     if isinstance(schedule, str):

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ConvergenceModel:
@@ -196,6 +194,8 @@ def training_curve(
         raise KeyError(f"no convergence model for {model_key!r}; known: {known}")
     if throughput_samples_per_s <= 0 or duration_s <= 0:
         raise ValueError("throughput and duration must be positive")
+    import numpy as np
+
     model = FIG2_MODELS[model_key]
     times = np.linspace(0.0, duration_s, points)
     values = np.array(

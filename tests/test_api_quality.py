@@ -86,10 +86,14 @@ class TestPublicSurface:
             assert getattr(repro, name, None) is not None, name
 
     def test_package_all_lists_resolve(self):
-        for package_name in _PACKAGES:
+        for package_name in _PACKAGES + ["repro.observability"]:
             package = importlib.import_module(package_name)
             for name in getattr(package, "__all__", ()):
                 assert hasattr(package, name), f"{package_name}.{name}"
+            # A name no package exports still fails, lazy hooks or not.
+            assert not hasattr(package, "nosuch"), package_name
+            with pytest.raises(ImportError):
+                exec(f"from {package_name} import nosuch", {})
 
     def test_version_string(self):
         parts = repro.__version__.split(".")

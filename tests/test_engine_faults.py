@@ -136,9 +136,7 @@ class TestWorkerFailures:
             def __init__(self, *args, **kwargs):
                 raise OSError("no process pool in this environment")
 
-        monkeypatch.setattr(
-            executor_module.concurrent.futures, "ProcessPoolExecutor", NoPool
-        )
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
         engine = SweepEngine(jobs=4, cache=None)
         with pytest.warns(EngineWorkerWarning, match="process pool unavailable"):
             points = engine.run_grid(self.GRID)

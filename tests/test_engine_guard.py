@@ -16,6 +16,7 @@ import textwrap
 
 import pytest
 
+import repro
 from repro.engine import PointSpec, SweepEngine, grid_for
 from repro.experiments.common import SWEEP_PANELS, run_sweeps
 import repro.plan.compiler as plan_compiler
@@ -31,6 +32,23 @@ from check_instrumentation import REQUIRED, check_instrumentation  # noqa: E402
 PREWARM_PANELS = (
     ("resnet-50", ("tensorflow", "mxnet")),
 )
+
+
+def _fresh_python(script: str, *args: str) -> str:
+    """Run ``script`` with ``args`` in a new interpreter on this source
+    tree; its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
 
 
 @pytest.fixture
@@ -219,8 +237,6 @@ class TestOneCompilePerPoint:
     def test_no_module_imports_the_symbolic_library(self):
         """Importing every other module under ``repro`` loads neither
         symbolic module: the library is no dependency of any answer."""
-        import repro
-
         script = textwrap.dedent(
             """
             import importlib, pkgutil, sys
@@ -233,20 +249,38 @@ class TestOneCompilePerPoint:
             print(sorted(library & set(sys.modules)))
             """
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, env.get("PYTHONPATH")))
+        assert _fresh_python(script) == "[]"
+
+    def test_a_sweep_imports_only_what_it_runs(self, tmp_path):
+        """A cold and a warm sweep, from the entry points a sweep process
+        imports, load neither numpy nor the analysis, profiling, archive,
+        distributed, figure or process-pool layers: set-up time is spent
+        only on layers the answer uses."""
+        script = textwrap.dedent(
+            """
+            import sys
+
+            sys.modules["numpy"] = None  # any numpy import raises
+            import repro.cli
+            import repro.engine.cache
+            import repro.engine.executor
+            import repro.experiments.common
+            from repro.engine.executor import SweepEngine
+
+            for _ in ("cold", "warm"):
+                SweepEngine(cache=sys.argv[1]).sweep("resnet-50", "mxnet")
+            unused = {"numpy", "repro.core.analysis", "concurrent.futures", "subprocess"}
+            unused |= {f"repro.observability.{name}" for name in ("exporters", "archive", "runner")}
+            prefixes = ("repro.profiling", "repro.distributed", "repro.experiments.")
+            print(sorted(
+                name for name, module in sys.modules.items()
+                if module is not None
+                and (name in unused or name.startswith(prefixes))
+                and name != "repro.experiments.common"
+            ))
+            """
         )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]", result.stdout
+        assert _fresh_python(script, str(tmp_path / "cache")) == "[]"
 
     def test_optimization_whatifs_reuse_the_session_plan(self, counted_builds):
         from repro.plan.pipeline import parse_transform_spec
