@@ -84,6 +84,8 @@ class BenchResult:
         }
 
     def format_row(self) -> str:
+        """One printable summary row: speedup, its interval, p-value,
+        sample count and verdict."""
         low, high = self.speedup_ci
         return (
             f"{self.name:28s} speedup x{self.speedup:6.3f} "

@@ -30,6 +30,7 @@ class Subject:
         self.label = label
 
     def measure(self, stream) -> float:
+        """One noisy iteration time, in seconds, drawn from ``stream``."""
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -71,6 +72,8 @@ class PlanSubject(Subject):
         return self.plan.makespan_s * self.kernel_bias + self.host_s
 
     def measure(self, stream) -> float:
+        """One iteration of the plan replayed under ``stream``'s kernel
+        and dispatch noise, plus offload stall and host time, in seconds."""
         count = len(self._durations)
         makespan = replay(
             self._durations,

@@ -42,6 +42,7 @@ class FuzzCase:
     relation: str
 
     def subject(self) -> dict:
+        """The case's configuration, as a violation report names it."""
         return {
             "model": self.spec.model,
             "framework": self.spec.framework,

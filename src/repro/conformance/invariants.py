@@ -51,6 +51,7 @@ class Violation:
     shrunk: dict | None = None
 
     def to_doc(self) -> dict:
+        """Report-ready record with key-sorted subjects."""
         doc = {
             "check": self.check,
             "subject": dict(sorted(self.subject.items())),
@@ -131,6 +132,11 @@ def invariant_registry(scope: str | None = None) -> list:
 
 
 def get_invariant(name: str) -> Invariant:
+    """The registered invariant of this name.
+
+    Raises:
+        KeyError: naming the known invariants, if there is no such one.
+    """
     if name not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown invariant {name!r}; known: {known}")

@@ -75,6 +75,11 @@ def relation_registry() -> list:
 
 
 def get_relation(name: str) -> Relation:
+    """The registered relation of this name.
+
+    Raises:
+        KeyError: naming the known relations, if there is no such one.
+    """
     if name not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown relation {name!r}; known: {known}")

@@ -84,6 +84,7 @@ class ConformanceReport:
         return sum(entry["checked"] for entry in self.checks.values())
 
     def to_doc(self) -> dict:
+        """The report as a plain document, checks in name order."""
         return {
             "schema": REPORT_SCHEMA,
             "seed": self.seed,
@@ -98,9 +99,11 @@ class ConformanceReport:
         }
 
     def to_json(self) -> str:
+        """The report as canonical JSON, newline-terminated."""
         return canonical_json(self.to_doc()) + "\n"
 
     def write(self, path) -> None:
+        """Write :meth:`to_json` to ``path``."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json())
 

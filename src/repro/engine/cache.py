@@ -51,6 +51,7 @@ class CacheStats:
     by_model: dict = field(default_factory=dict)
 
     def format_report(self) -> str:
+        """The snapshot as ``tbd cache stats`` prints it."""
         lines = [
             f"cache {self.root}",
             f"  entries: {self.entries}",

@@ -12,9 +12,9 @@ Each archived run is a directory ``<root>/<run_id>/`` holding:
 Run ids are ``{model}-{framework}-b{batch}-{NNN}`` with a per-archive
 monotonic sequence number, so re-running the same configuration archives a
 new run rather than overwriting history.  :meth:`RunArchive.diff` compares
-two manifests' headline metrics with the same tolerance discipline as
-:mod:`repro.core.regression` and returns its :class:`~repro.core.regression.Drift`
-records, so archive diffs and calibration drift read identically.
+two manifests' headline metrics within :data:`TOLERANCES` and returns a
+:class:`Drift` record for each metric that moved further, or that only one
+of the two runs has.
 """
 
 from __future__ import annotations
@@ -33,6 +33,15 @@ RUNS_DIR_ENV = "TBD_RUNS_DIR"
 DEFAULT_RUNS_DIR = "runs"
 
 _MANIFEST = "manifest.json"
+
+#: Relative tolerance per headline metric when diffing two runs; a metric
+#: not listed here must match exactly.
+TOLERANCES = {
+    "throughput": 0.02,
+    "gpu_utilization": 0.02,
+    "fp32_utilization": 0.02,
+    "cpu_utilization": 0.05,
+}
 
 
 def git_describe(cwd: str | None = None) -> str:
@@ -53,6 +62,39 @@ def git_describe(cwd: str | None = None) -> str:
 
 
 @dataclass(frozen=True)
+class Drift:
+    """One headline metric compared between two runs.  A side the metric
+    is missing from is ``None``."""
+
+    configuration: str
+    metric: str
+    baseline: float | None
+    measured: float | None
+
+    @property
+    def relative_change(self) -> float | None:
+        """``(measured - baseline) / |baseline|``; infinite for a change
+        from zero, ``None`` when either side is missing."""
+        if self.baseline is None or self.measured is None:
+            return None
+        if self.baseline == 0:
+            return float("inf") if self.measured else 0.0
+        return (self.measured - self.baseline) / abs(self.baseline)
+
+    def __str__(self) -> str:
+        change = self.relative_change
+        text = (
+            f"{self.configuration}.{self.metric}: {_side(self.baseline)} -> "
+            f"{_side(self.measured)}"
+        )
+        return text if change is None else f"{text} ({change:+.1%})"
+
+
+def _side(value) -> str:
+    return "missing" if value is None else f"{value:.4f}"
+
+
+@dataclass(frozen=True)
 class RunManifest:
     """Provenance record of one instrumented run."""
 
@@ -67,6 +109,7 @@ class RunManifest:
     metrics: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
+        """The manifest as indented, key-sorted JSON."""
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
@@ -87,6 +130,7 @@ class RunArchive:
     # ------------------------------------------------------------------
 
     def next_run_id(self, model: str, framework: str, batch_size: int) -> str:
+        """The id the next archived run of this configuration gets."""
         prefix = f"{model}-{framework}-b{batch_size}-"
         existing = [
             name[len(prefix):]
@@ -143,63 +187,56 @@ class RunArchive:
             return RunManifest.from_dict(json.load(handle))
 
     def run_dir(self, run_id: str) -> str:
+        """The directory holding one run's files."""
         return os.path.join(self.root, run_id)
 
     # ------------------------------------------------------------------
     # comparison
     # ------------------------------------------------------------------
 
+    def _deltas(self, baseline_id: str, candidate_id: str) -> list:
+        """A :class:`Drift` for every metric either run has, by name."""
+        baseline = self.load(baseline_id)
+        candidate = self.load(candidate_id)
+        label = f"{baseline_id}..{candidate_id}"
+        return [
+            Drift(
+                label,
+                metric,
+                baseline.metrics.get(metric),
+                candidate.metrics.get(metric),
+            )
+            for metric in sorted(set(baseline.metrics) | set(candidate.metrics))
+        ]
+
     def diff(
         self, baseline_id: str, candidate_id: str, tolerances: dict | None = None
     ) -> list:
         """Compare two archived runs' headline metrics.
 
-        Returns :class:`~repro.core.regression.Drift` records for every
-        metric whose relative change exceeds its tolerance (default: the
-        calibration tolerances of :mod:`repro.core.regression`).
+        Returns the :class:`Drift` of every metric whose relative change
+        exceeds its tolerance (default: :data:`TOLERANCES`) or that only
+        one of the runs has.
         """
-        # Imported lazily: regression pulls in the whole suite, and the
-        # instrumented modules import this package at module load.
-        from repro.core.regression import Drift, TOLERANCES
-
         tolerances = tolerances if tolerances is not None else TOLERANCES
-        baseline = self.load(baseline_id)
-        candidate = self.load(candidate_id)
-        label = f"{baseline_id}..{candidate_id}"
-        drifts: list = []
-        for metric in sorted(set(baseline.metrics) | set(candidate.metrics)):
-            reference = baseline.metrics.get(metric)
-            value = candidate.metrics.get(metric)
-            if reference is None or value is None:
-                drifts.append(
-                    Drift(label, metric, reference or 0.0, value or 0.0)
-                )
-                continue
-            tolerance = tolerances.get(metric, 0.0)
-            if reference == 0:
-                if value != 0:
-                    drifts.append(Drift(label, metric, reference, value))
-                continue
-            if abs(value - reference) / abs(reference) > tolerance:
-                drifts.append(Drift(label, metric, reference, value))
+        drifts = []
+        for drift in self._deltas(baseline_id, candidate_id):
+            change = drift.relative_change
+            if change is None or abs(change) > tolerances.get(drift.metric, 0.0):
+                drifts.append(drift)
         return drifts
 
     def delta_table(self, baseline_id: str, candidate_id: str) -> str:
         """Human-readable per-metric delta table between two runs."""
-        baseline = self.load(baseline_id)
-        candidate = self.load(candidate_id)
         lines = [f"{baseline_id}  ->  {candidate_id}"]
-        for metric in sorted(set(baseline.metrics) | set(candidate.metrics)):
-            reference = baseline.metrics.get(metric)
-            value = candidate.metrics.get(metric)
-            if reference is None or value is None:
+        for drift in self._deltas(baseline_id, candidate_id):
+            metric, reference, value = drift.metric, drift.baseline, drift.measured
+            if drift.relative_change is None:
                 lines.append(f"  {metric:22s} {reference} -> {value}  [missing]")
-                continue
-            if reference:
-                change = (value - reference) / abs(reference)
+            elif reference:
                 lines.append(
                     f"  {metric:22s} {reference:12.4f} -> {value:12.4f}  "
-                    f"({change:+.2%})"
+                    f"({drift.relative_change:+.2%})"
                 )
             else:
                 lines.append(f"  {metric:22s} {reference:12.4f} -> {value:12.4f}")

@@ -53,6 +53,7 @@ class Counter:
     enabled = True
 
     def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount``; a negative amount is a ``ValueError``."""
         if amount < 0:
             raise ValueError("counters only go up")
         self.value += amount
@@ -69,9 +70,11 @@ class Gauge:
     enabled = True
 
     def set(self, value: float) -> None:
+        """Overwrite the value."""
         self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount``, which may be negative."""
         self.value += amount
 
 
@@ -94,6 +97,7 @@ class Histogram:
             self.bucket_counts = [0] * (len(self.buckets) + 1)
 
     def observe(self, value: float) -> None:
+        """Count one sample in the first bucket whose bound holds it."""
         self.count += 1
         self.total += value
         for index, bound in enumerate(self.buckets):
@@ -160,14 +164,18 @@ class MetricsRegistry:
         return series
 
     def counter(self, name: str, labels: dict | None = None) -> Counter:
+        """The counter of this name and labels, created on first use."""
         return self._get(Counter, name, labels)
 
     def gauge(self, name: str, labels: dict | None = None) -> Gauge:
+        """The gauge of this name and labels, created on first use."""
         return self._get(Gauge, name, labels)
 
     def histogram(
         self, name: str, labels: dict | None = None, buckets: tuple = DEFAULT_BUCKETS
     ) -> Histogram:
+        """The histogram of this name and labels, created on first use
+        with ``buckets``."""
         return self._get(Histogram, name, labels, buckets=buckets)
 
     def snapshot(self) -> dict:
@@ -190,6 +198,7 @@ class MetricsRegistry:
         return [(key, self._series[key]) for key in sorted(self._series)]
 
     def reset(self) -> None:
+        """Drop every series."""
         with self._lock:
             self._series = {}
 

@@ -44,12 +44,15 @@ class TelemetryRun:
     metrics: MetricsRegistry
 
     def to_jsonl(self) -> str:
+        """The recorded spans as a JSONL event stream."""
         return spans_to_jsonl(self.tracer)
 
     def to_chrome_trace(self, process_name: str = "run") -> dict:
+        """The recorded spans as a chrome://tracing document."""
         return spans_to_chrome_trace(self.tracer, process_name)
 
     def to_prometheus(self) -> str:
+        """The recorded metrics as Prometheus text."""
         return metrics_to_prometheus(self.metrics)
 
 
@@ -81,9 +84,11 @@ class TraceResult:
     artifacts: dict = field(default_factory=dict)
 
     def to_jsonl(self) -> str:
+        """The run's spans as a JSONL event stream."""
         return spans_to_jsonl(self.tracer)
 
     def to_chrome_trace(self) -> dict:
+        """The run's spans as a chrome://tracing document."""
         # Named after the configuration, not the run id, so two runs of the
         # same configuration produce byte-identical traces.
         manifest = self.manifest
@@ -91,12 +96,13 @@ class TraceResult:
         return spans_to_chrome_trace(self.tracer, process_name=name)
 
     def to_prometheus(self) -> str:
+        """The run's metrics as Prometheus text."""
         return metrics_to_prometheus(self.metrics)
 
 
 def headline_metrics(report) -> dict:
-    """The manifest's headline metrics, keyed to match the regression
-    tolerances so ``tbd runs diff`` and calibration drift read alike."""
+    """The manifest's headline metrics, keyed to match the archive's
+    :data:`~repro.observability.archive.TOLERANCES` for ``tbd runs diff``."""
     metrics = report.metrics
     return {
         "throughput": round(report.stable_throughput, 6),

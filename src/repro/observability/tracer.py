@@ -84,10 +84,12 @@ class Span:
         return True
 
     def set_attribute(self, key: str, value) -> "Span":
+        """Record one attribute on the span; returns the span."""
         self.record.attributes[key] = value
         return self
 
     def set_attributes(self, **attributes) -> "Span":
+        """Record several attributes on the span; returns the span."""
         self.record.attributes.update(attributes)
         return self
 

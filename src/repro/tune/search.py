@@ -59,6 +59,7 @@ class Candidate:
     fits: bool
 
     def to_doc(self) -> dict:
+        """Canonical-JSON-ready record of the candidate."""
         return {
             "spec": self.spec,
             "makespan_s": self.makespan_s,
@@ -130,6 +131,7 @@ class TuneResult:
         )
 
     def format_report(self) -> str:
+        """The result as ``tbd tune`` prints it."""
         source = "cached" if self.cached else "searched"
         lines = [
             f"tune: {self.model} on {self.framework}, b={self.batch_size}, "

@@ -55,30 +55,34 @@ def suite():
     return standard_suite()
 
 
+def sweep_directly(suite, model: str, framework: str) -> list:
+    """The sweep's ``SweepPoint`` list, computed by one ``TrainingSession``
+    driven directly over the model's batch sizes, OOM batches recorded:
+    the engine-free reference that engine sweeps are checked against."""
+    session = suite.session(model, framework)
+    points = []
+    for batch in session.spec.batch_sizes:
+        try:
+            profile = session.run_iteration(batch)
+        except OutOfMemoryError:
+            points.append(SweepPoint(batch_size=batch, oom=True))
+            continue
+        metrics = IterationMetrics.from_profile(
+            profile, throughput_unit=session.spec.throughput_unit
+        )
+        points.append(SweepPoint(batch_size=batch, metrics=metrics))
+    return points
+
+
 @pytest.fixture(scope="session")
 def direct_sweep(suite):
-    """Memoized (model, framework) -> the sweep's ``SweepPoint`` list,
-    computed by one ``TrainingSession`` driven directly over the model's
-    batch sizes, OOM batches recorded: the engine-free reference that
-    engine sweeps are checked against."""
+    """Memoized (model, framework) -> :func:`sweep_directly`."""
     cache = {}
 
     def get(model: str, framework: str):
         key = (model, framework)
         if key not in cache:
-            session = suite.session(model, framework)
-            points = []
-            for batch in session.spec.batch_sizes:
-                try:
-                    profile = session.run_iteration(batch)
-                except OutOfMemoryError:
-                    points.append(SweepPoint(batch_size=batch, oom=True))
-                    continue
-                metrics = IterationMetrics.from_profile(
-                    profile, throughput_unit=session.spec.throughput_unit
-                )
-                points.append(SweepPoint(batch_size=batch, metrics=metrics))
-            cache[key] = points
+            cache[key] = sweep_directly(suite, model, framework)
         return list(cache[key])
 
     return get

@@ -23,6 +23,13 @@ _PACKAGES = [
     "repro.profiling",
     "repro.experiments",
     "repro.tensor",
+    "repro.observability",
+    "repro.engine",
+    "repro.bench",
+    "repro.tune",
+    "repro.schedule",
+    "repro.faults",
+    "repro.conformance",
 ]
 
 
@@ -86,7 +93,7 @@ class TestPublicSurface:
             assert getattr(repro, name, None) is not None, name
 
     def test_package_all_lists_resolve(self):
-        for package_name in _PACKAGES + ["repro.observability"]:
+        for package_name in _PACKAGES:
             package = importlib.import_module(package_name)
             for name in getattr(package, "__all__", ()):
                 assert hasattr(package, name), f"{package_name}.{name}"

@@ -201,11 +201,12 @@ class TestTraceAndRuns:
         assert "all headline metrics within tolerance" in out
         assert "throughput" in out
 
-    def test_runs_diff_flags_drift(self, capsys, tmp_path):
+    @staticmethod
+    def _archive_two_runs(tmp_path, first, second):
         from repro.observability.archive import RunArchive, RunManifest
 
         archive = RunArchive(str(tmp_path))
-        for run_id, throughput in (("x-001", 100.0), ("x-002", 80.0)):
+        for run_id, metrics in (("x-001", first), ("x-002", second)):
             archive.record(
                 RunManifest(
                     run_id=run_id,
@@ -216,15 +217,28 @@ class TestTraceAndRuns:
                     seed=0,
                     git="test",
                     created_at="2026-08-06T00:00:00+00:00",
-                    metrics={"throughput": throughput},
+                    metrics=metrics,
                 )
             )
+
+    def test_runs_diff_flags_drift(self, capsys, tmp_path):
+        self._archive_two_runs(tmp_path, {"throughput": 100.0}, {"throughput": 80.0})
         code, out = run_cli(
             capsys, "runs", "--dir", str(tmp_path), "diff", "x-001", "x-002"
         )
         assert code == 1
         assert "outside tolerance" in out
         assert "-20.0" in out
+
+    def test_runs_diff_flags_a_missing_metric(self, capsys, tmp_path):
+        self._archive_two_runs(
+            tmp_path, {"throughput": 1.0, "memory_total_gib": 2.0}, {"throughput": 1.0}
+        )
+        code, out = run_cli(
+            capsys, "runs", "--dir", str(tmp_path), "diff", "x-001", "x-002"
+        )
+        assert code == 1
+        assert "x-001..x-002.memory_total_gib: 2.0000 -> missing" in out
 
 
 class TestEngineCli:

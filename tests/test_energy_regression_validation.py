@@ -1,18 +1,30 @@
-"""Tests for the energy model, the golden-baseline regression system, and
-graph linting."""
+"""Tests for the energy model, the exact record of the paper's answers,
+and graph linting.
 
+``tests/expected/paper_answers.json`` records every point of every suite
+configuration's mini-batch sweep (Table 2 crossed with the Figs. 4-6 batch
+axes): an OOM marker or the full :class:`~repro.core.metrics.IterationMetrics`,
+floats as JSON numbers, which round-trip exactly.  The points are computed
+engine-free, by one ``TrainingSession`` per configuration.  The comparison is
+exact: any change to an answer, however small, fails
+:class:`TestPaperAnswers` and names every configuration, batch and metric
+that moved, with its relative change.
+
+After a deliberate recalibration, rewrite the record from the repository
+root with
+
+    PYTHONPATH=src python -m tests.test_energy_regression_validation
+
+and commit it together with the change that moved it.
+"""
+
+import dataclasses
 import json
+import os
 
 import pytest
 
-from repro.core.regression import (
-    DEFAULT_PATH,
-    TOLERANCES,
-    capture_baselines,
-    detect_drift,
-    load_baselines,
-    save_baselines,
-)
+from repro.core.suite import standard_suite
 from repro.graph.layer import Layer, LayerGraph
 from repro.graph.validation import assert_valid, lint_graph
 from repro.hardware.devices import GTX_580, QUADRO_P4000, TITAN_XP
@@ -25,6 +37,63 @@ from repro.hardware.energy import (
 )
 from repro.models.registry import extension_catalog, model_catalog
 from repro.training.session import TrainingSession
+from tests.conftest import sweep_directly
+
+#: The committed record of every suite configuration's sweep points.
+PAPER_ANSWERS = os.path.join(
+    os.path.dirname(__file__), "expected", "paper_answers.json"
+)
+
+#: Every (model, framework) pair of Table 2.
+CONFIGURATIONS = [
+    (spec.key, framework.key)
+    for spec, framework in standard_suite().configurations()
+]
+
+
+def paper_answers(sweep) -> dict:
+    """The record: ``model/framework`` -> the configuration's sweep points
+    as plain documents, where ``sweep(model, framework)`` computes them."""
+    return {
+        f"{model}/{framework}": [
+            dataclasses.asdict(point) for point in sweep(model, framework)
+        ]
+        for model, framework in CONFIGURATIONS
+    }
+
+
+def answer_changes(expected: dict, actual: dict) -> list:
+    """One line per configuration, batch and metric whose answer differs
+    between two records, numbers with their relative change."""
+    changes = []
+    for configuration in sorted(set(expected) | set(actual)):
+        before = {p["batch_size"]: p for p in expected.get(configuration, [])}
+        after = {p["batch_size"]: p for p in actual.get(configuration, [])}
+        for batch in sorted(set(before) | set(after)):
+            where = f"{configuration} b={batch}"
+            old, new = before.get(batch), after.get(batch)
+            if old is None or new is None or old["oom"] or new["oom"]:
+                if old != new:
+                    changes.append(f"{where}: {_outcome(old)} -> {_outcome(new)}")
+                continue
+            for metric in sorted(set(old["metrics"]) | set(new["metrics"])):
+                reference = old["metrics"].get(metric)
+                value = new["metrics"].get(metric)
+                if reference == value:
+                    continue
+                line = f"{where} {metric}: {reference!r} -> {value!r}"
+                if reference and all(
+                    isinstance(side, (int, float)) for side in (reference, value)
+                ):
+                    line += f" ({(value - reference) / abs(reference):+.3e})"
+                changes.append(line)
+    return changes
+
+
+def _outcome(point) -> str:
+    if point is None:
+        return "absent"
+    return "OOM" if point["oom"] else "ran"
 
 
 class TestEnergyModel:
@@ -81,47 +150,49 @@ class TestEnergyModel:
         assert to_70 > to_60 > 0
 
 
-class TestRegressionBaselines:
-    def test_checked_in_baselines_exist_and_cover_the_suite(self):
-        baselines = load_baselines()
-        assert len(baselines) == 14
-        assert "resnet-50/mxnet" in baselines
+class TestPaperAnswers:
+    @pytest.fixture(scope="class")
+    def record(self):
+        with open(PAPER_ANSWERS, encoding="utf-8") as handle:
+            return json.load(handle)
 
-    def test_no_drift_against_checked_in_baselines(self):
-        """The calibration gate: current simulator output matches the
-        golden file within tolerance."""
-        drifts = detect_drift()
-        assert not drifts, "calibration drift: " + "; ".join(map(str, drifts))
+    def test_every_answer_equals_the_record(self, direct_sweep, record):
+        """The calibration gate: every sweep point of every configuration
+        is bit for bit the committed one."""
+        changes = answer_changes(record, paper_answers(direct_sweep))
+        assert not changes, f"{len(changes)} answer(s) moved:\n" + "\n".join(
+            changes
+        )
 
-    def test_capture_matches_live_run(self, suite):
-        captured = capture_baselines(suite)
-        entry = captured["wgan/tensorflow"]
-        live = suite.run("wgan", "tensorflow")
-        assert entry["throughput"] == pytest.approx(live.throughput)
+    def test_record_covers_the_suite(self, suite, record):
+        assert sorted(record) == sorted(
+            f"{spec.key}/{framework.key}"
+            for spec, framework in suite.configurations()
+        )
+        assert sum(len(points) for points in record.values()) == 62
 
-    def test_detect_drift_flags_changes(self, tmp_path, suite):
-        path = str(tmp_path / "baselines.json")
-        save_baselines(path, suite)
-        data = json.load(open(path))
-        data["resnet-50/mxnet"]["throughput"] *= 1.5
-        data["ghost/config"] = data["resnet-50/mxnet"]
-        json.dump(data, open(path, "w"))
-        drifts = detect_drift(path, suite)
-        kinds = {(d.configuration, d.metric) for d in drifts}
-        assert ("resnet-50/mxnet", "throughput") in kinds
-        assert ("ghost/config", "<missing>") in kinds
+    @pytest.mark.parametrize("model,framework", CONFIGURATIONS)
+    def test_reference_batch_equals_a_live_run(
+        self, suite, record, model, framework
+    ):
+        live = suite.run(model, framework)
+        points = {p["batch_size"]: p for p in record[f"{model}/{framework}"]}
+        assert live.batch_size in points, "reference batch is not swept"
+        assert points[live.batch_size]["metrics"] == dataclasses.asdict(live)
 
-    def test_tolerances_sane(self):
-        assert set(TOLERANCES) == {
-            "throughput",
-            "gpu_utilization",
-            "fp32_utilization",
-            "cpu_utilization",
+    def test_a_change_names_configuration_batch_metric_and_size(self, record):
+        moved = json.loads(json.dumps(record))
+        point = moved["resnet-50/mxnet"][3]
+        point["metrics"]["throughput"] *= 1.5
+        moved["wgan/tensorflow"][0] = {
+            "batch_size": 4, "metrics": None, "oom": True
         }
-        assert all(0 < t < 0.2 for t in TOLERANCES.values())
-
-    def test_default_path_is_package_local(self):
-        assert DEFAULT_PATH.endswith("baselines.json")
+        assert answer_changes(record, moved) == [
+            "resnet-50/mxnet b=32 throughput: "
+            f"{record['resnet-50/mxnet'][3]['metrics']['throughput']!r} -> "
+            f"{point['metrics']['throughput']!r} (+5.000e-01)",
+            "wgan/tensorflow b=4: ran -> OOM",
+        ]
 
 
 class TestGraphLinting:
@@ -175,3 +246,18 @@ class TestDeepSpeechCellOption:
 
         with pytest.raises(ValueError, match="cell"):
             build_deep_speech2(2, cell="lstm")
+
+
+if __name__ == "__main__":
+    suite = standard_suite()
+    answers = paper_answers(
+        lambda model, framework: sweep_directly(suite, model, framework)
+    )
+    with open(PAPER_ANSWERS, "w", encoding="utf-8") as handle:
+        json.dump(answers, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    points = sum(len(configuration) for configuration in answers.values())
+    print(
+        f"wrote {points} points of {len(answers)} configurations "
+        f"to {os.path.relpath(PAPER_ANSWERS)}"
+    )

@@ -27,6 +27,7 @@ from repro.observability import (
     traced_run,
     tracing,
 )
+from repro.observability.archive import TOLERANCES
 from repro.observability.metrics import NULL_METRIC
 from repro.observability.tracer import NULL_SPAN
 from repro.training.session import TrainingSession
@@ -290,7 +291,7 @@ class TestInstrumentedRuns:
 
 
 class TestArchive:
-    def _manifest(self, run_id, throughput=100.0):
+    def _manifest(self, run_id, throughput=100.0, metrics=None):
         return RunManifest(
             run_id=run_id,
             model="resnet-50",
@@ -300,7 +301,9 @@ class TestArchive:
             seed=0,
             git="abc1234",
             created_at="2026-08-06T00:00:00+00:00",
-            metrics={"throughput": throughput, "gpu_utilization": 0.95},
+            metrics=metrics
+            if metrics is not None
+            else {"throughput": throughput, "gpu_utilization": 0.95},
         )
 
     def test_record_list_load(self, tmp_path):
@@ -333,6 +336,48 @@ class TestArchive:
         table = archive.delta_table("a-001", "a-002")
         assert "throughput" in table and "-10.00%" in table
         assert "gpu_utilization" in table
+
+    @pytest.mark.parametrize(
+        "baseline,candidate",
+        [({"throughput": 1.0, "memory_total_gib": 2.0}, {"throughput": 1.0}),
+         ({"throughput": 1.0}, {"throughput": 1.0, "memory_total_gib": 2.0})],
+        ids=["dropped", "added"],
+    )
+    def test_metric_on_one_side_only_is_missing(self, tmp_path, baseline, candidate):
+        archive = RunArchive(str(tmp_path))
+        archive.record(self._manifest("a-001", metrics=baseline))
+        archive.record(self._manifest("a-002", metrics=candidate))
+        [drift] = archive.diff("a-001", "a-002")
+        assert drift.metric == "memory_total_gib"
+        assert drift.baseline == baseline.get("memory_total_gib")
+        assert drift.measured == candidate.get("memory_total_gib")
+        assert drift.relative_change is None
+        missing = "2.0000 -> missing" if drift.measured is None else "missing -> 2.0000"
+        assert str(drift) == f"a-001..a-002.memory_total_gib: {missing}"
+        assert "[missing]" in archive.delta_table("a-001", "a-002")
+
+    def test_zero_reference_unchanged_is_clean(self, tmp_path):
+        archive = RunArchive(str(tmp_path))
+        for run_id in ("z-001", "z-002"):
+            archive.record(self._manifest(run_id, metrics={"cpu_utilization": 0.0}))
+        assert archive.diff("z-001", "z-002") == []
+
+    def test_zero_reference_changed_is_an_infinite_change(self, tmp_path):
+        archive = RunArchive(str(tmp_path))
+        for run_id, value in (("z-001", 0.0), ("z-002", 0.5)):
+            archive.record(self._manifest(run_id, metrics={"cpu_utilization": value}))
+        [drift] = archive.diff("z-001", "z-002", tolerances={"cpu_utilization": 1e9})
+        assert drift.relative_change == float("inf")
+        assert str(drift) == "z-001..z-002.cpu_utilization: 0.0000 -> 0.5000 (+inf%)"
+
+    def test_tolerances_sane(self):
+        assert set(TOLERANCES) == {
+            "throughput",
+            "gpu_utilization",
+            "fp32_utilization",
+            "cpu_utilization",
+        }
+        assert all(0 < t < 0.2 for t in TOLERANCES.values())
 
     def test_missing_run_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
