@@ -44,7 +44,6 @@ def main() -> None:
         jobs=2,
         panels=PANELS,
         deep_limit=2,
-        deep_every=4,
         scaling_probes=(("resnet-50", "mxnet"),),
     )
     runner = ConformanceRunner(cache=ResultCache(CACHE_DIR), **kwargs)

@@ -45,12 +45,6 @@ def register_conformance_command(subparsers) -> None:
         help="skip the paper-grid/deep/scaling phases; fuzz only",
     )
     run.add_argument(
-        "--deep-every",
-        type=int,
-        default=5,
-        help="deep-check every Nth fuzz case (default 5)",
-    )
-    run.add_argument(
         "--no-shrink",
         action="store_true",
         help="report violations without minimizing them",
@@ -87,7 +81,6 @@ def _cmd_run(args) -> int:
         jobs=args.jobs,
         cache=_cache_from_args(args),
         include_grid=not args.no_grid,
-        deep_every=args.deep_every,
         shrink_failures=not args.no_shrink,
     )
     report = runner.run()

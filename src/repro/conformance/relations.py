@@ -15,7 +15,7 @@ alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.conformance.invariants import REL_TOL
 from repro.engine.keys import canonical_json
@@ -29,26 +29,6 @@ from repro.models.registry import get_model
 #: which is what the swap-gpu relation relies on.
 DEFAULT_GPU = "p4000"
 BIGGER_GPU = "titan xp"
-
-#: Scenario fields that define *where* a fault run happens rather than
-#: what goes wrong; stripping everything else yields the fault-free twin.
-_SCENARIO_FIELDS = ("cluster", "steps", "seed")
-
-
-def strip_fault_events(faults: str) -> str:
-    """The fault-free twin of a scenario: same cluster/steps/seed, no
-    injected events."""
-    kept = []
-    for piece in faults.split(";"):
-        piece = piece.strip()
-        if piece and piece.split("=", 1)[0].strip() in _SCENARIO_FIELDS:
-            kept.append(piece)
-    return "; ".join(kept)
-
-
-def has_fault_events(faults: str) -> bool:
-    """True when the scenario injects at least one fault event."""
-    return bool(faults) and strip_fault_events(faults) != faults.strip()
 
 
 @dataclass(frozen=True)
@@ -171,19 +151,17 @@ _register(
 
 
 def _drop_applies(spec: PointSpec, gpu_key: str) -> bool:
-    return has_fault_events(spec.faults)
+    faults = spec.scenario.faults
+    return faults is not None and not faults.plan.is_empty
 
 
 def _drop_perturb(spec: PointSpec, gpu_key: str):
-    return (
-        PointSpec(
-            spec.model,
-            spec.framework,
-            spec.batch_size,
-            strip_fault_events(spec.faults),
-        ),
-        gpu_key,
-    )
+    # The fault-free twin: the parsed scenario without its events, so the
+    # cluster, steps and seed carry over and only the fault spec's parser
+    # reads the text.
+    faults = spec.scenario.faults
+    twin = replace(faults, plan=replace(faults.plan, events=()))
+    return replace(spec, faults=twin.canonical), gpu_key
 
 
 def _drop_relate(spec, gpu_key, base, pert) -> list:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.conformance.generator import FuzzCase, generate_cases, shrink
+from repro.conformance.generator import generate_cases, shrink
 from repro.conformance.invariants import (
     PointEvidence,
     ScalingEvidence,
@@ -58,7 +58,29 @@ DEFAULT_SCALING_PROBES = (
     ("sockeye", "mxnet"),
 )
 
+#: Every this-many-th fuzz case (by index) also gets the point-scope
+#: deep checks, re-simulated in process.
+DEEP_EVERY = 5
+#: Predicate evaluations the shrinker may spend on one violation.
+MAX_SHRINK_EVALS = 24
+
 REPORT_SCHEMA = 2
+
+
+def _reference(model: str, framework: str) -> PointSpec:
+    """The model's reference-batch point on ``framework``."""
+    return PointSpec(model, framework, get_model(model).reference_batch)
+
+
+def _subject(spec: PointSpec, gpu_key: str) -> dict:
+    """The configuration a check ran on, as a violation report names it."""
+    return {
+        "model": spec.model,
+        "framework": spec.framework,
+        "batch_size": spec.batch_size,
+        "faults": spec.faults,
+        "gpu": gpu_key,
+    }
 
 
 @dataclass
@@ -150,15 +172,10 @@ class ConformanceRunner:
         include_grid: bool = True,
         panels=None,
         deep_limit: int | None = None,
-        deep_every: int = 5,
         scaling_probes=None,
-        scaling_configs=None,
         shrink_failures: bool = True,
         max_shrinks: int = 5,
-        max_shrink_evals: int = 24,
     ):
-        from repro.distributed.topology import standard_configurations
-
         self.seed = seed
         self.budget = budget
         self.jobs = jobs
@@ -166,20 +183,13 @@ class ConformanceRunner:
         self.include_grid = include_grid
         self.panels = tuple(panels) if panels is not None else SWEEP_PANELS
         self.deep_limit = deep_limit
-        self.deep_every = max(1, deep_every)
         self.scaling_probes = (
             tuple(scaling_probes)
             if scaling_probes is not None
             else DEFAULT_SCALING_PROBES
         )
-        self.scaling_configs = (
-            tuple(scaling_configs)
-            if scaling_configs is not None
-            else tuple(standard_configurations())
-        )
         self.shrink_failures = shrink_failures
         self.max_shrinks = max_shrinks
-        self.max_shrink_evals = max_shrink_evals
         self._checks: dict = {}
         self._violations: list = []
         self._sessions: dict = {}
@@ -204,6 +214,11 @@ class ConformanceRunner:
                 "conformance_violations_total", {"check": name}
             ).inc()
             self._violations.append(Violation(name, dict(subject), message))
+
+    def _check(self, scope: str, evidence, subject: dict) -> None:
+        """Record every ``scope`` invariant over one piece of evidence."""
+        for inv in invariant_registry(scope=scope):
+            self._record(inv.name, subject, inv.check(evidence))
 
     def _session(self, model: str, framework: str, gpu_key: str) -> TrainingSession:
         key = (model, framework, gpu_key)
@@ -270,157 +285,112 @@ class ConformanceRunner:
             gradient_bytes=gradient_bytes,
         )
 
-    # ------------------------------------------------------------------
-    # check evaluation
+    def _sweep_evidence(self, specs, gpu_key: str, jobs: int | None = None):
+        """Run ``specs`` as one engine grid; yield ``(evidence, subject)``
+        per model/framework/faults sweep, batches ascending."""
+        by_sweep: dict = {}
+        points = self._engine(gpu_key, jobs).run_grid(specs)
+        for spec, point in zip(specs, points):
+            by_sweep.setdefault((spec.model, spec.framework, spec.faults), []).append(
+                (spec.batch_size, point)
+            )
+        for (model, framework, faults), pairs in by_sweep.items():
+            pairs.sort(key=lambda item: item[0])
+            evidence = SweepEvidence(
+                model=model,
+                framework=framework,
+                gpu_name=gpu_key,
+                batch_sizes=[b for b, _ in pairs],
+                points=[p for _, p in pairs],
+                faults=faults,
+            )
+            smallest = PointSpec(model, framework, pairs[0][0], faults)
+            yield evidence, _subject(smallest, gpu_key)
 
-    def _check_point(self, evidence: PointEvidence, gpu_key: str) -> None:
-        subject = {
-            "model": evidence.model,
-            "framework": evidence.framework,
-            "batch_size": evidence.batch_size,
-            "faults": "",
-            "gpu": gpu_key,
-        }
-        for inv in invariant_registry(scope="point"):
-            self._record(inv.name, subject, inv.check(evidence))
+    def _evidence(self, scope: str, spec: PointSpec, gpu_key: str):
+        """Yield ``(evidence, subject)`` for every ``scope`` check of
+        ``(spec, gpu)``: the one gathering path of the phases and of
+        :meth:`violates`.  A point or probe that does not fit yields
+        nothing; the sweep scope runs the spec's whole batch ladder."""
+        if scope == "point":
+            evidence = self._gather_point(
+                spec.model, spec.framework, spec.batch_size, gpu_key
+            )
+            if evidence is not None:
+                yield evidence, _subject(spec, gpu_key)
+        elif scope == "sweep":
+            yield from self._sweep_evidence(
+                [
+                    PointSpec(spec.model, spec.framework, b, spec.faults)
+                    for b in sorted(get_model(spec.model).batch_sizes)
+                ],
+                gpu_key,
+                jobs=1,
+            )
+        else:
+            from repro.distributed.topology import standard_configurations
 
-    def _check_sweep(self, evidence: SweepEvidence) -> None:
-        subject = {
-            "model": evidence.model,
-            "framework": evidence.framework,
-            "batch_size": min(evidence.batch_sizes) if evidence.batch_sizes else 0,
-            "faults": evidence.faults,
-            "gpu": evidence.gpu_name,
-        }
-        for inv in invariant_registry(scope="sweep"):
-            self._record(inv.name, subject, inv.check(evidence))
-
-    def _check_scaling(self, evidence: ScalingEvidence, config_label: str) -> None:
-        subject = {
-            "model": evidence.model,
-            "framework": evidence.framework,
-            "batch_size": evidence.batch_size,
-            "faults": "",
-            "gpu": DEFAULT_GPU,
-            "cluster": config_label,
-        }
-        for inv in invariant_registry(scope="scaling"):
-            self._record(inv.name, subject, inv.check(evidence))
+            for label in standard_configurations():
+                evidence = self._gather_scaling(
+                    spec.model, spec.framework, spec.batch_size, label
+                )
+                if evidence is not None:
+                    yield evidence, {**_subject(spec, DEFAULT_GPU), "cluster": label}
 
     # ------------------------------------------------------------------
     # phases
 
     def _run_grid_phase(self) -> int:
         specs = grid_for(self.panels)
-        engine = self._engine(DEFAULT_GPU)
-        points = engine.run_grid(specs)
-        by_panel: dict = {}
-        for spec, point in zip(specs, points):
-            by_panel.setdefault((spec.model, spec.framework), []).append(
-                (spec.batch_size, point)
-            )
-        for (model, framework), pairs in by_panel.items():
-            pairs.sort(key=lambda item: item[0])
-            self._check_sweep(
-                SweepEvidence(
-                    model=model,
-                    framework=framework,
-                    gpu_name=DEFAULT_GPU,
-                    batch_sizes=[b for b, _ in pairs],
-                    points=[p for _, p in pairs],
-                )
-            )
+        for evidence, subject in self._sweep_evidence(specs, DEFAULT_GPU):
+            self._check("sweep", evidence, subject)
         return len(specs)
 
-    def _deep_configs(self) -> list:
-        configs = [
-            (model, framework, get_model(model).reference_batch)
-            for model, frameworks in self.panels
-            for framework in frameworks
-        ]
-        if self.deep_limit is not None:
-            configs = configs[: self.deep_limit]
-        return configs
-
-    def _run_deep_phase(self) -> int:
+    def _run_scoped_phase(self, scope: str, specs) -> int:
+        """Check every ``scope`` invariant on each spec's evidence; returns
+        how many pieces of evidence were checked."""
         count = 0
-        for model, framework, batch in self._deep_configs():
-            evidence = self._gather_point(model, framework, batch, DEFAULT_GPU)
-            if evidence is None:
-                continue
-            self._check_point(evidence, DEFAULT_GPU)
-            count += 1
-        return count
-
-    def _run_scaling_phase(self) -> int:
-        count = 0
-        for model, framework in self.scaling_probes:
-            batch = get_model(model).reference_batch
-            for label in self.scaling_configs:
-                evidence = self._gather_scaling(model, framework, batch, label)
-                if evidence is None:
-                    continue
-                self._check_scaling(evidence, label)
+        for spec in specs:
+            for evidence, subject in self._evidence(scope, spec, DEFAULT_GPU):
+                self._check(scope, evidence, subject)
                 count += 1
         return count
 
     def _run_fuzz_phase(self) -> int:
         cases = generate_cases(self.seed, self.budget)
-        jobs_by_gpu: dict = {}
-        replay_by_gpu: dict = {}
-
-        def enqueue(table: dict, gpu_key: str, spec: PointSpec) -> None:
-            bucket = table.setdefault(gpu_key, {})
-            bucket.setdefault(spec, None)
-
+        # Two engine passes, each batched per GPU.  Replay cases run their
+        # (identical) perturbed spec in the second, *fresh* pass: cache-warm
+        # when a cache is configured (round-trip determinism), recomputed
+        # when not (pure replay determinism).  Either way the payload bytes
+        # must match the first pass.
         perturbed: dict = {}
+        queued: tuple = ({}, {})
         for case in cases:
-            relation = get_relation(case.relation)
-            pert_spec, pert_gpu = relation.perturb(case.spec, case.gpu)
-            perturbed[case.index] = (pert_spec, pert_gpu)
-            enqueue(jobs_by_gpu, case.gpu, case.spec)
-            if case.relation == "replay-determinism":
-                enqueue(replay_by_gpu, pert_gpu, pert_spec)
-            else:
-                enqueue(jobs_by_gpu, pert_gpu, pert_spec)
-
-        results: dict = {}
-        for gpu_key in sorted(jobs_by_gpu):
-            specs = list(jobs_by_gpu[gpu_key])
-            points = self._engine(gpu_key).run_grid(specs)
-            for spec, point in zip(specs, points):
-                results[(gpu_key, spec)] = point
-
-        # Replay cases go through a *fresh* engine pass: cache-warm when a
-        # cache is configured (round-trip determinism), recomputed when not
-        # (pure replay determinism).  Either way the payload bytes must
-        # match the first pass.
-        replay_results: dict = {}
-        for gpu_key in sorted(replay_by_gpu):
-            specs = list(replay_by_gpu[gpu_key])
-            points = self._engine(gpu_key).run_grid(specs)
-            for spec, point in zip(specs, points):
-                replay_results[(gpu_key, spec)] = point
+            pert_spec, pert_gpu = get_relation(case.relation).perturb(
+                case.spec, case.gpu
+            )
+            second = case.relation == "replay-determinism"
+            perturbed[case.index] = (pert_spec, pert_gpu, second)
+            queued[0].setdefault(case.gpu, {}).setdefault(case.spec)
+            queued[second].setdefault(pert_gpu, {}).setdefault(pert_spec)
+        results: tuple = ({}, {})
+        for by_gpu, found in zip(queued, results):
+            for gpu_key in sorted(by_gpu):
+                specs = list(by_gpu[gpu_key])
+                points = self._engine(gpu_key).run_grid(specs)
+                for spec, point in zip(specs, points):
+                    found[(gpu_key, spec)] = point
 
         for case in cases:
             relation = get_relation(case.relation)
-            pert_spec, pert_gpu = perturbed[case.index]
-            base_point = results[(case.gpu, case.spec)]
-            if case.relation == "replay-determinism":
-                pert_point = replay_results[(pert_gpu, pert_spec)]
-            else:
-                pert_point = results[(pert_gpu, pert_spec)]
+            pert_spec, pert_gpu, second = perturbed[case.index]
+            base_point = results[0][(case.gpu, case.spec)]
+            pert_point = results[second][(pert_gpu, pert_spec)]
             messages = relation.relate(case.spec, case.gpu, base_point, pert_point)
             self._record(case.relation, case.subject(), messages)
-            if case.index % self.deep_every == 0 and not case.spec.faults:
-                evidence = self._gather_point(
-                    case.spec.model,
-                    case.spec.framework,
-                    case.spec.batch_size,
-                    case.gpu,
-                )
-                if evidence is not None:
-                    self._check_point(evidence, case.gpu)
+            if case.index % DEEP_EVERY == 0 and not case.spec.faults:
+                for evidence, subject in self._evidence("point", case.spec, case.gpu):
+                    self._check("point", evidence, subject)
         return len(cases)
 
     # ------------------------------------------------------------------
@@ -434,49 +404,16 @@ class ConformanceRunner:
         except KeyError:
             inv = None
         if inv is not None:
-            if inv.scope == "point":
-                evidence = self._gather_point(
-                    spec.model, spec.framework, spec.batch_size, gpu_key
-                )
-                return evidence is not None and bool(inv.check(evidence))
-            if inv.scope == "sweep":
-                engine = self._engine(gpu_key, jobs=1)
-                batches = sorted(get_model(spec.model).batch_sizes)
-                points = engine.run_grid(
-                    [
-                        PointSpec(spec.model, spec.framework, b, spec.faults)
-                        for b in batches
-                    ]
-                )
-                evidence = SweepEvidence(
-                    model=spec.model,
-                    framework=spec.framework,
-                    gpu_name=gpu_key,
-                    batch_sizes=batches,
-                    points=points,
-                    faults=spec.faults,
-                )
-                return bool(inv.check(evidence))
-            if inv.scope == "scaling":
-                for label in self.scaling_configs:
-                    evidence = self._gather_scaling(
-                        spec.model, spec.framework, spec.batch_size, label
-                    )
-                    if evidence is not None and inv.check(evidence):
-                        return True
-                return False
+            return any(
+                inv.check(evidence)
+                for evidence, _ in self._evidence(inv.scope, spec, gpu_key)
+            )
         relation = get_relation(check)
         if not relation.applies(spec, gpu_key):
             return False
         pert_spec, pert_gpu = relation.perturb(spec, gpu_key)
-        engine = self._engine(gpu_key, jobs=1)
-        (base_point,) = engine.run_grid([spec])
-        if check == "replay-determinism":
-            (pert_point,) = self._engine(pert_gpu, jobs=1).run_grid([pert_spec])
-        elif (pert_spec, pert_gpu) == (spec, gpu_key):
-            pert_point = base_point
-        else:
-            (pert_point,) = self._engine(pert_gpu, jobs=1).run_grid([pert_spec])
+        (base_point,) = self._engine(gpu_key, jobs=1).run_grid([spec])
+        (pert_point,) = self._engine(pert_gpu, jobs=1).run_grid([pert_spec])
         return bool(relation.relate(spec, gpu_key, base_point, pert_point))
 
     def shrink_violation(self, violation: Violation) -> Violation:
@@ -497,16 +434,14 @@ class ConformanceRunner:
         if not fails(spec, gpu_key):
             return violation  # not reproducible standalone; leave as-is
         minimal_spec, minimal_gpu, _ = shrink(
-            spec, gpu_key, fails, max_evals=self.max_shrink_evals
+            spec, gpu_key, fails, max_evals=MAX_SHRINK_EVALS
         )
-        shrunk = {
-            "model": minimal_spec.model,
-            "framework": minimal_spec.framework,
-            "batch_size": minimal_spec.batch_size,
-            "faults": minimal_spec.faults,
-            "gpu": minimal_gpu,
-        }
-        return Violation(violation.check, violation.subject, violation.message, shrunk)
+        return Violation(
+            violation.check,
+            violation.subject,
+            violation.message,
+            _subject(minimal_spec, minimal_gpu),
+        )
 
     def _run_shrink_phase(self) -> None:
         if not self.shrink_failures or not self._violations:
@@ -542,10 +477,20 @@ class ConformanceRunner:
             if self.include_grid:
                 with trace_span("conformance.grid"):
                     report.grid_points = self._run_grid_phase()
+                deep = [
+                    _reference(model, framework)
+                    for model, frameworks in self.panels
+                    for framework in frameworks
+                ]
                 with trace_span("conformance.deep"):
-                    report.deep_points = self._run_deep_phase()
+                    report.deep_points = self._run_scoped_phase(
+                        "point", deep[: self.deep_limit]
+                    )
                 with trace_span("conformance.scaling"):
-                    report.scaling_probes = self._run_scaling_phase()
+                    report.scaling_probes = self._run_scoped_phase(
+                        "scaling",
+                        [_reference(*probe) for probe in self.scaling_probes],
+                    )
             if self.budget > 0:
                 with trace_span("conformance.fuzz"):
                     report.fuzz_cases = self._run_fuzz_phase()

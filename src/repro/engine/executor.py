@@ -133,7 +133,11 @@ def _compute_payload(
     scenario = spec.scenario
     try:
         if scenario.faults is not None:
-            metrics = _faulted_metrics(spec, scenario)
+            from repro.faults.trainer import faulted_metrics
+
+            metrics = faulted_metrics(
+                spec.model, spec.framework, spec.batch_size, scenario.faults, gpu, cpu
+            )
         else:
             key = (spec.model, spec.framework)
             session = sessions.get(key)
@@ -152,88 +156,14 @@ def _compute_payload(
                     throughput_unit=session.spec.throughput_unit,
                 )
             else:
-                metrics = _scheduled_metrics(spec, session, scenario)
+                from repro.schedule.integrator import scheduled_metrics
+
+                metrics = scheduled_metrics(
+                    session, scenario.schedule, spec.batch_size, scenario.pipeline
+                )
     except OutOfMemoryError:
         return point_to_payload(SweepPoint(batch_size=spec.batch_size, oom=True))
     return point_to_payload(SweepPoint(batch_size=spec.batch_size, metrics=metrics))
-
-
-def _scheduled_metrics(
-    spec: PointSpec, session: TrainingSession, scenario: Scenario
-) -> IterationMetrics:
-    """A point's metrics under an adaptive batch schedule.
-
-    The schedule's segments come from the closed-form curve integrator;
-    each *distinct* batch size costs one profile (one compile, memoized
-    in the session's plan cache) and the point's metrics are the
-    time-weighted aggregate over segments (throughput = total samples /
-    total time, utilizations weighted by segment wall-clock).
-    ``batch_size`` stays the spec's base batch: it is the grid
-    coordinate, not the (growing) realized batch.  Any segment whose
-    batch no longer fits the GPU raises, making the whole point OOM,
-    exactly like a fixed point at that batch.
-    """
-    from repro.schedule.integrator import integrate_schedule
-
-    integration = integrate_schedule(spec.model, scenario.schedule, spec.batch_size)
-    profiles = {
-        batch: session.run_iteration(batch, scenario.pipeline)
-        for batch in integration.batch_sizes
-    }
-    total_time = 0.0
-    total_steps = 0.0
-    weighted = {"gpu": 0.0, "fp32": 0.0, "cpu": 0.0}
-    for segment in integration.segments:
-        if segment.samples == 0.0:
-            continue
-        profile = profiles[segment.batch_size]
-        segment_time = segment.samples / profile.throughput
-        total_time += segment_time
-        total_steps += segment.steps
-        weighted["gpu"] += profile.gpu_utilization * segment_time
-        weighted["fp32"] += profile.fp32_utilization * segment_time
-        weighted["cpu"] += profile.cpu_utilization * segment_time
-    reference = profiles[integration.segments[0].batch_size]
-    if total_time <= 0.0:
-        return IterationMetrics.from_profile(
-            reference, throughput_unit=session.spec.throughput_unit
-        )
-    return IterationMetrics(
-        model=reference.model,
-        framework=reference.framework,
-        device=reference.device,
-        batch_size=spec.batch_size,
-        throughput=integration.total_samples / total_time,
-        throughput_unit=session.spec.throughput_unit,
-        gpu_utilization=weighted["gpu"] / total_time,
-        fp32_utilization=weighted["fp32"] / total_time,
-        cpu_utilization=weighted["cpu"] / total_time,
-        iteration_time_s=total_time / total_steps,
-    )
-
-
-def _faulted_metrics(spec: PointSpec, scenario: Scenario) -> IterationMetrics:
-    """A point's metrics under its fault scenario.
-
-    The scenario supplies the cluster and run length; the run goes
-    through :class:`~repro.faults.trainer.FaultTolerantTrainer` and the
-    realized (degraded) averages become the point's metrics.  A scenario
-    the recovery policies cannot survive raises
-    :class:`~repro.faults.recovery.UnrecoverableFaultError` — a faulted
-    grid is allowed to fail loudly, never to hang or cache a wrong
-    number.
-    """
-    from repro.faults.trainer import FaultTolerantTrainer
-
-    faults = scenario.faults
-    trainer = FaultTolerantTrainer(
-        spec.model,
-        spec.framework,
-        faults.cluster,
-        spec.batch_size,
-        plan=faults.plan,
-    )
-    return trainer.iteration_metrics(trainer.run(steps=faults.steps))
 
 
 def _pool_worker(chunk, gpu: GPUSpec, cpu: CPUSpec, check_memory: bool) -> list:

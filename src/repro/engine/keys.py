@@ -255,28 +255,15 @@ def code_fingerprint(model_module: str | None = None, dimensions: tuple = ()) ->
     """
     cache_key = (model_module, dimensions)
     cached = _CODE_FINGERPRINTS.get(cache_key)
-    if cached is not None:
-        return cached
-    entries = []
-    seen = set()
-    sources = list(CORE_CODE)
-    for dimension in dimensions:
-        sources.extend(DIMENSION_CODE[dimension])
-    if model_module is not None:
-        relative = _module_relpath(model_module)
+    if cached is None:
+        sources = list(CORE_CODE)
+        for dimension in dimensions:
+            sources.extend(DIMENSION_CODE[dimension])
+        relative = _module_relpath(model_module) if model_module else None
         if relative is not None:
             sources.append(relative)
-    for source in sources:
-        for relative in _iter_code_files(source):
-            if relative in seen:
-                continue
-            seen.add(relative)
-            entries.append(
-                [relative, _file_digest(os.path.join(_PACKAGE_ROOT, relative))]
-            )
-    fingerprint = digest(sorted(entries))
-    _CODE_FINGERPRINTS[cache_key] = fingerprint
-    return fingerprint
+        cached = _CODE_FINGERPRINTS[cache_key] = modules_fingerprint(sources)
+    return cached
 
 
 def modules_fingerprint(entries) -> str:

@@ -31,7 +31,7 @@ and the empty plan reproduces the plain trainer's numbers bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from repro.core.metrics import IterationMetrics, cpu_utilization
@@ -43,8 +43,9 @@ from repro.faults.recovery import (
     UnrecoverableFaultError,
     plan_rebalance,
 )
-from repro.faults.spec import DEFAULT_STEPS
+from repro.faults.spec import DEFAULT_STEPS, FaultScenario
 from repro.hardware.cluster import ClusterSpec
+from repro.hardware.devices import CPUSpec, GPUSpec
 from repro.observability.metrics import get_metrics
 from repro.observability.tracer import trace_span
 
@@ -636,3 +637,29 @@ class FaultTolerantTrainer:
             cpu_utilization=cpu_util,
             iteration_time_s=mean_step,
         )
+
+
+def faulted_metrics(
+    model: str,
+    framework: str,
+    batch_size: int,
+    scenario: FaultScenario,
+    gpu: GPUSpec,
+    cpu: CPUSpec,
+) -> IterationMetrics:
+    """A sweep point's metrics under its fault scenario.
+
+    The scenario supplies the cluster shape and run length; every machine
+    of that cluster carries the sweep's ``gpu`` and ``cpu``.  The run goes
+    through :class:`FaultTolerantTrainer` and the realized (degraded)
+    averages become the point's metrics.  A scenario the recovery
+    policies cannot survive raises :class:`UnrecoverableFaultError` — a
+    faulted grid is allowed to fail loudly, never to hang or cache a
+    wrong number.
+    """
+    machine = replace(scenario.cluster.machine, gpu=gpu, cpu=cpu)
+    cluster = replace(scenario.cluster, machine=machine)
+    trainer = FaultTolerantTrainer(
+        model, framework, cluster, batch_size, plan=scenario.plan
+    )
+    return trainer.iteration_metrics(trainer.run(steps=scenario.steps))

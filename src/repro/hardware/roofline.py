@@ -16,7 +16,6 @@ are all first-order consequences of exactly these terms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.hardware.devices import GPUSpec
@@ -159,14 +158,3 @@ def efficiency_gap(timing: KernelTiming, device: GPUSpec) -> float:
     if ideal <= 0.0:
         return 1.0
     return timing.duration_s / ideal
-
-
-def estimate_max_batch_size(
-    bytes_per_sample: float, fixed_bytes: float, device: GPUSpec
-) -> int:
-    """Largest mini-batch whose footprint fits in device memory, given a
-    linear memory model ``fixed + batch * per_sample`` (paper Obs. 12)."""
-    available = device.memory_bytes - fixed_bytes
-    if available <= 0 or bytes_per_sample <= 0:
-        return 0
-    return int(math.floor(available / bytes_per_sample))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.metrics import IterationMetrics
 from repro.observability.metrics import get_metrics
 from repro.observability.tracer import trace_span
 from repro.schedule.spec import (
@@ -340,3 +341,54 @@ samples_to_accuracy`'s convention).  Accepts a schedule object, spec
             total_samples=total_samples,
             segments=segments,
         )
+
+
+def scheduled_metrics(
+    session, schedule: BatchSchedule, base_batch: int, pipeline=()
+) -> IterationMetrics:
+    """A sweep point's metrics under an adaptive batch schedule.
+
+    The schedule's segments come from :func:`integrate_schedule`; each
+    *distinct* batch size costs one profile on ``session`` (one compile,
+    memoized in the session's plan cache) and the point's metrics are
+    the time-weighted aggregate over segments (throughput = total
+    samples / total time, utilizations weighted by segment wall-clock).
+    ``batch_size`` stays ``base_batch``: it is the grid coordinate, not
+    the (growing) realized batch.  Any segment whose batch no longer fits
+    the GPU raises, making the whole point OOM, exactly like a fixed
+    point at that batch.
+    """
+    unit = session.spec.throughput_unit
+    integration = integrate_schedule(session.spec.key, schedule, base_batch)
+    profiles = {
+        batch: session.run_iteration(batch, pipeline)
+        for batch in integration.batch_sizes
+    }
+    total_time = 0.0
+    total_steps = 0.0
+    weighted = {"gpu": 0.0, "fp32": 0.0, "cpu": 0.0}
+    for segment in integration.segments:
+        if segment.samples == 0.0:
+            continue
+        profile = profiles[segment.batch_size]
+        segment_time = segment.samples / profile.throughput
+        total_time += segment_time
+        total_steps += segment.steps
+        weighted["gpu"] += profile.gpu_utilization * segment_time
+        weighted["fp32"] += profile.fp32_utilization * segment_time
+        weighted["cpu"] += profile.cpu_utilization * segment_time
+    reference = profiles[integration.segments[0].batch_size]
+    if total_time <= 0.0:
+        return IterationMetrics.from_profile(reference, throughput_unit=unit)
+    return IterationMetrics(
+        model=reference.model,
+        framework=reference.framework,
+        device=reference.device,
+        batch_size=base_batch,
+        throughput=integration.total_samples / total_time,
+        throughput_unit=unit,
+        gpu_utilization=weighted["gpu"] / total_time,
+        fp32_utilization=weighted["fp32"] / total_time,
+        cpu_utilization=weighted["cpu"] / total_time,
+        iteration_time_s=total_time / total_steps,
+    )

@@ -4,11 +4,20 @@ Runs the full invariant/relation registries over the paper grid plus a
 fixed-seed fuzz budget, proves the JSON report is byte-deterministic
 across a cache-warm rerun, and exercises the CLI surface.  Everything is
 seeded and engine-cached, so the module stays deterministic and fast.
+
+``tests/expected/conformance_report.json`` pins that run's report byte for
+byte.  After a deliberate change to a check or to the answers it reads,
+rewrite it from the repository root with
+
+    PYTHONPATH=src python -m tests.test_conformance
+
+and commit it together with the change that moved it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -22,10 +31,6 @@ from repro.conformance import (
     relation_registry,
 )
 from repro.conformance.generator import simplicity_order
-from repro.conformance.relations import (
-    has_fault_events,
-    strip_fault_events,
-)
 from repro.engine.cache import ResultCache
 from repro.engine.executor import PointSpec, grid_for
 from repro.experiments.common import SWEEP_PANELS
@@ -37,8 +42,11 @@ _RUNNER_KWARGS = dict(
     jobs=1,
     include_grid=True,
     deep_limit=4,
-    deep_every=4,
     scaling_probes=(("resnet-50", "mxnet"),),
+)
+
+EXPECTED_REPORT = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "expected", "conformance_report.json"
 )
 
 
@@ -99,12 +107,20 @@ class TestGenerator:
             relation = get_relation(case.relation)
             assert relation.applies(case.spec, case.gpu)
 
-    def test_fault_event_stripping(self):
-        text = "cluster=2M1G:1gbe; steps=9; seed=4; straggler=0x1.5@2:6"
-        assert has_fault_events(text)
-        stripped = strip_fault_events(text)
-        assert stripped == "cluster=2M1G:1gbe; steps=9; seed=4"
-        assert not has_fault_events(stripped)
+    def test_fault_free_twin(self):
+        relation = get_relation("drop-fault-events")
+        spec = PointSpec(
+            "resnet-50", "mxnet", 16, "seed=4; straggler=0x1.5@2:6; cluster=2M1G:1gbe"
+        )
+        assert relation.applies(spec, "p4000")
+        twin, gpu = relation.perturb(spec, "p4000")
+        # Same cluster, steps and seed, defaults explicit, no events.
+        assert twin == PointSpec(
+            "resnet-50", "mxnet", 16, "cluster=2M1G:1gbe; steps=50; seed=4"
+        )
+        assert gpu == "p4000"
+        assert not relation.applies(twin, gpu)
+        assert not relation.applies(PointSpec("resnet-50", "mxnet", 16), gpu)
 
 
 @pytest.mark.slow
@@ -133,6 +149,11 @@ class TestFullHarness:
         assert doc["schema"] == 2
         assert doc["violations"] == []
         assert doc["checks"]["roofline-kernel-floor"]["violations"] == 0
+
+    def test_report_equals_the_record(self, conformance_run):
+        report, _ = conformance_run
+        with open(EXPECTED_REPORT, encoding="utf-8") as handle:
+            assert report.to_json() == handle.read()
 
     def test_cache_warm_rerun_is_byte_identical(self, conformance_run):
         report, cache_dir = conformance_run
@@ -192,3 +213,11 @@ class TestConformanceCLI:
         )
         assert code == 0
         assert "nothing to shrink" in capsys.readouterr().out
+
+
+if __name__ == "__main__":
+    record = ConformanceRunner(cache=None, **_RUNNER_KWARGS).run()
+    record.write(EXPECTED_REPORT)
+    print(
+        f"wrote {record.checked_total} checks to {os.path.relpath(EXPECTED_REPORT)}"
+    )

@@ -271,7 +271,6 @@ class TestRunnerCatchesMutantEndToEnd:
             deep_limit=1,
             scaling_probes=(),
             max_shrinks=1,
-            max_shrink_evals=24,
         )
         report = runner.run()
         assert not report.ok

@@ -20,6 +20,8 @@ carries the same fields, with each scenario dimension's canonical text.
 """
 
 import dataclasses
+import importlib
+import inspect
 import os
 import random
 
@@ -332,6 +334,24 @@ class TestCodeDependencyCoverage:
             offload_before
         )
         assert point_key("nmt", "tensorflow", 64) == plain_before
+
+    @pytest.mark.parametrize(
+        "dimension, module, function",
+        (
+            ("faults", "repro.faults.trainer", "faulted_metrics"),
+            ("schedule", "repro.schedule.integrator", "scheduled_metrics"),
+        ),
+    )
+    def test_each_dimension_fingerprints_its_point_code(
+        self, dimension, module, function
+    ):
+        # The code that turns a point of this dimension into metrics must be
+        # among the files its keys hash, or editing it leaves stale entries.
+        source = inspect.getsourcefile(
+            getattr(importlib.import_module(module), function)
+        )
+        code_fingerprint("repro.models.seq2seq", (dimension,))
+        assert os.path.abspath(source) in keys_module._FILE_DIGESTS
 
     @pytest.mark.parametrize("table", ("CORE_CODE", "DIMENSION_CODE"))
     def test_entry_naming_no_file_raises(self, monkeypatch, table):

@@ -25,6 +25,9 @@ from repro.engine import (
     write_grid_jsonl,
 )
 from repro.faults.spec import parse_fault_spec
+from repro.faults.trainer import FaultTolerantTrainer
+from repro.hardware.cluster import parse_configuration
+from repro.hardware.devices import QUADRO_P4000, TITAN_XP
 from repro.models.registry import get_model
 
 #: A reduced paper grid (fault-free) used for the no-perturbation check.
@@ -168,6 +171,34 @@ class TestFaultedGridDeterministic:
         for spec, point in zip(grid, faulted):
             reference = clean[(spec.model, spec.batch_size)]
             assert point.metrics.throughput < reference.metrics.throughput
+
+
+class TestFaultedPointsRunOnTheEngineDevices:
+    """A faulted point's cluster carries the engine's GPU and CPU, like
+    the cache key and the record that name them."""
+
+    SPEC = PointSpec("resnet-50", "mxnet", 16, "cluster=2M1G; steps=20; crash=1@10")
+
+    @staticmethod
+    def _by_hand(gpu):
+        scenario = parse_fault_spec(
+            TestFaultedPointsRunOnTheEngineDevices.SPEC.faults
+        )
+        trainer = FaultTolerantTrainer(
+            "resnet-50",
+            "mxnet",
+            parse_configuration("2M1G", gpu=gpu),
+            16,
+            plan=scenario.plan,
+        )
+        return trainer.iteration_metrics(trainer.run(steps=scenario.steps))
+
+    def test_each_gpu_gets_its_own_cluster_run(self):
+        (p4000,) = SweepEngine(cache=None).run_grid([self.SPEC])
+        (titan,) = SweepEngine(cache=None, gpu=TITAN_XP).run_grid([self.SPEC])
+        assert titan.metrics.throughput != p4000.metrics.throughput
+        assert titan.metrics == self._by_hand(TITAN_XP)
+        assert p4000.metrics == self._by_hand(QUADRO_P4000)
 
 
 class TestFaultValidation:

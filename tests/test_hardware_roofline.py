@@ -6,7 +6,6 @@ from repro.hardware.devices import QUADRO_P4000, TITAN_XP
 from repro.hardware.roofline import (
     RooflineModel,
     efficiency_gap,
-    estimate_max_batch_size,
     speed_of_light_time,
 )
 from repro.kernels.base import Kernel, KernelCategory
@@ -160,12 +159,3 @@ class TestHelpers:
         assert breakeven == pytest.approx(
             QUADRO_P4000.peak_fp32_flops / QUADRO_P4000.memory_bandwidth_bytes
         )
-
-    def test_estimate_max_batch_size(self):
-        per_sample = 100 * 1024**2
-        fixed = 1 * 1024**3
-        batch = estimate_max_batch_size(per_sample, fixed, QUADRO_P4000)
-        assert batch == (QUADRO_P4000.memory_bytes - fixed) // per_sample
-
-    def test_estimate_max_batch_size_no_room(self):
-        assert estimate_max_batch_size(1.0, QUADRO_P4000.memory_bytes + 1, QUADRO_P4000) == 0
