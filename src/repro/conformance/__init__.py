@@ -11,18 +11,34 @@ everything through the sweep engine and emits a machine-readable
 violation report (:mod:`~repro.conformance.runner`).
 """
 
-from repro.conformance.generator import FuzzCase, generate_cases, shrink
-from repro.conformance.invariants import (
-    Invariant,
-    PointEvidence,
-    ScalingEvidence,
-    SweepEvidence,
-    Violation,
-    get_invariant,
-    invariant_registry,
-)
-from repro.conformance.relations import Relation, get_relation, relation_registry
-from repro.conformance.runner import ConformanceReport, ConformanceRunner
+import importlib
+
+#: Names imported on first use (PEP 562): ``tbd`` builds its parser, the
+#: ``conformance`` subcommand included, without loading the harness.
+_LAZY = {
+    "FuzzCase": "repro.conformance.generator",
+    "generate_cases": "repro.conformance.generator",
+    "shrink": "repro.conformance.generator",
+    "Invariant": "repro.conformance.invariants",
+    "PointEvidence": "repro.conformance.invariants",
+    "ScalingEvidence": "repro.conformance.invariants",
+    "SweepEvidence": "repro.conformance.invariants",
+    "Violation": "repro.conformance.invariants",
+    "get_invariant": "repro.conformance.invariants",
+    "invariant_registry": "repro.conformance.invariants",
+    "Relation": "repro.conformance.relations",
+    "get_relation": "repro.conformance.relations",
+    "relation_registry": "repro.conformance.relations",
+    "ConformanceReport": "repro.conformance.runner",
+    "ConformanceRunner": "repro.conformance.runner",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_LAZY[name]), name)
+
 
 __all__ = [
     "ConformanceReport",

@@ -1,14 +1,12 @@
 """CLI surface of the conformance harness: ``tbd conformance run|list|shrink``.
 
 Kept next to the harness (mirroring :mod:`repro.engine.cli`) so flag
-semantics and runner construction live in one place.
+semantics and runner construction live in one place.  The harness itself
+loads only when a ``conformance`` command runs.
 """
 
 from __future__ import annotations
 
-from repro.conformance.invariants import invariant_registry
-from repro.conformance.relations import DEFAULT_GPU, relation_registry
-from repro.conformance.runner import ConformanceRunner
 from repro.engine.cache import ResultCache
 from repro.engine.cli import add_engine_arguments
 from repro.engine.executor import PointSpec
@@ -61,7 +59,9 @@ def register_conformance_command(subparsers) -> None:
     shrink_cmd.add_argument("batch", type=int)
     shrink_cmd.add_argument("--faults", default="", help="fault scenario text")
     shrink_cmd.add_argument(
-        "--gpu", default=DEFAULT_GPU, help=f"GPU registry key (default {DEFAULT_GPU})"
+        "--gpu",
+        default=None,
+        help="GPU registry key (default: the harness's default GPU)",
     )
     add_engine_arguments(shrink_cmd)
 
@@ -75,6 +75,8 @@ def _cache_from_args(args) -> ResultCache | None:
 
 
 def _cmd_run(args) -> int:
+    from repro.conformance.runner import ConformanceRunner
+
     runner = ConformanceRunner(
         seed=args.seed,
         budget=args.budget,
@@ -92,6 +94,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    from repro.conformance.invariants import invariant_registry
+    from repro.conformance.relations import relation_registry
+
     print("invariants:")
     for inv in invariant_registry():
         print(f"  {inv.name:<34} [{inv.scope}]")
@@ -104,21 +109,24 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_shrink(args) -> int:
+    from repro.conformance.generator import shrink
+    from repro.conformance.relations import DEFAULT_GPU
+    from repro.conformance.runner import ConformanceRunner
+
     runner = ConformanceRunner(
         jobs=1, cache=_cache_from_args(args), include_grid=False, budget=0
     )
     spec = PointSpec(args.model, args.framework, args.batch, args.faults)
-    if not runner.violates(args.check, spec, args.gpu):
+    gpu = args.gpu if args.gpu is not None else DEFAULT_GPU
+    if not runner.violates(args.check, spec, gpu):
         print(
             f"{args.check} holds for {args.model}/{args.framework} "
-            f"b{args.batch} on {args.gpu} — nothing to shrink"
+            f"b{args.batch} on {gpu} — nothing to shrink"
         )
         return 0
-    from repro.conformance.generator import shrink
-
     minimal, gpu, evals = shrink(
         spec,
-        args.gpu,
+        gpu,
         lambda s, g: runner.violates(args.check, s, g),
     )
     print(

@@ -81,15 +81,13 @@ class TBDSuite:
         """Create a training session on this suite's GPU."""
         return TrainingSession(model, framework, gpu=self.gpu)
 
-    def engine(self, jobs: int = 1, cache=None, check_memory: bool = True):
+    def engine(self, jobs: int = 1, cache=None):
         """A :class:`~repro.engine.executor.SweepEngine` bound to this
         suite's GPU — the execution path of :meth:`sweep` and the figure
         experiments, and the parallel/memoized one for :meth:`run`."""
         from repro.engine.executor import SweepEngine
 
-        return SweepEngine(
-            jobs=jobs, cache=cache, gpu=self.gpu, check_memory=check_memory
-        )
+        return SweepEngine(jobs=jobs, cache=cache, gpu=self.gpu)
 
     def run(
         self, model: str, framework: str, batch_size: int | None = None, engine=None

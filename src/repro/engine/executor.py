@@ -116,7 +116,6 @@ def _compute_payload(
     spec: PointSpec,
     gpu: GPUSpec,
     cpu: CPUSpec,
-    check_memory: bool,
     sessions: dict,
 ) -> dict:
     """Simulate one grid point and return its wire-format payload.
@@ -142,13 +141,7 @@ def _compute_payload(
             key = (spec.model, spec.framework)
             session = sessions.get(key)
             if session is None:
-                session = TrainingSession(
-                    spec.model,
-                    spec.framework,
-                    gpu=gpu,
-                    cpu=cpu,
-                    check_memory=check_memory,
-                )
+                session = TrainingSession(spec.model, spec.framework, gpu=gpu, cpu=cpu)
                 sessions[key] = session
             if scenario.schedule is None:
                 metrics = IterationMetrics.from_profile(
@@ -166,13 +159,12 @@ def _compute_payload(
     return point_to_payload(SweepPoint(batch_size=spec.batch_size, metrics=metrics))
 
 
-def _pool_worker(chunk, gpu: GPUSpec, cpu: CPUSpec, check_memory: bool) -> list:
+def _pool_worker(chunk, gpu: GPUSpec, cpu: CPUSpec) -> list:
     """Execute one ``[(grid_index, PointSpec), ...]`` chunk in a worker
     process; returns ``[(grid_index, payload), ...]``."""
     sessions: dict = {}
     return [
-        (index, _compute_payload(spec, gpu, cpu, check_memory, sessions))
-        for index, spec in chunk
+        (index, _compute_payload(spec, gpu, cpu, sessions)) for index, spec in chunk
     ]
 
 
@@ -189,11 +181,9 @@ class SweepEngine:
         jobs: worker processes; ``1`` executes inline (no pool).
         cache: a :class:`ResultCache`, a cache-directory path, or ``None``
             to disable memoization.
-        gpu / cpu: the device pair every point runs on.
-        check_memory: forwarded to :class:`TrainingSession`; when off,
-            nothing can OOM (and the cache key is unaffected — memory
-            checking changes *whether* a result exists, not its value,
-            so cached metrics stay valid either way).
+        gpu / cpu: the device pair every point runs on.  Every point is
+            memory-checked against ``gpu``: one that does not fit is an
+            OOM point.
     """
 
     def __init__(
@@ -202,7 +192,6 @@ class SweepEngine:
         cache=None,
         gpu: GPUSpec = QUADRO_P4000,
         cpu: CPUSpec = XEON_E5_2680,
-        check_memory: bool = True,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -210,7 +199,6 @@ class SweepEngine:
         self.cache = ResultCache(cache) if isinstance(cache, str) else cache
         self.gpu = gpu
         self.cpu = cpu
-        self.check_memory = check_memory
         self._stats = EngineStats()
 
     @property
@@ -332,13 +320,7 @@ class SweepEngine:
         results: list = []
         with executor:
             futures = {
-                executor.submit(
-                    _pool_worker,
-                    chunk,
-                    self.gpu,
-                    self.cpu,
-                    self.check_memory,
-                ): chunk
+                executor.submit(_pool_worker, chunk, self.gpu, self.cpu): chunk
                 for chunk in chunks
             }
             for future in concurrent.futures.as_completed(futures):
@@ -375,13 +357,7 @@ class SweepEngine:
                 results.append(
                     (
                         index,
-                        _compute_payload(
-                            spec,
-                            self.gpu,
-                            self.cpu,
-                            self.check_memory,
-                            sessions,
-                        ),
+                        _compute_payload(spec, self.gpu, self.cpu, sessions),
                     )
                 )
         self._count_computed(len(items), "inline")

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import repro.kernels.gemm as gemm_module
 from repro.frameworks.registry import MXNET, TENSORFLOW
 from repro.hardware.devices import TITAN_XP
+from repro.models.registry import shared_graph
 from repro.training.session import TrainingSession
 
 
@@ -97,6 +98,7 @@ def sweep_gemm_tile(factors=(0.5, 1.0, 2.0, 3.0)) -> SensitivityResult:
     try:
         for factor in factors:
             gemm_module._TILE_HALF_DIM = int(original * factor)
+            shared_graph.cache_clear()
             rnn = TrainingSession("sockeye", "mxnet").run_iteration(64).fp32_utilization
             cnn = TrainingSession("resnet-50", "mxnet").run_iteration(32).fp32_utilization
             holds = rnn < cnn
@@ -109,6 +111,7 @@ def sweep_gemm_tile(factors=(0.5, 1.0, 2.0, 3.0)) -> SensitivityResult:
             )
     finally:
         gemm_module._TILE_HALF_DIM = original
+        shared_graph.cache_clear()
     return SensitivityResult(
         constant="kernels.gemm._TILE_HALF_DIM (x factor)",
         finding="Obs. 7: RNN FP32 utilization below CNN",

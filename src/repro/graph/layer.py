@@ -80,6 +80,12 @@ class LayerGraph:
     host-side size of one mini-batch (drives the H2D copy and the data
     pipeline); ``extra_kernels`` carries loss and auxiliary kernels that
     belong to the iteration but to no single layer.
+
+    Once its builder returns, a graph is a shared, read-only value, as a
+    compiled plan is: sessions of every framework compile the one graph
+    :func:`~repro.models.registry.shared_graph` keeps per (model, batch).
+    :meth:`add` is for builders; a rewrite makes a new graph with
+    ``dataclasses.replace`` (see ``fuse_recurrent_layers``).
     """
 
     model_name: str

@@ -11,6 +11,8 @@ _GEMM_MAX_MEMORY_EFF = 0.85
 #: tiles are ~128x64; a GEMM whose output matrix is narrower than a tile
 #: leaves most of each SM's threads idle — the mechanism behind the low
 #: FP32 utilization of per-timestep RNN GEMMs (paper Observation 7).
+#: Read when a graph is built: whoever patches it clears
+#: :func:`repro.models.registry.shared_graph`.
 _TILE_HALF_DIM = 192
 
 

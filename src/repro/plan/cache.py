@@ -12,6 +12,11 @@ so hit/miss sequences (which show up as spans and counters) have to reset
 with the session that owns them.  Sessions are themselves reused across a
 sweep, the engine's worker payloads, and the analysis pipeline, which is
 where the dedup pays off.
+
+The graphs plans are compiled from are shared per *process* instead
+(:func:`~repro.models.registry.shared_graph`): a graph depends only on
+(model, batch), and builders emit no spans or counters, so sharing one
+across sessions and frameworks cannot change an export.
 """
 
 from __future__ import annotations

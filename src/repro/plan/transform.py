@@ -24,6 +24,7 @@ from repro.hardware.interconnect import PCIE_3_X16
 from repro.hardware.memory import AllocationTag
 from repro.kernels.gemm import gemm
 import repro.kernels.rnn as rnn_kernels
+from repro.models.registry import shared_graph
 from repro.models.resnet import build_resnet_with_depth
 from repro.observability.tracer import trace_span
 
@@ -287,7 +288,9 @@ class ResNetDepthTransform(PlanTransform):
 
     def rewrite(self, plan: CompiledPlan) -> CompiledPlan:
         return compiler.compile_graph(
-            build_resnet_with_depth(plan.graph.batch_size, self.conv4_blocks),
+            shared_graph(
+                build_resnet_with_depth, plan.graph.batch_size, self.conv4_blocks
+            ),
             plan.framework,
             plan.gpu,
         )

@@ -9,28 +9,35 @@ and engine threading that caches adaptive points content-addressed while
 keeping ``fixed`` byte-identical to the legacy grid.
 """
 
-from repro.schedule.accuracy import (
-    ScheduledPoint,
-    SegmentRun,
-    scheduled_time_to_accuracy,
-)
-from repro.schedule.integrator import (
-    ScheduleIntegration,
-    Segment,
-    build_segments,
-    integrate_schedule,
-)
-from repro.schedule.spec import (
-    BatchSchedule,
-    FixedSchedule,
-    GeometricSchedule,
-    GnsSchedule,
-    PlateauSchedule,
-    ScheduleSpecError,
-    canonical_schedule_spec,
-    parse_schedule_spec,
-    schedule_names,
-)
+import importlib
+
+#: Names imported on first use (PEP 562): ``tbd`` builds its parser, the
+#: ``schedule`` subcommand included, without loading the integrator.
+_LAZY = {
+    "ScheduledPoint": "repro.schedule.accuracy",
+    "SegmentRun": "repro.schedule.accuracy",
+    "scheduled_time_to_accuracy": "repro.schedule.accuracy",
+    "ScheduleIntegration": "repro.schedule.integrator",
+    "Segment": "repro.schedule.integrator",
+    "build_segments": "repro.schedule.integrator",
+    "integrate_schedule": "repro.schedule.integrator",
+    "BatchSchedule": "repro.schedule.spec",
+    "FixedSchedule": "repro.schedule.spec",
+    "GeometricSchedule": "repro.schedule.spec",
+    "GnsSchedule": "repro.schedule.spec",
+    "PlateauSchedule": "repro.schedule.spec",
+    "ScheduleSpecError": "repro.schedule.spec",
+    "canonical_schedule_spec": "repro.schedule.spec",
+    "parse_schedule_spec": "repro.schedule.spec",
+    "schedule_names": "repro.schedule.spec",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_LAZY[name]), name)
+
 
 __all__ = [
     "BatchSchedule",

@@ -35,7 +35,7 @@ from repro.frameworks.registry import get_framework
 from repro.hardware.devices import CPUSpec, GPUSpec, QUADRO_P4000, XEON_E5_2680
 from repro.hardware.memory import OutOfMemoryError
 from repro.hardware.roofline import RooflineModel
-from repro.models.registry import ModelSpec, get_model
+from repro.models.registry import ModelSpec, get_model, shared_graph
 from repro.observability.metrics import get_metrics
 from repro.observability.tracer import trace_span
 from repro.plan import compiler as plan_compiler
@@ -187,12 +187,13 @@ class TrainingSession:
         return plan
 
     def _build_plan(self, batch) -> CompiledPlan:
-        """Plan-cache factory: build the graph at ``batch`` and lower it
-        through the concrete compiler with the session's roofline (whose
-        per-kernel timing memo then serves every batch the session
-        compiles)."""
+        """Plan-cache factory: take the model's graph at ``batch`` from the
+        process-wide :func:`~repro.models.registry.shared_graph` memo (one
+        graph serves every framework) and lower it through the concrete
+        compiler with the session's roofline (whose per-kernel timing memo
+        then serves every batch the session compiles)."""
         return plan_compiler.compile_graph(
-            self.spec.build(batch),
+            shared_graph(self.spec.build, batch),
             self.framework,
             self.gpu,
             roofline=self._roofline,

@@ -230,22 +230,14 @@ class TestSessionReuse:
         sessions: dict = {}
         shared = [
             _compute_payload(
-                PointSpec("a3c", "mxnet", batch),
-                QUADRO_P4000,
-                XEON_E5_2680,
-                True,
-                sessions,
+                PointSpec("a3c", "mxnet", batch), QUADRO_P4000, XEON_E5_2680, sessions
             )
             for batch in (16, 32, 64)
         ]
         assert list(sessions) == [("a3c", "mxnet")]
         fresh = [
             _compute_payload(
-                PointSpec("a3c", "mxnet", batch),
-                QUADRO_P4000,
-                XEON_E5_2680,
-                True,
-                {},
+                PointSpec("a3c", "mxnet", batch), QUADRO_P4000, XEON_E5_2680, {}
             )
             for batch in (16, 32, 64)
         ]

@@ -118,10 +118,10 @@ class TestWorkerFailures:
         parent_pid = os.getpid()
         original = executor_module._compute_payload
 
-        def fails_in_workers(spec, gpu, cpu, check_memory, sessions):
+        def fails_in_workers(spec, gpu, cpu, sessions):
             if os.getpid() != parent_pid:
                 raise RuntimeError("injected worker fault")
-            return original(spec, gpu, cpu, check_memory, sessions)
+            return original(spec, gpu, cpu, sessions)
 
         monkeypatch.setattr(executor_module, "_compute_payload", fails_in_workers)
         engine = SweepEngine(jobs=2, cache=None)
@@ -149,10 +149,10 @@ class TestWorkerFailures:
         parent_pid = os.getpid()
         original = executor_module._compute_payload
 
-        def fails_in_workers(spec, gpu, cpu, check_memory, sessions):
+        def fails_in_workers(spec, gpu, cpu, sessions):
             if os.getpid() != parent_pid:
                 raise RuntimeError("injected worker fault")
-            return original(spec, gpu, cpu, check_memory, sessions)
+            return original(spec, gpu, cpu, sessions)
 
         monkeypatch.setattr(executor_module, "_compute_payload", fails_in_workers)
         engine = SweepEngine(jobs=2, cache=cache_root)
@@ -236,3 +236,21 @@ class TestOOMPointsRoundTrip:
         (point,) = p4000.sweep("resnet-50", "tensorflow", (64,))
         assert not point.oom and point.metrics is not None
         assert p4000.stats.cache_hits == 0
+
+
+
+class TestFaultedPointsCheckMemory:
+    """A faulted point's replicas are memory-checked like the plain point:
+    it is OOM exactly when the same (model, framework, batch) is."""
+
+    FAULTS = "cluster=2M1G; steps=10; crash=1@5"
+
+    @pytest.mark.parametrize("batch,oom", [(32, False), (128, True)])
+    def test_faulted_point_ooms_exactly_when_the_plain_point_does(self, batch, oom):
+        plain, faulted = SweepEngine(jobs=1, cache=None).run_grid(
+            [
+                PointSpec("resnet-50", "mxnet", batch),
+                PointSpec("resnet-50", "mxnet", batch, self.FAULTS),
+            ]
+        )
+        assert plain.oom is faulted.oom is oom

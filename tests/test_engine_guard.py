@@ -282,6 +282,29 @@ class TestOneCompilePerPoint:
         )
         assert _fresh_python(script, str(tmp_path / "cache")) == "[]"
 
+    def test_the_cli_parser_loads_no_command_internals(self):
+        """``tbd`` builds its parser without the conformance harness, the
+        autotuner or the schedule integrator: each loads when its command
+        runs."""
+        script = textwrap.dedent(
+            """
+            import sys
+            import repro.cli
+
+            repro.cli.build_parser()
+            deferred = {
+                f"repro.conformance.{name}"
+                for name in ("invariants", "relations", "generator", "runner")
+            }
+            deferred |= {"repro.tune.search", "repro.tune.store"}
+            deferred |= {
+                f"repro.schedule.{name}" for name in ("accuracy", "integrator", "spec")
+            }
+            print(sorted(deferred & set(sys.modules)))
+            """
+        )
+        assert _fresh_python(script) == "[]"
+
     def test_optimization_whatifs_reuse_the_session_plan(self, counted_builds):
         from repro.plan.pipeline import parse_transform_spec
 

@@ -15,6 +15,14 @@ lives only for the call.  None of this may be visible in any plan:
   scores, against the same stage applied to the fresh compile;
 - the memoized kernel stream and timings equal the kernel-by-kernel
   reference with no memo at all.
+
+Graphs are memoized too, per process: ``shared_graph`` keeps the five
+most recent, so the sessions of every framework at one paper-grid
+(model, batch) compile one graph object, a paper-grid sweep builds 40
+graphs for its 60 points, and a ``depth:N`` variant is built once for
+two frameworks.  Graphs are shared read-only values: after every
+candidate pipeline of the 12 panels has compiled, each memoized graph
+still equals a fresh build.
 """
 
 from __future__ import annotations
@@ -23,10 +31,12 @@ import pytest
 
 from repro.experiments.common import SWEEP_PANELS
 from repro.hardware.roofline import RooflineModel
+from repro.models.registry import get_model, shared_graph
+from repro.models.resnet import build_resnet_with_depth
 from repro.plan.compiler import compile_graph, iteration_stream
 from repro.plan.pipeline import parse_transform_spec
 from repro.training.session import TrainingSession
-from repro.tune.search import Autotuner
+from repro.tune.search import DEPTH_BLOCKS, Autotuner
 from tests.plans import exact, plan_difference
 
 PANEL_PAIRS = [(model, fw) for model, fws in SWEEP_PANELS for fw in fws]
@@ -133,3 +143,57 @@ def test_equal_kernels_share_one_timing_object():
     for kernel, timing in zip(plan.kernels, plan.timings):
         assert by_kernel.setdefault(kernel, timing) is timing
     assert len(by_kernel) < len(plan.kernels)
+
+
+def test_a_sweep_compiles_one_graph_per_model_and_batch():
+    """In sweep order, every framework of a (model, batch) compiles the one
+    graph the memo built for it."""
+    shared_graph.cache_clear()
+    graphs = {}
+    points = 0
+    for model, frameworks in SWEEP_PANELS:
+        for framework in frameworks:
+            session = TrainingSession(model, framework)
+            for batch in session.spec.batch_sizes:
+                graph = session.compile(batch).graph
+                assert graphs.setdefault((model, batch), graph) is graph, (
+                    f"{model}/{framework} b={batch} built its own graph"
+                )
+                points += 1
+    distinct = sum(len(get_model(model).batch_sizes) for model, _ in SWEEP_PANELS)
+    assert (points, distinct) == (60, 40)
+    assert shared_graph.cache_info().misses == distinct
+
+
+def test_a_depth_variant_is_built_once_for_two_frameworks():
+    shared_graph.cache_clear()
+    pipeline = parse_transform_spec("depth:23")
+    tf, mx = (
+        TrainingSession("resnet-50", framework).compile_transformed(32, pipeline)
+        for framework in ("tensorflow", "mxnet")
+    )
+    assert tf.graph is mx.graph
+    assert tf.graph == build_resnet_with_depth(32, 23)
+    # One ResNet-50 graph and one depth variant.
+    assert shared_graph.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("model,framework", PANEL_PAIRS)
+def test_candidate_pipelines_leave_the_shared_graphs_as_built(model, framework):
+    """The mutation guard: no transform writes into a graph it was given."""
+    shared_graph.cache_clear()
+    tuner = Autotuner(model, framework)
+    batch = tuner.batch_size
+    specs = tuner.candidate_specs()
+    for spec in specs:
+        tuner._session.compile_transformed(batch, parse_transform_spec(spec))
+    builds = [(tuner.spec.build, batch)] + [
+        (build_resnet_with_depth, batch, blocks)
+        for blocks in DEPTH_BLOCKS
+        if f"depth:{blocks}" in specs
+    ]
+    misses = shared_graph.cache_info().misses
+    assert misses == len(builds)
+    for build, *args in builds:
+        assert shared_graph(build, *args) == build(*args), (build, args)
+    assert shared_graph.cache_info().misses == misses, "a graph left the memo"

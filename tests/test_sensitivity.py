@@ -37,6 +37,16 @@ class TestSweeps:
         ]
         assert utilizations == sorted(utilizations, reverse=True)
 
+    def test_tile_effect_is_monotone(self):
+        """A wider SGEMM tile -> lower Sockeye FP32 utilization: every tile
+        factor builds its own graphs."""
+        result = sensitivity.sweep_gemm_tile()
+        utilizations = [
+            float(point.evidence.split("%")[0].split()[-1])
+            for point in result.points
+        ]
+        assert all(a > b for a, b in zip(utilizations, utilizations[1:])), utilizations
+
     def test_tile_sweep_restores_the_constant(self):
         before = gemm_module._TILE_HALF_DIM
         sensitivity.sweep_gemm_tile(factors=(0.5, 1.0))
