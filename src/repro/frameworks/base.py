@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from repro.kernels.base import Kernel, KernelCategory
+from repro.kernels.base import Kernel, KernelCategory, map_distinct
 
 
 class MomentumAllocation(enum.Enum):
@@ -105,23 +105,8 @@ class Framework:
     def specialize_kernels(self, kernels) -> list:
         """:meth:`specialize_kernel` over a kernel stream, once per
         distinct kernel value in the stream (the per-timestep kernels of a
-        recurrent layer repeat).  Each kernel is looked up by identity
-        first, then by value: a recurrent layer repeats one object per
-        launch, so most lookups skip hashing the frozen dataclass.  The
-        identity map lives only for this call, while ``kernels`` keeps its
-        ids alive.  Kernels must be hashable (concrete); specialize
-        symbolic ones one by one with :meth:`specialize_kernel`."""
-        if not isinstance(kernels, (list, tuple)):
-            kernels = list(kernels)  # the id map needs every kernel alive
-        by_id: dict = {}
-        memo: dict = {}
-        specialized = []
-        for kernel in kernels:
-            out = by_id.get(id(kernel))
-            if out is None:
-                out = memo.get(kernel)
-                if out is None:
-                    out = memo[kernel] = self.specialize_kernel(kernel)
-                by_id[id(kernel)] = out
-            specialized.append(out)
-        return specialized
+        recurrent layer repeat; :func:`~repro.kernels.base.map_distinct`
+        with a per-call memo).  Kernels must be hashable (concrete);
+        specialize symbolic ones one by one with
+        :meth:`specialize_kernel`."""
+        return map_distinct(kernels, {}, self.specialize_kernel)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.devices import GPUSpec
-from repro.kernels.base import Kernel
+from repro.kernels.base import Kernel, map_distinct
 
 
 @dataclass(frozen=True)
@@ -110,27 +110,11 @@ class RooflineModel:
 
     def time_kernels(self, kernels) -> list:
         """Time a sequence of kernels, each distinct kernel value once per
-        model instance: equal kernels get the same :class:`KernelTiming`.
-        Each kernel is looked up by identity first, then in the value-keyed
-        ``_timings`` memo: a recurrent layer repeats one object per launch,
-        so most lookups skip hashing the frozen dataclass.  The identity
-        map lives only for this call, while ``kernels`` keeps its ids
-        alive.  Kernels must be hashable (concrete); time symbolic ones
-        one by one with :meth:`time_kernel`."""
-        if not isinstance(kernels, (list, tuple)):
-            kernels = list(kernels)  # the id map needs every kernel alive
-        memo = self._timings
-        by_id: dict = {}
-        timings = []
-        for kernel in kernels:
-            timing = by_id.get(id(kernel))
-            if timing is None:
-                timing = memo.get(kernel)
-                if timing is None:
-                    timing = memo[kernel] = self.time_kernel(kernel)
-                by_id[id(kernel)] = timing
-            timings.append(timing)
-        return timings
+        model instance (:func:`~repro.kernels.base.map_distinct` over the
+        ``_timings`` memo): equal kernels get the same
+        :class:`KernelTiming`.  Kernels must be hashable (concrete); time
+        symbolic ones one by one with :meth:`time_kernel`."""
+        return map_distinct(kernels, self._timings, self.time_kernel)
 
     def arithmetic_intensity_breakeven(self) -> float:
         """FLOP/byte ratio above which kernels are compute bound on this

@@ -91,3 +91,28 @@ class Kernel:
 def fp32_bytes(elements: float) -> float:
     """DRAM bytes for ``elements`` FP32 values."""
     return elements * _FP32_BYTES
+
+
+def map_distinct(kernels, memo: dict, function) -> list:
+    """``[function(kernel) for kernel in kernels]``, calling ``function``
+    once per distinct kernel value.
+
+    Each kernel is looked up by identity first, then in the value-keyed
+    ``memo`` (filled here; a caller may keep it across calls): a recurrent
+    layer repeats one object per launch, so most lookups skip hashing the
+    frozen dataclass.  The identity map lives only for this call, while
+    ``kernels`` keeps its ids alive.  Kernels must be hashable (concrete).
+    """
+    if not isinstance(kernels, (list, tuple)):
+        kernels = list(kernels)  # the id map needs every kernel alive
+    by_id: dict = {}
+    results = []
+    for kernel in kernels:
+        result = by_id.get(id(kernel))
+        if result is None:
+            result = memo.get(kernel)
+            if result is None:
+                result = memo[kernel] = function(kernel)
+            by_id[id(kernel)] = result
+        results.append(result)
+    return results

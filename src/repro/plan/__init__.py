@@ -13,10 +13,16 @@ an XLA-style compile-then-execute split:
 - :mod:`repro.plan.cache` memoizes plans so each ``(model, framework,
   batch, gpu)`` point compiles exactly once per session;
 - :mod:`repro.plan.transform` expresses the optimization what-ifs as
-  plan -> plan rewrites with checked conservation contracts;
-- :mod:`repro.plan.pipeline` composes those rewrites behind the
-  ``--transforms`` mini-language (``fused_rnn+fp16+offload:0.5``) with
-  canonical normalized ordering and composition-wide contract checks;
+  plan -> plan rewrites with conservation contracts, all checked by one
+  function (:func:`~repro.plan.transform.enforce_contracts`); each
+  physical effect has one model (offload's allocation trace is the
+  compiler's :func:`~repro.plan.compiler.record_allocations` with an
+  offload fraction);
+- :mod:`repro.plan.pipeline` parses the ``--transforms`` mini-language
+  (``fused_rnn+fp16+offload:0.5``) into canonically ordered pipelines,
+  which apply only through
+  :meth:`~repro.training.session.TrainingSession.compile_transformed`
+  (per-prefix memo, then the composition-wide contract check);
 - :mod:`repro.plan.symbolic` (with :mod:`repro.plan.symexpr`) compiles
   once per (model, framework, GPU) with a symbolic batch and specializes
   per batch.  No module in this package or elsewhere under ``repro``
@@ -28,12 +34,7 @@ an XLA-style compile-then-execute split:
 
 from repro.plan.cache import PlanCache, PlanCacheStats
 from repro.plan.compiled import AllocationRecord, CompiledPlan
-from repro.plan.compiler import (
-    compile_graph,
-    lower_kernels,
-    record_allocations,
-    reduced_offload_allocations,
-)
+from repro.plan.compiler import compile_graph, lower_kernels, record_allocations
 from repro.plan.executor import ExecutionReplay, replay
 from repro.plan.pipeline import (
     PipelineStage,
@@ -74,7 +75,6 @@ __all__ = [
     "lower_kernels",
     "parse_transform_spec",
     "record_allocations",
-    "reduced_offload_allocations",
     "replay",
     "transform_catalog",
 ]

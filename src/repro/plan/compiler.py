@@ -75,13 +75,25 @@ def _backward_spans(graph: LayerGraph) -> tuple:
     return tuple(spans)
 
 
-def record_allocations(graph: LayerGraph, framework: Framework) -> list:
+def record_allocations(
+    graph: LayerGraph, framework: Framework, offload_fraction: float | None = None
+) -> list:
     """One training setup + iteration's allocation trace, in framework
     order: per-layer weights/gradients/maps/workspace, input staging, then
     optimizer state (statically with the weights for TF/CNTK, lazily for
-    MXNet — the paper's "dynamic" class)."""
+    MXNet — the paper's "dynamic" class).
+
+    With an ``offload_fraction`` ``f`` this is the vDNN-style reduced
+    trace of :class:`~repro.plan.transform.FeatureMapOffloadTransform`,
+    the base trace with three differences: each stash is scaled by
+    ``1 - f`` (that share lives in host memory), there is no
+    input-staging record (staging spills to the host too), and optimizer
+    state is always dynamic (allocated lazily alongside the prefetches)."""
     gradient_map_factor, staging_buffers = _memory_model_constants()
     fm_factor = (1.0 + gradient_map_factor) * graph.feature_map_overallocation
+    offloaded = offload_fraction is not None
+    if offloaded:
+        fm_factor *= 1.0 - offload_fraction
     records = []
     for layer in graph.layers:
         if layer.weight_bytes:
@@ -109,7 +121,7 @@ def record_allocations(graph: LayerGraph, framework: Framework) -> list:
                     layer.name,
                 )
             )
-    if graph.input_bytes:
+    if graph.input_bytes and not offloaded:
         records.append(
             AllocationRecord(
                 graph.input_bytes * staging_buffers,
@@ -118,7 +130,7 @@ def record_allocations(graph: LayerGraph, framework: Framework) -> list:
             )
         )
     momentum_bytes = graph.total_weight_bytes
-    if framework.momentum_allocation is MomentumAllocation.DYNAMIC:
+    if offloaded or framework.momentum_allocation is MomentumAllocation.DYNAMIC:
         records.append(
             AllocationRecord(momentum_bytes, AllocationTag.DYNAMIC, "momentum")
         )
@@ -126,43 +138,6 @@ def record_allocations(graph: LayerGraph, framework: Framework) -> list:
         records.append(
             AllocationRecord(momentum_bytes, AllocationTag.WEIGHTS, "momentum")
         )
-    return records
-
-
-def reduced_offload_allocations(
-    graph: LayerGraph, framework: Framework, offload_fraction: float
-) -> list:
-    """The vDNN-style reduced allocation trace: the offloaded stash
-    fraction lives in host memory, input staging is spilled too, and
-    optimizer state is allocated lazily (dynamic) alongside the
-    prefetches."""
-    gradient_map_factor, _staging = _memory_model_constants()
-    fm_factor = (
-        (1.0 + gradient_map_factor)
-        * graph.feature_map_overallocation
-        * (1.0 - offload_fraction)
-    )
-    records = []
-    for layer in graph.layers:
-        if layer.weight_bytes:
-            records.append(AllocationRecord(layer.weight_bytes, AllocationTag.WEIGHTS))
-            records.append(
-                AllocationRecord(layer.weight_bytes, AllocationTag.WEIGHT_GRADIENTS)
-            )
-        if layer.stash_bytes:
-            records.append(
-                AllocationRecord(
-                    layer.stash_bytes * fm_factor, AllocationTag.FEATURE_MAPS
-                )
-            )
-        if layer.workspace_bytes:
-            records.append(
-                AllocationRecord(
-                    layer.workspace_bytes * framework.workspace_factor,
-                    AllocationTag.WORKSPACE,
-                )
-            )
-    records.append(AllocationRecord(graph.total_weight_bytes, AllocationTag.DYNAMIC))
     return records
 
 

@@ -27,19 +27,21 @@ run first, then ``offload``, then ``fp16``, and two specs that differ
 only in token order share one canonical text — and therefore one cache
 key and one memoized plan.
 
-``apply`` enforces contracts twice: every stage's own
-FLOP/weight-conservation declaration (via
+A pipeline is applied in one place,
+:meth:`~repro.training.session.TrainingSession.compile_transformed`,
+which memoizes every prefix's plan and checks contracts twice: each
+stage's own FLOP/weight-conservation declaration (inside
 :meth:`~repro.plan.transform.PlanTransform.apply`), and the same
-declarations over the *whole composition* — a stage that lies about what
-it preserved cannot hide behind a later stage's rewrite.
+declarations over the *whole composition*
+(:meth:`TransformPipeline.check_composition`) — a stage that lies about
+what it preserved cannot hide behind a later stage's rewrite.  Both
+checks are :func:`~repro.plan.transform.enforce_contracts`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.observability.tracer import trace_span
 from repro.plan.compiled import CompiledPlan
 from repro.plan.transform import (
     FeatureMapOffloadTransform,
@@ -48,7 +50,7 @@ from repro.plan.transform import (
     PlanTransform,
     ResNetDepthTransform,
     TransformArgumentError,
-    TransformContractError,
+    enforce_contracts,
 )
 
 
@@ -167,11 +169,6 @@ _ALIASES = {
     "feature_map_offload": "offload",
 }
 
-#: Rank assigned to transforms outside the registry (test doubles, ad-hoc
-#: rewrites composed via :meth:`TransformPipeline.from_transforms`); they
-#: keep their given order after every registered stage.
-_UNREGISTERED_RANK = 1000
-
 
 @dataclass(frozen=True)
 class PipelineStage:
@@ -179,7 +176,6 @@ class PipelineStage:
     spec token and sort rank."""
 
     rank: int
-    order: int  # tie-break: original position, keeps unregistered stages stable
     token: str
     transform: PlanTransform
 
@@ -198,27 +194,8 @@ class TransformPipeline:
 
     def __init__(self, stages=()):
         self._stages = tuple(
-            sorted(stages, key=lambda stage: (stage.rank, stage.token, stage.order))
+            sorted(stages, key=lambda stage: (stage.rank, stage.token))
         )
-
-    @classmethod
-    def from_transforms(cls, transforms) -> "TransformPipeline":
-        """Wrap already-constructed transforms (including ones outside the
-        registry) into a normalized pipeline."""
-        stages = []
-        for order, transform in enumerate(transforms):
-            name = str(transform.name).lower().replace("-", "_")
-            entry = _REGISTRY.get(_ALIASES.get(name, name))
-            rank = entry.rank if entry is not None else _UNREGISTERED_RANK
-            stages.append(
-                PipelineStage(
-                    rank=rank,
-                    order=order,
-                    token=str(transform.name),
-                    transform=transform,
-                )
-            )
-        return cls(stages)
 
     # ------------------------------------------------------------------
     # identity
@@ -275,51 +252,7 @@ class TransformPipeline:
         fudges its own check still cannot smuggle work in or out of a
         pipeline that declares conservation.
         """
-        if self.preserves_flops and not math.isclose(
-            result.total_flops, source.total_flops, rel_tol=self.flops_rel_tol
-        ):
-            raise TransformContractError(
-                f"pipeline {self.canonical!r} declares FLOP preservation but "
-                f"moved total FLOPs from {source.total_flops:.6e} to "
-                f"{result.total_flops:.6e}"
-            )
-        if (
-            self.preserves_weight_bytes
-            and result.graph.total_weight_bytes != source.graph.total_weight_bytes
-        ):
-            raise TransformContractError(
-                f"pipeline {self.canonical!r} declares weight-byte "
-                f"preservation but moved total weight bytes from "
-                f"{source.graph.total_weight_bytes} to "
-                f"{result.graph.total_weight_bytes}"
-            )
-
-    # ------------------------------------------------------------------
-    # application
-    # ------------------------------------------------------------------
-
-    def apply(self, plan: CompiledPlan) -> CompiledPlan:
-        """Apply every stage in canonical order and verify both the
-        per-stage and the composition-wide conservation contracts."""
-        if not self._stages:
-            return plan
-        span = trace_span(
-            "plan.pipeline",
-            pipeline=self.canonical,
-            model=plan.graph.model_name,
-            batch_size=plan.graph.batch_size,
-            stages=len(self._stages),
-        )
-        with span:
-            result = plan
-            for stage in self._stages:
-                result = stage.transform.apply(result)
-            self.check_composition(plan, result)
-            span.set_attributes(
-                kernels_before=len(plan.kernels),
-                kernels_after=len(result.kernels),
-            )
-        return result
+        enforce_contracts(f"pipeline {self.canonical!r}", self, source, result)
 
     def describe(self) -> str:
         """One human line per stage, in application order."""
@@ -355,7 +288,7 @@ def parse_transform_spec(text: str) -> TransformPipeline:
         return TransformPipeline()
     stages = []
     seen = set()
-    for order, raw_token in enumerate(text.split("+")):
+    for raw_token in text.split("+"):
         token = raw_token.strip()
         if not token:
             raise TransformSpecError(f"empty transform token in {text!r}")
@@ -382,10 +315,7 @@ def parse_transform_spec(text: str) -> TransformPipeline:
         transform, canonical_token = entry.build(raw_arg)
         stages.append(
             PipelineStage(
-                rank=entry.rank,
-                order=order,
-                token=canonical_token,
-                transform=transform,
+                rank=entry.rank, token=canonical_token, transform=transform
             )
         )
     return TransformPipeline(stages)

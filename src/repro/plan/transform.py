@@ -41,6 +41,36 @@ class TransformArgumentError(ValueError):
     """A transform was constructed with an out-of-domain argument."""
 
 
+def enforce_contracts(
+    label: str, declared, source: CompiledPlan, result: CompiledPlan
+) -> None:
+    """Raise :class:`TransformContractError` when the rewrite ``source``
+    -> ``result`` breaks a conservation contract ``declared`` (its
+    ``preserves_flops``, ``preserves_weight_bytes`` and ``flops_rel_tol``).
+
+    The one checker: :meth:`PlanTransform.apply` calls it with the stage
+    itself, and
+    :meth:`~repro.plan.pipeline.TransformPipeline.check_composition` with
+    the whole pipeline (``label`` names which, in the error text).
+    """
+    if declared.preserves_flops and not math.isclose(
+        result.total_flops, source.total_flops, rel_tol=declared.flops_rel_tol
+    ):
+        raise TransformContractError(
+            f"{label} declares FLOP preservation but moved total "
+            f"FLOPs from {source.total_flops:.6e} to {result.total_flops:.6e}"
+        )
+    if (
+        declared.preserves_weight_bytes
+        and result.graph.total_weight_bytes != source.graph.total_weight_bytes
+    ):
+        raise TransformContractError(
+            f"{label} declares weight-byte preservation but moved "
+            f"total weight bytes from {source.graph.total_weight_bytes} "
+            f"to {result.graph.total_weight_bytes}"
+        )
+
+
 class PlanTransform:
     """Base class: ``apply`` wraps the subclass rewrite with tracing and
     the declared conservation checks."""
@@ -63,7 +93,7 @@ class PlanTransform:
         )
         with span:
             result = self.rewrite(plan)
-            self._enforce_contracts(plan, result)
+            enforce_contracts(self.name, self, plan, result)
             span.set_attributes(
                 kernels_before=len(plan.kernels),
                 kernels_after=len(result.kernels),
@@ -72,24 +102,6 @@ class PlanTransform:
 
     def rewrite(self, plan: CompiledPlan) -> CompiledPlan:
         raise NotImplementedError
-
-    def _enforce_contracts(self, source: CompiledPlan, result: CompiledPlan) -> None:
-        if self.preserves_flops and not math.isclose(
-            result.total_flops, source.total_flops, rel_tol=self.flops_rel_tol
-        ):
-            raise TransformContractError(
-                f"{self.name} declares FLOP preservation but moved total "
-                f"FLOPs from {source.total_flops:.6e} to {result.total_flops:.6e}"
-            )
-        if (
-            self.preserves_weight_bytes
-            and result.graph.total_weight_bytes != source.graph.total_weight_bytes
-        ):
-            raise TransformContractError(
-                f"{self.name} declares weight-byte preservation but moved "
-                f"total weight bytes from {source.graph.total_weight_bytes} "
-                f"to {result.graph.total_weight_bytes}"
-            )
 
 
 #: Layer kinds the fused-RNN rewrite acts on.
@@ -221,8 +233,9 @@ class HalfPrecisionStorageTransform(PlanTransform):
 
 class FeatureMapOffloadTransform(PlanTransform):
     """vDNN-style offload of a stash fraction to host memory (Rhu et al.,
-    MICRO'16).  The allocation trace is replaced by the reduced replay
-    (offloaded maps gone, staging spilled, optimizer state dynamic), and
+    MICRO'16).  The allocation trace is the base trace recorded with the
+    offload fraction (offloaded maps gone, staging spilled, optimizer
+    state dynamic; see :func:`~repro.plan.compiler.record_allocations`), and
     the offloaded maps cross the host link twice per iteration (out after
     the forward pass, back before the backward pass).  Kernels and their
     timings are untouched; the part of that traffic compute does not hide
@@ -256,7 +269,7 @@ class FeatureMapOffloadTransform(PlanTransform):
 
     def rewrite(self, plan: CompiledPlan) -> CompiledPlan:
         return plan.with_allocations(
-            compiler.reduced_offload_allocations(
+            compiler.record_allocations(
                 plan.graph, plan.framework, self.offload_fraction
             ),
             execution=with_offload_stall(

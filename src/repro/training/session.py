@@ -33,7 +33,6 @@ from repro.data.registry import get_dataset
 from repro.frameworks.base import Framework
 from repro.frameworks.registry import get_framework
 from repro.hardware.devices import CPUSpec, GPUSpec, QUADRO_P4000, XEON_E5_2680
-from repro.hardware.memory import OutOfMemoryError
 from repro.hardware.roofline import RooflineModel
 from repro.models.registry import ModelSpec, get_model, shared_graph
 from repro.observability.metrics import get_metrics
@@ -155,16 +154,19 @@ class TrainingSession:
 
     def compile_transformed(self, batch_size: int | None, pipeline) -> CompiledPlan:
         """The session's compiled plan for one batch size under a
-        :class:`~repro.plan.pipeline.TransformPipeline`.
+        :class:`~repro.plan.pipeline.TransformPipeline` — the one path by
+        which a pipeline is applied; the empty pipeline returns
+        :meth:`compile`'s plan itself.
 
-        Stages apply incrementally in the pipeline's canonical order, and
-        every *prefix* of the pipeline memoizes its plan in the session's
+        Stages apply incrementally in the pipeline's canonical order
+        (each through :meth:`~repro.plan.transform.PlanTransform.apply`,
+        which checks the stage's own contracts), and every *prefix* of the
+        pipeline memoizes its plan in the session's
         :class:`~repro.plan.cache.PlanCache` — so candidate pipelines that
         share a prefix (the autotuner enumerates many) share the expensive
-        graph-rewrite recompiles and the base plan.  Bit-identical to
-        ``pipeline.apply(self.compile(batch))`` (same stage sequence), and
-        the pipeline's composition-wide contracts are enforced on the
-        final plan either way."""
+        graph-rewrite recompiles and the base plan.  The pipeline's
+        composition-wide contracts are then checked against the base plan
+        on every call, memo hit or not."""
         base = self.compile(batch_size)
         if not pipeline:
             return base
@@ -353,9 +355,11 @@ class TrainingSession:
         :class:`~repro.plan.pipeline.TransformPipeline` when one is given
         (FP16 storage or offload stretch the batch axis).
 
-        The default path bisects the sorted candidates with
-        :meth:`profile_memory`: memory footprints are nondecreasing in
-        batch (a registered conformance invariant), so at most
+        A candidate fits when its :meth:`compile_transformed` plan does
+        (:meth:`~repro.plan.compiled.CompiledPlan.fits`, one comparison,
+        for every pipeline, the empty one included).  The default path
+        bisects the sorted candidates: memory footprints are nondecreasing
+        in batch (a registered conformance invariant), so at most
         ``ceil(log2 n) + 1`` candidates compile, and their plans stay in
         the session's plan cache for later consumers.  ``search=True``
         probes every candidate in order until the first OOM instead —
@@ -379,11 +383,4 @@ class TrainingSession:
         return sizes[lo] if lo >= 0 else 0
 
     def _fits(self, batch, pipeline) -> bool:
-        if pipeline:
-            plan = self.compile_transformed(batch, pipeline)
-            return plan.fits(self.gpu.memory_bytes)
-        try:
-            self.profile_memory(batch)
-        except OutOfMemoryError:
-            return False
-        return True
+        return self.compile_transformed(batch, pipeline).fits(self.gpu.memory_bytes)

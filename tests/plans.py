@@ -124,3 +124,13 @@ def _first_difference(a, b, path):
     if a != b:
         return f"{path}: {a!r} != {b!r}"
     return None
+
+
+def fold_stages(pipeline, plan: CompiledPlan) -> CompiledPlan:
+    """``plan`` rewritten by each of ``pipeline``'s stages in canonical
+    order through :meth:`~repro.plan.transform.PlanTransform.apply` alone,
+    with no plan memo: the reference that
+    ``TrainingSession.compile_transformed`` must equal bit for bit."""
+    for stage in pipeline:
+        plan = stage.transform.apply(plan)
+    return plan

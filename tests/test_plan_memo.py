@@ -37,7 +37,7 @@ from repro.plan.compiler import compile_graph, iteration_stream
 from repro.plan.pipeline import parse_transform_spec
 from repro.training.session import TrainingSession
 from repro.tune.search import DEPTH_BLOCKS, Autotuner
-from tests.plans import exact, plan_difference
+from tests.plans import exact, fold_stages, plan_difference
 
 PANEL_PAIRS = [(model, fw) for model, fws in SWEEP_PANELS for fw in fws]
 
@@ -104,7 +104,7 @@ def test_tune_plans_equal_fresh_compiles(model, framework):
             continue  # multi-stage pipelines reuse these stages' plans
         pipeline = parse_transform_spec(spec)
         difference = plan_difference(
-            session.compile_transformed(batch, pipeline), pipeline.apply(fresh)
+            session.compile_transformed(batch, pipeline), fold_stages(pipeline, fresh)
         )
         assert difference is None, f"{model}/{framework} {spec}: {difference}"
 

@@ -2,12 +2,16 @@
 contracts (total FLOPs, total weight bytes) and ``apply`` enforces them."""
 
 import copy
+import json
+import os
+import re
 
 import pytest
 
-from repro.hardware.memory import AllocationTag
+from repro.hardware.memory import AllocationTag, OutOfMemoryError
 from repro.observability.runner import telemetry
 from repro.plan import compiler
+from repro.plan.pipeline import parse_transform_spec
 from repro.plan.transform import (
     FeatureMapOffloadTransform,
     FusedRNNTransform,
@@ -17,6 +21,14 @@ from repro.plan.transform import (
     TransformContractError,
 )
 from repro.training.session import TrainingSession
+from tests.plans import exact
+
+#: ``(tag, exact bytes)`` of every record of two offload traces, in order:
+#: offload's trace is the base trace recorded with an offload fraction, and
+#: these pin its byte counts (float association included) to the bit.
+_OFFLOAD_TRACES = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "expected", "offload_traces.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +104,53 @@ class TestFeatureMapOffload:
         assert offloaded.kernels is resnet_plan.kernels
         assert offloaded.timings is resnet_plan.timings
         assert offloaded.makespan_s > resnet_plan.makespan_s
+
+    @pytest.mark.parametrize(
+        "point", ["resnet-50/mxnet/b16/offload:0.5", "nmt/tensorflow/b64/offload:0"]
+    )
+    def test_trace_is_pinned_byte_for_byte(self, point):
+        with open(_OFFLOAD_TRACES, encoding="utf-8") as handle:
+            expected = json.load(handle)[point]
+        model, framework, batch, spec = point.split("/")
+        plan = TrainingSession(model, framework).compile_transformed(
+            int(batch[1:]), parse_transform_spec(spec)
+        )
+        trace = [
+            [record.tag.value, exact(record.num_bytes)] for record in plan.allocations
+        ]
+        assert trace == expected
+
+    def test_trace_is_the_base_trace_with_three_differences(self):
+        # TensorFlow allocates momentum statically, so all three show.
+        plan = TrainingSession("resnet-50", "tensorflow").compile(16)
+        fraction = 0.25
+        offloaded = FeatureMapOffloadTransform(fraction).apply(plan)
+        base = [r for r in plan.allocations if r.label != "input staging"]
+        assert len(base) == len(plan.allocations) - 1
+        assert len(offloaded.allocations) == len(base)
+        for before, after in zip(base, offloaded.allocations):
+            assert after.label == before.label
+            if before.label == "momentum":
+                assert before.tag is AllocationTag.WEIGHTS
+                assert after.tag is AllocationTag.DYNAMIC
+                assert after.num_bytes == before.num_bytes
+            elif before.tag is AllocationTag.FEATURE_MAPS:
+                assert after.tag is before.tag
+                assert after.num_bytes == pytest.approx(
+                    before.num_bytes * (1.0 - fraction), rel=1e-12
+                )
+            else:
+                assert after == before
+
+    def test_oom_names_the_layer(self):
+        session = TrainingSession("resnet-50", "mxnet")
+        pipeline = parse_transform_spec("offload:0.5")
+        layers = {layer.name for layer in session.compile(256).graph.layers}
+        with pytest.raises(OutOfMemoryError) as raised:
+            session.run_iteration(256, pipeline)
+        named = re.search(r"\(feature maps: ([^)]+)\) exceeds", str(raised.value))
+        assert named is not None, str(raised.value)
+        assert named.group(1) in layers
 
 
 class TestResNetDepth:

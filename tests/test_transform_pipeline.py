@@ -7,9 +7,11 @@ transforms:
   loud :class:`TransformSpecError` messages for every malformed shape;
 - normalization: token order never matters — every permutation of a spec
   shares one canonical spelling (the cache dimension) and one result;
-- contracts: a transform that violates its declared FLOP conservation is
-  caught per-stage, and a stage that *skips its own check* is still
-  caught by the composition-wide check in ``TransformPipeline.apply``.
+- contracts: on the one application path,
+  ``TrainingSession.compile_transformed``, a transform that violates its
+  declared FLOP conservation is caught per-stage, and a stage that *skips
+  its own check* is still caught by the composition-wide check
+  (``TransformPipeline.check_composition``).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import random
 import pytest
 
 from repro.plan import (
+    PipelineStage,
     TransformArgumentError,
     TransformContractError,
     TransformPipeline,
@@ -34,7 +37,7 @@ from repro.plan.transform import (
     ResNetDepthTransform,
 )
 from repro.training.session import TrainingSession
-from tests.plans import plan_difference
+from tests.plans import fold_stages, plan_difference
 
 SEED = 20180923
 
@@ -164,9 +167,11 @@ class TestNormalization:
     def test_permuted_specs_produce_bit_identical_plans(self):
         session = TrainingSession("nmt", "tensorflow")
         base = session.compile(64)
-        reference = parse_transform_spec("fused_rnn+offload:0.5+fp16").apply(base)
-        permuted = parse_transform_spec("fp16+offload:0.5+fused_rnn").apply(base)
-        assert plan_difference(reference, permuted) is None
+        reference = parse_transform_spec("fused_rnn+offload:0.5+fp16")
+        permuted = parse_transform_spec("fp16+offload:0.5+fused_rnn")
+        assert plan_difference(
+            fold_stages(reference, base), fold_stages(permuted, base)
+        ) is None
 
     def test_describe_lists_stages_in_application_order(self):
         text = parse_transform_spec("fp16+fused_rnn").describe()
@@ -199,43 +204,53 @@ class _CheatingTransform(_LeakyTransform):
         return self.rewrite(plan)
 
 
+def _pipeline(*transforms) -> TransformPipeline:
+    """A pipeline of ``transforms`` ranked after every registered stage,
+    applied in the order given."""
+    return TransformPipeline(
+        [
+            PipelineStage(100 + position, transform.name, transform)
+            for position, transform in enumerate(transforms)
+        ]
+    )
+
+
 class TestContracts:
+    """Contracts on the one path a pipeline applies through:
+    ``TrainingSession.compile_transformed``."""
+
     @pytest.fixture(scope="class")
-    def plan(self):
-        return TrainingSession("resnet-50", "mxnet").compile(16)
+    def session(self):
+        return TrainingSession("resnet-50", "mxnet")
 
-    def test_flop_violation_is_caught_per_stage(self, plan):
-        pipeline = TransformPipeline.from_transforms([_LeakyTransform()])
-        with pytest.raises(TransformContractError, match="leaky"):
-            pipeline.apply(plan)
+    def test_flop_violation_is_caught_per_stage(self, session):
+        with pytest.raises(TransformContractError, match="^leaky declares FLOP"):
+            session.compile_transformed(16, _pipeline(_LeakyTransform()))
 
-    def test_flop_violation_is_caught_composition_wide(self, plan):
+    def test_flop_violation_is_caught_composition_wide(self, session):
         # The stage's own check is bypassed; the pipeline still refuses.
-        pipeline = TransformPipeline.from_transforms([_CheatingTransform()])
+        with pytest.raises(
+            TransformContractError, match="^pipeline 'cheating' declares FLOP"
+        ):
+            session.compile_transformed(16, _pipeline(_CheatingTransform()))
+
+    def test_cheating_stage_cannot_hide_behind_honest_stages(self, session):
+        fp16 = parse_transform_spec("fp16").stages[0]
+        pipeline = TransformPipeline([fp16, *_pipeline(_CheatingTransform())])
+        assert pipeline.canonical == "fp16+cheating"
         with pytest.raises(TransformContractError, match="declares FLOP"):
-            pipeline.apply(plan)
-
-    def test_cheating_stage_cannot_hide_behind_honest_stages(self, plan):
-        pipeline = TransformPipeline.from_transforms(
-            [parse_transform_spec("fp16").transforms[0], _CheatingTransform()]
-        )
+            session.compile_transformed(16, pipeline)
+        # The check runs on every call, not only on the one that compiled.
         with pytest.raises(TransformContractError, match="declares FLOP"):
-            pipeline.apply(plan)
+            session.compile_transformed(16, pipeline)
 
-    def test_unregistered_stages_sort_after_registered_ones(self):
-        honest = parse_transform_spec("fp16").transforms[0]
-        pipeline = TransformPipeline.from_transforms([_CheatingTransform(), honest])
-        assert [stage.token for stage in pipeline] == ["fp16-storage", "cheating"]
+    def test_empty_pipeline_compiles_to_the_base_plan(self, session):
+        empty = session.compile_transformed(16, TransformPipeline())
+        assert empty is session.compile(16)
 
-    def test_empty_pipeline_apply_is_identity(self, plan):
-        assert TransformPipeline().apply(plan) is plan
-
-    def test_pipeline_apply_equals_sequential_stage_application(self):
+    def test_compile_transformed_equals_sequential_stage_application(self):
         session = TrainingSession("sockeye", "mxnet")
-        base = session.compile(64)
         pipeline = parse_transform_spec("fused_rnn+offload:0.25+fp16")
-        composed = pipeline.apply(base)
-        sequential = base
-        for stage in pipeline:
-            sequential = stage.transform.apply(sequential)
+        sequential = fold_stages(pipeline, session.compile(64))
+        composed = session.compile_transformed(64, pipeline)
         assert plan_difference(composed, sequential) is None

@@ -14,7 +14,8 @@ one the pipeline leans on:
 - symbolic specialize-then-rewrite is bit-identical to concrete
   compile-then-rewrite for every pipeline over the traceable paper
   pairs, and ``compile_transformed`` (the prefix-memoized path) is
-  bit-identical to ``pipeline.apply`` on the compiled plan.
+  bit-identical to folding the stages through ``PlanTransform.apply``
+  on the compiled plan.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.models.registry import get_model
 from repro.plan.pipeline import parse_transform_spec
 from repro.plan.symbolic import SymbolicPlanSet
 from repro.training.session import TrainingSession
-from tests.plans import plan_difference
+from tests.plans import fold_stages, plan_difference
 
 #: A reduced paper grid used for the no-perturbation check.
 PLAIN_PANELS = (("resnet-50", ("mxnet",)), ("nmt", ("tensorflow",)))
@@ -209,20 +210,20 @@ class TestSymbolicConcreteTransformAgreement:
             session.spec, session.framework, session.gpu
         ).specialize(batch)
         difference = plan_difference(
-            pipeline.apply(specialized),
+            fold_stages(pipeline, specialized),
             session.compile_transformed(batch, pipeline),
         )
         assert difference is None
 
     @pytest.mark.parametrize("model,framework,batch,spec", PIPELINE_POINTS)
-    def test_compile_transformed_equals_pipeline_apply(
+    def test_compile_transformed_equals_folded_stages(
         self, model, framework, batch, spec
     ):
         session = TrainingSession(model, framework)
         pipeline = parse_transform_spec(spec)
         difference = plan_difference(
             session.compile_transformed(batch, pipeline),
-            pipeline.apply(session.compile(batch)),
+            fold_stages(pipeline, session.compile(batch)),
         )
         assert difference is None
 

@@ -41,7 +41,6 @@ REQUIRED = [
     ("repro/conformance/runner.py", "ConformanceRunner", "run"),
     ("repro/conformance/generator.py", None, "shrink"),
     ("repro/bench/runner.py", "InterleavedRunner", "run"),
-    ("repro/plan/pipeline.py", "TransformPipeline", "apply"),
     ("repro/tune/search.py", "Autotuner", "rank"),
     ("repro/tune/search.py", "Autotuner", "_score"),
     ("repro/schedule/integrator.py", None, "integrate_schedule"),
