@@ -66,10 +66,13 @@ class NoiseStream:
 
     Each channel returns one numpy array per replay (``kernel_factors(n)``,
     ``dispatch_factors(n)``): noise costs one vectorised draw per sample,
-    not one RNG call per kernel, and the subject turns each array into a
-    list of Python floats once before :func:`repro.plan.executor.replay`
-    walks it.  Draw order is part of the contract: the run factor first
-    (eagerly), then kernels, then dispatch, then interconnect — the order
+    not one RNG call per kernel, and the subject hands both arrays to
+    :func:`repro.plan.executor.replay_arrays`, which scans them as one GPU
+    busy period (or turns them into lists of Python floats for
+    :func:`~repro.plan.executor.replay` to walk, for a stream with host
+    syncs or an idle gap).  Draw order is part of the
+    contract: the run factor first (eagerly), then kernels, then
+    dispatch, then interconnect — the order
     :meth:`repro.bench.subjects.PlanSubject.measure` draws them in, which
     is what makes one seed reproduce one sample series bit-for-bit.
     """

@@ -4,9 +4,12 @@ A *subject* owns everything deterministic about one side of a comparison
 — a compiled plan, plus any host-side time the session adds on top — and
 exposes exactly one operation: ``measure(stream)``, one noisy iteration
 time drawn under one :class:`~repro.bench.noise.NoiseStream`.  All
-expensive work (graph build, lowering, roofline timing) happens once in
-the constructor; the per-sample path is one noisy pass of
-:func:`repro.plan.executor.replay` over the plan's flat duration list.
+expensive work (graph build, lowering, roofline timing, and the plan's
+duration and host-sync arrays) happens once in the constructor; the
+per-sample path draws the noise factors and runs
+:func:`repro.plan.executor.replay_arrays`: one prefix sum while the GPU
+never waits, or the kernel-by-kernel :func:`~repro.plan.executor.replay`
+for a stream with host syncs or an idle gap.
 
 ``subject_for`` builds the standard subjects ``tbd compare`` measures:
 ``baseline`` (the plan as compiled), any transform pipeline in
@@ -17,8 +20,10 @@ baseline used as the harness's own negative control.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.plan.compiled import CompiledPlan
-from repro.plan.executor import replay
+from repro.plan.executor import replay_arrays
 from repro.plan.pipeline import parse_transform_spec
 from repro.training.session import TrainingSession
 
@@ -62,9 +67,10 @@ class PlanSubject(Subject):
         self.plan = plan
         self.kernel_bias = kernel_bias
         self.host_s = host_s
-        self._durations = plan.execution.durations
+        self._durations = np.array(plan.execution.durations)
         if kernel_bias != 1.0:
-            self._durations = [d * kernel_bias for d in self._durations]
+            self._durations *= kernel_bias
+        self._host_syncs = np.array(plan.execution.host_syncs, dtype=bool)
 
     @property
     def noiseless_s(self) -> float:
@@ -73,14 +79,17 @@ class PlanSubject(Subject):
 
     def measure(self, stream) -> float:
         """One iteration of the plan replayed under ``stream``'s kernel
-        and dispatch noise, plus offload stall and host time, in seconds."""
+        and dispatch noise (one busy-period scan of
+        :func:`~repro.plan.executor.replay_arrays`, which falls back to
+        ``replay`` for host syncs or an idle gap), plus
+        offload stall and host time, in seconds."""
         count = len(self._durations)
-        makespan = replay(
+        makespan = replay_arrays(
             self._durations,
-            self.plan.execution.host_syncs,
+            self._host_syncs,
             self.plan.framework,
-            stream.kernel_factors(count).tolist(),
-            stream.dispatch_factors(count).tolist(),
+            stream.kernel_factors(count),
+            stream.dispatch_factors(count),
         )
         stall = self.plan.execution.offload_stall_s
         if stall:

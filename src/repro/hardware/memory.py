@@ -12,7 +12,7 @@ with an out-of-memory error just as they do on a real 8 GB card.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class AllocationTag(enum.Enum):
@@ -24,19 +24,14 @@ class AllocationTag(enum.Enum):
     WORKSPACE = "workspace"
     DYNAMIC = "dynamic"
 
+    #: Members are singletons, so identity is equality; this keeps the
+    #: allocator's per-request dict lookups in C instead of running
+    #: ``Enum.__hash__`` (which hashes the member name in Python).
+    __hash__ = object.__hash__
+
 
 class OutOfMemoryError(RuntimeError):
     """Raised when an allocation exceeds the device's memory capacity."""
-
-
-@dataclass
-class Allocation:
-    """One live allocation."""
-
-    handle: int
-    num_bytes: float
-    tag: AllocationTag
-    label: str = ""
 
 
 @dataclass
@@ -76,6 +71,7 @@ class GPUMemoryAllocator:
             raise ValueError("pool overhead cannot be below 1.0")
         self.capacity_bytes = float(capacity_bytes)
         self.pool_overhead = float(pool_overhead)
+        #: handle -> ``(charged bytes, tag)`` of each live allocation.
         self._allocations: dict = {}
         self._next_handle = 1
         self._current_by_tag: dict = {tag: 0.0 for tag in AllocationTag}
@@ -115,7 +111,7 @@ class GPUMemoryAllocator:
             self.peak_demand = demand
         handle = self._next_handle
         self._next_handle += 1
-        self._allocations[handle] = Allocation(handle, charged, tag, label)
+        self._allocations[handle] = (charged, tag)
         level = current[tag] + charged
         current[tag] = level
         if level > self._peak_by_tag[tag]:
@@ -130,7 +126,8 @@ class GPUMemoryAllocator:
         allocation = self._allocations.pop(handle, None)
         if allocation is None:
             raise KeyError(f"unknown or already-freed allocation handle {handle}")
-        self._current_by_tag[allocation.tag] -= allocation.num_bytes
+        charged, tag = allocation
+        self._current_by_tag[tag] -= charged
 
     def current_bytes(self, tag: AllocationTag) -> float:
         """Live bytes for one class."""

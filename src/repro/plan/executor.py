@@ -5,10 +5,13 @@ issues each kernel one dispatch cost after the previous one (or after a
 host sync's result arrives), and the GPU starts it at the later of that
 issue time and the end of the previous kernel.  It walks a kernel
 stream's flat per-kernel ``durations`` and ``host_syncs`` lists and
-returns the makespan.  Compiled plans run it noiselessly, the bench
-harness runs it once per noisy sample with per-kernel kernel and
-dispatch factors, and the symbolic plan set runs it over evaluated
-durations.
+returns the makespan.  Compiled plans run it noiselessly, and the
+symbolic plan set runs it over evaluated durations.  The bench harness
+draws per-kernel kernel and dispatch factors once per noisy sample and
+calls :func:`replay_arrays`, the same recurrence over numpy arrays: when
+the GPU never waits, the kernels' end times are one prefix sum, and a
+stream with host syncs or an idle gap goes to :func:`replay` — bit for
+bit the same makespan either way.
 
 When kernels are long (big convolutions) the GPU never waits and compute
 utilization approaches 100%; when they are tiny and numerous (per-timestep
@@ -153,6 +156,46 @@ def replay(
             # latency in control-flow code before issuing anything else.
             cpu_ready = gpu_free + sync
     return gpu_free if gpu_free > cpu_ready else cpu_ready
+
+
+def replay_arrays(
+    durations, host_syncs, framework: Framework, kernel_factors, dispatch_factors
+) -> float:
+    """:func:`replay` over numpy arrays, scanned as one GPU busy period:
+    the same Python float as ``replay`` on the arrays' ``.tolist()``,
+    bit for bit.
+
+    ``durations``, ``kernel_factors`` and ``dispatch_factors`` are
+    float64 arrays and ``host_syncs`` a bool array, one entry per kernel.
+    Without host syncs the CPU's issue times are one running sum of the
+    dispatch gaps, and while the GPU never waits so are the kernels' end
+    times.  Both sums are ``cumsum``, which adds left to right as the
+    loop does, over the same IEEE products.  The GPU waits where a kernel
+    is issued strictly after its predecessor ends — ``replay``'s own test
+    for taking the issue time as the start.  Since a framework's dispatch
+    cost is positive, the first kernel starts at its issue time, and the
+    last kernel ends no earlier than it was issued, so without a wait the
+    makespan is the last end time.  A stream with a host sync, a wait, or
+    no kernels runs through ``replay`` instead; the sync-free plans
+    ``tbd tune`` confirms on the paper grid are one busy period in all
+    but rare noisy samples.  Uses only ndarray methods, so this module imports no numpy.
+    """
+    if len(durations) and not host_syncs.any():
+        ends = durations * kernel_factors
+        issued = dispatch_factors * framework.dispatch_cost_s
+        issued[0] += framework.frontend_cost_s
+        issued.cumsum(out=issued)
+        ends[0] += issued[0]
+        ends.cumsum(out=ends)
+        if not (issued[1:] > ends[:-1]).any():
+            return float(ends[-1])
+    return replay(
+        durations.tolist(),
+        host_syncs.tolist(),
+        framework,
+        kernel_factors.tolist(),
+        dispatch_factors.tolist(),
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -71,9 +71,8 @@ def register_tune_command(subparsers) -> None:
 
 
 def cmd_tune(args) -> int:
-    """Handler for ``tbd tune``."""
-    from repro.bench.noise import NoiseModel
-    from repro.bench.runner import InterleavedRunner
+    """Handler for ``tbd tune``.  The A/B runner (and with it numpy) is
+    loaded only when the winner is confirmed."""
     from repro.tune.search import Autotuner
 
     gpu = get_gpu(args.gpu) if args.gpu else None
@@ -82,11 +81,16 @@ def cmd_tune(args) -> int:
         args.model, args.framework, batch_size=args.batch, **kwargs
     )
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    runner = InterleavedRunner(
-        noise=NoiseModel(seed=args.seed),
-        alpha=args.alpha,
-        min_effect=args.min_effect,
-    )
+    runner = None
+    if not args.no_confirm:
+        from repro.bench.noise import NoiseModel
+        from repro.bench.runner import InterleavedRunner
+
+        runner = InterleavedRunner(
+            noise=NoiseModel(seed=args.seed),
+            alpha=args.alpha,
+            min_effect=args.min_effect,
+        )
     result = tuner.tune(
         cache=cache,
         budget=args.budget,

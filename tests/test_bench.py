@@ -11,7 +11,11 @@ from repro.bench import InterleavedRunner, NoiseModel, subject_for
 from repro.bench.noise import median_convergence_tolerance
 from repro.bench.subjects import PlanSubject
 from repro.engine.keys import NON_KEY_RUN_DIMENSIONS, point_key
-from repro.plan.executor import ExecutionReplay, replay
+from repro.experiments.common import SWEEP_PANELS
+from repro.frameworks.registry import get_framework
+import repro.plan.executor as plan_executor
+from repro.plan.executor import ExecutionReplay, replay, replay_arrays
+from repro.plan.pipeline import parse_transform_spec
 from repro.training.session import TrainingSession
 from repro.tune.search import Autotuner
 
@@ -215,6 +219,196 @@ class TestExecutorNoise:
         # different seeds address the same cached simulation result.
         key = point_key("resnet-50", "tensorflow", 32)
         assert key == point_key("resnet-50", "tensorflow", 32)
+
+
+def _scan_equals_replay(
+    durations, host_syncs, framework, kernel_factors, dispatch_factors
+):
+    """``replay_arrays`` over the arrays, checked ``==`` against ``replay``
+    over their ``.tolist()``; the scanned makespan."""
+    scanned = replay_arrays(
+        durations, host_syncs, framework, kernel_factors, dispatch_factors
+    )
+    walked = replay(
+        durations.tolist(),
+        host_syncs.tolist(),
+        framework,
+        kernel_factors.tolist(),
+        dispatch_factors.tolist(),
+    )
+    assert type(scanned) is float
+    assert scanned == walked
+    return scanned
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts the streams ``replay_arrays`` hands to ``replay``."""
+    calls = []
+    original = plan_executor.replay
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(plan_executor, "replay", counting)
+    return calls
+
+
+#: A framework whose dispatch, front-end and sync costs are round numbers,
+#: so synthetic streams can hit exact ties.
+_UNIT_FRAMEWORK = dataclasses.replace(
+    get_framework("mxnet"),
+    dispatch_cost_s=1.0,
+    frontend_cost_s=0.5,
+    sync_latency_s=2.0,
+)
+
+
+def _unit_scan(durations, host_syncs=None, kernel=None, dispatch=None):
+    """Scan ``durations`` on :data:`_UNIT_FRAMEWORK` with unit (or given)
+    factors, checked against ``replay``."""
+    durations = np.array(durations, dtype=float)
+    count = len(durations)
+    return _scan_equals_replay(
+        durations,
+        np.zeros(count, dtype=bool) if host_syncs is None else np.array(host_syncs),
+        _UNIT_FRAMEWORK,
+        np.ones(count) if kernel is None else np.array(kernel),
+        np.ones(count) if dispatch is None else np.array(dispatch),
+    )
+
+
+@pytest.fixture(scope="module")
+def paper_grid_plans():
+    """Every paper-grid panel's baseline plan and tune-winner plan, keyed
+    by ``(model, framework, spec)``."""
+    plans = {}
+    for model, frameworks in SWEEP_PANELS:
+        for framework in frameworks:
+            tuner = Autotuner(model, framework)
+            session = tuner._session
+            plans[model, framework, "baseline"] = session.compile(tuner.batch_size)
+            winner = tuner.rank().winner
+            if winner is not None:
+                plans[model, framework, winner.spec] = session.compile_transformed(
+                    tuner.batch_size, parse_transform_spec(winner.spec)
+                )
+    return plans
+
+
+class TestBusyPeriodScan:
+    """``replay_arrays`` is ``replay`` over ``.tolist()``, bit for bit,
+    whether it scans busy periods or falls back to the kernel walk."""
+
+    def test_paper_grid_plans_under_noise(self, paper_grid_plans, walks):
+        """Only the host-sync baselines fall back: every other plan the
+        tune workload confirms is scanned as one busy period."""
+        assert len(paper_grid_plans) == 24
+        noise = NoiseModel(seed=11)
+        fell_back = {}
+        for label, plan in paper_grid_plans.items():
+            subject = PlanSubject("plan", plan)
+            durations, host_syncs = subject._durations, subject._host_syncs
+            before = len(walks)
+            for run in range(20):
+                stream = noise.stream(run)
+                _scan_equals_replay(
+                    durations,
+                    host_syncs,
+                    plan.framework,
+                    stream.kernel_factors(len(durations)),
+                    stream.dispatch_factors(len(durations)),
+                )
+            if len(walks) > before:
+                fell_back[label] = len(walks) - before
+        assert fell_back == {
+            ("nmt", "tensorflow", "baseline"): 20,
+            ("sockeye", "mxnet", "baseline"): 20,
+        }
+        assert all(
+            any(paper_grid_plans[label].execution.host_syncs) for label in fell_back
+        )
+
+    def test_biased_kernels(self, resnet_plan):
+        subject = PlanSubject("slowdown:5", resnet_plan, kernel_bias=1.05)
+        durations = subject._durations
+        assert durations.tolist() == [
+            duration * 1.05 for duration in resnet_plan.execution.durations
+        ]
+        stream = NoiseModel(seed=2).stream(0)
+        _scan_equals_replay(
+            durations,
+            subject._host_syncs,
+            resnet_plan.framework,
+            stream.kernel_factors(len(durations)),
+            stream.dispatch_factors(len(durations)),
+        )
+
+    def test_measure_is_the_noisy_replay(self):
+        plan = TrainingSession("deep-speech-2", "mxnet").compile(4)
+        subject = PlanSubject("baseline", plan)
+        model = NoiseModel(seed=9)
+        for run in range(3):
+            assert subject.measure(model.stream(run)) == _noisy_makespan(
+                plan, model.stream(run)
+            )
+
+    def test_one_busy_period_is_scanned(self, walks):
+        # Kernels longer than a dispatch gap: the GPU never waits.
+        assert _unit_scan([3.0, 2.5, 4.0, 1.5]) == 12.5
+        assert walks == []
+
+    def test_dispatch_bound_stream_falls_back(self, walks):
+        # Every kernel shorter than a dispatch gap: one period per kernel.
+        assert _unit_scan([0.25] * 24) == 0.5 + 24 + 0.25
+        assert walks == [24]
+
+    def test_alternating_busy_and_idle(self, walks):
+        # Busy periods of a long kernel then a short one, separated by idle
+        # gaps: the first gap hands the stream to the kernel walk.
+        assert _unit_scan([1.75, 0.125] * 7) == 15.375
+        assert walks == [14]
+
+    def test_exact_tie_keeps_the_gpu_busy(self, walks):
+        # Each kernel ends exactly when the next is issued: cpu == gpu_free.
+        assert _unit_scan([1.0] * 40) == 41.5
+        assert walks == []
+
+    def test_one_kernel(self, walks):
+        assert _unit_scan([2.0]) == 3.5
+        assert _unit_scan([0.0]) == 1.5
+        assert walks == []
+
+    def test_empty_stream_is_the_front_end(self):
+        assert _unit_scan([]) == _UNIT_FRAMEWORK.frontend_cost_s
+
+    def test_host_sync_stream_falls_back(self, nmt_plan, walks):
+        execution = nmt_plan.execution
+        stream = NoiseModel(seed=5).stream(0)
+        count = len(execution.durations)
+        _scan_equals_replay(
+            np.array(execution.durations),
+            np.array(execution.host_syncs),
+            nmt_plan.framework,
+            stream.kernel_factors(count),
+            stream.dispatch_factors(count),
+        )
+        assert walks == [count]
+        assert _unit_scan([3.0, 1.0, 2.0], host_syncs=[False, True, False]) == 10.5
+
+    def test_random_streams(self):
+        """Mixed kernel lengths under noisy factors: some streams one busy
+        period, the rest falling back at an idle gap."""
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            count = int(rng.integers(1, 60))
+            durations = rng.choice([0.125, 0.5, 1.0, 1.5, 6.0], size=count)
+            _unit_scan(
+                durations,
+                kernel=rng.lognormal(0.0, 0.3, size=count),
+                dispatch=rng.lognormal(0.0, 0.3, size=count),
+            )
 
 
 class TestSubjects:

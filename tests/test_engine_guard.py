@@ -282,6 +282,30 @@ class TestOneCompilePerPoint:
         )
         assert _fresh_python(script, str(tmp_path / "cache")) == "[]"
 
+    def test_an_unconfirmed_tune_loads_no_numpy(self):
+        """``tbd tune --no-confirm`` draws no noisy sample, so it runs with
+        numpy unimportable and never loads the A/B runner."""
+        script = textwrap.dedent(
+            """
+            import contextlib
+            import io
+            import sys
+
+            sys.modules["numpy"] = None  # any numpy import raises
+            from repro.cli import main
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([
+                    "tune", "nmt", "-f", "tensorflow", "-b", "64",
+                    "--budget", "4", "--no-confirm", "--no-cache",
+                ])
+            print(code, sorted(
+                name for name in sys.modules if name.startswith("repro.bench")
+            ))
+            """
+        )
+        assert _fresh_python(script) == "0 []"
+
     def test_the_cli_parser_loads_no_command_internals(self):
         """``tbd`` builds its parser without the conformance harness, the
         autotuner or the schedule integrator: each loads when its command
