@@ -11,7 +11,7 @@ that idea against the simulated noise model.
 Sample sizing is adaptive: a pilot block per side feeds
 :func:`repro.profiling.statistics.required_sample_count`, so quiet
 configurations stop early and noisy ones keep sampling until the target
-CI half-width is met (bounded by ``max_samples``).  The verdict is
+CI half-width is met (bounded by :data:`MAX_SAMPLES`).  The verdict is
 deliberately conservative — a *regression* requires both a one-sided
 Welch p-value below alpha **and** a median slowdown above the
 ``min_effect`` noise floor, which is what lets a test assert a verdict
@@ -32,6 +32,16 @@ from repro.profiling.statistics import required_sample_count, welch_p_value
 #: Salt separating the interleaving-order RNG from the measurement
 #: streams (which are seeded ``(seed, run_index)``).
 _ORDER_SALT = 0xBE9C
+
+#: Adaptive sample sizing: a pilot of ``PILOT_SAMPLES`` pairs sizes the
+#: run to reach ``RELATIVE_PRECISION`` of the mean, clamped to
+#: ``[MIN_SAMPLES, MAX_SAMPLES]`` per side.
+MIN_SAMPLES = 30
+MAX_SAMPLES = 300
+PILOT_SAMPLES = 20
+RELATIVE_PRECISION = 0.005
+#: Coverage of the bootstrap speedup interval.
+CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
@@ -95,9 +105,10 @@ class BenchResult:
 
 
 def _bootstrap_speedup_ci(
-    baseline, treatment, confidence: float, seed: int, resamples: int = 1000
+    baseline, treatment, seed: int, resamples: int = 1000
 ) -> tuple:
-    """Percentile-bootstrap CI for the ratio of medians."""
+    """Percentile-bootstrap :data:`CONFIDENCE` interval for the ratio of
+    medians."""
     a = np.asarray(baseline, dtype=float)
     b = np.asarray(treatment, dtype=float)
     if float(a.std()) == 0.0 and float(b.std()) == 0.0:
@@ -111,11 +122,20 @@ def _bootstrap_speedup_ci(
         rng.choice(b, size=(resamples, b.size), replace=True), axis=1
     )
     ratios = medians_a / medians_b
-    alpha = (1.0 - confidence) / 2.0
+    alpha = (1.0 - CONFIDENCE) / 2.0
     return (
         float(np.quantile(ratios, alpha)),
         float(np.quantile(ratios, 1.0 - alpha)),
     )
+
+
+def _target_samples(baseline_times, treatment_times) -> int:
+    """Per-side sample count the pilot's variance calls for, clamped."""
+    needed = max(
+        required_sample_count(baseline_times, relative_precision=RELATIVE_PRECISION),
+        required_sample_count(treatment_times, relative_precision=RELATIVE_PRECISION),
+    )
+    return max(MIN_SAMPLES, min(MAX_SAMPLES, needed))
 
 
 class InterleavedRunner:
@@ -127,45 +147,20 @@ class InterleavedRunner:
         noise: NoiseModel | None = None,
         alpha: float = 0.05,
         min_effect: float = 0.01,
-        min_samples: int = 30,
-        max_samples: int = 300,
-        pilot_samples: int = 20,
-        relative_precision: float = 0.005,
-        confidence: float = 0.95,
     ):
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if min_effect < 0.0:
             raise ValueError("min_effect must be non-negative")
-        if not 2 <= min_samples <= max_samples:
-            raise ValueError("need 2 <= min_samples <= max_samples")
-        if pilot_samples < 2:
-            raise ValueError("pilot_samples must be at least 2")
         self.noise = noise if noise is not None else NoiseModel()
         self.alpha = alpha
         self.min_effect = min_effect
-        self.min_samples = min_samples
-        self.max_samples = max_samples
-        self.pilot_samples = min(pilot_samples, max_samples)
-        self.relative_precision = relative_precision
-        self.confidence = confidence
-
-    def _target_samples(self, baseline_times, treatment_times) -> int:
-        needed = max(
-            required_sample_count(
-                baseline_times, relative_precision=self.relative_precision
-            ),
-            required_sample_count(
-                treatment_times, relative_precision=self.relative_precision
-            ),
-        )
-        return max(self.min_samples, min(self.max_samples, needed))
 
     def run(self, baseline, treatment, name: str | None = None, samples=None):
         """Measure ``baseline`` vs ``treatment`` interleaved.
 
         ``samples`` pins the per-side count explicitly; by default a pilot
-        of ``pilot_samples`` pairs decides it from the observed variance.
+        of :data:`PILOT_SAMPLES` pairs decides it from the observed variance.
         Every measurement consumes its own noise stream (seeded by the
         model seed and a global run index), and the within-pair order is
         randomized by a separate seeded RNG so neither side systematically
@@ -204,9 +199,9 @@ class InterleavedRunner:
 
             target = samples
             if target is None:
-                while len(times_a) < self.pilot_samples:
+                while len(times_a) < PILOT_SAMPLES:
                     measure_pair()
-                target = self._target_samples(times_a, times_b)
+                target = _target_samples(times_a, times_b)
             if target < 2:
                 raise ValueError("need at least 2 samples per side")
             while len(times_a) < target:
@@ -256,9 +251,7 @@ class InterleavedRunner:
             mean_baseline_s=float(a.mean()),
             mean_treatment_s=float(b.mean()),
             speedup=speedup,
-            speedup_ci=_bootstrap_speedup_ci(
-                a, b, self.confidence, seed=self.noise.seed
-            ),
+            speedup_ci=_bootstrap_speedup_ci(a, b, seed=self.noise.seed),
             p_regression=p_regression,
             p_improvement=p_improvement,
             alpha=self.alpha,

@@ -385,6 +385,12 @@ def _cmd_faults(args) -> int:
         print(scenario.describe())
         return 0
 
+    if args.batch < 1:
+        print(
+            f"tbd faults: error: batch must be a positive integer, got {args.batch}",
+            file=sys.stderr,
+        )
+        return 2
     if args.faults_command == "demo":
         return _faults_demo(args)
 
@@ -398,7 +404,7 @@ def _cmd_faults(args) -> int:
         args.model,
         args.framework,
         scenario.cluster,
-        args.batch or 16,
+        args.batch,
         plan=scenario.plan,
     )
     try:
@@ -453,7 +459,7 @@ def _faults_demo(args) -> int:
     )
     with tracing() as tracer:
         point = scheduled_time_to_accuracy(
-            args.model, args.framework, cluster, args.batch or 16, plan=plan
+            args.model, args.framework, cluster, args.batch, plan=plan
         )
     result = point.segment_runs[0].result
     print(f"elastic-recovery demo: {args.model} on {args.framework}, {cluster.name}")
@@ -594,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults_run.add_argument("spec", help="fault scenario, e.g. 'crash=1@30; steps=60'")
     faults_run.add_argument("model", nargs="?", default="resnet-50")
     faults_run.add_argument("-f", "--framework", default="mxnet")
-    faults_run.add_argument("-b", "--batch", type=int, default=None)
+    faults_run.add_argument("-b", "--batch", type=int, default=16)
     faults_show = faults_sub.add_parser("show", help="parse and describe a scenario")
     faults_show.add_argument("spec")
     faults_demo = faults_sub.add_parser(
@@ -602,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults_demo.add_argument("model", nargs="?", default="resnet-50")
     faults_demo.add_argument("-f", "--framework", default="mxnet")
-    faults_demo.add_argument("-b", "--batch", type=int, default=None)
+    faults_demo.add_argument("-b", "--batch", type=int, default=16)
     faults_demo.add_argument("--seed", type=int, default=0)
     faults.set_defaults(func=_cmd_faults)
 

@@ -101,7 +101,6 @@ class ScalingEvidence:
     cluster: object  # ClusterSpec
     profile: object  # DistributedProfile
     allreduce_cost: object = None  # AllReduceCost | None
-    gradient_bytes: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -765,11 +764,12 @@ def _allreduce_bandwidth_floor(ev: ScalingEvidence) -> list:
         if ev.cluster.is_distributed
         else ev.cluster.machine.intra_link
     )
-    volume = 2.0 * ev.gradient_bytes * (workers - 1) / workers
+    gradient_bytes = ev.profile.gradient_bytes
+    volume = 2.0 * gradient_bytes * (workers - 1) / workers
     floor = 2 * (workers - 1) * link.latency_s + volume / (link.bandwidth_gbs * 1e9)
     if cost.total_s < floor * (1.0 - REL_TOL):
         return [
-            f"{ev.cluster.name}: allreduce of {ev.gradient_bytes:.3e}B in "
+            f"{ev.cluster.name}: allreduce of {gradient_bytes:.3e}B in "
             f"{cost.total_s:.6e}s beats the wire floor {floor:.6e}s"
         ]
     return []

@@ -269,9 +269,8 @@ class ConformanceRunner:
             profile = trainer.run_iteration(batch)
         except OutOfMemoryError:
             return None
-        gradient_bytes = trainer.session.compile(batch).graph.total_weight_bytes
         cost = (
-            exchange.cost(gradient_bytes, cluster)
+            exchange.cost(profile.gradient_bytes, cluster)
             if cluster.total_gpus > 1
             else None
         )
@@ -282,7 +281,6 @@ class ConformanceRunner:
             cluster=cluster,
             profile=profile,
             allreduce_cost=cost,
-            gradient_bytes=gradient_bytes,
         )
 
     def _sweep_evidence(self, specs, gpu_key: str, jobs: int | None = None):

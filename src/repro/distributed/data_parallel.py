@@ -37,6 +37,8 @@ class DistributedProfile:
     exposed_exchange_s: float
     iteration_time_s: float
     samples_per_iteration: float
+    #: Bytes one gradient exchange moves: the graph's weight bytes.
+    gradient_bytes: int
     #: The profile of one replica's iteration (``compute_time_s``).
     replica: IterationProfile = field(repr=False, compare=False)
 
@@ -135,6 +137,7 @@ class DataParallelTrainer:
             exposed_exchange_s=price.exposed_s,
             iteration_time_s=price.iteration_s,
             samples_per_iteration=local.effective_samples * workers,
+            gradient_bytes=gradient_bytes,
             replica=local,
         )
 

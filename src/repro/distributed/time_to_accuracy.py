@@ -87,50 +87,35 @@ def linear_scaled_learning_rate(model_key: str, global_batch: int, base_batch: i
 
 
 def scaling_point(
-    model_key: str,
-    framework: str,
-    cluster: ClusterSpec,
-    per_gpu_batch: int,
-    base_batch: int | None = None,
-    target_fraction: float = 0.95,
+    model_key: str, framework: str, cluster: ClusterSpec, per_gpu_batch: int
 ) -> ScalingPoint:
-    """Evaluate one configuration's time-to-accuracy."""
+    """Evaluate one configuration's time-to-accuracy, normalized so one
+    GPU at ``per_gpu_batch`` is the statistical baseline."""
     trainer = DataParallelTrainer(model_key, framework, cluster)
     profile = trainer.run_iteration(per_gpu_batch)
-    base = base_batch if base_batch is not None else per_gpu_batch
     global_batch = per_gpu_batch * profile.worker_count
-    samples = adjusted_samples_needed(model_key, global_batch, base, target_fraction)
+    samples = adjusted_samples_needed(model_key, global_batch, per_gpu_batch)
     return ScalingPoint(
         configuration=cluster.name,
         worker_count=profile.worker_count,
         per_gpu_batch=per_gpu_batch,
         global_batch=global_batch,
         throughput=profile.throughput,
-        learning_rate=linear_scaled_learning_rate(model_key, global_batch, base),
+        learning_rate=linear_scaled_learning_rate(
+            model_key, global_batch, per_gpu_batch
+        ),
         samples_needed=samples,
         time_to_accuracy_s=samples / profile.throughput,
     )
 
 
 def scaling_study(
-    model_key: str = "resnet-50",
-    framework: str = "mxnet",
-    per_gpu_batch: int = 32,
-    target_fraction: float = 0.95,
+    model_key: str = "resnet-50", framework: str = "mxnet", per_gpu_batch: int = 32
 ) -> list:
     """Time-to-accuracy across the Fig. 10 configurations."""
     from repro.distributed.topology import standard_configurations
 
-    points = []
-    for cluster in standard_configurations().values():
-        points.append(
-            scaling_point(
-                model_key,
-                framework,
-                cluster,
-                per_gpu_batch,
-                base_batch=per_gpu_batch,
-                target_fraction=target_fraction,
-            )
-        )
-    return points
+    return [
+        scaling_point(model_key, framework, cluster, per_gpu_batch)
+        for cluster in standard_configurations().values()
+    ]

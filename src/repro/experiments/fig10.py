@@ -36,59 +36,3 @@ def render(data=None) -> str:
         )
     return "\n".join(lines)
 
-
-#: Fault scenarios for the degraded-cluster extension: the same Fig. 10
-#: sweep with the interconnect and the workers misbehaving mid-run.
-FAULT_SCENARIOS = {
-    "clean": None,
-    "straggler x1.5": "straggler=0x1.5@10:40",
-    "bandwidth /2 + 5% loss": "degrade=bw0.5+loss0.05@10:40",
-    "crash 1 machine @20": "crash=1@20",
-}
-
-
-def generate_degraded(configuration: str = "2M1G", fabric: str = "infiniband") -> dict:
-    """Scenario label -> list of FaultTrainingResult over the batch sweep.
-
-    The fault-injection extension of Fig. 10: the paper's distributed
-    sweep re-run under each :data:`FAULT_SCENARIOS` entry, quantifying
-    how much throughput each failure mode costs once recovery (backoff,
-    rebalancing, elastic restart) has done its best.
-    """
-    from repro.faults.spec import parse_fault_spec
-    from repro.faults.trainer import FaultTolerantTrainer
-    from repro.hardware.cluster import parse_configuration
-
-    cluster = parse_configuration(configuration, fabric=fabric)
-    results: dict = {}
-    for label, spec_text in FAULT_SCENARIOS.items():
-        plan = None
-        steps = 50
-        if spec_text is not None:
-            scenario = parse_fault_spec(f"cluster={configuration}:{fabric}; {spec_text}")
-            plan = scenario.plan
-            steps = scenario.steps
-        runs = []
-        for batch in PER_GPU_BATCHES:
-            trainer = FaultTolerantTrainer(
-                MODEL, FRAMEWORK, cluster, batch, plan=plan
-            )
-            runs.append(trainer.run(steps=steps))
-        results[label] = runs
-    return results
-
-
-def render_degraded(data=None) -> str:
-    """Format the fault-injection extension as aligned text."""
-    data = data if data is not None else generate_degraded()
-    lines = ["Fig. 10 (extension): ResNet-50 on MXNet under injected faults"]
-    for label, runs in data.items():
-        lines.append(
-            render_series(
-                label,
-                [run.per_gpu_batch for run in runs],
-                [run.throughput for run in runs],
-                x_label="b/gpu",
-            )
-        )
-    return "\n".join(lines)

@@ -143,20 +143,17 @@ class FaultTolerantTrainer:
         per_gpu_batch: int,
         plan: FaultPlan | None = None,
         recovery: RecoveryConfig | None = None,
-        exchange=None,
     ):
         self.cluster = cluster
         self.per_gpu_batch = per_gpu_batch
         self.plan = plan if plan is not None else FaultPlan.none()
         self.recovery = recovery if recovery is not None else RecoveryConfig()
-        self.trainer = DataParallelTrainer(model, framework, cluster, exchange=exchange)
+        self.trainer = DataParallelTrainer(model, framework, cluster)
         #: Fault-free reference iteration (raises ``OutOfMemoryError``
         #: exactly like the plain distributed path when a replica does
         #: not fit its GPU).
         self.baseline = self.trainer.run_iteration(per_gpu_batch)
         self._local = self.baseline.replica
-        compiled = self.trainer.session.compile(per_gpu_batch)
-        self._gradient_bytes = compiled.graph.total_weight_bytes
         self._local_iteration_s = self.baseline.compute_time_s
         self._samples_per_worker = (
             self.baseline.samples_per_iteration / self.baseline.worker_count
@@ -198,7 +195,7 @@ class FaultTolerantTrainer:
                 factor = max(factor, straggle)
         cluster = self._cluster_for(machines, conds)
         compute = self._local_iteration_s * factor
-        price = self.trainer.price_step(compute, self._gradient_bytes, cluster)
+        price = self.trainer.price_step(compute, self.baseline.gradient_bytes, cluster)
         exchange, exposed = price.exchange_s, price.exposed_s
         rebalance = None
         if factor > 1.0 and self.recovery.rebalance and exchange > 0.0:

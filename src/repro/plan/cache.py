@@ -27,6 +27,9 @@ from dataclasses import dataclass
 from repro.observability.metrics import get_metrics
 from repro.observability.tracer import trace_span
 
+#: Plans one session keeps before evicting the least recently used.
+CAPACITY = 64
+
 
 @dataclass(frozen=True)
 class PlanCacheStats:
@@ -42,17 +45,15 @@ class PlanCacheStats:
 
 
 class PlanCache:
-    """A small LRU of :class:`~repro.plan.compiled.CompiledPlan` objects.
+    """An LRU of :data:`CAPACITY` :class:`~repro.plan.compiled.CompiledPlan`
+    objects.
 
     ``get`` is the single entry point: it looks the key up, calls the
     factory on a miss, and publishes the outcome as a span plus the
     ``plan_cache_hits_total`` / ``plan_cache_misses_total`` counters.
     """
 
-    def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError("plan cache needs capacity for at least one plan")
-        self.capacity = capacity
+    def __init__(self):
         self.hits = 0
         self.misses = 0
         self._entries: OrderedDict = OrderedDict()
@@ -69,7 +70,7 @@ class PlanCache:
             else:
                 plan = factory()
                 self._entries[key] = plan
-                while len(self._entries) > self.capacity:
+                while len(self._entries) > CAPACITY:
                     self._entries.popitem(last=False)
                 self.misses += 1
                 outcome = "miss"

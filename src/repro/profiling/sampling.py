@@ -82,29 +82,23 @@ class SampleWindow:
             raise ValueError("invalid sample window")
 
 
+#: Iterations per sliding window of the stability scan.
+WINDOW = 50
+#: A window is stable below this coefficient of variation ...
+CV_THRESHOLD = 0.05
+#: ... with its mean within this fraction of the tail window's mean.
+TAIL_TOLERANCE = 0.05
+
+
 class StablePhaseSampler:
     """Detects the stable phase of a throughput series and samples it.
 
-    Strategy (matching the paper's methodology): slide a window over the
-    series; the training has stabilized once the window's coefficient of
-    variation drops below a threshold *and* its mean is within tolerance of
-    the tail mean.  Samples of 50-1000 iterations are then drawn from the
-    stable region.
+    Strategy (matching the paper's methodology): slide a :data:`WINDOW`
+    over the series; the training has stabilized once the window's
+    coefficient of variation drops below :data:`CV_THRESHOLD` *and* its
+    mean is within :data:`TAIL_TOLERANCE` of the tail mean.  Samples of
+    50-1000 iterations are then drawn from the stable region.
     """
-
-    def __init__(
-        self,
-        window: int = 50,
-        cv_threshold: float = 0.05,
-        tail_tolerance: float = 0.05,
-    ):
-        if window <= 1:
-            raise ValueError("window must be at least 2 iterations")
-        if cv_threshold <= 0 or tail_tolerance <= 0:
-            raise ValueError("thresholds must be positive")
-        self.window = window
-        self.cv_threshold = cv_threshold
-        self.tail_tolerance = tail_tolerance
 
     def detect_stable_start(self, durations) -> int:
         """Index of the first iteration of the stable phase.
@@ -113,18 +107,17 @@ class StablePhaseSampler:
             ValueError: if the series never stabilizes.
         """
         series = np.asarray(durations, dtype=float)
-        if series.ndim != 1 or len(series) < 2 * self.window:
+        if series.ndim != 1 or len(series) < 2 * WINDOW:
             raise ValueError(
-                f"need at least {2 * self.window} iterations to detect stability"
+                f"need at least {2 * WINDOW} iterations to detect stability"
             )
-        tail_mean = float(series[-self.window :].mean())
-        for start in range(0, len(series) - self.window + 1):
-            chunk = series[start : start + self.window]
+        tail_mean = float(series[-WINDOW:].mean())
+        for start in range(0, len(series) - WINDOW + 1):
+            chunk = series[start : start + WINDOW]
             mean = float(chunk.mean())
             cv = float(chunk.std() / mean) if mean > 0 else float("inf")
-            if cv < self.cv_threshold and abs(mean - tail_mean) <= (
-                self.tail_tolerance * tail_mean
-            ):
+            near_tail = abs(mean - tail_mean) <= TAIL_TOLERANCE * tail_mean
+            if cv < CV_THRESHOLD and near_tail:
                 return start
         raise ValueError("training never reached a stable phase")
 

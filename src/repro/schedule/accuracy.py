@@ -89,9 +89,6 @@ def scheduled_time_to_accuracy(
     per_gpu_batch: int,
     schedule=None,
     plan=None,
-    recovery=None,
-    base_batch: int | None = None,
-    target_fraction: float = 0.95,
 ) -> ScheduledPoint:
     """Wall-clock time-to-accuracy for a schedule-driven elastic run.
 
@@ -116,7 +113,6 @@ def scheduled_time_to_accuracy(
     spec_text = (
         "" if schedule is None or schedule.is_fixed else schedule.canonical
     )
-    base = base_batch if base_batch is not None else per_gpu_batch
     plan = plan if plan is not None else FaultPlan.none()
     with trace_span(
         "schedule.tta",
@@ -125,9 +121,7 @@ def scheduled_time_to_accuracy(
         schedule=spec_text or "fixed",
         configuration=cluster.name,
     ) as span:
-        integration = integrate_schedule(
-            model_key, schedule, per_gpu_batch, target_fraction=target_fraction
-        )
+        integration = integrate_schedule(model_key, schedule, per_gpu_batch)
         runs = []
         active_cluster = cluster
         machines = cluster.machine_count
@@ -144,11 +138,10 @@ def scheduled_time_to_accuracy(
                 active_cluster,
                 segment.batch_size,
                 plan=plan.window(cursor_step),
-                recovery=recovery,
             )
             global_batch = segment.batch_size * trainer.baseline.worker_count
             needed = segment.samples * batch_penalty(
-                model_key, global_batch, base
+                model_key, global_batch, per_gpu_batch
             )
             result = trainer.run_until_samples(needed)
             runs.append(

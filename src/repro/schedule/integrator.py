@@ -6,11 +6,10 @@ stepping the optimizer — boundaries come from closed-form curve inverses
 (:meth:`~repro.training.convergence.ConvergenceModel.samples_to_fraction`)
 or bounded checkpoint scans, so a run needing 10^12 samples costs the
 same to integrate as one needing 10^4.  The segment list is the single
-source of truth downstream: the schedule-aware ``time_to_metric``
-integrates time over it, ``scheduled_time_to_accuracy`` prices each
+source of truth downstream: ``scheduled_time_to_accuracy`` prices each
 segment's statistical penalty and fault window over it (a fixed run is
-its one segment), and the engine aggregates per-segment iteration
-profiles over it.
+its one segment), and :func:`scheduled_metrics` aggregates per-segment
+iteration profiles over it.
 
 Conservation contract (checked by :func:`tiling_violation`, which the
 ``schedule-sample-conservation`` invariant and the schedule bench guard
@@ -226,22 +225,6 @@ class ScheduleIntegration:
                 seen.append(segment.batch_size)
         return tuple(seen)
 
-    def time_with(self, throughput_for_batch) -> float:
-        """Wall-clock seconds: each segment priced at its own batch's
-        throughput (samples/s)."""
-        total = 0.0
-        for segment in self.segments:
-            if segment.samples == 0.0:
-                continue
-            throughput = throughput_for_batch(segment.batch_size)
-            if throughput <= 0:
-                raise ValueError(
-                    f"throughput for batch {segment.batch_size} must be "
-                    f"positive, got {throughput}"
-                )
-            total += segment.samples / throughput
-        return total
-
     def describe(self) -> str:
         """Human-readable segment table (``tbd schedule show``)."""
         spec_text = "fixed" if self.schedule is None else self.schedule.canonical
@@ -292,13 +275,12 @@ def integrate_schedule(
     model_key: str,
     schedule,
     base_batch: int,
-    target: float | None = None,
     target_fraction: float = 0.95,
 ) -> ScheduleIntegration:
     """Resolve ``schedule`` against ``model_key``'s convergence curve.
 
-    ``target`` defaults to ``target_fraction`` of the asymptotic metric
-    gap (matching :func:`repro.distributed.time_to_accuracy.\
+    The run ends at ``target_fraction`` of the asymptotic metric gap
+    (matching :func:`repro.distributed.time_to_accuracy.\
 samples_to_accuracy`'s convention).  Accepts a schedule object, spec
     text, or ``None``/empty for the fixed baseline.
     """
@@ -313,10 +295,9 @@ samples_to_accuracy`'s convention).  Accepts a schedule object, spec
             f"against the convergence curve); known: {known}"
         )
     model = FIG2_MODELS[model_key]
-    if target is None:
-        if not 0.0 < target_fraction < 1.0:
-            raise ValueError("target fraction must be in (0, 1)")
-        target = model.initial + target_fraction * (model.final - model.initial)
+    if not 0.0 < target_fraction < 1.0:
+        raise ValueError("target fraction must be in (0, 1)")
+    target = model.initial + target_fraction * (model.final - model.initial)
     spec_text = (
         "" if schedule is None or schedule.is_fixed else schedule.canonical
     )

@@ -205,44 +205,17 @@ def training_curve(
 
 
 def time_to_metric(
-    model_key: str,
-    throughput_samples_per_s: float,
-    target: float,
-    schedule=None,
-    base_batch: int = 32,
-    throughput_for_batch=None,
+    model_key: str, throughput_samples_per_s: float, target: float
 ) -> float:
-    """Wall-clock seconds until the curve reaches ``target``.
-
-    With no ``schedule`` (or a fixed one) this is the closed-form curve
-    inverse at constant throughput: ``samples_to(target) / throughput``.
-    With an adaptive schedule (a
-    :class:`~repro.schedule.spec.BatchSchedule` or its spec text) the
-    time is integrated segment-by-segment in closed form: ``base_batch``
-    seeds the schedule and ``throughput_for_batch`` (batch ->
-    samples/s, defaulting to the constant ``throughput_samples_per_s``)
-    prices each segment, so larger batches can be credited with their
-    real hardware speedup.
+    """Wall-clock seconds until the curve reaches ``target`` at constant
+    throughput: the closed-form curve inverse
+    ``samples_to(target) / throughput``.  A run under a batch schedule is
+    priced by :func:`repro.schedule.accuracy.scheduled_time_to_accuracy`.
 
     Raises:
         ValueError: if the target lies outside the curve's range or at
             its asymptote, or the throughput is not positive.
     """
-    if schedule is not None:
-        from repro.schedule.integrator import integrate_schedule
-        from repro.schedule.spec import parse_schedule_spec
-
-        if isinstance(schedule, str):
-            schedule = parse_schedule_spec(schedule)
-        if schedule is not None and not schedule.is_fixed:
-            integration = integrate_schedule(
-                model_key, schedule, base_batch, target=target
-            )
-            if throughput_for_batch is None:
-                if throughput_samples_per_s <= 0:
-                    raise ValueError("throughput must be positive")
-                throughput_for_batch = lambda _batch: throughput_samples_per_s
-            return integration.time_with(throughput_for_batch)
     samples = FIG2_MODELS[model_key].samples_to(target)
     if throughput_samples_per_s <= 0:
         raise ValueError(

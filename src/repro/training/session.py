@@ -112,7 +112,6 @@ class TrainingSession:
         framework="tensorflow",
         gpu: GPUSpec = QUADRO_P4000,
         cpu: CPUSpec = XEON_E5_2680,
-        check_memory: bool = True,
     ):
         self.spec: ModelSpec = get_model(model) if isinstance(model, str) else model
         self.framework: Framework = get_framework(framework)
@@ -123,7 +122,6 @@ class TrainingSession:
             )
         self.gpu = gpu
         self.cpu = cpu
-        self.check_memory = check_memory
         self._roofline = RooflineModel(gpu)
         self._dataset = get_dataset(self.spec.dataset)
         self._pipeline = DataPipelineModel(self._dataset)
@@ -268,7 +266,7 @@ class TrainingSession:
         point may fit where the baseline OOMs).
 
         Raises:
-            OutOfMemoryError: if ``check_memory`` and the plan does not fit.
+            OutOfMemoryError: if the plan does not fit the GPU.
         """
         batch = batch_size if batch_size is not None else self.spec.reference_batch
         with trace_span(
@@ -279,10 +277,8 @@ class TrainingSession:
             batch_size=batch,
         ):
             plan = self.compile_transformed(batch, pipeline)
-            memory = None
-            if self.check_memory:
-                memory = plan.check_memory(self.gpu.memory_bytes)
-                self._record_memory_telemetry(memory)
+            memory = plan.check_memory(self.gpu.memory_bytes)
+            self._record_memory_telemetry(memory)
             return self.execute_plan(
                 plan, memory=memory, display_name=self.spec.display_name
             )

@@ -185,11 +185,9 @@ class Autotuner:
         self.batch_size = (
             int(batch_size) if batch_size is not None else self.spec.reference_batch
         )
-        # Memory checking is the tuner's own job (candidates are *scored*
-        # on whether they fit, not rejected by an exception).
-        self._session = TrainingSession(
-            self.spec, framework, gpu=gpu, cpu=cpu, check_memory=False
-        )
+        # The tuner only compiles plans; candidates are *scored* on whether
+        # they fit (``CompiledPlan.fits``), never rejected by an exception.
+        self._session = TrainingSession(self.spec, framework, gpu=gpu, cpu=cpu)
 
     # ------------------------------------------------------------------
     # enumeration

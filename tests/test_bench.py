@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench import InterleavedRunner, NoiseModel, subject_for
 from repro.bench.noise import median_convergence_tolerance
+from repro.bench.runner import MAX_SAMPLES, MIN_SAMPLES
 from repro.bench.subjects import PlanSubject
 from repro.engine.keys import NON_KEY_RUN_DIMENSIONS, point_key
 from repro.experiments.common import SWEEP_PANELS
@@ -509,14 +510,12 @@ class TestInterleavedRunner:
         assert regressions <= 1, f"{regressions}/24 no-op seeds flagged"
 
     def test_adaptive_sizing_respects_bounds(self, resnet_plan):
-        runner = InterleavedRunner(
-            noise=NoiseModel(seed=2), min_samples=25, max_samples=40
-        )
+        runner = InterleavedRunner(noise=NoiseModel(seed=2))
         result = runner.run(
             PlanSubject("baseline", resnet_plan),
             PlanSubject("baseline-2", resnet_plan),
         )
-        assert 25 <= result.samples_per_side <= 40
+        assert MIN_SAMPLES <= result.samples_per_side <= MAX_SAMPLES
 
     def test_ci_brackets_the_median_speedup(self, resnet_plan):
         runner = InterleavedRunner(noise=NoiseModel(seed=3))

@@ -412,3 +412,27 @@ class TestCompareCommand:
         assert captured.err.startswith("tbd compare: error: ")
         assert captured.err.count("\n") == 1
         assert message in captured.err
+
+
+class TestFaultsBatch:
+    """``tbd faults run|demo`` default to a per-GPU batch of 16 and reject
+    a non-positive one as a usage error, before any simulation."""
+
+    @pytest.mark.parametrize("batch", ["0", "-4"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("run", "cluster=2M1G; steps=10; crash=1@5", "resnet-50"), ("demo",)],
+    )
+    def test_non_positive_batch_exits_2_on_stderr(self, capsys, argv, batch):
+        code = main(["faults", *argv, "-b", batch])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"tbd faults: error: batch must be a positive integer, got {batch}\n"
+        )
+
+    def test_batch_defaults_to_16(self):
+        for command in (["run", "steps=1"], ["demo"]):
+            args = build_parser().parse_args(["faults", *command])
+            assert args.batch == 16

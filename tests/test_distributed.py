@@ -12,6 +12,7 @@ from repro.distributed.allreduce import ring_allreduce_time
 from repro.distributed.topology import configuration
 from repro.hardware.cluster import parse_configuration
 from repro.hardware.interconnect import ETHERNET_1G, INFINIBAND_100G, PCIE_3_X16
+from repro.training.session import TrainingSession
 
 _GRAD_BYTES = 100e6  # ~ResNet-50 gradients
 
@@ -107,6 +108,18 @@ class TestDataParallelTrainer:
             exchange=RingAllReduceExchange(),
         )
         assert trainer.run_iteration(16).throughput > 0
+
+    @pytest.mark.parametrize("label", sorted(standard_configurations()))
+    def test_gradient_bytes_are_the_graph_weight_bytes(self, label):
+        # One rule, read by every exchange consumer: a step moves the
+        # replica graph's weight bytes, whatever the batch or cluster.
+        trainer = DataParallelTrainer(
+            "resnet-50", "mxnet", standard_configurations()[label]
+        )
+        weights = TrainingSession("resnet-50", "mxnet").compile(16).graph
+        for batch in (16, 32):
+            profile = trainer.run_iteration(batch)
+            assert profile.gradient_bytes == weights.total_weight_bytes
 
     def test_configuration_labels(self):
         configs = standard_configurations()

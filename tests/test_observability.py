@@ -426,7 +426,7 @@ class TestDisabledOverheadGuard:
         from repro.observability import metrics as metrics_module
         from repro.observability import tracer as tracer_module
 
-        session = TrainingSession("resnet-50", "mxnet", check_memory=False)
+        session = TrainingSession("resnet-50", "mxnet")
         session.run_iteration(16)  # warm every cache/import first
 
         def best_of(fn, repeats=7):

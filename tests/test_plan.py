@@ -6,6 +6,7 @@ import pytest
 from repro.hardware.memory import AllocationTag, OutOfMemoryError
 from repro.observability.runner import telemetry
 from repro.plan import PlanCache, compile_graph
+from repro.plan.cache import CAPACITY
 from repro.plan.executor import replay
 from repro.training.session import TrainingSession
 
@@ -141,7 +142,7 @@ class TestPlanCache:
             assert session.compile(batch) is plan
 
     def test_lru_eviction(self):
-        cache = PlanCache(capacity=2)
+        cache = PlanCache()
         built = []
 
         def factory(key):
@@ -151,18 +152,18 @@ class TestPlanCache:
 
             return build
 
+        filler = list(range(CAPACITY - 2))
         assert cache.get("a", factory("a")) == "plan-a"
         assert cache.get("b", factory("b")) == "plan-b"
+        for key in filler:
+            cache.get(key, factory(key))
+        assert len(cache) == CAPACITY
         assert cache.get("a", factory("a")) == "plan-a"  # refreshes "a"
         assert cache.get("c", factory("c")) == "plan-c"  # evicts "b"
         assert "b" not in cache and "a" in cache and "c" in cache
         assert cache.get("b", factory("b")) == "plan-b"  # recompiled
-        assert built == ["a", "b", "c", "b"]
-        assert len(cache) == 2
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            PlanCache(capacity=0)
+        assert built == ["a", "b", *filler, "c", "b"]
+        assert len(cache) == CAPACITY
 
     def test_lookup_emits_spans_and_counters(self):
         with telemetry() as run:

@@ -14,6 +14,7 @@ from repro.profiling.memory_profiler import MemoryProfiler
 from repro.profiling.sampling import (
     IterationTimeline,
     SampleWindow,
+    WINDOW,
     StablePhaseSampler,
 )
 from repro.training.session import TrainingSession
@@ -176,16 +177,16 @@ class TestStablePhaseSampling:
 
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError, match="at least"):
-            StablePhaseSampler(window=50).detect_stable_start(np.ones(60))
+            StablePhaseSampler().detect_stable_start(np.ones(2 * WINDOW - 1))
+
+    def test_shortest_series_accepted(self):
+        # 2 * WINDOW iterations is the least the detector reads.
+        assert StablePhaseSampler().detect_stable_start(np.ones(2 * WINDOW)) == 0
 
     def test_sample_window_validation(self):
         with pytest.raises(ValueError):
             SampleWindow(start_iteration=5, end_iteration=5)
 
-    def test_sampler_validation(self):
-        with pytest.raises(ValueError):
-            StablePhaseSampler(window=1)
-        with pytest.raises(ValueError):
-            StablePhaseSampler(cv_threshold=0.0)
+    def test_timeline_validation(self):
         with pytest.raises(ValueError):
             IterationTimeline(stable_iteration_s=0.1).durations(0)

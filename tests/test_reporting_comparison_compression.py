@@ -3,7 +3,7 @@ compression wrappers."""
 
 import pytest
 
-from repro.bench.runner import InterleavedRunner
+from repro.bench.runner import MAX_SAMPLES, MIN_SAMPLES
 from repro.core.html_report import build_report, write_report
 from repro.distributed.compression import (
     HalfPrecisionGradients,
@@ -89,8 +89,7 @@ class TestABComparison:
 
     def test_adaptive_sizing_reports_its_sample_count(self):
         report = ab_compare("resnet-50", "mxnet", "tensorflow", 32)
-        runner = InterleavedRunner()
-        assert runner.min_samples <= report.samples <= runner.max_samples
+        assert MIN_SAMPLES <= report.samples <= MAX_SAMPLES
         assert report.result.p_regression < 0.05
 
 

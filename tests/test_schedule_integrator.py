@@ -9,9 +9,8 @@ invariants every consumer leans on:
 - **affine invariance** — plateau triggers see only gap *fractions*, so
   rescaling the curve's metric axis never moves a boundary (metamorphic);
 - **closed form** — arbitrarily deep targets (10^12+ samples) integrate
-  in bounded work, every fixed spelling of ``time_to_metric`` is
-  bit-identical to no schedule, and its closed-form curve inverse agrees
-  with a reference time bisection.
+  in bounded work, and ``time_to_metric``'s closed-form curve inverse
+  agrees with a reference time bisection.
 """
 
 from __future__ import annotations
@@ -230,85 +229,31 @@ class TestTimeToMetricClosedForm:
 
 
 class TestTimeToMetricEdgeCases:
-    def test_fixed_spellings_are_bit_identical_to_no_schedule(self):
-        curve = FIG2_MODELS["resnet-50"]
-        target = curve.initial + 0.95 * (curve.final - curve.initial)
-        plain = time_to_metric("resnet-50", 1000.0, target)
-        for spelling in ("fixed", "", parse_schedule_spec("fixed")):
-            assert (
-                time_to_metric("resnet-50", 1000.0, target, schedule=spelling)
-                == plain
-            )
-
-    def test_adaptive_with_constant_throughput_matches_direct_integration(self):
-        curve = FIG2_MODELS["resnet-50"]
-        target = curve.initial + 0.9 * (curve.final - curve.initial)
-        via_api = time_to_metric(
-            "resnet-50", 500.0, target, schedule="gns:ceiling=128", base_batch=32
-        )
-        integration = integrate_schedule(
-            "resnet-50", "gns:ceiling=128", 32, target=target
-        )
-        assert via_api == pytest.approx(integration.total_samples / 500.0)
-
-    def test_batch_aware_throughput_prices_each_segment(self):
-        curve = FIG2_MODELS["resnet-50"]
-        target = curve.initial + 0.9 * (curve.final - curve.initial)
-        flat = time_to_metric(
-            "resnet-50", 500.0, target, schedule="gns:ceiling=128", base_batch=32
-        )
-        faster_big_batches = time_to_metric(
-            "resnet-50",
-            500.0,
-            target,
-            schedule="gns:ceiling=128",
-            base_batch=32,
-            throughput_for_batch=lambda batch: 500.0 * (batch / 32.0),
-        )
-        assert faster_big_batches < flat
-
-    def test_unreachable_target_raises_for_both_paths(self):
-        curve = FIG2_MODELS["resnet-50"]
-        beyond = curve.final + 1.0
+    def test_unreachable_target_raises(self):
+        beyond = FIG2_MODELS["resnet-50"].final + 1.0
         with pytest.raises(ValueError, match="outside achievable range"):
             time_to_metric("resnet-50", 1000.0, beyond)
-        with pytest.raises(ValueError, match="outside achievable range"):
-            time_to_metric(
-                "resnet-50", 1000.0, beyond, schedule="gns:ceiling=64"
-            )
 
-    @pytest.mark.parametrize("schedule", [None, "gns:ceiling=64"])
-    def test_asymptote_target_raises_in_closed_form(self, schedule):
-        # "Unreachable" is analytic on both paths: the curve inverse
-        # itself rejects the asymptote.
+    def test_asymptote_target_raises_in_closed_form(self):
+        # "Unreachable" is analytic: the curve inverse itself rejects the
+        # asymptote.
         with pytest.raises(ValueError, match="asymptote"):
-            time_to_metric(
-                "resnet-50",
-                1000.0,
-                FIG2_MODELS["resnet-50"].final,
-                schedule=schedule,
-            )
+            time_to_metric("resnet-50", 1000.0, FIG2_MODELS["resnet-50"].final)
 
-    @pytest.mark.parametrize("schedule", [None, "gns:ceiling=64"])
     @pytest.mark.parametrize("throughput", [0.0, -5.0])
-    def test_non_positive_throughput_rejected(self, schedule, throughput):
+    def test_non_positive_throughput_rejected(self, throughput):
         curve = FIG2_MODELS["resnet-50"]
         target = curve.initial + 0.5 * (curve.final - curve.initial)
         with pytest.raises(ValueError, match="positive"):
-            time_to_metric("resnet-50", throughput, target, schedule=schedule)
+            time_to_metric("resnet-50", throughput, target)
 
-    def test_zero_length_run_is_one_zero_segment_priced_at_zero(self):
+    def test_zero_length_run_is_one_zero_segment(self):
         segments = build_segments(
             GnsSchedule(ceiling=64), 32, 0.0, model=FIG2_MODELS["resnet-50"]
         )
         assert len(segments) == 1
         assert segments[0].samples == 0.0
         assert segments[0].steps == 0.0
-        integration = integrate_schedule(
-            "resnet-50", "gns:ceiling=64", 32, target=FIG2_MODELS["resnet-50"].initial
-        )
-        assert integration.total_samples == 0.0
-        assert integration.time_with(lambda batch: 1000.0) == 0.0
 
     def test_huge_sample_counts_resolve_in_closed_form(self):
         # A target 1e-9 shy of the asymptote needs ~10^13 samples; the

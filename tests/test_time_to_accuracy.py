@@ -127,9 +127,7 @@ class TestScalingStudy:
     def test_statistical_penalty_erodes_scaling_at_extreme_batch(self):
         """Past the critical batch, doubling GPUs stops halving
         time-to-accuracy even with a perfect network."""
-        small = scaling_point(
-            "resnet-50", "mxnet", configuration("1M1G"), 32, base_batch=32
-        )
+        small = scaling_point("resnet-50", "mxnet", configuration("1M1G"), 32)
         # Hypothetical: same throughput per GPU at an enormous global batch.
         huge_global = adjusted_samples_needed("resnet-50", 65536, 32)
         base_needed = small.samples_needed

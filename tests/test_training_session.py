@@ -83,11 +83,6 @@ class TestIterationProfile:
         snapshot = resnet_mxnet_32.memory
         assert snapshot.peak_total > 1024**3
 
-    def test_memory_check_can_be_disabled(self):
-        session = TrainingSession("resnet-50", "mxnet", check_memory=False)
-        profile = session.run_iteration(128)  # would OOM with checking on
-        assert profile.memory is None
-
     def test_oom_raises_with_checking(self):
         session = TrainingSession("resnet-50", "mxnet")
         with pytest.raises(OutOfMemoryError):
