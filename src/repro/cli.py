@@ -172,9 +172,10 @@ def _cmd_memory(args) -> int:
     from repro.profiling.memory_profiler import MemoryProfiler
 
     gpu = get_gpu(args.gpu) if args.gpu else None
-    profile = MemoryProfiler(gpu=gpu).profile(
-        args.model, args.framework, args.batch or _suite(args).model(args.model).reference_batch
-    )
+    batch = args.batch
+    if batch is None:
+        batch = _suite(args).model(args.model).reference_batch
+    profile = MemoryProfiler(gpu=gpu).profile(args.model, args.framework, batch)
     print(profile.format_row())
     return 0
 
@@ -183,7 +184,7 @@ def _cmd_distributed(args) -> int:
     from repro.distributed import DataParallelTrainer
     from repro.distributed.topology import standard_configurations
 
-    batch = args.batch or 32
+    batch = 32 if args.batch is None else args.batch
     for label, cluster in standard_configurations().items():
         trainer = DataParallelTrainer(args.model, args.framework, cluster)
         profile = trainer.run_iteration(batch)
@@ -385,12 +386,6 @@ def _cmd_faults(args) -> int:
         print(scenario.describe())
         return 0
 
-    if args.batch < 1:
-        print(
-            f"tbd faults: error: batch must be a positive integer, got {args.batch}",
-            file=sys.stderr,
-        )
-        return 2
     if args.faults_command == "demo":
         return _faults_demo(args)
 
@@ -663,6 +658,14 @@ def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # ``tbd compare`` reports a bad batch with its other runner errors.
+    batch = getattr(args, "batch", None)
+    if batch is not None and batch < 1 and args.command != "compare":
+        print(
+            f"tbd {args.command}: error: batch must be a positive integer, got {batch}",
+            file=sys.stderr,
+        )
+        return 2
     return args.func(args)
 
 

@@ -7,6 +7,12 @@ shard directory, then ``os.replace``), so a reader can never observe a
 half-written entry; a concurrent ``tbd cache clear`` at worst deletes an
 entry that is immediately recomputed.
 
+Read path: ``os.open`` and unbuffered ``os.read`` calls until end of file
+take an entry's bytes, which are decoded as UTF-8 and parsed once.  A
+warm sweep reads one entry per point, so it skips building a text-mode
+file object (buffer and incremental decoder) per entry.
+:meth:`ResultCache.load` and :meth:`ResultCache.stats` share this reader.
+
 Robustness contract: a corrupted, truncated, or wrong-schema entry is a
 *miss with a warning*, never an exception and never a wrong result — the
 engine recomputes the point and overwrites the bad entry.
@@ -31,6 +37,10 @@ CACHE_DIR_ENV = "TBD_CACHE_DIR"
 #: Default cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".tbd-cache"
 
+#: Bytes per ``os.read`` of an entry.  A paper-grid entry is under 1 KiB,
+#: so one read plus the empty read at end of file takes it whole.
+READ_CHUNK = 1 << 16
+
 
 class CacheCorruptionWarning(UserWarning):
     """A cache entry could not be read and will be recomputed."""
@@ -39,6 +49,28 @@ class CacheCorruptionWarning(UserWarning):
 def default_cache_dir() -> str:
     """``$TBD_CACHE_DIR`` or ``./.tbd-cache``."""
     return os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
+
+
+def _read_entry(path: str) -> tuple:
+    """``(decoded JSON document, size in bytes)`` of the file at ``path``.
+
+    Raises:
+        OSError: the file cannot be opened or read (``FileNotFoundError``
+            when it is absent).
+        ValueError: the bytes are not UTF-8 JSON.
+    """
+    handle = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while True:
+            chunk = os.read(handle, READ_CHUNK)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    finally:
+        os.close(handle)
+    data = b"".join(chunks)
+    return json.loads(data.decode("utf-8")), len(data)
 
 
 @dataclass
@@ -68,10 +100,11 @@ class ResultCache:
     def __init__(self, root: str | None = None):
         self.root = root if root is not None else default_cache_dir()
         self.corrupt_entries = 0
+        self._prefix = os.path.join(self.root, "")
 
     def path_for(self, key: str) -> str:
         """Sharded entry path for one point key."""
-        return os.path.join(self.root, key[:2], f"{key}.json")
+        return f"{self._prefix}{key[:2]}{os.sep}{key}.json"
 
     # ------------------------------------------------------------------
     # read / write
@@ -81,8 +114,7 @@ class ResultCache:
         """The stored point payload, or ``None`` on miss *or* damage."""
         path = self.path_for(key)
         try:
-            with open(path, encoding="utf-8") as handle:
-                entry = json.load(handle)
+            entry, _size = _read_entry(path)
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as exc:
@@ -175,9 +207,7 @@ class ResultCache:
         stats = CacheStats(root=self.root)
         for path in self._entry_paths():
             try:
-                size = os.path.getsize(path)
-                with open(path, encoding="utf-8") as handle:
-                    entry = json.load(handle)
+                entry, size = _read_entry(path)
             except (OSError, ValueError):
                 continue
             stats.entries += 1

@@ -214,8 +214,16 @@ class SweepEngine:
 
     def _validate_specs(self, specs) -> None:
         """Fail fast on any malformed spec, before any point computes or
-        any cache entry is touched."""
+        any cache entry is touched.  Validity does not depend on the
+        batch size, so each (model, framework, scenario) is checked once."""
+        checked = set()
         for spec in specs:
+            context = (
+                spec.model, spec.framework, spec.faults, spec.transforms, spec.schedule
+            )
+            if context in checked:
+                continue
+            checked.add(context)
             model = get_model(spec.model)
             if not model.supports(spec.framework):
                 raise ValueError(
@@ -272,6 +280,9 @@ class SweepEngine:
             results: list = []
             missing: list = []
             keys: list = [None] * len(specs)
+            # Counter handles, fetched on first use: a counter is created
+            # (and exported) by its first lookup.
+            hits = misses = None
             for index, spec in enumerate(specs):
                 point = None
                 if self.cache is not None:
@@ -279,13 +290,17 @@ class SweepEngine:
                     point = self._load_cached(keys[index])
                 if point is not None:
                     self._stats.cache_hits += 1
-                    get_metrics().counter("engine_cache_hits_total").inc()
+                    if hits is None:
+                        hits = get_metrics().counter("engine_cache_hits_total")
+                    hits.inc()
                     self._record_point_span(spec, "cache")
                     results.append((index, point))
                 else:
                     if self.cache is not None:
                         self._stats.cache_misses += 1
-                        get_metrics().counter("engine_cache_misses_total").inc()
+                        if misses is None:
+                            misses = get_metrics().counter("engine_cache_misses_total")
+                        misses.inc()
                     missing.append((index, spec))
 
             for index, payload in self._execute(missing):

@@ -31,15 +31,18 @@ so the per-context work is memoized:
   framework, GPU, CPU, hyper-parameters), keyed by identity with the
   object pinned in the entry, so an ``id`` is never reused while its
   entry lives.  The specs are frozen dataclasses.
-- ``_CONTEXTS``: the canonical JSON of a *context* (the document minus
-  ``batch_size``), keyed by the spec objects, the resolved code
-  fingerprint and the canonical scenario texts.  ``batch_size`` sorts
-  first among the document's fields, so :func:`point_key` hashes
-  ``'{"batch_size":N'`` plus the memoized tail: the same bytes as the
-  whole document's canonical JSON.
+- ``_CONTEXTS``: per :func:`point_key` context as the caller spelled it
+  (string arguments by value, the others by identity, pinned in the
+  entry), the resolved context and the canonical JSON of its document
+  minus ``batch_size``.  A repeated context skips resolving its specs
+  and scenario.  The code fingerprint is still looked up on every call,
+  so an edit :func:`code_fingerprint` sees rebuilds the tail.
+  ``batch_size`` sorts first among the document's fields, so
+  :func:`point_key` hashes ``'{"batch_size":N'`` plus the memoized tail:
+  the same bytes as the whole document's canonical JSON.
 
-The two identity memos hold at most :data:`_MEMO_SIZE` entries each,
-dropping the oldest first.  :func:`clear_fingerprint_caches` empties all
+``_SUB_DOCUMENTS`` and ``_CONTEXTS`` hold at most :data:`_MEMO_SIZE`
+entries each, dropping the oldest first.  :func:`clear_fingerprint_caches` empties all
 four.
 """
 
@@ -124,14 +127,15 @@ _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _FILE_DIGESTS: dict = {}
 #: Composite fingerprint cache: model module name (or None) -> hex digest.
 _CODE_FINGERPRINTS: dict = {}
-#: Entries per identity memo below, like :func:`parse_scenario`'s
+#: Entries per memo below, like :func:`parse_scenario`'s
 #: ``lru_cache``: conformance fuzzing mints fresh framework
 #: personalities, which an unbounded memo would pin for good.
 _MEMO_SIZE = 1024
 #: (fingerprint function, id(spec)) -> (spec, sub-document).
 _SUB_DOCUMENTS: dict = {}
-#: (ids of the spec objects, code, canonical scenario texts) ->
-#: (the spec objects, canonical JSON of the document after ``batch_size``).
+#: :func:`point_key` arguments but the batch (strings as given, other
+#: objects by id) -> [resolved context (which pins those objects),
+#: canonical JSON of its document after ``batch_size``].
 _CONTEXTS: dict = {}
 
 
@@ -350,29 +354,10 @@ def _context_document(spec, personality, gpu, cpu, hyperparams, code, scenario) 
     }
 
 
-def _context_tail(spec, personality, gpu, cpu, hyperparams, code, scenario) -> str:
+def _context_tail(context) -> str:
     """The canonical JSON of a context's document after its opening
     brace, with a leading comma: what follows ``'{"batch_size":N'``."""
-    key = (
-        id(spec),
-        id(personality),
-        id(gpu),
-        id(cpu),
-        id(hyperparams),
-        code,
-        *scenario.canonical.values(),
-    )
-    entry = _CONTEXTS.get(key)
-    if entry is None:
-        text = canonical_json(
-            _context_document(spec, personality, gpu, cpu, hyperparams, code, scenario)
-        )
-        entry = _remember(
-            _CONTEXTS,
-            key,
-            ((spec, personality, gpu, cpu, hyperparams), "," + text[1:]),
-        )
-    return entry[1]
+    return "," + canonical_json(_context_document(*context))[1:]
 
 
 def key_document(
@@ -419,10 +404,32 @@ def point_key(
     """Content address of one sweep point: SHA-256 over every input the
     simulated result depends on — ``digest(key_document(...))``, with the
     context's part of the canonical JSON memoized."""
-    tail = _context_tail(
-        *_resolve(
+    # Strings by value; any other argument by identity, pinned by the
+    # resolved context that holds it.
+    arguments = (
+        model if isinstance(model, str) else id(model),
+        framework if isinstance(framework, str) else id(framework),
+        id(gpu),
+        id(cpu),
+        id(hyperparams),
+        code,
+        faults,
+        transforms,
+        schedule,
+    )
+    entry = _CONTEXTS.get(arguments)
+    if entry is None:
+        context = _resolve(
             model, framework, gpu, cpu, hyperparams, code, faults, transforms, schedule
         )
-    )
+        entry = _remember(_CONTEXTS, arguments, [context, _context_tail(context)])
+    context, tail = entry
+    if code is None:
+        spec, scenario = context[0], context[6]
+        code = code_fingerprint(spec.build.__module__, scenario.dimensions)
+        if code != context[5]:
+            context = (*context[:5], code, scenario)
+            entry[:] = context, _context_tail(context)
+            tail = entry[1]
     text = '{"batch_size":%d' % int(batch_size) + tail
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -62,6 +62,7 @@ class CompiledPlan:
         execution: ExecutionReplay,
         allocations: list,
         backward_spans: tuple = (),
+        total_flops: float | None = None,
     ):
         self.graph = graph
         self.framework = framework
@@ -74,8 +75,11 @@ class CompiledPlan:
         #: weighted layer, in stream order; indices survive kernel
         #: specialization because it rewrites kernels one-to-one.
         self.backward_spans = tuple(backward_spans)
-        # Accumulated in stream order, exactly as the session always has.
-        self.total_flops = sum(t.kernel.flops for t in timings)
+        # Accumulated in stream order, exactly as the session always has;
+        # a sibling sharing ``timings`` passes its parent's sum.
+        if total_flops is None:
+            total_flops = sum(t.kernel.flops for t in timings)
+        self.total_flops = total_flops
         self._unconstrained = None
         self._capacity_errors: dict = {}
 
@@ -194,6 +198,7 @@ class CompiledPlan:
             execution=self.execution if execution is None else execution,
             allocations=list(allocations),
             backward_spans=self.backward_spans,
+            total_flops=self.total_flops,
         )
 
     # -- presentation --------------------------------------------------

@@ -436,3 +436,38 @@ class TestFaultsBatch:
         for command in (["run", "steps=1"], ["demo"]):
             args = build_parser().parse_args(["faults", *command])
             assert args.batch == 16
+
+
+class TestBatchIsPositive:
+    """Every command with ``-b`` but ``compare`` rejects a batch below 1
+    as a usage error, before any simulation, as ``tbd faults`` does; an
+    omitted batch falls back to the command's default."""
+
+    @pytest.mark.parametrize("batch", ["0", "-4"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "resnet-50", "-f", "mxnet"),
+            ("memory", "resnet-50", "-f", "mxnet"),
+            ("distributed",),
+            ("analyze", "resnet-50", "-f", "mxnet"),
+            ("inspect", "resnet-50"),
+            ("plan", "show", "resnet-50", "-f", "mxnet"),
+            ("trace", "resnet-50", "-f", "mxnet", "--no-archive"),
+            ("tune", "resnet-50", "-f", "mxnet", "--no-cache", "--no-confirm"),
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_non_positive_batch_exits_2_on_stderr(self, capsys, argv, batch):
+        code = main([*argv, "-b", batch])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"tbd {argv[0]}: error: batch must be a positive integer, got {batch}\n"
+        )
+
+    def test_memory_defaults_to_the_reference_batch(self, capsys):
+        code, out = run_cli(capsys, "memory", "resnet-50", "-f", "mxnet")
+        assert code == 0
+        assert "b=32 " in out

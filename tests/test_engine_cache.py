@@ -22,7 +22,12 @@ from repro.engine import (
     default_cache_dir,
     point_key,
 )
-from repro.engine.cache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, ENTRY_SCHEMA
+from repro.engine.cache import (
+    CACHE_DIR_ENV,
+    DEFAULT_CACHE_DIR,
+    ENTRY_SCHEMA,
+    READ_CHUNK,
+)
 from repro.engine.keys import canonical_json
 
 _KEYS = [f"{prefix}{'0' * 62}" for prefix in ("00", "7f", "ab", "ff")]
@@ -101,6 +106,22 @@ class TestRoundTrip:
         cache.store(key, _payload(2))
         assert cache.load(key) == _payload(2)
         assert cache.stats().entries == 1
+
+    @pytest.mark.parametrize(
+        "size",
+        (READ_CHUNK - 1, READ_CHUNK, READ_CHUNK + 1, 3 * READ_CHUNK + 7),
+    )
+    def test_an_entry_of_any_size_loads_whole(self, cache, size):
+        # The reader takes an entry in READ_CHUNK-byte reads until end of
+        # file; pad the payload so the entry is exactly ``size`` bytes.
+        payload = {"batch_size": 1, "blob": ""}
+        unpadded = os.path.getsize(cache.store(_KEYS[0], payload))
+        payload["blob"] = "x" * (size - unpadded)
+        path = cache.store(_KEYS[0], payload)
+        assert os.path.getsize(path) == size
+        assert cache.load(_KEYS[0]) == payload
+        assert cache.stats().total_bytes == size
+        assert cache.corrupt_entries == 0
 
     def test_same_payload_stores_byte_identical_entries(self, tmp_path):
         first = ResultCache(str(tmp_path / "one"))
