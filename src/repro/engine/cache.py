@@ -73,6 +73,18 @@ def _read_entry(path: str) -> tuple:
     return json.loads(data.decode("utf-8")), len(data)
 
 
+def _servable(entry, key: str) -> bool:
+    """Is ``entry``, read from ``key``'s path, one that
+    :meth:`ResultCache.load` serves?  The one validity rule: ``load``
+    quarantines what fails it, and ``stats`` counts only what passes."""
+    return (
+        isinstance(entry, dict)
+        and entry.get("schema") == ENTRY_SCHEMA
+        and entry.get("key") == key
+        and isinstance(entry.get("point"), dict)
+    )
+
+
 @dataclass
 class CacheStats:
     """One ``tbd cache stats`` snapshot."""
@@ -120,12 +132,7 @@ class ResultCache:
         except (OSError, ValueError) as exc:
             self._quarantine(path, f"unreadable entry ({exc})")
             return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("schema") != ENTRY_SCHEMA
-            or entry.get("key") != key
-            or not isinstance(entry.get("point"), dict)
-        ):
+        if not _servable(entry, key):
             self._quarantine(path, "schema/key mismatch")
             return None
         return entry["point"]
@@ -203,16 +210,25 @@ class ResultCache:
                     yield os.path.join(shard_dir, name)
 
     def stats(self) -> CacheStats:
-        """Entry count, byte size, and per-model point counts."""
+        """Entry count, byte size, and per-model point counts of the
+        entries :meth:`load` would serve; read-only, so a damaged entry is
+        skipped here and quarantined only when a sweep loads it.  An entry
+        whose ``config`` names no model string counts as ``<unknown>``."""
         stats = CacheStats(root=self.root)
         for path in self._entry_paths():
+            key = os.path.basename(path)[: -len(".json")]
             try:
                 entry, size = _read_entry(path)
             except (OSError, ValueError):
                 continue
+            if path != self.path_for(key) or not _servable(entry, key):
+                continue
             stats.entries += 1
             stats.total_bytes += size
-            model = entry.get("config", {}).get("model", "<unknown>")
+            config = entry.get("config")
+            model = config.get("model") if isinstance(config, dict) else None
+            if not isinstance(model, str):
+                model = "<unknown>"
             stats.by_model[model] = stats.by_model.get(model, 0) + 1
         return stats
 

@@ -7,6 +7,14 @@ e.g. MXNet's momentum buffers).  Consumption is reported as the maximum
 amount ever allocated per class.  This module implements exactly that
 accounting, plus capacity enforcement so that over-large mini-batches fail
 with an out-of-memory error just as they do on a real 8 GB card.
+
+:meth:`GPUMemoryAllocator.allocate_trace` is the one accounting loop: it
+grants a plan's whole allocation trace, given as parallel columns, in
+one scan with its running totals in locals; ``allocate`` is its
+one-record case plus a handle for ``free``.  The in-use total is the
+five class levels added left to right in tag order, never ``sum()``,
+which CPython 3.12 compensates: every footprint reads the same bits on
+every interpreter.
 """
 
 from __future__ import annotations
@@ -84,8 +92,10 @@ class GPUMemoryAllocator:
 
     @property
     def allocated_bytes(self) -> float:
-        """Bytes currently charged against capacity (incl. pool overhead)."""
-        return sum(self._current_by_tag.values())
+        """Bytes currently charged against capacity (incl. pool overhead):
+        the five class levels added left to right in tag order."""
+        weights, gradients, maps, workspace, dynamic = self._current_by_tag.values()
+        return weights + gradients + maps + workspace + dynamic
 
     @property
     def free_bytes(self) -> float:
@@ -94,32 +104,56 @@ class GPUMemoryAllocator:
     def allocate(self, num_bytes: float, tag: AllocationTag, label: str = "") -> int:
         """Reserve ``num_bytes`` (plus pool overhead) or raise
         :class:`OutOfMemoryError`.  Returns an opaque handle for ``free``."""
-        if num_bytes < 0:
-            raise ValueError("allocation size cannot be negative")
-        charged = num_bytes * self.pool_overhead
-        current = self._current_by_tag
-        in_use = sum(current.values())
-        demand = in_use + charged
-        if demand > self.capacity_bytes:
-            raise OutOfMemoryError(
-                f"allocating {charged / 1024**2:.1f} MiB ({tag.value}"
-                f"{': ' + label if label else ''}) exceeds capacity: "
-                f"{in_use / 1024**2:.1f} MiB in use of "
-                f"{self.capacity_bytes / 1024**2:.1f} MiB"
-            )
-        if demand > self.peak_demand:
-            self.peak_demand = demand
+        self.allocate_trace((num_bytes,), (tag,), (label,))
         handle = self._next_handle
         self._next_handle += 1
-        self._allocations[handle] = (charged, tag)
-        level = current[tag] + charged
-        current[tag] = level
-        if level > self._peak_by_tag[tag]:
-            self._peak_by_tag[tag] = level
-        total = sum(current.values())
-        if total > self._peak_total:
-            self._peak_total = total
+        self._allocations[handle] = (num_bytes * self.pool_overhead, tag)
         return handle
+
+    def allocate_trace(self, num_bytes, tags, labels) -> None:
+        """Reserve each request of a trace's parallel columns in order, as
+        that many :meth:`allocate` calls would, without handles: a trace's
+        requests are never freed.
+
+        Raises the first request's :class:`ValueError` (a negative size)
+        or :class:`OutOfMemoryError`; the requests before it stay granted.
+        """
+        overhead = self.pool_overhead
+        capacity = self.capacity_bytes
+        current = self._current_by_tag
+        levels = current.values()
+        peak_by_tag = self._peak_by_tag
+        peak_total = self._peak_total
+        peak_demand = self.peak_demand
+        # Each request's in-use total is the previous request's new total.
+        in_use = self.allocated_bytes
+        try:
+            for size, tag, label in zip(num_bytes, tags, labels):
+                if size < 0:
+                    raise ValueError("allocation size cannot be negative")
+                charged = size * overhead
+                demand = in_use + charged
+                if demand > capacity:
+                    raise OutOfMemoryError(
+                        f"allocating {charged / 1024**2:.1f} MiB ({tag.value}"
+                        f"{': ' + label if label else ''}) exceeds capacity: "
+                        f"{in_use / 1024**2:.1f} MiB in use of "
+                        f"{capacity / 1024**2:.1f} MiB"
+                    )
+                if demand > peak_demand:
+                    peak_demand = demand
+                level = current[tag] + charged
+                current[tag] = level
+                if level > peak_by_tag[tag]:
+                    peak_by_tag[tag] = level
+                # ``allocated_bytes``, inlined: left to right in tag order.
+                weights, gradients, maps, workspace, dynamic = levels
+                in_use = weights + gradients + maps + workspace + dynamic
+                if in_use > peak_total:
+                    peak_total = in_use
+        finally:
+            self._peak_total = peak_total
+            self.peak_demand = peak_demand
 
     def free(self, handle: int) -> None:
         """Release a previous allocation."""

@@ -33,7 +33,7 @@ an XLA-style compile-then-execute split:
 """
 
 from repro.plan.cache import PlanCache, PlanCacheStats
-from repro.plan.compiled import AllocationRecord, CompiledPlan
+from repro.plan.compiled import AllocationRecord, AllocationTrace, CompiledPlan
 from repro.plan.compiler import compile_graph, lower_kernels, record_allocations
 from repro.plan.executor import ExecutionReplay, replay
 from repro.plan.pipeline import (
@@ -56,6 +56,7 @@ from repro.plan.transform import (
 
 __all__ = [
     "AllocationRecord",
+    "AllocationTrace",
     "CompiledPlan",
     "ExecutionReplay",
     "FeatureMapOffloadTransform",

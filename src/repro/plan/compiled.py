@@ -11,6 +11,12 @@ their replays, and the profiling/telemetry layers export their timelines
 (recorded on first read) — so the expensive build/lower/time work
 happens exactly once per point (see :class:`repro.plan.cache.PlanCache`).
 
+The allocation trace is an :class:`AllocationTrace`: three parallel
+tuples (bytes, tags, labels) rather than one record object per request,
+so the compiler appends to columns, a rewrite replaces only the column
+it changes and shares the rest, and a replay is one
+:meth:`~repro.hardware.memory.GPUMemoryAllocator.allocate_trace` scan.
+
 A capacity check is one comparison against the plan's *peak demand*:
 the largest ``in use + charged`` the unconstrained replay of the
 allocation trace (the one behind :attr:`CompiledPlan.memory`) reached,
@@ -38,11 +44,43 @@ from repro.plan.executor import ExecutionReplay
 
 @dataclass(frozen=True)
 class AllocationRecord:
-    """One entry of a plan's allocation trace."""
+    """One entry of a plan's allocation trace, as a row read from it."""
 
     num_bytes: float
     tag: AllocationTag
     label: str = ""
+
+
+@dataclass(frozen=True)
+class AllocationTrace:
+    """A plan's allocation trace: three parallel columns, one entry per
+    request in allocation order.
+
+    Rewrites share the columns they do not change (the fp16 trace keeps
+    its source's ``tags`` and ``labels`` tuples) and the allocator replays
+    the columns directly (:meth:`GPUMemoryAllocator.allocate_trace`).
+    Iterating or indexing yields :class:`AllocationRecord` rows; a slice
+    is a trace.
+    """
+
+    num_bytes: tuple
+    tags: tuple
+    labels: tuple
+
+    def __len__(self) -> int:
+        return len(self.num_bytes)
+
+    def __iter__(self):
+        return map(AllocationRecord, self.num_bytes, self.tags, self.labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return AllocationTrace(
+                self.num_bytes[index], self.tags[index], self.labels[index]
+            )
+        return AllocationRecord(
+            self.num_bytes[index], self.tags[index], self.labels[index]
+        )
 
 
 class CompiledPlan:
@@ -60,7 +98,7 @@ class CompiledPlan:
         kernels: list,
         timings: list,
         execution: ExecutionReplay,
-        allocations: list,
+        allocations: AllocationTrace,
         backward_spans: tuple = (),
         total_flops: float | None = None,
     ):
@@ -132,8 +170,8 @@ class CompiledPlan:
         allocator = GPUMemoryAllocator(
             capacity_bytes, pool_overhead=self.framework.pool_overhead
         )
-        for record in self.allocations:
-            allocator.allocate(record.num_bytes, record.tag, record.label)
+        trace = self.allocations
+        allocator.allocate_trace(trace.num_bytes, trace.tags, trace.labels)
         return allocator
 
     def check_memory(self, capacity_bytes: float):
@@ -184,7 +222,9 @@ class CompiledPlan:
         """The unconstrained footprint snapshot (capacity-independent)."""
         return self.check_memory(float("inf"))
 
-    def with_allocations(self, allocations, execution=None) -> "CompiledPlan":
+    def with_allocations(
+        self, allocations: AllocationTrace, execution=None
+    ) -> "CompiledPlan":
         """A sibling plan with a rewritten allocation trace and the same
         kernel stream — how memory transforms derive plans.  ``execution``
         replaces the timeline when the rewrite also stalls the device
@@ -196,7 +236,7 @@ class CompiledPlan:
             kernels=self.kernels,
             timings=self.timings,
             execution=self.execution if execution is None else execution,
-            allocations=list(allocations),
+            allocations=allocations,
             backward_spans=self.backward_spans,
             total_flops=self.total_flops,
         )

@@ -23,7 +23,7 @@ from repro.hardware.roofline import RooflineModel
 import repro.kernels.misc as misc
 from repro.observability.tracer import trace_span
 
-from repro.plan.compiled import AllocationRecord, CompiledPlan
+from repro.plan.compiled import AllocationTrace, CompiledPlan
 from repro.plan.executor import ExecutionReplay, replay
 
 
@@ -77,7 +77,7 @@ def _backward_spans(graph: LayerGraph) -> tuple:
 
 def record_allocations(
     graph: LayerGraph, framework: Framework, offload_fraction: float | None = None
-) -> list:
+) -> AllocationTrace:
     """One training setup + iteration's allocation trace, in framework
     order: per-layer weights/gradients/maps/workspace, input staging, then
     optimizer state (statically with the weights for TF/CNTK, lazily for
@@ -94,51 +94,38 @@ def record_allocations(
     offloaded = offload_fraction is not None
     if offloaded:
         fm_factor *= 1.0 - offload_fraction
-    records = []
+    workspace_factor = framework.workspace_factor
+    num_bytes = []
+    tags = []
+    labels = []
     for layer in graph.layers:
-        if layer.weight_bytes:
-            records.append(
-                AllocationRecord(layer.weight_bytes, AllocationTag.WEIGHTS, layer.name)
-            )
-            records.append(
-                AllocationRecord(
-                    layer.weight_bytes, AllocationTag.WEIGHT_GRADIENTS, layer.name
-                )
-            )
-        if layer.stash_bytes:
-            records.append(
-                AllocationRecord(
-                    layer.stash_bytes * fm_factor,
-                    AllocationTag.FEATURE_MAPS,
-                    layer.name,
-                )
-            )
-        if layer.workspace_bytes:
-            records.append(
-                AllocationRecord(
-                    layer.workspace_bytes * framework.workspace_factor,
-                    AllocationTag.WORKSPACE,
-                    layer.name,
-                )
-            )
+        name = layer.name
+        weight_bytes = layer.weight_bytes
+        if weight_bytes:
+            num_bytes += (weight_bytes, weight_bytes)
+            tags += (AllocationTag.WEIGHTS, AllocationTag.WEIGHT_GRADIENTS)
+            labels += (name, name)
+        stash_bytes = layer.stash_bytes
+        if stash_bytes:
+            num_bytes.append(stash_bytes * fm_factor)
+            tags.append(AllocationTag.FEATURE_MAPS)
+            labels.append(name)
+        workspace_bytes = layer.workspace_bytes
+        if workspace_bytes:
+            num_bytes.append(workspace_bytes * workspace_factor)
+            tags.append(AllocationTag.WORKSPACE)
+            labels.append(name)
     if graph.input_bytes and not offloaded:
-        records.append(
-            AllocationRecord(
-                graph.input_bytes * staging_buffers,
-                AllocationTag.FEATURE_MAPS,
-                "input staging",
-            )
-        )
-    momentum_bytes = graph.total_weight_bytes
+        num_bytes.append(graph.input_bytes * staging_buffers)
+        tags.append(AllocationTag.FEATURE_MAPS)
+        labels.append("input staging")
+    num_bytes.append(graph.total_weight_bytes)
     if offloaded or framework.momentum_allocation is MomentumAllocation.DYNAMIC:
-        records.append(
-            AllocationRecord(momentum_bytes, AllocationTag.DYNAMIC, "momentum")
-        )
+        tags.append(AllocationTag.DYNAMIC)
     else:
-        records.append(
-            AllocationRecord(momentum_bytes, AllocationTag.WEIGHTS, "momentum")
-        )
-    return records
+        tags.append(AllocationTag.WEIGHTS)
+    labels.append("momentum")
+    return AllocationTrace(tuple(num_bytes), tuple(tags), tuple(labels))
 
 
 def compile_graph(

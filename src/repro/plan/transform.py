@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from itertools import repeat
+from operator import mul
 
 from repro.graph.layer import LayerGraph
 from repro.hardware.interconnect import PCIE_3_X16
@@ -29,7 +31,7 @@ from repro.models.resnet import build_resnet_with_depth
 from repro.observability.tracer import trace_span
 
 from repro.plan import compiler
-from repro.plan.compiled import CompiledPlan
+from repro.plan.compiled import AllocationTrace, CompiledPlan
 from repro.plan.executor import with_offload_stall
 
 
@@ -222,13 +224,13 @@ class HalfPrecisionStorageTransform(PlanTransform):
     }
 
     def rewrite(self, plan: CompiledPlan) -> CompiledPlan:
-        rescaled = [
-            replace(
-                record, num_bytes=record.num_bytes * self.SCALES.get(record.tag, 1.0)
+        trace = plan.allocations
+        scales = map(self.SCALES.get, trace.tags, repeat(1.0))
+        return plan.with_allocations(
+            AllocationTrace(
+                tuple(map(mul, trace.num_bytes, scales)), trace.tags, trace.labels
             )
-            for record in plan.allocations
-        ]
-        return plan.with_allocations(rescaled)
+        )
 
 
 class FeatureMapOffloadTransform(PlanTransform):

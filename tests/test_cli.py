@@ -1,6 +1,7 @@
 """Tests for the ``tbd`` command-line interface."""
 
 import argparse
+import os
 
 import pytest
 
@@ -284,6 +285,25 @@ class TestEngineCli:
         code, out = run_cli(capsys, "cache", "--dir", cache_dir, "stats")
         assert code == 0
         assert "entries: 0" in out
+
+    def test_cache_stats_skips_entries_a_sweep_would_not_serve(
+        self, capsys, tmp_path
+    ):
+        cache_dir = str(tmp_path / "cache")
+        run_cli(capsys, "sweep", "a3c", "-f", "mxnet", "--cache-dir", cache_dir)
+        _code, healthy = run_cli(capsys, "cache", "--dir", cache_dir, "stats")
+        entries = sorted(
+            os.path.join(directory, name)
+            for directory, _dirs, names in os.walk(cache_dir)
+            for name in names
+        )
+        for path, damage in zip(entries, ("[1, 2, 3]", '{"config": null}')):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(damage)
+        code, out = run_cli(capsys, "cache", "--dir", cache_dir, "stats")
+        assert code == 0
+        assert "entries: 3" in out and f"{'a3c':16s} 3 point(s)" in out
+        assert "entries: 5" in healthy and f"{'a3c':16s} 5 point(s)" in healthy
 
     def test_cache_defaults_to_env_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TBD_CACHE_DIR", str(tmp_path / "env-cache"))

@@ -209,6 +209,65 @@ class TestBooks:
         assert stats.entries == 1
         assert stats.total_bytes == os.path.getsize(path)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            b"[1, 2, 3]",
+            b'"just a string"',
+            b'{"config": null}',
+            json.dumps({"schema": 99, "key": _KEYS[0], "point": {}}).encode(),
+            json.dumps({"schema": ENTRY_SCHEMA, "key": _KEYS[3], "point": {}}).encode(),
+            json.dumps({"schema": ENTRY_SCHEMA, "key": _KEYS[0], "point": [1]}).encode(),
+            json.dumps({"schema": ENTRY_SCHEMA, "key": _KEYS[0]}).encode(),
+        ],
+        ids=[
+            "list",
+            "string",
+            "config-null",
+            "wrong-schema",
+            "wrong-key",
+            "point-not-dict",
+            "point-missing",
+        ],
+    )
+    def test_stats_counts_only_what_load_serves(self, cache, damage, recwarn):
+        healthy = cache.store(_KEYS[1], _payload(1), config={"model": "a3c"})
+        damaged = cache.store(_KEYS[0], _payload(0), config={"model": "nmt"})
+        with open(damaged, "wb") as handle:
+            handle.write(damage)
+        stats = cache.stats()
+        assert (stats.entries, stats.by_model) == (1, {"a3c": 1})
+        assert stats.total_bytes == os.path.getsize(healthy)
+        # Read-only: the damaged entry is neither removed nor reported.
+        assert os.path.exists(damaged)
+        assert cache.corrupt_entries == 0
+        assert not recwarn.list
+
+    @pytest.mark.parametrize(
+        "config", [None, [1, 2], "a3c", {"model": None}, {"model": ["a3c"]}]
+    )
+    def test_stats_counts_a_served_entry_without_a_model_as_unknown(
+        self, cache, config
+    ):
+        path = cache.store(_KEYS[0], _payload(0))
+        entry = {"schema": ENTRY_SCHEMA, "key": _KEYS[0], "config": config}
+        entry["point"] = _payload(0)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle)
+        assert cache.load(_KEYS[0]) == _payload(0)
+        stats = cache.stats()
+        assert (stats.entries, stats.by_model) == (1, {"<unknown>": 1})
+        assert stats.total_bytes == os.path.getsize(path)
+
+    def test_stats_skips_an_entry_outside_its_shard(self, cache):
+        path = cache.store(_KEYS[0], _payload(0), config={"model": "a3c"})
+        stray = os.path.join(cache.root, "7f", os.path.basename(path))
+        os.makedirs(os.path.dirname(stray))
+        os.replace(path, stray)
+        # ``load`` reads only the entry's own shard, so nothing is served.
+        assert cache.load(_KEYS[0]) is None
+        assert cache.stats().entries == 0
+
     def test_stats_on_missing_root_is_empty(self, tmp_path):
         stats = ResultCache(str(tmp_path / "absent")).stats()
         assert (stats.entries, stats.total_bytes, stats.by_model) == (0, 0, {})

@@ -19,9 +19,11 @@ import pytest
 import repro
 from repro.engine import PointSpec, SweepEngine, grid_for
 from repro.experiments.common import SWEEP_PANELS, run_sweeps
+from repro.plan.compiled import AllocationRecord
 import repro.plan.compiler as plan_compiler
 import repro.plan.symbolic as plan_symbolic
 from repro.training.session import TrainingSession
+from repro.tune.search import Autotuner
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
@@ -305,6 +307,25 @@ class TestOneCompilePerPoint:
             """
         )
         assert _fresh_python(script) == "0 []"
+
+    def test_tuning_builds_no_allocation_record(self, monkeypatch):
+        """A tune reads allocation traces only as columns: compiling,
+        rewriting and replaying every candidate constructs no per-record
+        row."""
+        built = []
+        plain_init = AllocationRecord.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            plain_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AllocationRecord, "__init__", counted_init)
+        result = Autotuner("resnet-50", "mxnet").tune(cache=None)
+        assert result.candidates
+        assert built == []
+        # The hook counts rows when a consumer does read them.
+        list(Autotuner("a3c", "mxnet")._session.compile(4).allocations[:2])
+        assert len(built) == 2
 
     def test_the_cli_parser_loads_no_command_internals(self):
         """``tbd`` builds its parser without the conformance harness, the

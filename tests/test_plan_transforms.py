@@ -85,6 +85,18 @@ class TestHalfPrecisionStorage:
         )
 
 
+    def test_shares_its_source_tags_and_labels(self, resnet_plan):
+        source = resnet_plan.allocations
+        halved = HalfPrecisionStorageTransform().apply(resnet_plan).allocations
+        assert halved.tags is source.tags
+        assert halved.labels is source.labels
+        scales = HalfPrecisionStorageTransform.SCALES
+        assert halved.num_bytes == tuple(
+            size * scales.get(tag, 1.0)
+            for size, tag in zip(source.num_bytes, source.tags)
+        )
+
+
 class TestFeatureMapOffload:
     @pytest.mark.parametrize("fraction", (-0.1, 1.5))
     def test_rejects_out_of_range_fractions(self, fraction):
