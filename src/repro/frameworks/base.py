@@ -106,7 +106,5 @@ class Framework:
         """:meth:`specialize_kernel` over a kernel stream, once per
         distinct kernel value in the stream (the per-timestep kernels of a
         recurrent layer repeat; :func:`~repro.kernels.base.map_distinct`
-        with a per-call memo).  Kernels must be hashable (concrete);
-        specialize symbolic ones one by one with
-        :meth:`specialize_kernel`."""
+        with a per-call memo).  Kernels must be hashable."""
         return map_distinct(kernels, {}, self.specialize_kernel)

@@ -144,10 +144,9 @@ class LayerGraph:
 
     def add(self, layer: Layer) -> "LayerGraph":
         """Append a layer (fluent)."""
-        names = getattr(self, "_names", None)
-        if names is None or len(names) != len(self.layers):
-            # Built without __post_init__ (the symbolic planner materializes
-            # graphs field by field) or its list was extended directly.
+        names = self._names
+        if len(names) != len(self.layers):
+            # The list was extended directly.
             names = self._names = {existing.name for existing in self.layers}
         if layer.name in names:
             raise ValueError(f"duplicate layer name {layer.name!r}")

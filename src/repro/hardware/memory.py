@@ -49,9 +49,19 @@ class MemorySnapshot:
     peak_by_tag: dict
     peak_total: float
 
+    @property
+    def sum_of_class_peaks(self) -> float:
+        """The class peaks added left to right in tag order, as
+        :attr:`GPUMemoryAllocator.allocated_bytes` adds the levels (never
+        ``sum()``, which CPython 3.12 compensates)."""
+        total = 0.0
+        for peak in self.peak_by_tag.values():
+            total += peak
+        return total
+
     def fraction(self, tag: AllocationTag) -> float:
         """Peak share of one class relative to the sum of class peaks."""
-        total = sum(self.peak_by_tag.values())
+        total = self.sum_of_class_peaks
         if total <= 0:
             return 0.0
         return self.peak_by_tag.get(tag, 0.0) / total

@@ -112,8 +112,7 @@ class RooflineModel:
         """Time a sequence of kernels, each distinct kernel value once per
         model instance (:func:`~repro.kernels.base.map_distinct` over the
         ``_timings`` memo): equal kernels get the same
-        :class:`KernelTiming`.  Kernels must be hashable (concrete); time
-        symbolic ones one by one with :meth:`time_kernel`."""
+        :class:`KernelTiming`.  Kernels must be hashable."""
         return map_distinct(kernels, self._timings, self.time_kernel)
 
     def arithmetic_intensity_breakeven(self) -> float:

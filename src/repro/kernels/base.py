@@ -101,7 +101,7 @@ def map_distinct(kernels, memo: dict, function) -> list:
     ``memo`` (filled here; a caller may keep it across calls): a recurrent
     layer repeats one object per launch, so most lookups skip hashing the
     frozen dataclass.  The identity map lives only for this call, while
-    ``kernels`` keeps its ids alive.  Kernels must be hashable (concrete).
+    ``kernels`` keeps its ids alive.  Kernels must be hashable.
     """
     if not isinstance(kernels, (list, tuple)):
         kernels = list(kernels)  # the id map needs every kernel alive

@@ -39,9 +39,6 @@ class ConvShape:
     stride_w: int = None
 
     def __post_init__(self) -> None:
-        # Per-field checks (not ``min(...) <= 0``): ``min`` compares the
-        # operands to each other, which would pin symbolic batch traces to
-        # needlessly tight guard regions.
         if (
             self.batch <= 0
             or self.in_channels <= 0
@@ -95,11 +92,8 @@ class ConvShape:
     @property
     def macs(self) -> float:
         """Multiply-accumulates of the direct algorithm."""
-        # ``* 1.0`` (not ``float()``) so symbolic batch dims trace through;
-        # the float conversion it performs is bit-identical.
         return (
-            self.output_elements
-            * 1.0
+            float(self.output_elements)
             * self.in_channels
             * self.kernel_h
             * self.kernel_w

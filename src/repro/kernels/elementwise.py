@@ -79,7 +79,7 @@ def pooling_forward(in_elements: int, out_elements: int, window: int = 9) -> Ker
     return Kernel(
         name="cudnn::detail::pooling_fw_4d_kernel",
         category=KernelCategory.POOLING,
-        flops=out_elements * 1.0 * window,
+        flops=float(out_elements) * window,
         bytes_accessed=fp32_bytes(in_elements + out_elements),
         max_compute_efficiency=_EW_MAX_COMPUTE_EFF,
         max_memory_efficiency=_EW_MAX_MEMORY_EFF,
@@ -93,7 +93,7 @@ def pooling_backward(in_elements: int, out_elements: int, window: int = 9) -> Ke
     return Kernel(
         name="cudnn::detail::pooling_bw_4d_kernel",
         category=KernelCategory.POOLING,
-        flops=out_elements * 1.0 * window,
+        flops=float(out_elements) * window,
         bytes_accessed=fp32_bytes(2 * in_elements + out_elements),
         max_compute_efficiency=_EW_MAX_COMPUTE_EFF,
         max_memory_efficiency=0.6,  # scattered writes

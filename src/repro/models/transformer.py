@@ -86,7 +86,7 @@ def build_transformer(batch_tokens: int, seq_len: int = SEQ_LEN) -> LayerGraph:
         model_name="Transformer",
         batch_size=batch_tokens,
         input_bytes=batch_tokens * 2 * 4,  # source + target token ids
-        samples_per_iteration=sentences * seq_len * 1.0,
+        samples_per_iteration=float(sentences * seq_len),
     )
     graph.add(
         embedding_layer("src_embedding", sentences * seq_len, VOCAB_SIZE, MODEL_DIM)

@@ -22,14 +22,7 @@ an XLA-style compile-then-execute split:
   (``fused_rnn+fp16+offload:0.5``) into canonically ordered pipelines,
   which apply only through
   :meth:`~repro.training.session.TrainingSession.compile_transformed`
-  (per-prefix memo, then the composition-wide contract check);
-- :mod:`repro.plan.symbolic` (with :mod:`repro.plan.symexpr`) compiles
-  once per (model, framework, GPU) with a symbolic batch and specializes
-  per batch.  No module in this package or elsewhere under ``repro``
-  imports it, and this package does not re-export it: every answer
-  (sweeps, tuning, OOM probes) comes from
-  :func:`~repro.plan.compiler.compile_graph`.  It is kept only while the
-  host wall-clock benchmark (``benchmarks/wall``) patches it by name.
+  (per-prefix memo, then the composition-wide contract check).
 """
 
 from repro.plan.cache import PlanCache, PlanCacheStats

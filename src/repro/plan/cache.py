@@ -90,6 +90,7 @@ class PlanCache:
         return key in self._entries
 
     def clear(self) -> None:
+        """Drop every plan; the hit and miss counts stay."""
         self._entries.clear()
 
     @property

@@ -5,13 +5,12 @@ issues each kernel one dispatch cost after the previous one (or after a
 host sync's result arrives), and the GPU starts it at the later of that
 issue time and the end of the previous kernel.  It walks a kernel
 stream's flat per-kernel ``durations`` and ``host_syncs`` lists and
-returns the makespan.  Compiled plans run it noiselessly, and the
-symbolic plan set runs it over evaluated durations.  The bench harness
-draws per-kernel kernel and dispatch factors once per noisy sample and
-calls :func:`replay_arrays`, the same recurrence over numpy arrays: when
-the GPU never waits, the kernels' end times are one prefix sum, and a
-stream with host syncs or an idle gap goes to :func:`replay` — bit for
-bit the same makespan either way.
+returns the makespan.  Compiled plans run it noiselessly.  The bench
+harness draws per-kernel kernel and dispatch factors once per noisy
+sample and calls :func:`replay_arrays`, the same recurrence over numpy
+arrays: when the GPU never waits, the kernels' end times are one prefix
+sum, and a stream with host syncs or an idle gap goes to :func:`replay`
+— bit for bit the same makespan either way.
 
 When kernels are long (big convolutions) the GPU never waits and compute
 utilization approaches 100%; when they are tiny and numerous (per-timestep

@@ -103,6 +103,8 @@ class PlanTransform:
         return result
 
     def rewrite(self, plan: CompiledPlan) -> CompiledPlan:
+        """The transformed plan, unchecked; :meth:`apply` is the entry
+        point that checks it."""
         raise NotImplementedError
 
 
@@ -204,6 +206,7 @@ class FusedRNNTransform(PlanTransform):
     name = "fused-rnn"
 
     def rewrite(self, plan: CompiledPlan) -> CompiledPlan:
+        """Compile the graph with its recurrent layers fused."""
         return compiler.compile_graph(
             fuse_recurrent_layers(plan.graph), plan.framework, plan.gpu
         )
@@ -224,6 +227,7 @@ class HalfPrecisionStorageTransform(PlanTransform):
     }
 
     def rewrite(self, plan: CompiledPlan) -> CompiledPlan:
+        """Scale each allocation's bytes by its class's :attr:`SCALES`."""
         trace = plan.allocations
         scales = map(self.SCALES.get, trace.tags, repeat(1.0))
         return plan.with_allocations(
@@ -270,6 +274,7 @@ class FeatureMapOffloadTransform(PlanTransform):
         return self.link.transfer_time(traffic) * (1.0 - self.overlap)
 
     def rewrite(self, plan: CompiledPlan) -> CompiledPlan:
+        """Re-record the allocation trace with the offload fraction."""
         return plan.with_allocations(
             compiler.record_allocations(
                 plan.graph, plan.framework, self.offload_fraction
@@ -302,6 +307,7 @@ class ResNetDepthTransform(PlanTransform):
         self.conv4_blocks = conv4_blocks
 
     def rewrite(self, plan: CompiledPlan) -> CompiledPlan:
+        """Compile the residual network with the new conv4 depth."""
         return compiler.compile_graph(
             shared_graph(
                 build_resnet_with_depth, plan.graph.batch_size, self.conv4_blocks

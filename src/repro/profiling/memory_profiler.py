@@ -44,7 +44,7 @@ class MemoryProfile:
 
     @property
     def total_gib(self) -> float:
-        return sum(self.snapshot.peak_by_tag.values()) / _GIB
+        return self.snapshot.sum_of_class_peaks / _GIB
 
     @property
     def feature_map_fraction(self) -> float:

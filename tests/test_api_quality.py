@@ -25,6 +25,7 @@ _PACKAGES = [
     "repro.tensor",
     "repro.observability",
     "repro.engine",
+    "repro.plan",
     "repro.bench",
     "repro.tune",
     "repro.schedule",

@@ -20,8 +20,6 @@ import repro
 from repro.engine import PointSpec, SweepEngine, grid_for
 from repro.experiments.common import SWEEP_PANELS, run_sweeps
 from repro.plan.compiled import AllocationRecord
-import repro.plan.compiler as plan_compiler
-import repro.plan.symbolic as plan_symbolic
 from repro.training.session import TrainingSession
 from repro.tune.search import Autotuner
 
@@ -120,23 +118,6 @@ class TestAtMostOneSessionPerMissingPoint:
 
 
 @pytest.fixture
-def counted_compiles(monkeypatch):
-    """Counts every *concrete* graph compile (build + lower + time +
-    replay).  The session and the plan transforms both call through the
-    module reference, so patching the module attribute intercepts every
-    compile."""
-    calls = []
-    original = plan_compiler.compile_graph
-
-    def counting(graph, framework, gpu, roofline=None):
-        calls.append((graph.model_name, framework.key, graph.batch_size))
-        return original(graph, framework, gpu, roofline=roofline)
-
-    monkeypatch.setattr(plan_compiler, "compile_graph", counting)
-    return calls
-
-
-@pytest.fixture
 def counted_builds(monkeypatch):
     """Counts every plan-cache factory call (one graph build plus one
     concrete compile) — the unit of per-point plan work."""
@@ -212,39 +193,16 @@ class TestOneCompilePerPoint:
         assert len(counted_builds) == len(points)
         assert len(set(counted_builds)) == len(counted_builds)
 
-    def test_no_question_reaches_compile_symbolic(
-        self, monkeypatch, tmp_path, counted_builds, counted_compiles
-    ):
-        """Sweeps, tuning and OOM probes all answer with the concrete
-        compiler; the symbolic library is off the answer path."""
-        from repro.core.suite import standard_suite
-        from repro.tune.search import Autotuner
-
-        traced = []
-        original = plan_symbolic.compile_symbolic
-
-        def counting(*args, **kwargs):
-            traced.append(args[0].key)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(plan_symbolic, "compile_symbolic", counting)
-        standard_suite().sweep("resnet-50", "mxnet")
-        SweepEngine(jobs=1, cache=str(tmp_path / "cache")).sweep("nmt", "tensorflow")
-        TrainingSession("deep-speech-2", "mxnet").max_batch_size()
-        Autotuner("a3c", "mxnet").tune(cache=None, confirm=True)
-        assert traced == [], "no question may reach compile_symbolic"
-        assert len(counted_builds) > 0
-        assert len(counted_compiles) >= len(counted_builds)
-
     def test_no_module_imports_the_symbolic_library(self):
-        """Importing every other module under ``repro`` loads neither
-        symbolic module: the library is no dependency of any answer."""
+        """Importing every other module under ``repro`` never loads the
+        ``repro.plan.symbolic`` stub: only the wall benchmark's layer
+        table imports it, and it goes when that table stops asking."""
         script = textwrap.dedent(
             """
             import importlib, pkgutil, sys
             import repro
 
-            library = {"repro.plan.symbolic", "repro.plan.symexpr"}
+            library = {"repro.plan.symbolic"}
             for module in pkgutil.walk_packages(repro.__path__, "repro."):
                 if module.name not in library:
                     importlib.import_module(module.name)

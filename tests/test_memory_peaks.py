@@ -3,14 +3,15 @@
 ``tests/expected/memory_peaks.json`` records, for the baseline and every
 candidate pipeline of the 12 paper-grid panels' autotuners (126 plans at
 each panel's reference batch), the ``repr`` of the unconstrained replay's
-peak total, its peak demand and each allocation class's peak (the
-quantities Fig. 9 plots and the fit check compares).  The comparison is
-exact, so a change in the last bit of any footprint moves the record.
+peak total, its peak demand, each allocation class's peak and each
+class's share of the footprint (the quantities Fig. 9 plots and the fit
+check compares).  The comparison is exact, so a change in the last bit
+of any footprint moves the record.
 
-The allocator adds the five class levels left to right in tag order.
-CPython 3.12's ``sum()`` compensates float sums and would read some
-totals one ulp away from 3.10 and 3.11; the record is the same on every
-interpreter.
+The allocator and the class shares add the five class levels left to
+right in tag order.  CPython 3.12's ``sum()`` compensates float sums and
+would read some totals and shares one ulp away from 3.10 and 3.11; the
+record is the same on every interpreter.
 
 Rewrite the record from the repository root with
 
@@ -43,6 +44,9 @@ def _footprint(plan) -> dict:
         "peak_demand": repr(peak_demand),
         "peak_by_tag": {
             tag.value: repr(peak) for tag, peak in snapshot.peak_by_tag.items()
+        },
+        "fraction": {
+            tag.value: repr(snapshot.fraction(tag)) for tag in snapshot.peak_by_tag
         },
     }
 

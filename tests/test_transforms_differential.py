@@ -1,7 +1,7 @@
 """Differential tests for the transforms dimension of the sweep engine.
 
-The same guarantees the faults dimension shipped with, plus the symbolic
-one the pipeline leans on:
+The same guarantees the faults dimension shipped with, plus the one the
+pipeline leans on:
 
 - ``transforms=""`` is bitwise invisible: the plain grid's points are
   exactly what a direct, engine-free ``TrainingSession`` sweep produces,
@@ -11,11 +11,9 @@ one the pipeline leans on:
   job counts and across a warm cache re-run, with the canonical spec
   text carried in every record and in the cache key, so two spellings of
   one pipeline share one key and one cache entry;
-- symbolic specialize-then-rewrite is bit-identical to concrete
-  compile-then-rewrite for every pipeline over the traceable paper
-  pairs, and ``compile_transformed`` (the prefix-memoized path) is
-  bit-identical to folding the stages through ``PlanTransform.apply``
-  on the compiled plan.
+- ``compile_transformed`` (the prefix-memoized path) is bit-identical to
+  folding the stages through ``PlanTransform.apply`` on the compiled
+  plan, for every pipeline over the paper pairs.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from repro.engine.keys import KEY_SCHEMA, key_document
 from repro.engine.scenario import ScenarioError
 from repro.models.registry import get_model
 from repro.plan.pipeline import parse_transform_spec
-from repro.plan.symbolic import SymbolicPlanSet
 from repro.training.session import TrainingSession
 from tests.plans import fold_stages, plan_difference
 
@@ -196,24 +193,9 @@ class TestTransformedGridDeterministic:
                 assert after_s == before_s
 
 
-class TestSymbolicConcreteTransformAgreement:
-    """Trace-once-specialize-then-rewrite must equal concrete
-    compile-then-rewrite, bit for bit."""
-
-    @pytest.mark.parametrize("model,framework,batch,spec", PIPELINE_POINTS)
-    def test_specialize_then_rewrite_is_bit_identical(
-        self, model, framework, batch, spec
-    ):
-        pipeline = parse_transform_spec(spec)
-        session = TrainingSession(model, framework)
-        specialized = SymbolicPlanSet(
-            session.spec, session.framework, session.gpu
-        ).specialize(batch)
-        difference = plan_difference(
-            fold_stages(pipeline, specialized),
-            session.compile_transformed(batch, pipeline),
-        )
-        assert difference is None
+class TestPipelineAgreement:
+    """The prefix-memoized pipeline path must equal folding the stages
+    over the compiled plan, bit for bit."""
 
     @pytest.mark.parametrize("model,framework,batch,spec", PIPELINE_POINTS)
     def test_compile_transformed_equals_folded_stages(

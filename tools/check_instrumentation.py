@@ -23,8 +23,6 @@ REQUIRED = [
     ("repro/training/session.py", "TrainingSession", "execute_plan"),
     ("repro/training/session.py", "TrainingSession", "profile_memory"),
     ("repro/plan/compiler.py", None, "compile_graph"),
-    ("repro/plan/symbolic.py", None, "compile_symbolic"),
-    ("repro/plan/symbolic.py", "SymbolicPlanSet", "specialize"),
     ("repro/plan/cache.py", "PlanCache", "get"),
     ("repro/plan/transform.py", "PlanTransform", "apply"),
     ("repro/core/analysis.py", "AnalysisPipeline", "run"),
@@ -53,8 +51,6 @@ REQUIRED = [
 #: exporters scrape, so losing them silently blinds dashboards.
 REQUIRED_METRICS = [
     ("repro/bench/runner.py", "InterleavedRunner", "run"),
-    ("repro/plan/symbolic.py", None, "compile_symbolic"),
-    ("repro/plan/symbolic.py", "SymbolicPlanSet", "specialize"),
     ("repro/tune/search.py", "Autotuner", "rank"),
     ("repro/schedule/integrator.py", None, "integrate_schedule"),
     ("repro/schedule/accuracy.py", None, "scheduled_time_to_accuracy"),
