@@ -20,6 +20,7 @@ import repro
 from repro.engine import PointSpec, SweepEngine, grid_for
 from repro.experiments.common import SWEEP_PANELS, run_sweeps
 from repro.plan.compiled import AllocationRecord
+import repro.plan.compiler as plan_compiler
 from repro.training.session import TrainingSession
 from repro.tune.search import Autotuner
 
@@ -118,6 +119,23 @@ class TestAtMostOneSessionPerMissingPoint:
 
 
 @pytest.fixture
+def counted_compiles(monkeypatch):
+    """Counts every concrete graph compile (build + lower + time +
+    replay).  The session and the plan transforms both call through the
+    module reference, so patching the module attribute intercepts every
+    compile."""
+    calls = []
+    original = plan_compiler.compile_graph
+
+    def counting(graph, framework, gpu, roofline=None):
+        calls.append((graph.model_name, framework.key, graph.batch_size))
+        return original(graph, framework, gpu, roofline=roofline)
+
+    monkeypatch.setattr(plan_compiler, "compile_graph", counting)
+    return calls
+
+
+@pytest.fixture
 def counted_builds(monkeypatch):
     """Counts every plan-cache factory call (one graph build plus one
     concrete compile) — the unit of per-point plan work."""
@@ -192,6 +210,21 @@ class TestOneCompilePerPoint:
         points = suite.sweep("resnet-50", "mxnet")
         assert len(counted_builds) == len(points)
         assert len(set(counted_builds)) == len(counted_builds)
+
+    def test_every_question_answers_with_the_concrete_compiler(
+        self, tmp_path, counted_builds, counted_compiles
+    ):
+        """Sweeps, tuning and OOM probes build every plan through
+        ``compile_graph``: each plan-cache build compiles concretely, and
+        graph-rewriting transforms compile again."""
+        from repro.core.suite import standard_suite
+
+        standard_suite().sweep("resnet-50", "mxnet")
+        SweepEngine(jobs=1, cache=str(tmp_path / "cache")).sweep("nmt", "tensorflow")
+        TrainingSession("deep-speech-2", "mxnet").max_batch_size()
+        Autotuner("a3c", "mxnet").tune(cache=None, confirm=True)
+        assert len(counted_builds) > 0
+        assert len(counted_compiles) >= len(counted_builds)
 
     def test_no_module_imports_the_symbolic_library(self):
         """Importing every other module under ``repro`` never loads the

@@ -13,7 +13,8 @@ pipeline leans on:
   one pipeline share one key and one cache entry;
 - ``compile_transformed`` (the prefix-memoized path) is bit-identical to
   folding the stages through ``PlanTransform.apply`` on the compiled
-  plan, for every pipeline over the paper pairs.
+  plan, and on a fresh compile with its own graph and roofline, for
+  every pipeline over the paper pairs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from repro.engine import (
 )
 from repro.engine.keys import KEY_SCHEMA, key_document
 from repro.engine.scenario import ScenarioError
+from repro.hardware.roofline import RooflineModel
 from repro.models.registry import get_model
+from repro.plan.compiler import compile_graph
 from repro.plan.pipeline import parse_transform_spec
 from repro.training.session import TrainingSession
 from tests.plans import fold_stages, plan_difference
@@ -195,7 +198,7 @@ class TestTransformedGridDeterministic:
 
 class TestPipelineAgreement:
     """The prefix-memoized pipeline path must equal folding the stages
-    over the compiled plan, bit for bit."""
+    over the compiled plan, and over a fresh compile, bit for bit."""
 
     @pytest.mark.parametrize("model,framework,batch,spec", PIPELINE_POINTS)
     def test_compile_transformed_equals_folded_stages(
@@ -206,6 +209,24 @@ class TestPipelineAgreement:
         difference = plan_difference(
             session.compile_transformed(batch, pipeline),
             fold_stages(pipeline, session.compile(batch)),
+        )
+        assert difference is None
+
+    @pytest.mark.parametrize("model,framework,batch,spec", PIPELINE_POINTS)
+    def test_fresh_compile_then_rewrite_is_bit_identical(
+        self, model, framework, batch, spec
+    ):
+        pipeline = parse_transform_spec(spec)
+        session = TrainingSession(model, framework)
+        fresh = compile_graph(
+            session.spec.build(batch),
+            session.framework,
+            session.gpu,
+            roofline=RooflineModel(session.gpu),
+        )
+        difference = plan_difference(
+            fold_stages(pipeline, fresh),
+            session.compile_transformed(batch, pipeline),
         )
         assert difference is None
 
