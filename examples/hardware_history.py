@@ -59,16 +59,6 @@ def main() -> None:
         ).throughput
         seconds = time_to_metric("resnet-50", throughput, 70.0)
         print(f"  {device.name:16s} {seconds / 86400.0:5.1f} days")
-    print()
-
-    print("the power axis (Table 4's unmeasured tradeoff): AlexNet b=32")
-    from repro.hardware.energy import perf_per_watt_comparison
-
-    for energy in perf_per_watt_comparison("alexnet", "mxnet", 32, _DEVICES):
-        print(
-            f"  {energy.device:16s} {energy.gpu_power_watts:6.1f} W GPU, "
-            f"{energy.samples_per_joule:5.2f} images/joule"
-        )
 
 
 if __name__ == "__main__":

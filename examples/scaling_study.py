@@ -6,19 +6,12 @@ global batches need learning-rate scaling (Goyal et al., cited as [43])
 and, past the critical batch size, more samples.  This example runs the
 combined study over the Fig. 10 configurations and then pushes past them
 to show where throughput scaling and time-to-accuracy scaling part ways.
-
-It also sizes the input pipeline for the fastest configuration using the
-discrete-event prefetch simulator: how many decode workers keep a 4-GPU
-trainer fed?
 """
 
-from repro.data.prefetch import PrefetchConfig, minimum_workers, simulate_prefetch
 from repro.distributed.time_to_accuracy import (
     adjusted_samples_needed,
     scaling_study,
 )
-from repro.distributed.data_parallel import DataParallelTrainer
-from repro.hardware.cluster import parse_configuration
 
 
 def main() -> None:
@@ -47,32 +40,6 @@ def main() -> None:
             f"  {workers:5d} GPUs: global batch {global_batch:6d}, "
             f"{penalty:5.2f}x more samples needed, best-case speedup "
             f"{ideal_speedup:7.1f}x (vs {workers}x hardware)"
-        )
-    print()
-
-    print("sizing the input pipeline for 1M4G:")
-    cluster = parse_configuration("1M4G")
-    profile = DataParallelTrainer("resnet-50", "mxnet", cluster).run_iteration(32)
-    iteration = profile.iteration_time_s
-    batch_decode = 128 * 0.016  # 4 GPUs x 32 images x 16 ms decode
-    needed = minimum_workers(batch_decode, iteration)
-    print(
-        f"  iteration {iteration * 1e3:.0f} ms, batch decode {batch_decode * 1e3:.0f} ms "
-        f"of CPU work -> capacity condition: >= {needed} workers"
-    )
-    for workers in (needed - 2, needed, needed + 4):
-        if workers <= 0:
-            continue
-        config = PrefetchConfig(
-            workers=workers,
-            queue_depth=8,
-            batch_decode_mean_s=batch_decode,  # each worker decodes whole batches
-            batch_decode_cv=0.4,
-        )
-        result = simulate_prefetch(config, iteration, iterations=500)
-        print(
-            f"  {workers:2d} workers: steady-state stall "
-            f"{result.steady_state_stall_fraction * 100:5.1f}% of wall time"
         )
 
 

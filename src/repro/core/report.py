@@ -60,8 +60,3 @@ def render_stacked_memory(title: str, profiles) -> str:
     for profile in profiles:
         lines.append("  " + profile.format_row())
     return "\n".join(lines)
-
-
-def format_percent(value: float) -> str:
-    """Render a 0-1 fraction as the paper prints percentages."""
-    return f"{value * 100:.2f}%"

@@ -110,16 +110,3 @@ def memcpy_h2d(num_bytes: float, pcie_bandwidth_gbs: float = 16.0) -> Kernel:
         max_compute_efficiency=1.0,
         max_memory_efficiency=0.80,
     )
-
-
-def memcpy_d2h(num_bytes: float, pcie_bandwidth_gbs: float = 16.0) -> Kernel:
-    """Device-to-host copy (loss scalars, gradient exchange staging)."""
-    kernel = memcpy_h2d(num_bytes, pcie_bandwidth_gbs)
-    return Kernel(
-        name="[CUDA memcpy DtoH]",
-        category=KernelCategory.MEMCPY,
-        flops=0.0,
-        bytes_accessed=kernel.bytes_accessed,
-        max_compute_efficiency=1.0,
-        max_memory_efficiency=0.80,
-    )

@@ -12,10 +12,9 @@ import random
 
 import pytest
 
-from repro.core.metrics import IterationMetrics
-from repro.core.suite import SweepPoint, standard_suite
-from repro.hardware.memory import OutOfMemoryError
+from repro.core.suite import standard_suite
 from repro.training.session import TrainingSession
+from tests.sweeps import sweep_directly
 
 
 def pytest_collection_modifyitems(config, items):
@@ -53,25 +52,6 @@ def _isolated_cache_dir(tmp_path, monkeypatch):
 @pytest.fixture(scope="session")
 def suite():
     return standard_suite()
-
-
-def sweep_directly(suite, model: str, framework: str) -> list:
-    """The sweep's ``SweepPoint`` list, computed by one ``TrainingSession``
-    driven directly over the model's batch sizes, OOM batches recorded:
-    the engine-free reference that engine sweeps are checked against."""
-    session = suite.session(model, framework)
-    points = []
-    for batch in session.spec.batch_sizes:
-        try:
-            profile = session.run_iteration(batch)
-        except OutOfMemoryError:
-            points.append(SweepPoint(batch_size=batch, oom=True))
-            continue
-        metrics = IterationMetrics.from_profile(
-            profile, throughput_unit=session.spec.throughput_unit
-        )
-        points.append(SweepPoint(batch_size=batch, metrics=metrics))
-    return points
 
 
 @pytest.fixture(scope="session")

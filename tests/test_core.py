@@ -6,7 +6,6 @@ import pytest
 from repro.core import metrics as M
 from repro.core.analysis import AnalysisPipeline
 from repro.core.report import (
-    format_percent,
     render_bar_chart,
     render_series,
     render_table,
@@ -130,6 +129,3 @@ class TestReportRenderers:
     def test_render_bar_chart(self):
         text = render_bar_chart("T", ["a", "b"], [1.0, 2.0])
         assert "##" in text
-
-    def test_format_percent(self):
-        assert format_percent(0.1234) == "12.34%"

@@ -1,6 +1,6 @@
 """Property-based tests over the execution-model layers added after the
-core calibration: timelines, fusion, statistics composition, the energy
-model, and session determinism."""
+core calibration: timelines, fusion, statistics composition and session
+determinism."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.frameworks.registry import MXNET, TENSORFLOW
 from repro.hardware.devices import QUADRO_P4000
-from repro.hardware.energy import energy_profile
 from repro.hardware.roofline import RooflineModel
 from repro.kernels.base import Kernel, KernelCategory
 from repro.plan.executor import ExecutionReplay, replay
@@ -105,18 +104,6 @@ class TestFusionProperties:
             graph.iteration_flops(), rel=1e-9
         )
         assert not any(k.host_sync for k in fused.iteration_kernels())
-
-
-class TestEnergyProperties:
-    @given(batch=st.sampled_from((4, 8, 16, 32)))
-    @settings(max_examples=8, deadline=None)
-    def test_power_between_idle_and_tdp(self, batch):
-        profile = TrainingSession("resnet-50", "mxnet").run_iteration(batch)
-        energy = energy_profile(profile, QUADRO_P4000)
-        assert 0.12 * 105.0 <= energy.gpu_power_watts <= 105.0
-        assert energy.energy_per_iteration_j == pytest.approx(
-            energy.total_power_watts * profile.iteration_time_s
-        )
 
 
 class TestDeterminism:
