@@ -10,7 +10,7 @@ split, plus estimated time-to-accuracy then and now.
 
 from repro.hardware.devices import GTX_580, QUADRO_P4000, TITAN_XP
 from repro.hardware.memory import OutOfMemoryError
-from repro.training.convergence import time_to_metric
+from repro.training.convergence import FIG2_MODELS
 from repro.training.session import TrainingSession
 
 _DEVICES = (GTX_580, QUADRO_P4000, TITAN_XP)
@@ -57,7 +57,7 @@ def main() -> None:
         throughput = TrainingSession("resnet-50", "mxnet", gpu=device).run_iteration(
             32
         ).throughput
-        seconds = time_to_metric("resnet-50", throughput, 70.0)
+        seconds = FIG2_MODELS["resnet-50"].samples_to(70.0) / throughput
         print(f"  {device.name:16s} {seconds / 86400.0:5.1f} days")
 
 

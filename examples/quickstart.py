@@ -54,11 +54,6 @@ def main(argv) -> None:
     for name, seconds in report.cpu_sample.hotspots():
         if seconds > 0:
             print(f"  {name:24s} {seconds * 1e3:9.2f} ms")
-    print()
-
-    from repro.profiling.roofline_chart import roofline_for
-
-    print(roofline_for(suite.session(model, framework), batch, top=6))
 
 
 if __name__ == "__main__":

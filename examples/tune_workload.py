@@ -21,7 +21,7 @@ from repro.bench import InterleavedRunner, NoiseModel
 from repro.core.analysis import AnalysisPipeline
 from repro.core.recommendations import advise
 from repro.engine.cache import ResultCache
-from repro.plan.pipeline import canonical_transform_spec, parse_transform_spec
+from repro.plan.pipeline import parse_transform_spec
 from repro.tune import Autotuner
 
 CACHE_DIR = os.path.join("artifacts", "tune-cache")
@@ -32,7 +32,7 @@ def main() -> None:
     print("== the --transforms mini-language ==")
     spec = "fp16+offload:0.5+fused_rnn"
     print(f"  raw:       {spec}")
-    print(f"  canonical: {canonical_transform_spec(spec)}")
+    print(f"  canonical: {parse_transform_spec(spec).canonical}")
     print(parse_transform_spec(spec).describe())
 
     print("\n== tune an RNN workload (nmt/tensorflow b=64) ==")

@@ -14,13 +14,7 @@ contribution, as a library.
 
 import importlib
 
-from repro.core.metrics import (
-    IterationMetrics,
-    cpu_utilization,
-    fp32_utilization,
-    gpu_utilization,
-    throughput,
-)
+from repro.core.metrics import IterationMetrics, cpu_utilization, gpu_utilization
 from repro.core.suite import TBDSuite, standard_suite
 
 #: Names imported on first use (PEP 562): the analysis pipeline loads
@@ -43,8 +37,6 @@ __all__ = [
     "AnalysisPipeline",
     "AnalysisReport",
     "IterationMetrics",
-    "throughput",
     "gpu_utilization",
-    "fp32_utilization",
     "cpu_utilization",
 ]

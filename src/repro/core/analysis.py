@@ -61,21 +61,18 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
+#: Stable-phase iterations the sampler asks for (the paper samples
+#: 50-1000), and the shortest synthesized run it picks them from.
+SAMPLE_ITERATIONS = 200
+RUN_ITERATIONS = 600
+
+
 class AnalysisPipeline:
     """Runs the Fig. 3 pipeline for one benchmark configuration."""
 
-    def __init__(
-        self,
-        model: str,
-        framework: str,
-        gpu=None,
-        sample_iterations: int = 200,
-        run_iterations: int = 600,
-    ):
+    def __init__(self, model: str, framework: str, gpu=None):
         kwargs = {} if gpu is None else {"gpu": gpu}
         self.session = TrainingSession(model, framework, **kwargs)
-        self.sample_iterations = sample_iterations
-        self.run_iterations = run_iterations
 
     def run(self, batch_size: int | None = None) -> AnalysisReport:
         """Execute every pipeline stage and merge the results.
@@ -110,9 +107,7 @@ class AnalysisPipeline:
                     stable_iteration_s=profile.iteration_time_s,
                     autotune_iterations=autotune,
                 )
-                run_length = max(
-                    self.run_iterations, autotune + 4 * self.sample_iterations
-                )
+                run_length = max(RUN_ITERATIONS, autotune + 4 * SAMPLE_ITERATIONS)
                 durations = timeline.durations(run_length)
                 warmup.set_attributes(
                     autotune_iterations=autotune, run_length=run_length
@@ -121,9 +116,9 @@ class AnalysisPipeline:
             # Stage 3 — sample: pick the stable-phase window.
             with trace_span("pipeline.stage.sample", stage="sample") as sampling:
                 sampler = StablePhaseSampler()
-                window = sampler.choose_window(durations, self.sample_iterations)
+                window = sampler.choose_window(durations, SAMPLE_ITERATIONS)
                 stable_throughput = sampler.stable_throughput(
-                    durations, profile.effective_samples, self.sample_iterations
+                    durations, profile.effective_samples, SAMPLE_ITERATIONS
                 )
                 sampling.set_attributes(
                     stable_start=window.start_iteration, window=window.length

@@ -1,4 +1,4 @@
-"""The paper's metrics (Section 3.4.3), as standalone formulas and as a
+"""The paper's metrics (Section 3.4.3): the utilization formulas and a
 record derived from a simulated iteration.
 
 - **Throughput**: data samples processed per second; audio-seconds/s for
@@ -13,15 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def throughput(samples: float, elapsed_s: float) -> float:
-    """Samples processed per second."""
-    if elapsed_s <= 0:
-        raise ValueError("elapsed time must be positive")
-    if samples < 0:
-        raise ValueError("sample count cannot be negative")
-    return samples / elapsed_s
-
-
 def gpu_utilization(gpu_active_s: float, elapsed_s: float) -> float:
     """Paper Eq. 1."""
     if elapsed_s <= 0:
@@ -29,17 +20,6 @@ def gpu_utilization(gpu_active_s: float, elapsed_s: float) -> float:
     if gpu_active_s < 0:
         raise ValueError("active time cannot be negative")
     return min(1.0, gpu_active_s / elapsed_s)
-
-
-def fp32_utilization(flop_count: float, peak_flops: float, active_s: float) -> float:
-    """Paper Eq. 2: achieved fraction of peak FP32 throughput while active."""
-    if peak_flops <= 0:
-        raise ValueError("peak FLOP/s must be positive")
-    if flop_count < 0:
-        raise ValueError("FLOP count cannot be negative")
-    if active_s <= 0:
-        return 0.0
-    return flop_count / (peak_flops * active_s)
 
 
 def cpu_utilization(core_active_s: float, core_count: int, elapsed_s: float) -> float:

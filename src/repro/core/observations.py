@@ -281,16 +281,11 @@ ALL_OBSERVATIONS = (
 _VERIFY_CACHE: dict = {}
 
 
-def verify_all(suite: TBDSuite | None = None, use_cache: bool = True) -> list:
-    """Run every observation check; returns the 13 results in order.
-
-    Results are memoized per GPU; pass ``use_cache=False`` to force a
-    fresh evaluation (e.g. after monkeypatching simulator internals).
-    """
+def verify_all(suite: TBDSuite | None = None) -> list:
+    """Run every observation check; returns the 13 results in order,
+    memoized per GPU."""
     suite = suite if suite is not None else standard_suite()
     key = suite.gpu.name
-    if not use_cache:
-        return [check(suite) for check in ALL_OBSERVATIONS]
     if key not in _VERIFY_CACHE:
         _VERIFY_CACHE[key] = [check(suite) for check in ALL_OBSERVATIONS]
     return list(_VERIFY_CACHE[key])

@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.metrics import IterationMetrics
-from repro.data.registry import dataset_catalog, get_dataset
+from repro.data.registry import dataset_catalog
 from repro.frameworks.registry import framework_catalog, get_framework
 from repro.hardware.devices import GPUSpec, QUADRO_P4000
 from repro.models.registry import ModelSpec, get_model, model_catalog
-from repro.training.hyperparams import assert_comparable, defaults_for
 from repro.training.session import TrainingSession
 
 
@@ -120,28 +119,12 @@ class TBDSuite:
         engine = engine if engine is not None else self.engine()
         return engine.sweep(model, framework, batch_sizes)
 
-    def compare_frameworks(self, model: str, batch_size: int | None = None) -> dict:
-        """Run one model on every framework that implements it, after
-        checking implementations are comparable (same hyper-parameters)."""
-        spec = get_model(model)
-        reference = defaults_for(spec.key)
-        assert_comparable(spec.key, *([reference] * len(spec.frameworks)))
-        results = {}
-        for framework_key in spec.frameworks:
-            results[framework_key] = self.run(model, framework_key, batch_size)
-        return results
-
     def run_all(self) -> list:
         """Run every configuration at its reference batch size."""
         results = []
         for spec, framework in self.configurations():
             results.append(self.run(spec.key, framework.key))
         return results
-
-    def validate_dataset_bindings(self) -> None:
-        """Ensure every model's dataset exists (catalog integrity check)."""
-        for spec in self.models.values():
-            get_dataset(spec.dataset)
 
 
 def standard_suite(gpu: GPUSpec = QUADRO_P4000) -> TBDSuite:

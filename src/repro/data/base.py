@@ -1,24 +1,8 @@
-"""Dataset specification record and synthetic batch container."""
+"""Dataset specification record."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
-
-
-@dataclass(frozen=True)
-class SyntheticBatch:
-    """One generated mini-batch: inputs plus targets."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    @property
-    def batch_size(self) -> int:
-        return self.inputs.shape[0]
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -50,20 +34,3 @@ class DatasetSpec:
     cpu_decode_cost_s: float
     sample_host_bytes: int
     variable_length: bool = False
-    generator: object = None
-
-    def synthesize(self, batch_size: int, seed: int = 0) -> SyntheticBatch:
-        """Generate a synthetic mini-batch with this dataset's geometry.
-
-        Raises:
-            ValueError: for non-positive batch sizes.
-            NotImplementedError: if the dataset registered no generator.
-        """
-        if batch_size <= 0:
-            raise ValueError("batch size must be positive")
-        if self.generator is None:
-            raise NotImplementedError(f"{self.key} has no synthetic generator")
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        return self.generator(batch_size, rng)

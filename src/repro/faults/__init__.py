@@ -25,10 +25,7 @@ from repro.faults.plan import (
     WorkerCrash,
 )
 from repro.faults.recovery import (
-    BackoffPolicy,
-    CheckpointPolicy,
     RebalanceDecision,
-    RecoveryConfig,
     UnrecoverableFaultError,
     plan_rebalance,
 )
@@ -46,9 +43,7 @@ from repro.faults.trainer import (
 
 __all__ = [
     "AllReduceTimeout",
-    "BackoffPolicy",
     "CLEAN_STEP",
-    "CheckpointPolicy",
     "DEFAULT_STEPS",
     "FaultPlan",
     "FaultScenario",
@@ -57,7 +52,6 @@ __all__ = [
     "FaultTrainingResult",
     "LinkFault",
     "RebalanceDecision",
-    "RecoveryConfig",
     "RunEvent",
     "StepConditions",
     "StragglerFault",

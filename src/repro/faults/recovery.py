@@ -1,13 +1,13 @@
 """Recovery machinery: what the simulated cluster *does* about faults.
 
-Three policies compose into a :class:`RecoveryConfig`:
+One fixed posture, set by the module constants below:
 
-- :class:`BackoffPolicy` — retry transient exchange failures (timeouts,
-  link outages) with exponential backoff; a fault that outlives
-  ``max_retries`` attempts raises :class:`UnrecoverableFaultError`.
-- :class:`CheckpointPolicy` — periodic checkpoints bound the work a crash
-  destroys; restart replays from the last checkpoint on the surviving
-  (elastically shrunk) cluster.
+- backoff — retry transient exchange failures (timeouts, link outages)
+  with exponential backoff; a fault that outlives ``MAX_RETRIES``
+  attempts raises :class:`UnrecoverableFaultError`.
+- checkpoints — every ``CHECKPOINT_INTERVAL_STEPS`` steps bound the work
+  a crash destroys; restart replays from the last checkpoint on the
+  surviving (elastically shrunk) cluster.
 - straggler-aware bucket rebalancing — when a straggler stretches the
   backward pass, the layer-wise gradient push (the plan's
   ``gradient_schedule()``) is re-bucketed so the extra compute time hides
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 
 class UnrecoverableFaultError(RuntimeError):
-    """A fault the configured recovery policies cannot survive.
+    """A fault the recovery policies cannot survive.
 
     Carries the step and fault kind so fault-matrix tests (and operators)
     can assert on *why* the run died rather than parsing messages.
@@ -36,68 +36,28 @@ class UnrecoverableFaultError(RuntimeError):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """Retry with exponential backoff: attempt ``i`` waits
-    ``base_s * multiplier**i`` before retrying, up to ``max_retries``."""
-
-    base_s: float = 0.5
-    multiplier: float = 2.0
-    max_retries: int = 5
-
-    def __post_init__(self) -> None:
-        if self.base_s <= 0:
-            raise ValueError("backoff base must be positive")
-        if self.multiplier < 1.0:
-            raise ValueError("backoff multiplier must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max retries cannot be negative")
-
-    def delay_s(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (0-based)."""
-        if attempt < 0:
-            raise ValueError("attempt index cannot be negative")
-        return self.base_s * self.multiplier**attempt
-
-    def total_delay_s(self, failures: int) -> float:
-        """Accumulated backoff across ``failures`` consecutive failures."""
-        return sum(self.delay_s(attempt) for attempt in range(failures))
+#: Retry with exponential backoff: retry ``i`` (0-based) waits
+#: ``BACKOFF_BASE_S * BACKOFF_MULTIPLIER**i`` simulated seconds.
+BACKOFF_BASE_S = 0.5
+BACKOFF_MULTIPLIER = 2.0
+#: A transient fault that outlives this many retries is unrecoverable.
+MAX_RETRIES = 5
+#: Steps between checkpoints: a crash rolls progress back to the last one.
+#: Saving a checkpoint costs nothing; reloading one costs ``RESTORE_S``.
+CHECKPOINT_INTERVAL_STEPS = 10
+RESTORE_S = 5.0
+#: Simulated seconds to detect a dead worker before restarting.
+DETECTION_S = 2.0
+#: Simulated seconds one failed exchange attempt burns before the retry
+#: machinery declares it timed out (link outages).
+EXCHANGE_TIMEOUT_S = 1.0
 
 
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """Checkpoint every ``interval_steps``; a crash rolls progress back to
-    the last checkpoint and pays ``restore_s`` to reload it."""
-
-    interval_steps: int = 10
-    save_s: float = 0.0
-    restore_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.interval_steps < 1:
-            raise ValueError("checkpoint interval must be >= 1 step")
-        if self.save_s < 0 or self.restore_s < 0:
-            raise ValueError("checkpoint costs cannot be negative")
-
-
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """The full recovery posture of one fault-tolerant run."""
-
-    backoff: BackoffPolicy = BackoffPolicy()
-    checkpoint: CheckpointPolicy = CheckpointPolicy()
-    rebalance: bool = True
-    #: Simulated seconds to detect a dead worker before restarting.
-    detection_s: float = 2.0
-    #: Simulated seconds one failed exchange attempt burns before the
-    #: retry machinery declares it timed out (link outages).
-    exchange_timeout_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.detection_s < 0:
-            raise ValueError("detection time cannot be negative")
-        if self.exchange_timeout_s <= 0:
-            raise ValueError("exchange timeout must be positive")
+def backoff_delay_s(failures: int) -> float:
+    """Accumulated backoff across ``failures`` consecutive failures."""
+    return sum(
+        BACKOFF_BASE_S * BACKOFF_MULTIPLIER**attempt for attempt in range(failures)
+    )
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 :class:`FaultTolerantTrainer` steps a data-parallel run through a
 :class:`~repro.faults.plan.FaultPlan`, applying the recovery policies of
-a :class:`~repro.faults.recovery.RecoveryConfig`:
+:mod:`repro.faults.recovery`:
 
-- **stragglers** stretch the synchronous barrier; when rebalancing is
-  on, the layer-wise gradient push (read from the compiled plan's
+- **stragglers** stretch the synchronous barrier; the layer-wise
+  gradient push (read from the compiled plan's
   ``gradient_schedule()``) is re-bucketed so the straggle slack hides
   extra communication;
 - **link degradation** re-prices the exchange over a
@@ -34,13 +34,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from repro.core.metrics import IterationMetrics, cpu_utilization
+from repro.core.metrics import IterationMetrics, cpu_utilization, gpu_utilization
 from repro.distributed.data_parallel import DataParallelTrainer, StepPrice
 from repro.faults.plan import FaultPlan, StepConditions
 from repro.faults.recovery import (
+    CHECKPOINT_INTERVAL_STEPS,
+    DETECTION_S,
+    EXCHANGE_TIMEOUT_S,
+    MAX_RETRIES,
+    RESTORE_S,
     RebalanceDecision,
-    RecoveryConfig,
     UnrecoverableFaultError,
+    backoff_delay_s,
     plan_rebalance,
 )
 from repro.faults.spec import DEFAULT_STEPS, FaultScenario
@@ -142,12 +147,10 @@ class FaultTolerantTrainer:
         cluster: ClusterSpec,
         per_gpu_batch: int,
         plan: FaultPlan | None = None,
-        recovery: RecoveryConfig | None = None,
     ):
         self.cluster = cluster
         self.per_gpu_batch = per_gpu_batch
         self.plan = plan if plan is not None else FaultPlan.none()
-        self.recovery = recovery if recovery is not None else RecoveryConfig()
         self.trainer = DataParallelTrainer(model, framework, cluster)
         #: Fault-free reference iteration (raises ``OutOfMemoryError``
         #: exactly like the plain distributed path when a replica does
@@ -198,7 +201,7 @@ class FaultTolerantTrainer:
         price = self.trainer.price_step(compute, self.baseline.gradient_bytes, cluster)
         exchange, exposed = price.exchange_s, price.exposed_s
         rebalance = None
-        if factor > 1.0 and self.recovery.rebalance and exchange > 0.0:
+        if factor > 1.0 and exchange > 0.0:
             rebalance = plan_rebalance(
                 self._schedule, self._local_iteration_s, compute, exchange, exposed
             )
@@ -259,7 +262,6 @@ class FaultTolerantTrainer:
         return result
 
     def _simulate_inner(self, target_steps, target_samples) -> FaultTrainingResult:
-        recovery = self.recovery
         plan = self.plan
         machines = self.cluster.machine_count
         step: float = 0
@@ -291,9 +293,7 @@ class FaultTolerantTrainer:
                     remaining = target_steps - step
                 else:
                     remaining = (target_samples - samples) / cost.samples
-                saves = self._checkpoint_saves_in(step, remaining)
                 wall += remaining * cost.iteration_s
-                wall += saves * recovery.checkpoint.save_s
                 samples += remaining * cost.samples
                 step += remaining
                 break
@@ -302,10 +302,9 @@ class FaultTolerantTrainer:
 
             if (
                 step > 0
-                and step % recovery.checkpoint.interval_steps == 0
+                and step % CHECKPOINT_INTERVAL_STEPS == 0
                 and checkpoint_step != step
             ):
-                wall += recovery.checkpoint.save_s
                 checkpoint_step = int(step)
                 samples_at_checkpoint = samples
 
@@ -359,13 +358,6 @@ class FaultTolerantTrainer:
             events=events,
         )
 
-    def _checkpoint_saves_in(self, start: float, remaining: float) -> int:
-        """Checkpoint saves falling inside ``(start, start + remaining]``."""
-        if remaining <= 0 or self.recovery.checkpoint.save_s == 0.0:
-            return 0
-        interval = self.recovery.checkpoint.interval_steps
-        return int((start + remaining) // interval) - int(start // interval)
-
     # ------------------------------------------------------------------
     # recovery actions
     # ------------------------------------------------------------------
@@ -382,25 +374,24 @@ class FaultTolerantTrainer:
         Returns ``(wall cost, plan with the drained outages consumed)``,
         or raises when the outage outlives the retry budget.
         """
-        backoff = self.recovery.backoff
         horizon = plan.outage_until(step)
         if horizon is None:
             raise UnrecoverableFaultError(
                 f"link outage at step {step} never ends; gave up after "
-                f"{backoff.max_retries} retries",
+                f"{MAX_RETRIES} retries",
                 step=step,
                 kind="link-outage",
             )
         attempts = max(1, horizon - step)
-        if attempts > backoff.max_retries:
+        if attempts > MAX_RETRIES:
             raise UnrecoverableFaultError(
                 f"link outage at step {step} lasts {attempts} probe(s), "
-                f"beyond the {backoff.max_retries}-retry budget",
+                f"beyond the {MAX_RETRIES}-retry budget",
                 step=step,
                 kind="link-outage",
             )
-        cost = attempts * self.recovery.exchange_timeout_s
-        cost += backoff.total_delay_s(attempts)
+        cost = attempts * EXCHANGE_TIMEOUT_S
+        cost += backoff_delay_s(attempts)
         with trace_span(
             "fault.outage", step=step, attempts=attempts, until_step=horizon
         ):
@@ -443,8 +434,7 @@ class FaultTolerantTrainer:
             )
         fraction = plan.crash_fraction(crash)
         wasted = fraction * self._step_cost(machines, conds).iteration_s
-        restore = self.recovery.checkpoint.restore_s
-        cost = wasted + self.recovery.detection_s + restore
+        cost = wasted + DETECTION_S + RESTORE_S
         with trace_span(
             "fault.crash",
             step=crash.step,
@@ -455,8 +445,8 @@ class FaultTolerantTrainer:
             with trace_span(
                 "recovery.restart",
                 from_step=checkpoint_step,
-                restore_s=restore,
-                detection_s=self.recovery.detection_s,
+                restore_s=RESTORE_S,
+                detection_s=DETECTION_S,
             ):
                 pass
             with trace_span(
@@ -486,17 +476,16 @@ class FaultTolerantTrainer:
     def _recover_timeout(self, timeout, record) -> float:
         """A transient exchange timeout: ``failures`` burned attempts plus
         exponential backoff, then the retry succeeds."""
-        backoff = self.recovery.backoff
-        if timeout.failures > backoff.max_retries:
+        if timeout.failures > MAX_RETRIES:
             raise UnrecoverableFaultError(
                 f"exchange timeout at step {timeout.step} fails "
                 f"{timeout.failures} time(s), beyond the "
-                f"{backoff.max_retries}-retry budget",
+                f"{MAX_RETRIES}-retry budget",
                 step=timeout.step,
                 kind="timeout",
             )
         cost = timeout.failures * timeout.timeout_s
-        cost += backoff.total_delay_s(timeout.failures)
+        cost += backoff_delay_s(timeout.failures)
         with trace_span(
             "fault.timeout",
             step=timeout.step,
@@ -618,7 +607,7 @@ class FaultTolerantTrainer:
             gpu_util = 0.0
             cpu_util = 0.0
         else:
-            gpu_util = min(1.0, local.gpu_busy_time_s / mean_step)
+            gpu_util = gpu_utilization(local.gpu_busy_time_s, mean_step)
             cpu_util = cpu_utilization(
                 local.cpu_core_seconds, local.cpu_core_count, mean_step
             )

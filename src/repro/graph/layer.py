@@ -135,10 +135,6 @@ class LayerGraph:
         return sum(layer.stash_bytes for layer in self.layers)
 
     @property
-    def total_workspace_bytes(self) -> float:
-        return sum(layer.workspace_bytes for layer in self.layers)
-
-    @property
     def layer_count(self) -> int:
         return len(self.layers)
 

@@ -15,8 +15,6 @@ from repro.hardware.devices import (
     QUADRO_P4000,
     TITAN_XP,
     XEON_E5_2680,
-    cpu_catalog,
-    get_cpu,
     get_gpu,
     gpu_catalog,
 )
@@ -41,9 +39,7 @@ __all__ = [
     "GTX_580",
     "XEON_E5_2680",
     "gpu_catalog",
-    "cpu_catalog",
     "get_gpu",
-    "get_cpu",
     "Interconnect",
     "PCIE_3_X16",
     "ETHERNET_1G",

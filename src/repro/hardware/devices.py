@@ -141,20 +141,10 @@ _GPU_CATALOG = {
     "gtx580": GTX_580,
 }
 
-_CPU_CATALOG = {
-    "xeon e5-2680": XEON_E5_2680,
-    "xeon": XEON_E5_2680,
-}
-
 
 def gpu_catalog() -> dict:
     """Return the known GPUs keyed by canonical name."""
     return {spec.name: spec for spec in (QUADRO_P4000, TITAN_XP, GTX_580)}
-
-
-def cpu_catalog() -> dict:
-    """Return the known CPUs keyed by canonical name."""
-    return {XEON_E5_2680.name: XEON_E5_2680}
 
 
 def get_gpu(name: str) -> GPUSpec:
@@ -168,12 +158,3 @@ def get_gpu(name: str) -> GPUSpec:
         known = ", ".join(sorted(set(s.name for s in _GPU_CATALOG.values())))
         raise KeyError(f"unknown GPU {name!r}; known devices: {known}")
     return _GPU_CATALOG[key]
-
-
-def get_cpu(name: str) -> CPUSpec:
-    """Look up a CPU by (case-insensitive) name."""
-    key = name.strip().lower()
-    if key not in _CPU_CATALOG:
-        known = ", ".join(sorted(set(s.name for s in _CPU_CATALOG.values())))
-        raise KeyError(f"unknown CPU {name!r}; known devices: {known}")
-    return _CPU_CATALOG[key]

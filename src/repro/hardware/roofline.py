@@ -115,11 +115,6 @@ class RooflineModel:
         :class:`KernelTiming`.  Kernels must be hashable."""
         return map_distinct(kernels, self._timings, self.time_kernel)
 
-    def arithmetic_intensity_breakeven(self) -> float:
-        """FLOP/byte ratio above which kernels are compute bound on this
-        device (at max efficiency); useful for analysis and tests."""
-        return self.device.peak_fp32_flops / self.device.memory_bandwidth_bytes
-
 
 def speed_of_light_time(kernel: Kernel, device: GPUSpec) -> float:
     """Lower bound on a kernel's time assuming perfect efficiency and zero

@@ -19,7 +19,6 @@ from repro.models.registry import (
     ModelSpec,
     get_model,
     model_catalog,
-    model_keys,
 )
 
-__all__ = ["ModelSpec", "get_model", "model_catalog", "model_keys"]
+__all__ = ["ModelSpec", "get_model", "model_catalog"]

@@ -306,11 +306,6 @@ def extension_catalog() -> dict:
     return dict(_EXTENSIONS)
 
 
-def model_keys() -> list:
-    """Registry keys in Table 2 order."""
-    return list(_CATALOG)
-
-
 def get_model(key: str) -> ModelSpec:
     """Look up a model by key or alias (case-insensitive)."""
     normalized = key.strip().lower()

@@ -163,8 +163,3 @@ def build_resnet_with_depth(batch_size: int, conv4_blocks: int) -> LayerGraph:
 def build_resnet50(batch_size: int) -> LayerGraph:
     """ResNet-50 on ImageNet-1K (224x224 inputs, 1000-way softmax)."""
     return build_resnet_with_depth(batch_size, RESNET_50_STAGES[2])
-
-
-def build_resnet101(batch_size: int) -> LayerGraph:
-    """ResNet-101 classifier (used standalone in the what-if examples)."""
-    return build_resnet_with_depth(batch_size, RESNET_101_STAGES[2])

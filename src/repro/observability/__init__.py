@@ -35,7 +35,6 @@ import importlib
 
 from repro.observability.tracer import (
     Tracer,
-    current_span,
     get_tracer,
     set_tracer,
     telemetry_enabled,
@@ -77,7 +76,6 @@ __all__ = [
     "Tracer",
     "trace_span",
     "tracing",
-    "current_span",
     "get_tracer",
     "set_tracer",
     "telemetry_enabled",

@@ -11,9 +11,9 @@ Three formats:
   :func:`spans_to_chrome_trace` puts each span on ``tid=0`` followed by the
   events of the timelines it carries (the viewer nests by time
   containment, making stage spans ancestors of kernel events), and
-  :func:`chrome_trace` adds the metadata.
-  :func:`repro.profiling.export.timeline_to_chrome_trace` is the bare
-  timeline through the same code; :func:`write_trace` writes either.
+  :func:`chrome_trace` adds the metadata: ``chrome_trace(name,
+  timeline_events(timeline))`` is a bare timeline's trace.
+  :func:`write_trace` writes either.
 - **Prometheus text** — ``# TYPE`` headers plus one sample per series.
 
 Determinism is a feature, not an accident: archived runs must diff

@@ -200,13 +200,6 @@ class Tracer:
     # queries
     # ------------------------------------------------------------------
 
-    def current(self):
-        """The innermost open span in this context, or the no-op span."""
-        stack = self._stack.get()
-        if not stack:
-            return NULL_SPAN
-        return Span(self, stack[-1])
-
     def reset(self) -> None:
         """Drop all collected spans (ids keep counting)."""
         with self._lock:
@@ -272,14 +265,6 @@ def trace_span(name: str, **attributes):
     if not tracer.enabled:
         return NULL_SPAN
     return tracer.span(name, **attributes)
-
-
-def current_span():
-    """The innermost open span on the global tracer (no-op when disabled)."""
-    tracer = _GLOBAL
-    if not tracer.enabled:
-        return NULL_SPAN
-    return tracer.current()
 
 
 @contextmanager

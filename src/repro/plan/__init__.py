@@ -33,9 +33,7 @@ from repro.plan.pipeline import (
     PipelineStage,
     TransformPipeline,
     TransformSpecError,
-    canonical_transform_spec,
     parse_transform_spec,
-    transform_catalog,
 )
 from repro.plan.transform import (
     FeatureMapOffloadTransform,
@@ -64,11 +62,9 @@ __all__ = [
     "TransformContractError",
     "TransformPipeline",
     "TransformSpecError",
-    "canonical_transform_spec",
     "compile_graph",
     "lower_kernels",
     "parse_transform_spec",
     "record_allocations",
     "replay",
-    "transform_catalog",
 ]

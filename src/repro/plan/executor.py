@@ -82,10 +82,6 @@ class Timeline:
         return sum(event.duration_s for event in self.events)
 
     @property
-    def idle_s(self) -> float:
-        return sum(gap.duration_s for gap in self.gaps)
-
-    @property
     def gpu_utilization(self) -> float:
         if self.makespan_s <= 0:
             return 0.0
@@ -98,19 +94,6 @@ class Timeline:
         for gap in self.gaps:
             totals[gap.cause] = totals.get(gap.cause, 0.0) + gap.duration_s
         return totals
-
-    def busy_by_category(self) -> dict:
-        """GPU-busy seconds per kernel category."""
-        totals: dict = {}
-        for event in self.events:
-            totals[event.category] = totals.get(event.category, 0.0) + event.duration_s
-        return totals
-
-    def longest_gaps(self, count: int = 5) -> list:
-        """The largest idle intervals, the merge-analysis headline."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        return sorted(self.gaps, key=lambda g: g.duration_s, reverse=True)[:count]
 
 
 def replay(

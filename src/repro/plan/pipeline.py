@@ -180,11 +180,6 @@ class PipelineStage:
     transform: PlanTransform
 
 
-def transform_catalog() -> list:
-    """Registry entries in canonical pipeline order (CLI/docs listing)."""
-    return sorted(_REGISTRY.values(), key=lambda entry: entry.rank)
-
-
 class TransformPipeline:
     """A normalized, contract-checked composition of plan transforms.
 
@@ -319,8 +314,3 @@ def parse_transform_spec(text: str) -> TransformPipeline:
             )
         )
     return TransformPipeline(stages)
-
-
-def canonical_transform_spec(text: str) -> str:
-    """The normalized spelling of a spec (parse + re-render)."""
-    return parse_transform_spec(text).canonical

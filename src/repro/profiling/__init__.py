@@ -14,25 +14,14 @@ of DNN training:
   workspace / dynamic) per framework (the first such tool, per the paper).
 - :mod:`repro.profiling.sampling` — warm-up / auto-tuning detection and
   stable-phase sampling (Section 3.4.2).
-
-:class:`Timeline`, :class:`TimelineEvent` and :class:`Gap` are
-re-exported from :mod:`repro.plan.executor` (see ``plan.timeline``).
 """
 
 from repro.profiling.kernel_trace import KernelTrace, KernelStats
 from repro.profiling.cpu_sampler import CPUSample, CPUSampler
 from repro.profiling.memory_profiler import MemoryProfile, MemoryProfiler
 from repro.profiling.sampling import IterationTimeline, StablePhaseSampler
-from repro.plan.executor import Gap, Timeline, TimelineEvent
-from repro.profiling.statistics import bootstrap_ci, summarize
-from repro.profiling.export import (
-    kernel_stats_to_csv,
-    metrics_to_csv,
-    timeline_to_chrome_trace,
-    write_chrome_trace,
-)
+from repro.profiling.statistics import summarize
 from repro.profiling.comparison import ABReport, ab_compare
-from repro.profiling.roofline_chart import render_roofline, roofline_for
 
 __all__ = [
     "KernelTrace",
@@ -43,17 +32,7 @@ __all__ = [
     "MemoryProfile",
     "StablePhaseSampler",
     "IterationTimeline",
-    "Gap",
-    "Timeline",
-    "TimelineEvent",
     "summarize",
-    "bootstrap_ci",
-    "timeline_to_chrome_trace",
-    "write_chrome_trace",
-    "kernel_stats_to_csv",
-    "metrics_to_csv",
     "ab_compare",
     "ABReport",
-    "render_roofline",
-    "roofline_for",
 ]

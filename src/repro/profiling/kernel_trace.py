@@ -25,10 +25,6 @@ class KernelStats:
     _peak_flops: float = 0.0
 
     @property
-    def mean_time_s(self) -> float:
-        return self.total_time_s / self.launches if self.launches else 0.0
-
-    @property
     def fp32_utilization(self) -> float:
         """Achieved fraction of peak FP32 throughput while this kernel ran."""
         if self.total_time_s <= 0 or self._peak_flops <= 0:
@@ -69,10 +65,6 @@ class KernelTrace:
         return sum(t.kernel.flops for t in self.timings)
 
     @property
-    def launch_count(self) -> int:
-        return len(self.timings)
-
-    @property
     def average_fp32_utilization(self) -> float:
         """Trace-wide FP32 utilization (paper Eq. 2 over the busy window)."""
         if self.total_time_s <= 0:
@@ -92,14 +84,6 @@ class KernelTrace:
             entry.total_time_s += timing.duration_s
             entry.total_flops += timing.kernel.flops
         return stats
-
-    def by_category(self) -> dict:
-        """Total busy time per kernel category."""
-        totals: dict = {}
-        for timing in self.timings:
-            category = timing.kernel.category
-            totals[category] = totals.get(category, 0.0) + timing.duration_s
-        return totals
 
     def longest_low_utilization_kernels(self, count: int = 5) -> list:
         """The paper's Table 5/6 query: the ``count`` kernels with the
@@ -124,14 +108,6 @@ class KernelTrace:
             )
             for stats in candidates[:count]
         ]
-
-    def memory_bound_time_fraction(self) -> float:
-        """Share of busy time spent in memory-bound kernels."""
-        total = self.total_time_s
-        if total <= 0:
-            return 0.0
-        bound = sum(t.duration_s for t in self.timings if t.is_memory_bound)
-        return bound / total
 
 
 def trace_from_profile(profile) -> KernelTrace:

@@ -2,8 +2,8 @@
 
 The paper (a Sigmetrics-community submission) samples 50-1000 stable-phase
 iterations and reports point estimates; this module supplies the rigor
-around those estimates: summary statistics, normal-theory and bootstrap
-confidence intervals for mean throughput, sample sizing, and the Welch
+around those estimates: summary statistics, a normal-theory confidence
+interval for mean throughput, sample sizing, and the Welch
 test the bench harness's A/B verdicts use for "is framework A really
 faster than framework B" questions.
 """
@@ -36,19 +36,6 @@ class SampleSummary:
         # A zero mean with zero spread is a perfectly precise measurement
         # of zero, not an infinitely noisy one.
         return 0.0 if self.std == 0.0 else float("inf")
-
-    @property
-    def ci_half_width_fraction(self) -> float:
-        """CI half-width relative to the mean (reporting precision).
-
-        Zero-variance (or single-sample) series have a zero-width interval
-        and report 0.0; a nonzero-width interval around a zero mean has no
-        finite relative precision and reports ``inf``.
-        """
-        half_width = (self.ci_high - self.ci_low) / 2.0
-        if self.mean:
-            return half_width / self.mean
-        return 0.0 if half_width == 0.0 else float("inf")
 
 
 def _z_value(confidence: float) -> float:
@@ -84,35 +71,6 @@ def summarize(samples, confidence: float = 0.95) -> SampleSummary:
         ci_low=mean - half,
         ci_high=mean + half,
         confidence=confidence,
-    )
-
-
-def bootstrap_ci(
-    samples, confidence: float = 0.95, resamples: int = 2000, seed: int = 0
-) -> tuple:
-    """Percentile-bootstrap confidence interval for the mean — robust to
-    the skew that warm-up leakage introduces into iteration-time samples.
-
-    Degenerate inputs stay defined: a single sample, or a series with zero
-    variance, resamples to itself on every draw, so the interval collapses
-    to the zero-width ``(mean, mean)`` without running the resampler.
-    """
-    data = np.asarray(list(samples), dtype=float)
-    if data.size < 1:
-        raise ValueError("need at least 1 sample")
-    if resamples <= 0:
-        raise ValueError("resamples must be positive")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    if data.size == 1 or float(data.std()) == 0.0:
-        mean = float(data.mean())
-        return (mean, mean)
-    rng = np.random.default_rng(seed)
-    means = rng.choice(data, size=(resamples, data.size), replace=True).mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
-    return (
-        float(np.quantile(means, alpha)),
-        float(np.quantile(means, 1.0 - alpha)),
     )
 
 

@@ -27,7 +27,6 @@ _LAZY = {
     "GnsSchedule": "repro.schedule.spec",
     "PlateauSchedule": "repro.schedule.spec",
     "ScheduleSpecError": "repro.schedule.spec",
-    "canonical_schedule_spec": "repro.schedule.spec",
     "parse_schedule_spec": "repro.schedule.spec",
     "schedule_names": "repro.schedule.spec",
 }
@@ -51,7 +50,6 @@ __all__ = [
     "Segment",
     "SegmentRun",
     "build_segments",
-    "canonical_schedule_spec",
     "integrate_schedule",
     "parse_schedule_spec",
     "schedule_names",

@@ -279,10 +279,3 @@ def parse_schedule_spec(text: str | None):
                 f"(e.g. {name}:{key}=256)"
             )
     return cls(**kwargs)
-
-
-def canonical_schedule_spec(text: str | None) -> str:
-    """Canonical form of a spec: defaults explicit, floats compact; the
-    empty spec stays empty."""
-    schedule = parse_schedule_spec(text)
-    return "" if schedule is None else schedule.canonical

@@ -202,23 +202,3 @@ def training_curve(
         [model.value_at(t * throughput_samples_per_s) for t in times]
     )
     return times, values
-
-
-def time_to_metric(
-    model_key: str, throughput_samples_per_s: float, target: float
-) -> float:
-    """Wall-clock seconds until the curve reaches ``target`` at constant
-    throughput: the closed-form curve inverse
-    ``samples_to(target) / throughput``.  A run under a batch schedule is
-    priced by :func:`repro.schedule.accuracy.scheduled_time_to_accuracy`.
-
-    Raises:
-        ValueError: if the target lies outside the curve's range or at
-            its asymptote, or the throughput is not positive.
-    """
-    samples = FIG2_MODELS[model_key].samples_to(target)
-    if throughput_samples_per_s <= 0:
-        raise ValueError(
-            f"throughput must be positive, got {throughput_samples_per_s}"
-        )
-    return samples / throughput_samples_per_s

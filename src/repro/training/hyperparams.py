@@ -10,7 +10,7 @@ cross-framework comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,6 @@ class Hyperparameters:
             raise ValueError("dropout rate must be in [0, 1)")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-
-    def with_learning_rate(self, learning_rate: float) -> "Hyperparameters":
-        """Copy with a different learning rate (linear-scaling rule for
-        data-parallel training, Goyal et al. 2017)."""
-        return replace(self, learning_rate=learning_rate)
 
 
 #: Per-model reference hyper-parameters (used by the convergence models and

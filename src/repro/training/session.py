@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.metrics import cpu_utilization, gpu_utilization
 from repro.data.pipeline import DataPipelineModel
 from repro.data.registry import get_dataset
 from repro.frameworks.base import Framework
@@ -76,7 +77,7 @@ class IterationProfile:
     @property
     def gpu_utilization(self) -> float:
         """Fraction of wall time the GPU is busy (paper Eq. 1)."""
-        return min(1.0, self.gpu_busy_time_s / self.iteration_time_s)
+        return gpu_utilization(self.gpu_busy_time_s, self.iteration_time_s)
 
     @property
     def fp32_utilization(self) -> float:
@@ -95,9 +96,8 @@ class IterationProfile:
     @property
     def cpu_utilization(self) -> float:
         """Mean utilization across all host cores (paper Eq. 3)."""
-        return min(
-            1.0,
-            self.cpu_core_seconds / (self.cpu_core_count * self.iteration_time_s),
+        return cpu_utilization(
+            self.cpu_core_seconds, self.cpu_core_count, self.iteration_time_s
         )
 
 

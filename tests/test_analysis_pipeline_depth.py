@@ -4,7 +4,7 @@ consistency."""
 
 import pytest
 
-from repro.core.analysis import AnalysisPipeline
+from repro.core.analysis import RUN_ITERATIONS, SAMPLE_ITERATIONS, AnalysisPipeline
 from repro.hardware.devices import TITAN_XP
 from repro.profiling.sampling import IterationTimeline, StablePhaseSampler
 
@@ -35,7 +35,7 @@ class TestWarmupHandling:
 class TestReportConsistency:
     @pytest.fixture(scope="class")
     def report(self):
-        return AnalysisPipeline("sockeye", "mxnet", sample_iterations=100).run(32)
+        return AnalysisPipeline("sockeye", "mxnet").run(32)
 
     def test_trace_and_metrics_agree_on_fp32(self, report):
         assert report.kernel_trace.average_fp32_utilization == pytest.approx(
@@ -73,9 +73,15 @@ class TestPipelineConfiguration:
         report = AnalysisPipeline("a3c", "mxnet").run()
         assert report.metrics.batch_size == 128
 
-    def test_sample_size_request_honored_within_limits(self):
-        small = AnalysisPipeline("wgan", "tensorflow", sample_iterations=60).run(8)
-        assert small.sampled_iterations >= 50
+    def test_samples_the_fixed_stable_window(self):
+        """The window is ``SAMPLE_ITERATIONS`` long, past the warm-up, and
+        inside a synthesized run of 200 auto-tuning iterations plus four
+        windows."""
+        assert (SAMPLE_ITERATIONS, RUN_ITERATIONS) == (200, 600)
+        report = AnalysisPipeline("wgan", "tensorflow").run(8)
+        assert report.sampled_iterations == SAMPLE_ITERATIONS
+        assert 0 < report.stable_start_iteration
+        assert report.stable_start_iteration + SAMPLE_ITERATIONS <= 200 + 4 * 200
 
     def test_comparability_gate_runs(self):
         """The pipeline checks hyper-parameters before profiling; a model

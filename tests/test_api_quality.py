@@ -103,6 +103,20 @@ class TestPublicSurface:
             with pytest.raises(ImportError):
                 exec(f"from {package_name} import nosuch", {})
 
+    @pytest.mark.parametrize("package_name", _PACKAGES)
+    def test_package_exports_only_what_it_defines(self, package_name):
+        """A package's ``__all__`` names its own modules' classes and
+        functions; a name defined elsewhere is imported from its home."""
+        package = importlib.import_module(package_name)
+        foreign = [
+            f"{name} (from {value.__module__})"
+            for name in getattr(package, "__all__", ())
+            for value in [getattr(package, name)]
+            if inspect.isclass(value) or inspect.isfunction(value)
+            if not (value.__module__ + ".").startswith(package_name + ".")
+        ]
+        assert not foreign, f"{package_name} re-exports {foreign}"
+
     def test_version_string(self):
         parts = repro.__version__.split(".")
         assert len(parts) == 3
@@ -133,8 +147,8 @@ class TestCatalogConsistency:
             get_model(key)
 
     def test_hyperparameter_defaults_cover_the_suite(self):
-        from repro.models.registry import model_keys
+        from repro.models.registry import model_catalog
         from repro.training.hyperparams import defaults_for
 
-        for key in model_keys():
+        for key in model_catalog():
             defaults_for(key)

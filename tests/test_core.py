@@ -11,33 +11,47 @@ from repro.core.report import (
     render_table,
 )
 from repro.core.suite import TBDSuite, standard_suite
+from repro.data.registry import get_dataset
 from repro.hardware.devices import TITAN_XP
 
 
 class TestMetricFormulas:
-    def test_throughput(self):
-        assert M.throughput(64, 0.5) == 128.0
-        with pytest.raises(ValueError):
-            M.throughput(64, 0.0)
-        with pytest.raises(ValueError):
-            M.throughput(-1, 1.0)
-
     def test_gpu_utilization_eq1(self):
         assert M.gpu_utilization(0.5, 1.0) == 0.5
         assert M.gpu_utilization(2.0, 1.0) == 1.0  # clamped
         with pytest.raises(ValueError):
             M.gpu_utilization(-0.1, 1.0)
 
-    def test_fp32_utilization_eq2(self):
-        assert M.fp32_utilization(5e12, 1e13, 1.0) == 0.5
-        assert M.fp32_utilization(1.0, 1e13, 0.0) == 0.0
-        with pytest.raises(ValueError):
-            M.fp32_utilization(1.0, 0.0, 1.0)
-
     def test_cpu_utilization_eq3(self):
         assert M.cpu_utilization(14.0, 28, 1.0) == 0.5
         with pytest.raises(ValueError):
             M.cpu_utilization(1.0, 0, 1.0)
+
+    def test_cpu_utilization_clamps_and_validates(self):
+        assert M.cpu_utilization(100.0, 2, 1.0) == 1.0
+        with pytest.raises(ValueError):
+            M.cpu_utilization(1.0, 2, 0.0)
+        with pytest.raises(ValueError):
+            M.cpu_utilization(-1.0, 2, 1.0)
+
+    def test_gpu_utilization_rejects_a_zero_elapsed_time(self):
+        with pytest.raises(ValueError):
+            M.gpu_utilization(0.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "model,framework,batch",
+        [("resnet-50", "mxnet", 32), ("nmt", "tensorflow", 64), ("a3c", "mxnet", 128)],
+    )
+    def test_profile_utilizations_are_eqs_1_and_3(
+        self, profile_cache, model, framework, batch
+    ):
+        profile = profile_cache(model, framework, batch)
+        assert profile.gpu_utilization == M.gpu_utilization(
+            profile.gpu_busy_time_s, profile.iteration_time_s
+        )
+        assert profile.cpu_utilization == M.cpu_utilization(
+            profile.cpu_core_seconds, profile.cpu_core_count, profile.iteration_time_s
+        )
 
     def test_from_profile(self, resnet_mxnet_32):
         record = M.IterationMetrics.from_profile(resnet_mxnet_32)
@@ -59,7 +73,8 @@ class TestSuite:
         assert points[1].metrics is None
 
     def test_compare_frameworks(self, suite):
-        results = suite.compare_frameworks("resnet-50", 16)
+        frameworks = suite.model("resnet-50").frameworks
+        results = {key: suite.run("resnet-50", key, 16) for key in frameworks}
         assert set(results) == {"tensorflow", "mxnet", "cntk"}
 
     def test_configurations_count_matches_fig7(self, suite):
@@ -77,7 +92,8 @@ class TestSuite:
         assert xp.run("resnet-50", "mxnet", 16).device == "TITAN Xp"
 
     def test_dataset_bindings(self, suite):
-        suite.validate_dataset_bindings()
+        for spec in suite.models.values():
+            get_dataset(spec.dataset)
 
     def test_run_all_covers_every_configuration(self):
         results = standard_suite().run_all()
@@ -86,7 +102,7 @@ class TestSuite:
 
 class TestAnalysisPipeline:
     def test_full_report(self):
-        pipeline = AnalysisPipeline("resnet-50", "mxnet", sample_iterations=100)
+        pipeline = AnalysisPipeline("resnet-50", "mxnet")
         report = pipeline.run(16)
         assert report.metrics.model == "ResNet-50"
         assert report.sampled_iterations >= 50

@@ -1,10 +1,8 @@
-"""Unit tests for the dataset registry, the synthetic generators and the
-closed-form input-pipeline model."""
+"""Unit tests for the dataset registry and the closed-form input-pipeline
+model."""
 
-import numpy as np
 import pytest
 
-from repro.data.base import DatasetSpec
 from repro.data.pipeline import DataPipelineModel
 from repro.data.registry import dataset_catalog, get_dataset
 from repro.frameworks.registry import CNTK, MXNET, TENSORFLOW
@@ -33,62 +31,6 @@ class TestRegistry:
     def test_unknown_dataset(self):
         with pytest.raises(KeyError):
             get_dataset("mnist")
-
-
-class TestGenerators:
-    @pytest.mark.parametrize("key", sorted(dataset_catalog()))
-    def test_every_dataset_synthesizes(self, key):
-        batch = get_dataset(key).synthesize(4, seed=1)
-        assert batch.batch_size == 4
-        assert np.isfinite(batch.inputs).all()
-
-    def test_deterministic_by_seed(self):
-        a = get_dataset("imagenet1k").synthesize(2, seed=7)
-        b = get_dataset("imagenet1k").synthesize(2, seed=7)
-        assert np.array_equal(a.inputs, b.inputs)
-        assert np.array_equal(a.targets, b.targets)
-
-    def test_different_seeds_differ(self):
-        a = get_dataset("imagenet1k").synthesize(2, seed=1)
-        b = get_dataset("imagenet1k").synthesize(2, seed=2)
-        assert not np.array_equal(a.inputs, b.inputs)
-
-    def test_image_labels_in_range(self):
-        batch = get_dataset("imagenet1k").synthesize(16, seed=0)
-        assert batch.targets.min() >= 0
-        assert batch.targets.max() < 1000
-
-    def test_translation_targets_derived_from_source(self):
-        batch = get_dataset("iwslt15").synthesize(4, seed=3)
-        expected = (batch.inputs[:, ::-1] + 1) % 17188
-        assert np.array_equal(batch.targets, expected)
-
-    def test_speech_geometry(self):
-        batch = get_dataset("librispeech").synthesize(2, seed=0)
-        assert batch.inputs.shape == (2, 1, 161, 1280)
-
-    def test_atari_geometry(self):
-        batch = get_dataset("atari2600").synthesize(3, seed=0)
-        assert batch.inputs.shape == (3, 4, 84, 84)
-        assert batch.targets.max() < 6
-
-    def test_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            get_dataset("imagenet1k").synthesize(0)
-
-    def test_missing_generator(self):
-        spec = DatasetSpec(
-            key="x",
-            name="x",
-            num_samples=1,
-            sample_shape=(1,),
-            size_description="",
-            special="",
-            cpu_decode_cost_s=0.0,
-            sample_host_bytes=4,
-        )
-        with pytest.raises(NotImplementedError):
-            spec.synthesize(1)
 
 
 class TestPipelineModel:

@@ -89,9 +89,9 @@ def test_parallel_sweep_proves_engine_equality(tmp_path, capsys):
 
 def test_export_traces_writes_artifacts(tmp_path, capsys):
     output = _run_example("export_traces.py", capsys)
-    assert "suite metrics" in output
+    assert "host sync" in output
     assert (tmp_path / "artifacts" / "resnet50_trace.json").exists()
-    assert (tmp_path / "artifacts" / "suite_metrics.csv").exists()
+    assert (tmp_path / "artifacts" / "nmt_trace.json").exists()
 
 
 def test_quickstart_accepts_arguments(capsys):

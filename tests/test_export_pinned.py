@@ -12,8 +12,8 @@ import pytest
 
 from repro.kernels.base import KernelCategory
 from repro.observability import Tracer, spans_to_chrome_trace, spans_to_jsonl
+from repro.observability.exporters import chrome_trace, timeline_events
 from repro.plan.executor import Gap, Timeline, TimelineEvent
-from repro.profiling.export import timeline_to_chrome_trace
 
 
 def _timeline() -> Timeline:
@@ -109,7 +109,8 @@ SPANS_JSONL = (
 
 
 def test_timeline_trace_bytes_are_pinned():
-    assert _canonical(timeline_to_chrome_trace(_timeline())) == TIMELINE_TRACE
+    trace = chrome_trace("GPU", timeline_events(_timeline()))
+    assert _canonical(trace) == TIMELINE_TRACE
 
 
 def test_span_trace_bytes_are_pinned():

@@ -12,28 +12,32 @@ import math
 
 import pytest
 
+from repro.core.metrics import cpu_utilization, gpu_utilization
 from repro.faults import (
     AllReduceTimeout,
-    BackoffPolicy,
-    CheckpointPolicy,
     FaultPlan,
     FaultSpecError,
     FaultTolerantTrainer,
     LinkFault,
-    RecoveryConfig,
     StragglerFault,
     UnrecoverableFaultError,
     WorkerCrash,
     parse_fault_spec,
 )
+from repro.faults.recovery import (
+    CHECKPOINT_INTERVAL_STEPS,
+    DETECTION_S,
+    EXCHANGE_TIMEOUT_S,
+    MAX_RETRIES,
+    RESTORE_S,
+    backoff_delay_s,
+)
 from repro.hardware.cluster import parse_configuration
 
 
-def _trainer(plan, configuration="4M1G", recovery=None, batch=16):
+def _trainer(plan, configuration="4M1G", batch=16):
     cluster = parse_configuration(configuration, fabric="infiniband")
-    return FaultTolerantTrainer(
-        "resnet-50", "mxnet", cluster, batch, plan=plan, recovery=recovery
-    )
+    return FaultTolerantTrainer("resnet-50", "mxnet", cluster, batch, plan=plan)
 
 
 def _assert_sane(result, steps):
@@ -76,8 +80,7 @@ class TestCrashCorners:
         # Rollback to the checkpoint replays steps; the run still reaches
         # the requested step count and costs more wall-clock than clean.
         plan = FaultPlan(events=(WorkerCrash(step=13),))
-        recovery = RecoveryConfig(checkpoint=CheckpointPolicy(interval_steps=5))
-        faulted = _trainer(plan, recovery=recovery).run(steps=20)
+        faulted = _trainer(plan).run(steps=20)
         clean = _trainer(None).run(steps=20)
         _assert_sane(faulted, 20)
         assert faulted.wall_clock_s > clean.wall_clock_s
@@ -149,10 +152,9 @@ class TestTimeoutCorners:
         assert any(event.action == "backoff" for event in result.events)
 
     def test_timeout_storm_beyond_retry_budget_is_unrecoverable(self):
-        recovery = RecoveryConfig(backoff=BackoffPolicy(max_retries=3))
         plan = FaultPlan(events=(AllReduceTimeout(step=3, failures=9),))
         with pytest.raises(UnrecoverableFaultError) as excinfo:
-            _trainer(plan, recovery=recovery).run(steps=10)
+            _trainer(plan).run(steps=10)
         assert excinfo.value.kind == "timeout"
         assert excinfo.value.step == 3
 
@@ -216,3 +218,79 @@ class TestSpecParsingErrors:
         assert scenario.plan.seed == 9
         assert len(scenario.plan.events) == 2
         assert "straggler" in scenario.describe().lower()
+
+
+class TestRecoveryPosture:
+    """The one recovery posture, read through the costs a run reports."""
+
+    def test_backoff_starts_at_half_a_second_and_doubles(self):
+        assert backoff_delay_s(0) == 0.0
+        assert backoff_delay_s(1) == 0.5
+        assert backoff_delay_s(3) == 0.5 + 1.0 + 2.0
+
+    def test_timeout_costs_its_attempts_plus_backoff(self):
+        timeout = AllReduceTimeout(step=3, failures=2, timeout_s=0.5)
+        (event,) = _trainer(FaultPlan(events=(timeout,))).run(steps=10).events
+        assert event.cost_s == 2 * 0.5 + backoff_delay_s(2)
+
+    def test_the_retry_budget_is_five(self):
+        within = FaultPlan(events=(AllReduceTimeout(step=3, failures=MAX_RETRIES),))
+        _assert_sane(_trainer(within).run(steps=10), 10)
+        beyond = FaultPlan(events=(AllReduceTimeout(step=3, failures=MAX_RETRIES + 1),))
+        with pytest.raises(UnrecoverableFaultError, match="5-retry budget"):
+            _trainer(beyond).run(steps=10)
+
+    def test_outage_probes_each_step_until_the_link_returns(self):
+        plan = FaultPlan(
+            events=(LinkFault(packet_loss=1.0, start_step=20, end_step=23),)
+        )
+        (event,) = _trainer(plan).run(steps=40).events
+        assert event.action == "backoff"
+        assert event.cost_s == 3 * EXCHANGE_TIMEOUT_S + backoff_delay_s(3)
+
+    def test_outage_longer_than_the_budget_is_unrecoverable(self):
+        plan = FaultPlan(
+            events=(LinkFault(packet_loss=1.0, start_step=20, end_step=26),)
+        )
+        with pytest.raises(UnrecoverableFaultError) as excinfo:
+            _trainer(plan).run(steps=40)
+        assert excinfo.value.kind == "link-outage"
+        assert excinfo.value.step == 20
+
+    @pytest.mark.parametrize("crash_step,checkpoint", [(7, 0), (13, 10), (29, 20)])
+    def test_crash_rolls_back_to_the_last_checkpoint(self, crash_step, checkpoint):
+        assert CHECKPOINT_INTERVAL_STEPS == 10
+        plan = FaultPlan(events=(WorkerCrash(step=crash_step),))
+        (event,) = _trainer(plan).run(steps=40).events
+        assert event.detail.endswith(f"rolled back to step {checkpoint}")
+        # Detection and restore on top of the partial step the crash wasted.
+        assert event.cost_s >= DETECTION_S + RESTORE_S
+
+    def test_a_crash_replays_the_steps_since_the_checkpoint(self):
+        clean = _trainer(None).run(steps=20)
+        faulted = _trainer(FaultPlan(events=(WorkerCrash(step=13),))).run(steps=20)
+        # Steps 0-9 ran on four machines and were checkpointed; steps 10-19
+        # ran again on the three survivors after the crash at step 13.
+        per_machine_step = clean.samples / 20 / 4
+        assert faulted.samples == pytest.approx(
+            10 * 4 * per_machine_step + 10 * 3 * per_machine_step, rel=1e-12
+        )
+
+    def test_a_straggler_on_a_multi_machine_cluster_is_always_rebalanced(self):
+        plan = FaultPlan(
+            events=(StragglerFault(worker=1, factor=1.5, start_step=5, end_step=15),)
+        )
+        (event,) = _trainer(plan).run(steps=20).events
+        assert (event.kind, event.action) == ("straggler", "rebalance")
+
+    def test_fault_metrics_use_eq_1_and_eq_3(self):
+        trainer = _trainer(FaultPlan(events=(WorkerCrash(step=13),)))
+        result = trainer.run(steps=20)
+        metrics = trainer.iteration_metrics(result)
+        local = trainer.baseline.replica
+        assert metrics.gpu_utilization == gpu_utilization(
+            local.gpu_busy_time_s, result.mean_step_s
+        )
+        assert metrics.cpu_utilization == cpu_utilization(
+            local.cpu_core_seconds, local.cpu_core_count, result.mean_step_s
+        )

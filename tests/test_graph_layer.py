@@ -119,7 +119,7 @@ class TestLayerGraph:
         assert graph.total_weight_elements == 12
         assert graph.total_weight_bytes == 48
         assert graph.total_feature_map_bytes == 40
-        assert graph.total_workspace_bytes == 16.0
+        assert sum(layer.workspace_bytes for layer in graph.layers) == 16.0
         assert graph.layer_count == 2
 
     def test_effective_samples_defaults_to_batch(self):

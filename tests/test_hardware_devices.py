@@ -8,8 +8,6 @@ from repro.hardware.devices import (
     QUADRO_P4000,
     TITAN_XP,
     XEON_E5_2680,
-    cpu_catalog,
-    get_cpu,
     get_gpu,
     gpu_catalog,
 )
@@ -73,14 +71,8 @@ class TestCatalogLookups:
         with pytest.raises(KeyError, match="unknown GPU"):
             get_gpu("V100")
 
-    def test_get_cpu(self):
-        assert get_cpu("xeon") is XEON_E5_2680
-        with pytest.raises(KeyError):
-            get_cpu("epyc")
-
     def test_catalogs_keyed_by_name(self):
         assert gpu_catalog()["Quadro P4000"] is QUADRO_P4000
-        assert cpu_catalog()["Intel Xeon E5-2680"] is XEON_E5_2680
 
     def test_specs_are_immutable(self):
         with pytest.raises(AttributeError):

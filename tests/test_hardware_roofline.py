@@ -178,9 +178,3 @@ class TestHelpers:
         assert speed_of_light_time(memory_bound, QUADRO_P4000) == (
             memory_bound.bytes_accessed / QUADRO_P4000.memory_bandwidth_bytes
         )
-
-    def test_breakeven_intensity(self, model):
-        breakeven = model.arithmetic_intensity_breakeven()
-        assert breakeven == pytest.approx(
-            QUADRO_P4000.peak_fp32_flops / QUADRO_P4000.memory_bandwidth_bytes
-        )

@@ -12,7 +12,11 @@ from repro.models.a3c import build_a3c
 from repro.models.deepspeech import build_deep_speech2
 from repro.models.faster_rcnn import build_faster_rcnn
 from repro.models.inception import build_inception_v3
-from repro.models.resnet import build_resnet50, build_resnet101
+from repro.models.resnet import (
+    RESNET_101_STAGES,
+    build_resnet50,
+    build_resnet_with_depth,
+)
 from repro.models.seq2seq import (
     _attention_decoder_step_layer,
     build_nmt,
@@ -25,7 +29,6 @@ from repro.models.registry import (
     extension_catalog,
     get_model,
     model_catalog,
-    model_keys,
 )
 
 _GFLOP = 1e9
@@ -59,7 +62,7 @@ class TestResNet50:
 
     def test_resnet101_roughly_twice_the_params(self):
         r50 = build_resnet50(1).total_weight_elements
-        r101 = build_resnet101(1).total_weight_elements
+        r101 = build_resnet_with_depth(1, RESNET_101_STAGES[2]).total_weight_elements
         assert 1.5 * r50 < r101 < 2.0 * r50
 
     def test_dominant_layer_is_conv(self):
@@ -222,7 +225,7 @@ class TestWGANAndA3C:
 class TestRegistry:
     def test_eight_models_plus_seq2seq_split(self):
         # Table 2 lists 8 models; Seq2Seq appears as two implementations.
-        assert len(model_keys()) == 9
+        assert len(model_catalog()) == 9
 
     def test_aliases(self):
         assert get_model("ResNet").key == "resnet-50"

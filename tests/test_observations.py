@@ -25,6 +25,14 @@ def test_all_thirteen_observations_present(results):
     assert sorted(results) == list(range(1, 14))
 
 
+def test_results_are_memoized_per_gpu_and_returned_as_copies(suite, results):
+    first = obs.verify_all(suite)
+    first.clear()
+    again = obs.verify_all(suite)
+    assert [result.number for result in again] == list(range(1, 14))
+    assert again[0] is results[1]
+
+
 @pytest.mark.parametrize("number", range(1, 14))
 def test_observation_holds(results, number):
     result = results[number]

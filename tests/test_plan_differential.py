@@ -20,10 +20,10 @@ from repro.hardware.memory import AllocationTag, GPUMemoryAllocator, OutOfMemory
 from repro.frameworks.base import MomentumAllocation
 import repro.kernels.misc as misc
 from repro.models.registry import model_catalog
+from repro.observability.exporters import chrome_trace, timeline_events
 from repro.plan.executor import Gap, Timeline, TimelineEvent
 from repro.plan.pipeline import parse_transform_spec
 from repro.plan.transform import FeatureMapOffloadTransform
-from repro.profiling.export import timeline_to_chrome_trace
 from repro.training.session import (
     GRADIENT_MAP_FACTOR,
     _INPUT_STAGING_BUFFERS,
@@ -278,7 +278,9 @@ def test_timeline_is_identical(model, framework, batch, transforms):
 def test_chrome_trace_export_is_byte_identical(model, framework, batch, transforms):
     legacy, plan = _legacy_timeline_and_plan(model, framework, batch, transforms)
     encode = lambda timeline: json.dumps(  # noqa: E731
-        timeline_to_chrome_trace(timeline), sort_keys=True, separators=(",", ":")
+        chrome_trace("GPU", timeline_events(timeline)),
+        sort_keys=True,
+        separators=(",", ":"),
     )
     assert encode(plan.timeline) == encode(legacy)
 

@@ -4,14 +4,7 @@ import json
 
 import pytest
 
-from repro.profiling.export import (
-    kernel_stats_to_csv,
-    metrics_to_csv,
-    timeline_to_chrome_trace,
-    write_chrome_trace,
-)
-from repro.profiling.kernel_trace import trace_from_profile
-from repro.core.metrics import IterationMetrics
+from repro.observability.exporters import chrome_trace, timeline_events, write_trace
 from repro.plan.executor import ExecutionReplay, replay
 from repro.training.session import TrainingSession
 
@@ -24,6 +17,10 @@ def _execution(timings, framework):
         [timing.kernel for timing in timings], durations, host_syncs, framework,
         makespan_s=replay(durations, host_syncs, framework),
     )
+
+
+def _chrome_trace(timeline, process_name="GPU"):
+    return chrome_trace(process_name, timeline_events(timeline))
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +40,8 @@ class TestTimelineConstruction:
             assert after.start_s >= before.end_s - 1e-12
 
     def test_busy_plus_idle_bounds_makespan(self, cnn_timeline):
-        combined = cnn_timeline.busy_s + cnn_timeline.idle_s
+        idle_s = sum(gap.duration_s for gap in cnn_timeline.gaps)
+        combined = cnn_timeline.busy_s + idle_s
         assert combined <= cnn_timeline.makespan_s + 1e-9
         assert combined >= 0.95 * cnn_timeline.makespan_s
 
@@ -69,17 +67,11 @@ class TestTimelineConstruction:
     def test_cnn_timeline_has_little_idle(self, cnn_timeline):
         assert cnn_timeline.gpu_utilization > 0.9
 
-    def test_busy_by_category_sums_to_busy(self, cnn_timeline):
-        assert sum(cnn_timeline.busy_by_category().values()) == pytest.approx(
-            cnn_timeline.busy_s
+    def test_idle_by_cause_accounts_for_every_gap(self, rnn_timeline):
+        total = sum(gap.duration_s for gap in rnn_timeline.gaps)
+        assert sum(rnn_timeline.idle_by_cause().values()) == pytest.approx(
+            total, rel=1e-12
         )
-
-    def test_longest_gaps_sorted(self, rnn_timeline):
-        gaps = rnn_timeline.longest_gaps(5)
-        durations = [gap.duration_s for gap in gaps]
-        assert durations == sorted(durations, reverse=True)
-        with pytest.raises(ValueError):
-            rnn_timeline.longest_gaps(0)
 
     def test_empty_stream_timeline(self):
         from repro.frameworks.registry import TENSORFLOW
@@ -176,18 +168,19 @@ class TestGapAttribution:
     def test_makespan_and_busy(self, synthetic_timeline):
         assert synthetic_timeline.busy_s == pytest.approx(650e-6)
         assert synthetic_timeline.makespan_s == pytest.approx(1135e-6)
-        assert synthetic_timeline.idle_s == pytest.approx(485e-6)
+        idle_s = sum(gap.duration_s for gap in synthetic_timeline.gaps)
+        assert idle_s == pytest.approx(485e-6)
 
 
 class TestDeterministicExport:
     def test_chrome_trace_is_byte_stable(self, cnn_timeline, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
-        write_chrome_trace(cnn_timeline, str(first))
-        write_chrome_trace(cnn_timeline, str(second))
+        write_trace(_chrome_trace(cnn_timeline), str(first))
+        write_trace(_chrome_trace(cnn_timeline), str(second))
         assert first.read_bytes() == second.read_bytes()
 
     def test_timestamps_have_fixed_precision(self, cnn_timeline):
-        trace = timeline_to_chrome_trace(cnn_timeline)
+        trace = _chrome_trace(cnn_timeline)
         for event in trace["traceEvents"]:
             if event["ph"] != "X":
                 continue
@@ -197,7 +190,7 @@ class TestDeterministicExport:
 
 class TestChromeTraceExport:
     def test_trace_structure(self, cnn_timeline):
-        trace = timeline_to_chrome_trace(cnn_timeline, process_name="test")
+        trace = _chrome_trace(cnn_timeline, process_name="test")
         events = trace["traceEvents"]
         assert events[0]["ph"] == "M"
         complete = [e for e in events if e["ph"] == "X"]
@@ -206,41 +199,14 @@ class TestChromeTraceExport:
 
     def test_round_trips_through_json(self, cnn_timeline, tmp_path):
         path = tmp_path / "trace.json"
-        write_chrome_trace(cnn_timeline, str(path))
+        write_trace(_chrome_trace(cnn_timeline), str(path))
         with open(path) as handle:
             loaded = json.load(handle)
         assert loaded["displayTimeUnit"] == "ms"
         assert len(loaded["traceEvents"]) > 100
 
     def test_idle_events_on_separate_track(self, rnn_timeline):
-        trace = timeline_to_chrome_trace(rnn_timeline)
+        trace = _chrome_trace(rnn_timeline)
         idle = [e for e in trace["traceEvents"] if e.get("cat") == "idle"]
         assert idle
         assert all(e["tid"] == 1 for e in idle)
-
-
-class TestCSVExport:
-    def test_kernel_stats_csv(self, tmp_path):
-        profile = TrainingSession("resnet-50", "mxnet").run_iteration(16)
-        trace = trace_from_profile(profile)
-        path = tmp_path / "kernels.csv"
-        text = kernel_stats_to_csv(trace, str(path))
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("kernel,launches")
-        assert len(lines) > 10
-        assert path.read_text() == text
-
-    def test_kernel_stats_csv_to_buffer(self):
-        import io
-
-        profile = TrainingSession("wgan", "tensorflow").run_iteration(8)
-        buffer = io.StringIO()
-        kernel_stats_to_csv(trace_from_profile(profile), buffer)
-        assert "kernel" in buffer.getvalue()
-
-    def test_metrics_csv(self):
-        profile = TrainingSession("a3c", "mxnet").run_iteration(32)
-        text = metrics_to_csv([IterationMetrics.from_profile(profile)])
-        lines = text.strip().splitlines()
-        assert len(lines) == 2
-        assert "A3C" in lines[1]

@@ -9,7 +9,7 @@ invariants every consumer leans on:
 - **affine invariance** — plateau triggers see only gap *fractions*, so
   rescaling the curve's metric axis never moves a boundary (metamorphic);
 - **closed form** — arbitrarily deep targets (10^12+ samples) integrate
-  in bounded work, and ``time_to_metric``'s closed-form curve inverse
+  in bounded work, and the closed-form curve inverse ``samples_to``
   agrees with a reference time bisection.
 """
 
@@ -34,7 +34,7 @@ from repro.schedule.spec import (
     PlateauSchedule,
     parse_schedule_spec,
 )
-from repro.training.convergence import FIG2_MODELS, time_to_metric
+from repro.training.convergence import FIG2_MODELS
 
 REL_TOL = 1e-9
 
@@ -201,8 +201,8 @@ class TestBuildSegmentsValidation:
 
 
 def _bisect_time_to_metric(model, throughput: float, target: float) -> float:
-    """Reference: the 200-step time bisection ``time_to_metric`` used
-    before it inverted the curve in closed form."""
+    """Reference: the 200-step time bisection the time to a metric used
+    before the curve was inverted in closed form."""
     low, high = 0.0, 1.0
     while model.value_at(high * throughput) < target:
         high *= 2.0
@@ -222,8 +222,7 @@ class TestTimeToMetricClosedForm:
         for fraction in (0.25, 0.5, 0.9, 0.95):
             target = curve.initial + fraction * (curve.final - curve.initial)
             for throughput in (1.0, 37.5, 1000.0, 2.5e5):
-                seconds = time_to_metric(model_key, throughput, target)
-                assert seconds == curve.samples_to(target) / throughput
+                seconds = curve.samples_to(target) / throughput
                 reference = _bisect_time_to_metric(curve, throughput, target)
                 assert seconds == pytest.approx(reference, rel=1e-13, abs=0.0)
 
@@ -232,20 +231,13 @@ class TestTimeToMetricEdgeCases:
     def test_unreachable_target_raises(self):
         beyond = FIG2_MODELS["resnet-50"].final + 1.0
         with pytest.raises(ValueError, match="outside achievable range"):
-            time_to_metric("resnet-50", 1000.0, beyond)
+            FIG2_MODELS["resnet-50"].samples_to(beyond)
 
     def test_asymptote_target_raises_in_closed_form(self):
         # "Unreachable" is analytic: the curve inverse itself rejects the
         # asymptote.
         with pytest.raises(ValueError, match="asymptote"):
-            time_to_metric("resnet-50", 1000.0, FIG2_MODELS["resnet-50"].final)
-
-    @pytest.mark.parametrize("throughput", [0.0, -5.0])
-    def test_non_positive_throughput_rejected(self, throughput):
-        curve = FIG2_MODELS["resnet-50"]
-        target = curve.initial + 0.5 * (curve.final - curve.initial)
-        with pytest.raises(ValueError, match="positive"):
-            time_to_metric("resnet-50", throughput, target)
+            FIG2_MODELS["resnet-50"].samples_to(FIG2_MODELS["resnet-50"].final)
 
     def test_zero_length_run_is_one_zero_segment(self):
         segments = build_segments(

@@ -19,10 +19,16 @@ from repro.schedule.spec import (
     GnsSchedule,
     PlateauSchedule,
     ScheduleSpecError,
-    canonical_schedule_spec,
     parse_schedule_spec,
     schedule_names,
 )
+
+
+def _canonical(text):
+    """Canonical form of a spec: defaults explicit, floats compact; the
+    empty spec stays empty."""
+    schedule = parse_schedule_spec(text)
+    return "" if schedule is None else schedule.canonical
 
 
 def normalized_schedule(text):
@@ -126,11 +132,11 @@ class TestCanonicalForm:
 
     def test_canonical_spec_makes_defaults_explicit(self):
         assert (
-            canonical_schedule_spec("geo")
+            _canonical("geo")
             == "geometric:factor=2,every=50,ceiling=1024"
         )
-        assert canonical_schedule_spec("") == ""
-        assert canonical_schedule_spec(None) == ""
+        assert _canonical("") == ""
+        assert _canonical(None) == ""
 
     def test_float_factors_format_compactly(self):
         assert (
@@ -177,9 +183,9 @@ class TestRoundTripProperty:
         rng = random.Random(99)
         for _ in range(300):
             schedule = _random_schedule(rng)
-            canonical = canonical_schedule_spec(schedule.canonical)
+            canonical = _canonical(schedule.canonical)
             assert canonical == schedule.canonical
-            assert canonical_schedule_spec(canonical) == canonical
+            assert _canonical(canonical) == canonical
 
     def test_normalization_is_idempotent_over_random_schedules(self):
         rng = random.Random(7)

@@ -65,8 +65,10 @@ class TestSuiteEdges:
         assert fast > 1.5 * slow
 
     def test_compare_frameworks_returns_all_three_for_images(self, suite):
-        results = suite.compare_frameworks("inception-v3", 16)
-        throughputs = {key: m.throughput for key, m in results.items()}
+        throughputs = {
+            key: suite.run("inception-v3", key, 16).throughput
+            for key in suite.model("inception-v3").frameworks
+        }
         assert throughputs["mxnet"] > throughputs["tensorflow"]  # Obs. 3
 
     def test_titan_suite_sweeps(self):

@@ -1,58 +1,11 @@
-"""Tests for the ASCII roofline chart and the newer real-engine layers
-(GRU, LayerNorm, MaxPool2d module)."""
+"""Tests for the newer real-engine layers (GRU, LayerNorm, MaxPool2d
+module)."""
 
 import numpy as np
-import pytest
 
-from repro.hardware.devices import QUADRO_P4000
-from repro.profiling.kernel_trace import trace_from_profile
-from repro.profiling.roofline_chart import (
-    points_from_trace,
-    render_roofline,
-    roofline_for,
-)
 from repro.tensor import GRUCell, LayerNorm, MaxPool2d
 from repro.tensor.optim import Adam
 from repro.tensor.tensor import Tensor
-from repro.training.session import TrainingSession
-
-
-class TestRooflineChart:
-    @pytest.fixture(scope="class")
-    def trace(self):
-        profile = TrainingSession("resnet-50", "mxnet").run_iteration(16)
-        return trace_from_profile(profile)
-
-    def test_points_extracted_with_shares(self, trace):
-        points = points_from_trace(trace, top=8)
-        assert 1 <= len(points) <= 8
-        assert all(0 < p.time_share <= 1 for p in points)
-        shares = [p.time_share for p in points]
-        assert shares == sorted(shares, reverse=True)
-
-    def test_bn_kernels_sit_in_the_bandwidth_region(self, trace):
-        points = {p.name: p for p in points_from_trace(trace, top=10)}
-        bn = next(p for name, p in points.items() if "bn_" in name)
-        breakeven = (
-            QUADRO_P4000.peak_fp32_flops / QUADRO_P4000.memory_bandwidth_bytes
-        )
-        assert bn.arithmetic_intensity < breakeven  # memory-bound side
-
-    def test_render_contains_roof_and_labels(self, trace):
-        text = render_roofline(points_from_trace(trace, top=5), QUADRO_P4000)
-        assert "roofline: Quadro P4000" in text
-        assert "/" in text and "-" in text  # both roof segments
-        assert "a:" in text
-
-    def test_render_validation(self, trace):
-        with pytest.raises(ValueError):
-            render_roofline([], QUADRO_P4000, width=10)
-        with pytest.raises(ValueError):
-            points_from_trace(trace, top=0)
-
-    def test_convenience_wrapper(self):
-        text = roofline_for(TrainingSession("wgan", "tensorflow"), 16, top=4)
-        assert "GFLOP/s" in text
 
 
 class TestNewLayers:

@@ -6,7 +6,6 @@ import pytest
 from repro.training.convergence import (
     ConvergenceModel,
     FIG2_MODELS,
-    time_to_metric,
     training_curve,
 )
 
@@ -81,18 +80,11 @@ class TestTrainingCurve:
             training_curve("resnet-50", 10.0, 0.0)
 
 
-class TestTimeToMetric:
+class TestSamplesTo:
     def test_inverse_of_value_at(self):
-        throughput = 100.0
-        seconds = time_to_metric("resnet-50", throughput, 70.0)
         model = FIG2_MODELS["resnet-50"]
-        assert model.value_at(seconds * throughput) == pytest.approx(70.0, abs=0.1)
-
-    def test_faster_throughput_shortens_time(self):
-        slow = time_to_metric("nmt", 100.0, 18.0)
-        fast = time_to_metric("nmt", 400.0, 18.0)
-        assert fast == pytest.approx(slow / 4.0, rel=0.01)
+        assert model.value_at(model.samples_to(70.0)) == pytest.approx(70.0, abs=0.1)
 
     def test_unreachable_target_rejected(self):
         with pytest.raises(ValueError):
-            time_to_metric("resnet-50", 100.0, 99.0)
+            FIG2_MODELS["resnet-50"].samples_to(99.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.models.registry import model_keys
+from repro.models.registry import model_catalog
 from repro.training.hyperparams import (
     Hyperparameters,
     IncomparableImplementationsError,
@@ -30,17 +30,10 @@ class TestHyperparameters:
         with pytest.raises(ValueError):
             Hyperparameters(optimizer="lion")
 
-    def test_with_learning_rate(self):
-        hp = Hyperparameters(learning_rate=0.1, momentum=0.9)
-        scaled = hp.with_learning_rate(0.4)
-        assert scaled.learning_rate == 0.4
-        assert scaled.momentum == 0.9
-        assert hp.learning_rate == 0.1
-
 
 class TestDefaults:
     def test_every_registry_model_has_defaults(self):
-        for key in model_keys():
+        for key in model_catalog():
             assert defaults_for(key) is MODEL_DEFAULTS[key]
 
     def test_unknown_model(self):

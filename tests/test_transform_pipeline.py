@@ -27,9 +27,7 @@ from repro.plan import (
     TransformContractError,
     TransformPipeline,
     TransformSpecError,
-    canonical_transform_spec,
     parse_transform_spec,
-    transform_catalog,
 )
 from repro.plan.transform import (
     FeatureMapOffloadTransform,
@@ -40,6 +38,11 @@ from repro.training.session import TrainingSession
 from tests.plans import fold_stages, plan_difference
 
 SEED = 20180923
+
+
+def _canonical(text):
+    """The normalized spelling of a transform spec (parse + re-render)."""
+    return parse_transform_spec(text).canonical
 
 
 class TestParser:
@@ -60,10 +63,10 @@ class TestParser:
         assert parse_transform_spec("offload:0.25").canonical == "offload:0.25"
 
     def test_aliases_and_case_normalize(self):
-        assert canonical_transform_spec("FUSED-RNN") == "fused_rnn"
-        assert canonical_transform_spec("fp16-storage") == "fp16"
-        assert canonical_transform_spec("resnet-depth:23") == "depth:23"
-        assert canonical_transform_spec("feature-map-offload:0.5") == "offload:0.5"
+        assert _canonical("FUSED-RNN") == "fused_rnn"
+        assert _canonical("fp16-storage") == "fp16"
+        assert _canonical("resnet-depth:23") == "depth:23"
+        assert _canonical("feature-map-offload:0.5") == "offload:0.5"
 
     def test_unknown_transform_names_the_known_set(self):
         with pytest.raises(TransformSpecError, match="unknown transform 'magic'"):
@@ -143,26 +146,16 @@ class TestNormalization:
     FULL = ["fused_rnn", "depth:23", "offload:0.25", "fp16"]
 
     def test_canonical_order_is_rank_order(self):
-        spec = canonical_transform_spec("fp16+offload:0.25+depth:23+fused_rnn")
+        spec = _canonical("fp16+offload:0.25+depth:23+fused_rnn")
         assert spec == "fused_rnn+depth:23+offload:0.25+fp16"
 
     def test_every_permutation_shares_one_canonical_spelling(self):
         rng = random.Random(SEED)
-        reference = canonical_transform_spec("+".join(self.FULL))
+        reference = _canonical("+".join(self.FULL))
         for _ in range(25):
             shuffled = list(self.FULL)
             rng.shuffle(shuffled)
-            assert canonical_transform_spec("+".join(shuffled)) == reference
-
-    def test_catalog_is_sorted_by_rank(self):
-        ranks = [entry.rank for entry in transform_catalog()]
-        assert ranks == sorted(ranks)
-        assert [entry.name for entry in transform_catalog()] == [
-            "fused_rnn",
-            "depth",
-            "offload",
-            "fp16",
-        ]
+            assert _canonical("+".join(shuffled)) == reference
 
     def test_permuted_specs_produce_bit_identical_plans(self):
         session = TrainingSession("nmt", "tensorflow")

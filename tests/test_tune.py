@@ -46,11 +46,11 @@ class TestEnumeration:
         assert not any("fused_rnn" in spec for spec in specs)
 
     def test_specs_are_canonical_and_non_empty(self):
-        from repro.plan.pipeline import canonical_transform_spec
+        from repro.plan.pipeline import parse_transform_spec
 
         for spec in Autotuner("nmt", "tensorflow", batch_size=64).candidate_specs():
             assert spec
-            assert canonical_transform_spec(spec) == spec
+            assert parse_transform_spec(spec).canonical == spec
 
 
 class TestRanking:
